@@ -28,6 +28,7 @@ from .conecomplex import (
 )
 from .fan import (
     Fan,
+    FanError,
     FanMorphism,
     StackyFan,
     StackyMorphism,
@@ -43,7 +44,7 @@ from .fan import (
     validate_fan,
     validate_stacky_fan,
 )
-from .lattice import Lattice, LatticeMap, Sublattice, sublattice_from_vectors
+from .lattice import Lattice, LatticeMap, sublattice_from_vectors
 from .monoid import hilbert_basis
 from .reduction import ReductionError, factor_through, reduce, \
     universal_minimal_modification
@@ -142,6 +143,12 @@ def parse_fan(payload, path) -> Fan:
     return Fan.from_cones(rank, cones)
 
 
+def _require_fan(fan: Fan, path: str) -> None:
+    report = validate_fan(fan)
+    if not report:
+        _fail(path, f"not a fan: {report.violations[0]}")
+
+
 def emit_fan(f: Fan):
     return {"lattice_rank": f.lattice.rank,
             "cones": [{"rays": _enc_matrix(c.rays)} for c in f.cones]}
@@ -178,7 +185,13 @@ def parse_fan_morphism(payload, path) -> FanMorphism:
     if len(matrix) != target.lattice.rank:
         _fail(f"{path}.matrix", "row count does not match the target rank")
     lm = LatticeMap(source.lattice, target.lattice, matrix)
-    return FanMorphism(source, target, lm)
+    try:
+        return FanMorphism(source, target, lm)
+    except FanError:
+        # overlapping cones are the likelier cause; name the fan if so
+        _require_fan(source, f"{path}.source")
+        _require_fan(target, f"{path}.target")
+        raise
 
 
 def emit_fan_morphism(m: FanMorphism):
@@ -196,12 +209,6 @@ def parse_stacky_morphism(payload, path) -> StackyMorphism:
     lm = LatticeMap(source.fan.lattice, target.fan.lattice, matrix)
     return StackyMorphism(FanMorphism(source.fan, target.fan, lm),
                           source, target)
-
-
-def emit_stacky_morphism(m: StackyMorphism):
-    return {"matrix": _enc_matrix(m.underlying.lattice_map.matrix),
-            "source": emit_stacky_fan(m.source),
-            "target": emit_stacky_fan(m.target)}
 
 
 def parse_cone_complex(payload, path) -> ConeComplex:
@@ -235,15 +242,6 @@ def parse_cone_complex(payload, path) -> ConeComplex:
                          LatticeMap(cells[chart].lattice,
                                     cells[cell].lattice, matrix)))
     return ConeComplex(tuple(cells), tuple(gl))
-
-
-def emit_cone_complex(cx: ConeComplex):
-    return {"cells": [{"lattice_rank": c.lattice.rank,
-                       "rays": _enc_matrix(c.rays)} for c in cx.cells],
-            "gluings": [{"cell": g.cell, "face_rays": _enc_matrix(g.face.rays),
-                         "chart": g.chart,
-                         "embedding": _enc_matrix(g.embedding.matrix)}
-                        for g in cx.gluings]}
 
 
 def parse_complex_morphism(payload, path) -> ComplexMorphism:
@@ -333,6 +331,14 @@ def _load_file(fname: str, expect: tuple[str, ...]):
     except OSError as exc:
         raise DocumentError(f"{fname}: {exc.strerror}")
     return load_document(text, expect)
+
+
+def _load_fan_morphism(fname: str) -> FanMorphism:
+    """A fan_morphism document whose source and target are valid fans."""
+    _, p = _load_file(fname, ("fan_morphism",))
+    _require_fan(p.source, "$.payload.source")
+    _require_fan(p.target, "$.payload.target")
+    return p
 
 
 def _report(ok: bool, violations=(), details=()):
@@ -457,15 +463,15 @@ def _cmd_basechange(args, out) -> int:
 
 
 def _cmd_reduce(args, out) -> int:
-    _, p = _load_file(args.input, ("fan_morphism",))
+    p = _load_fan_morphism(args.input)
     red = reduce(p)
     out.write(emit_document("reduction_result", emit_reduction_result(red)))
     return 0
 
 
 def _cmd_factor(args, out) -> int:
-    _, p = _load_file(args.family, ("fan_morphism",))
-    _, i = _load_file(args.alteration, ("fan_morphism",))
+    p = _load_fan_morphism(args.family)
+    i = _load_fan_morphism(args.alteration)
     red = reduce(p)
     obj = universal_minimal_modification(red, i)
     try:
@@ -526,11 +532,12 @@ def _cmd_render(args, out) -> int:
     kind, obj = _load_file(args.input, ("fan", "stacky_fan",
                                         "reduction_result"))
     if kind == "fan":
-        fan = obj
+        fan, path = obj, "$.payload"
     elif kind == "stacky_fan":
-        fan = obj.fan
+        fan, path = obj.fan, "$.payload"
     else:
-        fan = obj[0].fan  # the refined base subdivision
+        fan, path = obj[0].fan, "$.payload.base"  # the refined base subdivision
+    _require_fan(fan, path)
     out.write(render_fan(fan))
     return 0
 

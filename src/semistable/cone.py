@@ -274,12 +274,6 @@ class Cone:
 # ---------------------------------------------------------------------------
 # operations
 
-def double_description(rays: Iterable[Sequence[int]], rank: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """Exact V-to-H conversion: (facets, span_equations) of the generated cone."""
-    c = Cone.from_generators(rank, rays)
-    return c.facets, c.span_equations
-
-
 def dual_cone(c: Cone) -> Cone:
     """{u : u.v >= 0 for all v in c} in the dual lattice."""
     gens = list(c.facets)
@@ -287,26 +281,6 @@ def dual_cone(c: Cone) -> Cone:
         gens.append(e)
         gens.append(vec_neg(e))
     return Cone.from_generators(Lattice(c.lattice.rank), gens)
-
-
-def faces(c: Cone) -> list[Cone]:
-    return c.faces()
-
-
-def is_face(f: Cone, c: Cone) -> bool:
-    return f in c.faces()
-
-
-def contains(c: Cone, v: Sequence) -> bool:
-    return c.contains(v)
-
-
-def relint_contains(c: Cone, v: Sequence) -> bool:
-    return c.relint_contains(v)
-
-
-def interior_sample(c: Cone) -> Vector:
-    return c.interior_sample()
 
 
 def intersect(a: Cone, b: Cone) -> Cone:

@@ -9,9 +9,8 @@ recovered exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .cone import Cone, image_cone, intersect, preimage_cone, span_sublattice
 from .fan import (
@@ -37,59 +36,21 @@ from .lattice import (
     primitive,
     saturate,
     solve_integer,
+    solve_rational,
     sublattice_from_vectors,
     transpose,
-    vec_add,
     zero_sublattice,
 )
 from .monoid import MonoidError, image_monoid_equals_cone_monoid
-from .reduction import ReductionError
+from .reduction import ReductionError, refine_cell
 
 
 class ComplexError(ValueError):
     pass
 
 
-def _solve_rational(matrix: Sequence[Vector], vec: Sequence) -> Optional[tuple]:
-    """One solution of matrix @ x = vec over the rationals, or None."""
-    rows = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(matrix, vec)]
-    if any(Fraction(v) != 0 for v in vec[len(matrix):]):
-        return None
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
-    return tuple(x)
-
-
 def _key(c: Cone):
     return (c.rays, c.lines)
-
-
-def _face_closure(cones: Iterable[Cone]) -> list[Cone]:
-    out: dict = {}
-    for c in cones:
-        for f in c.faces():
-            out[_key(f)] = f
-    return sorted(out.values(), key=lambda c: (c.dim, c.rays, c.lines))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +234,7 @@ def _transport_point(route: tuple[Gluing, Gluing], w: Sequence):
     if any(sum(a * b for a, b in zip(eq, w)) != 0
            for eq in g1.face.span_equations):
         return None
-    x = _solve_rational(g1.embedding.matrix, w)
+    x = solve_rational(g1.embedding.matrix, w)
     if x is None:
         return None
     return matvec(g2.embedding.matrix, x)
@@ -323,7 +284,6 @@ class _CellRun:
     pieces: tuple[Cone, ...]
     members: dict
     sublattices: dict
-    contributions: tuple
 
 
 def _pull_functional(route: tuple[Gluing, Gluing], psi: Vector) -> Optional[Vector]:
@@ -349,7 +309,6 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
                 hyps.add(primitive(moved))
         for eq in route[0].face.span_equations:
             hyps.add(primitive(eq))
-    raw = decompose_by_hyperplanes(cell, sorted(hyps))
 
     def member_routes(pt):
         out = []
@@ -363,57 +322,27 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
                 seen.add(s)
         return out
 
-    def covered(pt):
-        return any(_transport_point(route, pt) is not None and
-                   img.contains(_transport_point(route, pt))
-                   for _, route, img in contributions)
-
-    pieces_raw = []
-    by_label: dict = {}
-    for piece in raw:
-        s1 = piece.interior_sample()
-        if not covered(s1):
+    def label_at(pt):
+        label = frozenset(s for s, _, _ in member_routes(pt))
+        # a point in the interior of a transported image is covered, so
+        # only an empty label needs the closed-cone test
+        if not label and not any(
+                (moved := _transport_point(route, pt)) is not None
+                and img.contains(moved) for _, route, img in contributions):
             raise ReductionError(
-                f"target cell {t} is not covered by the source images near {s1}")
-        label = frozenset(s for s, _, _ in member_routes(s1))
-        if piece.rays:
-            s2 = vec_add(s1, piece.rays[0])
-            if frozenset(s for s, _, _ in member_routes(s2)) != label:
-                raise ReductionError(
-                    f"membership set is not constant on a cell of target cell {t}")
-        pieces_raw.append((piece, label))
-        by_label.setdefault(label, []).append(piece)
+                f"target cell {t} is not covered by the source images near {pt}")
+        return label
 
-    hulls: dict = {}
-    for label, group in by_label.items():
-        gens = [gv for piece in group for gv in piece.generators()]
-        hull = Cone.from_generators(cell.lattice, gens)
-        if not hull.is_strictly_convex:
-            raise ReductionError(f"a label region of target cell {t} is not convex")
-        if not cell.contains_cone(hull):
-            raise ReductionError(f"a label hull escapes target cell {t}")
-        for piece, piece_label in pieces_raw:
-            if hull.relint_contains(piece.interior_sample()) and piece_label != label:
-                raise ReductionError(
-                    f"a label region of target cell {t} is not a union of cells")
-        hulls[_key(hull)] = hull
-
-    pieces = tuple(_face_closure(hulls.values()))
+    pieces = []
     members: dict = {}
     subs: dict = {}
-    for piece in pieces:
-        s1 = piece.interior_sample()
-        routes = member_routes(s1)
-        label = frozenset(s for s, _, _ in routes)
-        if piece.rays:
-            s2 = vec_add(s1, piece.rays[0])
-            if frozenset(s for s, _, _ in member_routes(s2)) != label:
-                raise ReductionError(
-                    f"cell of target cell {t} merges different membership sets")
+    for piece, label in refine_cell(cell, sorted(hyps), label_at, f"target cell {t}"):
+        pieces.append(piece)
         members[_key(piece)] = label
         if piece.dim == 0:
             subs[_key(piece)] = zero_sublattice(cell.lattice)
             continue
+        routes = member_routes(piece.interior_sample())
         if not routes:
             raise ReductionError(
                 f"a cell of target cell {t} has no contributing source cells")
@@ -434,7 +363,7 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
             result = intersect_sublattices(
                 result, sublattice_from_vectors(cell.lattice, moved))
         subs[_key(piece)] = result
-    return _CellRun(pieces, members, subs, tuple(contributions))
+    return _CellRun(tuple(pieces), members, subs)
 
 
 def _moved_sublattice(lat: Lattice, e: LatticeMap, sub: Sublattice) -> Sublattice:
@@ -550,7 +479,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
         for piece in runs[lam].pieces:
             part = intersect(preimage_cone(pmap, piece), sigma)
             cut[_key(part)] = part
-        parts = _face_closure(cut.values())
+        parts = Fan.from_cones(sigma.lattice, cut.values()).cones
         pulled = set()
         for piece in runs[lam].pieces:
             for psi in piece.facets + piece.span_equations:
@@ -569,7 +498,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
             q = runs[lam].sublattices[_key(target_piece)]
             subs[_key(part)] = intersect_sublattices(
                 preimage_sublattice(pmap, q), span_sublattice(part))
-        src_runs[s] = _CellRun(tuple(parts), {}, subs, ())
+        src_runs[s] = _CellRun(parts, {}, subs)
 
     _check_face_agreement(m.source, {s: src_runs[s].pieces for s in src_runs},
                           {s: src_runs[s].sublattices for s in src_runs})

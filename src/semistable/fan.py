@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .cone import (
     Cone,
-    ConeError,
-    dual_cone,
     image_cone,
     intersect,
     preimage_cone,
@@ -33,27 +31,19 @@ from .lattice import (
     dual_map,
     fiber_product_lattice,
     full_sublattice,
-    hstack,
     intersect_sublattices,
-    kernel_lattice,
     lattice_index,
-    mat,
-    matmul,
     preimage_sublattice,
     pushout_lattice,
-    right_inverse,
-    saturate,
     sublattice_from_vectors,
     transpose,
     vec_neg,
 )
 from .monoid import (
-    AffineMonoid,
     MonoidMap,
     _contains_modulo_units,
     dual_monoid,
     image_monoid_equals_cone_monoid,
-    pushout_monoid,
 )
 
 
@@ -114,23 +104,16 @@ def validate_fan(f: Fan) -> ValidationReport:
             bad.append(f"duplicate cone {c.rays}")
         seen.add(key)
     cone_keys = {(c.rays, c.lines) for c in f.cones}
+    faces = {c: c.faces() for c in f.cones if c.is_strictly_convex}
     for c in f.cones:
-        if not c.is_strictly_convex:
-            continue
-        for face in c.faces():
+        for face in faces.get(c, ()):
             if (face.rays, face.lines) not in cone_keys:
                 bad.append(f"face {face.rays} of {c.rays} missing from the fan")
     for a, b in itertools.combinations([c for c in f.cones if c.is_strictly_convex], 2):
         cap = intersect(a, b)
-        if not is_face(cap, a) or not is_face(cap, b):
+        if cap not in faces[a] or cap not in faces[b]:
             bad.append(f"intersection of {a.rays} and {b.rays} is not a common face")
     return ValidationReport(tuple(bad))
-
-
-def is_face(f: Cone, c: Cone) -> bool:
-    if not c.is_strictly_convex:
-        raise ConeError("face test requires a strictly convex cone")
-    return f in c.faces()
 
 
 def support_contains(f: Fan, v: Sequence) -> bool:
@@ -159,10 +142,6 @@ class StackyFan:
             if cone == c:
                 return s
         raise FanError(f"cone {c.rays} is not in the stacky fan")
-
-    @staticmethod
-    def trivial(fan: Fan) -> "StackyFan":
-        return StackyFan.from_dict(fan, {})
 
 
 def validate_stacky_fan(s: StackyFan) -> ValidationReport:
@@ -288,10 +267,7 @@ def decompose_by_hyperplanes(start: Cone, functionals: Iterable[Vector]) -> list
     for h in functionals:
         nxt: dict = {}
         for c in cells.values():
-            pos = Cone.from_halfspaces(c.lattice, c.facets + (tuple(h),),
-                                       c.span_equations)
-            neg = Cone.from_halfspaces(c.lattice, c.facets + (vec_neg(h),),
-                                       c.span_equations)
+            pos, neg = split_by_hyperplane(c, h)
             zero = Cone.from_halfspaces(c.lattice, c.facets,
                                         c.span_equations + (tuple(h),))
             for part in (pos, neg, zero):

@@ -7,7 +7,8 @@ Matrices are tuples of row tuples.  A map between lattices of ranks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Vector = tuple[int, ...]
@@ -25,10 +26,6 @@ def mat(rows: Iterable[Iterable[int]]) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zeros(m: int, n: int) -> Matrix:
-    return tuple((0,) * n for _ in range(m))
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -56,10 +53,6 @@ def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
 
 def vec_neg(v: Sequence[int]) -> Vector:
     return tuple(-x for x in v)
-
-
-def vec_scale(c: int, v: Sequence[int]) -> Vector:
-    return tuple(c * x for x in v)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -293,6 +286,36 @@ def solve_integer(a: Matrix, b: Sequence[int]) -> Vector | None:
     return matvec(snf.V, y)
 
 
+def solve_rational(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
+    """One rational solution x of A x = b, free variables set to zero, or
+    None if there is none."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(Fraction(y) != 0 for y in b[m:]):
+        return None
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(rows[i][n] != 0 for i in range(r, m)):
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n]
+    return tuple(x)
+
+
 def kernel_basis(a: Matrix) -> list[Vector]:
     """Basis (saturated) of the integer kernel of A, as vectors."""
     m = len(a)
@@ -372,7 +395,6 @@ class Sublattice:
         if len(b) != self.ambient.rank:
             raise ValueError("basis row count does not match ambient rank")
         h = column_hermite_form(b)
-        ncols = len(h[0]) if h else 0
         if not h:
             h = tuple(() for _ in range(self.ambient.rank))
         # columns of an HNF are independent by construction

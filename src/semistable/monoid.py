@@ -8,9 +8,10 @@ deterministic and independent of iteration order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cone import Cone, ConeError, dual_cone, image_cone, span_sublattice
 from .lattice import (
@@ -19,15 +20,16 @@ from .lattice import (
     Sublattice,
     Vector,
     dot,
+    from_columns,
     full_sublattice,
-    image_lattice,
     intersect_sublattices,
     is_zero_vec,
     kernel_lattice,
     mat,
-    matvec,
+    pushout_lattice,
     smith_normal_form,
     solve_integer,
+    solve_rational,
     sublattice_from_vectors,
     transpose,
     vec_add,
@@ -100,43 +102,11 @@ def _as_sublattice(lat_or_sub, ambient: Lattice) -> Sublattice:
 def _smallest_multiple_coords(basis_cols, ray: Vector) -> Vector:
     """Coordinates (in the basis) of the smallest positive multiple of
     `ray` lying in the column lattice of basis_cols."""
-    d = len(basis_cols[0]) if basis_cols else 0
-    # solve basis * y = ray over the rationals
-    from .lattice import row_hermite_form
-
-    rows = [list(r) + [x] for r, x in zip(basis_cols, ray)]
-    # gaussian elimination with fractions
-    m = [[Fraction(x) for x in row] for row in rows]
-    piv = []
-    r = 0
-    for c in range(d):
-        sel = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv.append(c)
-        r += 1
-    y = [Fraction(0)] * d
-    for i, c in enumerate(piv):
-        y[c] = m[i][-1]
-    for i in range(r, len(m)):
-        if m[i][-1] != 0:
-            raise MonoidError("ray does not lie in the span of the lattice")
-    k = 1
-    for x in y:
-        k = k * x.denominator // _gcd(k, x.denominator)
+    y = solve_rational(basis_cols, ray)
+    if y is None:
+        raise MonoidError("ray does not lie in the span of the lattice")
+    k = math.lcm(*(x.denominator for x in y))
     return tuple(int(x * k) for x in y)
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def hilbert_basis(c: Cone, L=None) -> list[Vector]:
@@ -176,8 +146,6 @@ def hilbert_basis(c: Cone, L=None) -> list[Vector]:
                 lo[j] = v
             if v > hi[j]:
                 hi[j] = v
-    import math
-
     ranges = [range(math.floor(lo[j]), math.ceil(hi[j]) + 1) for j in range(d)]
     candidates = []
     for t in itertools.product(*ranges):
@@ -227,8 +195,6 @@ def monoid_generators_of_cone(c: Cone, L=None) -> list[Vector]:
     units = units_lat.vectors()
 
     # quotient by the saturated lineality
-    from .lattice import from_columns
-
     lin_cols = from_columns([tuple(v) for v in c.lines], n)
     snf = smith_normal_form(lin_cols)
     l = snf.rank
@@ -335,8 +301,6 @@ def _contains_modulo_units(w: Sequence[int], gens: Sequence[Vector],
     # the unit generators span a linear space, so they generate a group
     U = sublattice_from_vectors(lattice, unit_gens)
     n = lattice.rank
-    from .lattice import from_columns
-
     sat_lin_cols = from_columns([tuple(v) for v in c.lines], n)
     snf = smith_normal_form(sat_lin_cols)
     l = snf.rank
@@ -432,8 +396,6 @@ def pushout_monoid(u: MonoidMap, v: MonoidMap) -> AffineMonoid:
     """Image of M ⊕ L in the pushout of the underlying lattices."""
     if u.source != v.source:
         raise MonoidError("pushout requires a shared source monoid")
-    from .lattice import pushout_lattice
-
     po = pushout_lattice(u.lattice_map, v.lattice_map)
     gens = [po.inc_left(g) for g in u.target.generators]
     gens += [po.inc_right(g) for g in v.target.generators]

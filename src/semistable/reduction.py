@@ -6,7 +6,7 @@ alteration squares through it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .cone import Cone, image_cone, intersect, preimage_cone, span_sublattice
 from .fan import (
@@ -29,22 +29,18 @@ from .fan import (
     validate_stacky_fan,
 )
 from .lattice import (
-    Lattice,
     LatticeMap,
-    Sublattice,
     Vector,
     det,
     fiber_product_lattice,
     full_sublattice,
     intersect_sublattices,
     kernel_lattice,
-    mat,
     matmul,
     preimage_sublattice,
     saturate,
     solve_integer,
     sublattice_from_vectors,
-    transpose,
     vec_add,
     zero_sublattice,
 )
@@ -71,6 +67,56 @@ def _n0_at(point: Sequence[int], images: Sequence[tuple[Cone, Cone]]) -> tuple[C
     return tuple(sigma for sigma, img in images if img.relint_contains(point))
 
 
+def refine_cell(cell: Cone, functionals: Sequence[Vector],
+                label_at: Callable[[Vector], Hashable],
+                where: str) -> list[tuple[Cone, Hashable]]:
+    """Coarsest subdivision of `cell` on whose pieces `label_at` is constant.
+
+    The cell is cut by the functionals and every piece is labelled at an
+    interior sample, then again one ray further in, so a label that changes
+    inside a piece is caught.  The pieces of each label merge into their
+    hull, which must be convex, stay inside the cell and be a union of
+    pieces with that label.  Returns the face closure of the hulls, each
+    face with its label, verified the same way.
+    """
+    def label(c: Cone) -> Hashable:
+        s1 = c.interior_sample()
+        lab = label_at(s1)
+        if c.rays and label_at(vec_add(s1, c.rays[0])) != lab:
+            raise ReductionError(f"membership set is not constant on a cell of {where}")
+        return lab
+
+    pieces = [(piece, label(piece))
+              for piece in decompose_by_hyperplanes(cell, functionals)]
+    samples = [(piece.interior_sample(), lab) for piece, lab in pieces]
+
+    def mixed(c: Cone, lab: Hashable) -> bool:
+        return any(c.relint_contains(s) and other != lab for s, other in samples)
+
+    by_label: dict = {}
+    for piece, lab in pieces:
+        by_label.setdefault(lab, []).extend(piece.generators())
+    hulls = []
+    for lab, gens in by_label.items():
+        hull = Cone.from_generators(cell.lattice, gens)
+        if not hull.is_strictly_convex:
+            raise ReductionError(f"a label region of {where} is not convex")
+        if not cell.contains_cone(hull):
+            raise ReductionError(f"a label hull escapes {where}")
+        if mixed(hull, lab):
+            raise ReductionError(f"a label region of {where} is not a union of cells")
+        hulls.append(hull)
+
+    out = []
+    for face in Fan.from_cones(cell.lattice, hulls).cones:
+        lab = label(face)
+        if mixed(face, lab):
+            raise ReductionError(
+                f"a cell of {where} merges regions with different membership sets")
+        out.append((face, lab))
+    return out
+
+
 def image_refinement(p: FanMorphism) -> tuple[Fan, list[N0Label]]:
     """Coarsest subdivision of the target fan on whose cells the set of
     source cones mapping onto a neighborhood is constant."""
@@ -78,65 +124,19 @@ def image_refinement(p: FanMorphism) -> tuple[Fan, list[N0Label]]:
         raise ReductionError("the morphism is not proper onto the target support")
     g = p.target
     images = [(sigma, image_cone(p.lattice_map, sigma)) for sigma in p.source.cones]
+    hyps = sorted({psi for _, img in images for psi in img.facets + img.span_equations})
 
-    hyps = set()
-    for _, img in images:
-        hyps.update(img.facets)
-        hyps.update(img.span_equations)
-    hyps = sorted(hyps)
-
-    pieces: list[tuple[Cone, tuple[Cone, ...]]] = []
-    hulls: dict = {}
+    labels: dict = {}
     for kappa in g.cones:
-        local = decompose_by_hyperplanes(kappa, hyps)
-        by_label: dict = {}
-        for piece in local:
-            s1 = piece.interior_sample()
-            label = _n0_at(s1, images)
-            if piece.rays:
-                s2 = vec_add(s1, piece.rays[0])
-                if _n0_at(s2, images) != label:
-                    raise ReductionError(
-                        f"membership set is not constant on a cell of {kappa.rays}")
-            pieces.append((piece, label))
-            by_label.setdefault(label, []).append(piece)
-        for label, group in by_label.items():
-            gens = [gv for piece in group for gv in piece.generators()]
-            hull = Cone.from_generators(g.lattice, gens)
-            if not hull.is_strictly_convex:
-                raise ReductionError("a label region has a non-convex hull")
-            if not kappa.contains_cone(hull):
-                raise ReductionError("a label hull escapes its base cone")
-            # every arrangement piece interior to the hull must share the label
-            for piece, piece_label in ((q, _n0_at(q.interior_sample(), images))
-                                       for q in local):
-                if hull.relint_contains(piece.interior_sample()) and piece_label != label:
-                    raise ReductionError(
-                        f"label region in {kappa.rays} is not a union of cells")
-            hulls[(hull.rays, hull.lines)] = hull
-
-    refined = Fan.from_cones(g.lattice, list(hulls.values()))
+        labels.update(refine_cell(kappa, hyps, lambda pt: _n0_at(pt, images),
+                                  f"the base cone {kappa.rays}"))
+    refined = Fan.from_cones(g.lattice, labels)
     report = validate_fan(refined)
     if not report:
         raise ReductionError("refined base is not a fan: " + "; ".join(report.violations))
     if not supports_equal(refined, g):
         raise ReductionError("refined base does not cover the target support")
-
-    labels = []
-    for cell in refined.cones:
-        s1 = cell.interior_sample()
-        label = _n0_at(s1, images)
-        if cell.rays:
-            s2 = vec_add(s1, cell.rays[0])
-            if _n0_at(s2, images) != label:
-                raise ReductionError(
-                    f"membership set is not constant on the cell {cell.rays}")
-        for piece, piece_label in pieces:
-            if cell.relint_contains(piece.interior_sample()) and piece_label != label:
-                raise ReductionError(
-                    f"cell {cell.rays} merges regions with different membership sets")
-        labels.append(N0Label(cell, label))
-    return refined, labels
+    return refined, [N0Label(cell, labels[cell]) for cell in refined.cones]
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +205,11 @@ def reduce(p: FanMorphism) -> ReductionResult:
     base = base_lattices(p, refined_g, labels)
     total, sm = total_refinement(p, base)
 
+    # image_refinement has already compared the supports of the two bases
     base_to_orig = FanMorphism(refined_g, p.target,
                                LatticeMap.identity_map(p.target.lattice))
     total_to_orig = FanMorphism(total.fan, p.source,
                                 LatticeMap.identity_map(p.source.lattice))
-    if not is_modification(base_to_orig):
-        raise ReductionError("refined base is not a modification of the target fan")
     if not is_modification(total_to_orig):
         raise ReductionError("refined total is not a modification of the source fan")
     return ReductionResult(base, total, sm, total_to_orig, base_to_orig, tuple(labels))

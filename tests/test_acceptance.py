@@ -9,7 +9,6 @@ from math import gcd
 
 from semistable.cone import Cone, span_sublattice
 from semistable.conecomplex import (
-    _solve_rational,
     fan_morphism_as_complex,
     reduce_complex,
 )
@@ -28,6 +27,7 @@ from semistable.lattice import (
     mat,
     matvec,
     solve_integer,
+    solve_rational,
     sublattice_from_vectors,
     transpose,
 )
@@ -108,7 +108,7 @@ def cone_in_coords(c, sub):
     rows = tuple(zip(*sub.vectors()))
     gens = []
     for g in c.generators():
-        x = _solve_rational(rows, g)
+        x = solve_rational(rows, g)
         scale = 1
         for v in x:
             scale = scale * v.denominator // gcd(scale, v.denominator)

@@ -149,3 +149,39 @@ class TestSemantics:
         assert out.count("<polygon") == 2
         assert out.count("<line") == 3
         assert out.startswith("<?xml")
+
+
+OVERLAP_VIOLATIONS = [
+    "valid: intersection of ((1, 1),) and ((1, 0), (1, 2)) is not a common face",
+    "valid: intersection of ((1, 2),) and ((0, 1), (1, 1)) is not a common face",
+    "valid: intersection of ((0, 1), (1, 1)) and ((1, 0), (1, 2)) is not a common face",
+]
+
+
+class TestInvalidFans:
+    """Cones (1,0),(1,2) and (1,1),(0,1) overlap: no subcommand that builds
+    on the fan may accept it, and the error names where it sits."""
+
+    @pytest.mark.parametrize("name", ["overlap_fan.json", "overlap_quad.json"])
+    def test_check_valid_lists_every_violation(self, name):
+        code, out = run_cli("check", "--input", data(name), "--valid")
+        assert code == 1
+        assert json.loads(out)["payload"]["violations"] == OVERLAP_VIOLATIONS
+
+    @pytest.mark.parametrize("args,path", [
+        (["reduce", "--input", data("overlap_quad.json")], "$.payload.source"),
+        (["reduce", "--input", data("overlap_blowup.json")], "$.payload.source"),
+        (["factor", "--family", data("overlap_quad.json"),
+          "--alteration", data("halfline_x2.json")], "$.payload.source"),
+        (["factor", "--family", data("fix_semi.json"),
+          "--alteration", data("overlap_quad.json")], "$.payload.source"),
+        (["render", "--input", data("overlap_fan.json")], "$.payload"),
+    ], ids=["reduce", "reduce-straddle", "factor-family", "factor-alteration",
+            "render"])
+    def test_rejected_with_json_path(self, args, path, capsys):
+        code, out = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a fan: ")
+        assert "is not a common face" in err

@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 from semistable.cone import (
     Cone,
     ConeError,
-    double_description,
     dual_cone,
-    faces,
     image_cone,
     intersect,
-    is_face,
     preimage_cone,
     span_sublattice,
     split_by_hyperplane,
@@ -97,7 +94,8 @@ class TestDuality:
         assert len(d.lines) == 2
 
     def test_double_description(self):
-        facets, eqs = double_description([(1, 0), (1, 2)], 2)
+        c = Cone.from_generators(2, [(1, 0), (1, 2)])
+        facets, eqs = c.facets, c.span_equations
         assert eqs == ()
         assert set(facets) == {(0, 1), (2, -1)}
 
@@ -105,7 +103,7 @@ class TestDuality:
 class TestFaces:
     def test_quadrant_faces(self):
         c = cone2((1, 0), (0, 1))
-        fs = faces(c)
+        fs = c.faces()
         assert len(fs) == 4
         dims = sorted(f.dim for f in fs)
         assert dims == [0, 1, 1, 2]
@@ -114,17 +112,17 @@ class TestFaces:
 
     def test_is_face(self):
         c = cone2((1, 0), (0, 1))
-        assert is_face(cone2((1, 0)), c)
-        assert not is_face(cone2((1, 1)), c)
+        assert cone2((1, 0)) in c.faces()
+        assert cone2((1, 1)) not in c.faces()
 
     def test_faces_requires_pointed(self):
         c = cone2((1, 0), (-1, 0), (0, 1))
         with pytest.raises(ConeError):
-            faces(c)
+            c.faces()
 
     def test_simplicial_3d_face_count(self):
         c = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert len(faces(c)) == 8
+        assert len(c.faces()) == 8
 
 
 class TestMembership:
@@ -257,7 +255,7 @@ def test_faces_are_faces(args):
     c = Cone.from_generators(n, gens)
     if c.lines:
         return
-    fs = faces(c)
+    fs = c.faces()
     assert c in fs
     for f in fs:
         assert c.contains_cone(f)

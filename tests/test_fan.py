@@ -388,7 +388,7 @@ class TestBaseChange:
 
 class TestStackyValidation:
     def test_trivial_is_valid(self):
-        s = StackyFan.trivial(blowup_fan())
+        s = StackyFan.from_dict(blowup_fan(), {})
         assert validate_stacky_fan(s)
 
     def test_corrupted_face(self):

@@ -1,0 +1,44 @@
+"""Source hygiene without a lint tool: every import sits at module level
+and every module-level import is used."""
+import ast
+import glob
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "semistable")
+MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
+
+
+def _tree(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _imported_names(node):
+    """Names an import statement binds, with the line it sits on."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_imports_inside_functions(path):
+    nested = []
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested += [f"{fn.name} (line {n.lineno})" for n in ast.walk(fn)
+                       if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside functions: {', '.join(nested)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_module_level_imports_are_used(path):
+    tree = _tree(path)
+    imported = [pair for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for pair in _imported_names(node)]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in imported
+              if name not in used]
+    assert not unused, f"unused imports: {', '.join(unused)}"

@@ -422,4 +422,6 @@ def test_units_membership_matches_naive(gens, w):
     if not gens:
         return
     got = _contains_modulo_units(w, gens, Lattice(2))
-    assert got == (tuple(w) in naive_elements(gens, 14, 2))
+    # height 40: by Cramer's rule a unimodular pair of generators from
+    # [-2, 2]^2 needs at most 20 copies of each to reach w in [-5, 5]^2
+    assert got == (tuple(w) in naive_elements(gens, 40, 2))

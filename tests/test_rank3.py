@@ -1,0 +1,56 @@
+"""Rank-3 regression: S is the star subdivision of the positive octant at
+c = (1, 1, 1), mapped onto the ray by (1, 1, 1)."""
+import io
+import os
+
+import pytest
+
+from semistable.cli import load_document, main
+from semistable.cone import Cone
+from semistable.conecomplex import fan_morphism_as_complex, reduce_complex
+from semistable.reduction import reduce
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+S_RAY = os.path.join(DATA, "s_ray.json")
+
+
+@pytest.fixture(scope="module")
+def family():
+    with open(S_RAY) as fh:
+        _, p = load_document(fh.read(), ("fan_morphism",))
+    return p
+
+
+@pytest.fixture(scope="module")
+def reduced(family):
+    return reduce(family)
+
+
+def test_cli_reduce_matches_golden_file():
+    out = io.StringIO()
+    assert main(["reduce", "--input", S_RAY], out=out) == 0
+    with open(os.path.join(DATA, "golden", "reduce_s_ray.json")) as fh:
+        assert out.getvalue() == fh.read()
+
+
+def test_hand_derived_figures(family, reduced):
+    # the ray is already the coarsest base, so the total fan stays S:
+    # the origin, 4 rays, 6 two-dimensional and 3 maximal cones
+    assert reduced.total.fan.cones == family.source.cones
+    assert len(reduced.total.fan.cones) == 14
+    ray = Cone.from_generators(1, [(1,)])
+    assert reduced.base.fan.cones == (Cone.zero(1), ray)
+    # c maps to 3, and its image lattice 3Z meets every other one
+    assert reduced.base.sublattice(ray).vectors() == [(3,)]
+
+
+def test_fan_and_complex_pipelines_agree(family, reduced):
+    cres = reduce_complex(fan_morphism_as_complex(family))
+    base = dict(zip(cres.base.complex.cells, cres.base.sublattices))
+    assert set(base) == set(reduced.base.fan.cones)
+    for c in reduced.base.fan.cones:
+        assert base[c].basis == reduced.base.sublattice(c).basis
+    total = dict(zip(cres.total.complex.cells, cres.total.sublattices))
+    assert set(total) == set(reduced.total.fan.cones)
+    for c in reduced.total.fan.cones:
+        assert total[c].basis == reduced.total.sublattice(c).basis
