@@ -13,6 +13,7 @@ Exit codes: 0 predicate true / construction succeeded, 1 predicate false,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -32,6 +33,7 @@ from .fan import (
     FanMorphism,
     StackyFan,
     StackyMorphism,
+    ValidationReport,
     base_change_along_alteration,
     is_alteration,
     is_modification,
@@ -143,8 +145,7 @@ def parse_fan(payload, path) -> Fan:
     return Fan.from_cones(rank, cones)
 
 
-def _require_fan(fan: Fan, path: str) -> None:
-    report = validate_fan(fan)
+def _require_fan(path: str, report: ValidationReport) -> None:
     if not report:
         _fail(path, f"not a fan: {report.violations[0]}")
 
@@ -189,8 +190,8 @@ def parse_fan_morphism(payload, path) -> FanMorphism:
         return FanMorphism(source, target, lm)
     except FanError:
         # overlapping cones are the likelier cause; name the fan if so
-        _require_fan(source, f"{path}.source")
-        _require_fan(target, f"{path}.target")
+        _require_fan(f"{path}.source", validate_fan(source))
+        _require_fan(f"{path}.target", validate_fan(target))
         raise
 
 
@@ -336,9 +337,19 @@ def _load_file(fname: str, expect: tuple[str, ...]):
 def _load_fan_morphism(fname: str) -> FanMorphism:
     """A fan_morphism document whose source and target are valid fans."""
     _, p = _load_file(fname, ("fan_morphism",))
-    _require_fan(p.source, "$.payload.source")
-    _require_fan(p.target, "$.payload.target")
+    _require_fan("$.payload.source", validate_fan(p.source))
+    _require_fan("$.payload.target", validate_fan(p.target))
     return p
+
+
+@contextlib.contextmanager
+def _option(name: str):
+    """Prefix boundary errors with the option that named the document, for
+    commands that read more than one."""
+    try:
+        yield
+    except DocumentError as exc:
+        raise DocumentError(f"{name}: {exc}") from None
 
 
 def _report(ok: bool, violations=(), details=()):
@@ -367,6 +378,12 @@ def _cmd_check(args, out) -> int:
         if flag:
             checks.append(name)
 
+    # the fan predicates need valid fans; --valid reports the same checks
+    fan_reports = {}
+    if kind == "fan_morphism" and {"valid", "proper", "modification",
+                                   "alteration"} & set(checks):
+        fan_reports = {"$.payload.source": validate_fan(obj.source),
+                       "$.payload.target": validate_fan(obj.target)}
     violations = []
     details = []
     for name in checks:
@@ -376,13 +393,11 @@ def _cmd_check(args, out) -> int:
             elif kind == "stacky_fan":
                 rep = validate_stacky_fan(obj)
             elif kind == "fan_morphism":
-                rep = validate_fan(obj.source)
-                rep2 = validate_fan(obj.target)
-                rep = type(rep)(rep.violations + rep2.violations)
+                rep = ValidationReport(tuple(v for r in fan_reports.values()
+                                             for v in r.violations))
             elif kind == "stacky_morphism":
-                rep = validate_stacky_fan(obj.source)
-                rep2 = validate_stacky_fan(obj.target)
-                rep = type(rep)(rep.violations + rep2.violations)
+                rep = ValidationReport(validate_stacky_fan(obj.source).violations
+                                       + validate_stacky_fan(obj.target).violations)
             elif kind == "cone_complex":
                 rep = validate_complex(obj)
             else:
@@ -392,9 +407,11 @@ def _cmd_check(args, out) -> int:
             else:
                 violations.extend(f"valid: {v}" for v in rep.violations)
             continue
-        if name in ("proper", "modification", "alteration") and \
-                kind != "fan_morphism":
-            raise DocumentError(f"--{name} requires a fan_morphism document")
+        if name in ("proper", "modification", "alteration"):
+            if kind != "fan_morphism":
+                raise DocumentError(f"--{name} requires a fan_morphism document")
+            for path, rep in fan_reports.items():
+                _require_fan(path, rep)
         if name == "proper":
             flag_ok = is_proper(obj)
         elif name == "modification":
@@ -433,16 +450,20 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_minmod(args, out) -> int:
-    _, p = _load_file(args.morphism, ("fan_morphism",))
-    _, gprime = _load_file(args.subdivision, ("fan",))
+    with _option("--morphism"):
+        _, p = _load_file(args.morphism, ("fan_morphism",))
+    with _option("--subdivision"):
+        _, gprime = _load_file(args.subdivision, ("fan",))
     refined, _ = minimal_modification(p.lattice_map, p.source, gprime)
     out.write(emit_document("fan", emit_fan(refined)))
     return 0
 
 
 def _cmd_fanprod(args, out) -> int:
-    _, p = _load_file(args.left, ("fan_morphism",))
-    _, q = _load_file(args.right, ("fan_morphism",))
+    with _option("--left"):
+        _, p = _load_file(args.left, ("fan_morphism",))
+    with _option("--right"):
+        _, q = _load_file(args.right, ("fan_morphism",))
     fan, _, _ = toric_fiber_product(p, q)
     out.write(emit_document("fan", emit_fan(fan)))
     return 0
@@ -470,8 +491,10 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _cmd_factor(args, out) -> int:
-    p = _load_fan_morphism(args.family)
-    i = _load_fan_morphism(args.alteration)
+    with _option("--family"):
+        p = _load_fan_morphism(args.family)
+    with _option("--alteration"):
+        i = _load_fan_morphism(args.alteration)
     red = reduce(p)
     obj = universal_minimal_modification(red, i)
     try:
@@ -537,7 +560,7 @@ def _cmd_render(args, out) -> int:
         fan, path = obj.fan, "$.payload"
     else:
         fan, path = obj[0].fan, "$.payload.base"  # the refined base subdivision
-    _require_fan(fan, path)
+    _require_fan(path, validate_fan(fan))
     out.write(render_fan(fan))
     return 0
 

@@ -18,7 +18,7 @@ from .fan import (
     FanMorphism,
     ValidationReport,
     WeakSemistabilityReport,
-    decompose_by_hyperplanes,
+    covers,
 )
 from .lattice import (
     Lattice,
@@ -100,10 +100,11 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
     if any("convex" in b for b in bad):
         return ValidationReport(tuple(bad))
 
+    faces = [c.faces() for c in cx.cells]
     by_occurrence: dict = {}
     for g in cx.gluings:
         c = cx.cells[g.cell]
-        if g.face not in c.faces():
+        if g.face not in faces[g.cell]:
             bad.append(f"gluing on cell {g.cell} names {g.face.rays}, "
                        "which is not a face of the cell")
             continue
@@ -127,7 +128,7 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
                        f"{g.face.rays} of cell {g.cell}")
 
     for i, c in enumerate(cx.cells):
-        for face in c.faces():
+        for face in faces[i]:
             if (i, _key(face)) not in by_occurrence:
                 bad.append(f"face {face.rays} of cell {i} is not glued")
     if bad:
@@ -137,7 +138,7 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
     # intermediate chart must give the same embedding
     for g in cx.gluings:
         e = g.embedding
-        for h in g.face.faces():
+        for h in filter(g.face.contains_cone, faces[g.cell]):
             direct = by_occurrence[(g.cell, _key(h))]
             h_chart = preimage_cone(e, h)
             step = by_occurrence.get((g.chart, _key(h_chart)))
@@ -480,16 +481,9 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
             part = intersect(preimage_cone(pmap, piece), sigma)
             cut[_key(part)] = part
         parts = Fan.from_cones(sigma.lattice, cut.values()).cones
-        pulled = set()
-        for piece in runs[lam].pieces:
-            for psi in piece.facets + piece.span_equations:
-                moved = matvec(transpose(pmap.matrix), psi)
-                if not is_zero_vec(moved):
-                    pulled.add(primitive(moved))
-        for check in decompose_by_hyperplanes(sigma, sorted(pulled)):
-            if not any(p.contains_cone(check) for p in parts):
-                raise ReductionError(
-                    f"subdivision of source cell {s} misses part of the cell")
+        if not covers(sigma, parts):
+            raise ReductionError(
+                f"subdivision of source cell {s} misses part of the cell")
         subs: dict = {}
         for part in parts:
             img_sample = matvec(pmap.matrix, part.interior_sample())

@@ -2,9 +2,9 @@
 properness, modifications, alterations, weak semistability, smoothness,
 fiber products, cartesianness, base change, representability.
 
-Support comparisons never touch real arithmetic: the ambient space is cut
-into cells by every relevant hyperplane and one interior sample per cell
-decides membership exactly.
+Support comparisons never touch real arithmetic and are made cone by cone:
+a cone is cut by the facets of the cones inside it, and one interior
+sample per piece decides coverage exactly.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from .lattice import (
     pushout_lattice,
     sublattice_from_vectors,
     transpose,
-    vec_neg,
 )
 from .monoid import (
     MonoidMap,
@@ -103,11 +102,10 @@ def validate_fan(f: Fan) -> ValidationReport:
         if key in seen:
             bad.append(f"duplicate cone {c.rays}")
         seen.add(key)
-    cone_keys = {(c.rays, c.lines) for c in f.cones}
     faces = {c: c.faces() for c in f.cones if c.is_strictly_convex}
     for c in f.cones:
         for face in faces.get(c, ()):
-            if (face.rays, face.lines) not in cone_keys:
+            if (face.rays, face.lines) not in seen:
                 bad.append(f"face {face.rays} of {c.rays} missing from the fan")
     for a, b in itertools.combinations([c for c in f.cones if c.is_strictly_convex], 2):
         cap = intersect(a, b)
@@ -242,19 +240,7 @@ class StackyMorphism:
 
 
 # ---------------------------------------------------------------------------
-# cell decompositions for exact support comparison
-
-def full_space_cone(lattice: Lattice | int) -> Cone:
-    if isinstance(lattice, int):
-        lattice = Lattice(lattice)
-    n = lattice.rank
-    gens = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(e)
-        gens.append(vec_neg(e))
-    return Cone.from_generators(lattice, gens)
-
+# support comparison, cone by cone
 
 def decompose_by_hyperplanes(start: Cone, functionals: Iterable[Vector]) -> list[Cone]:
     """All cells of the hyperplane arrangement restricted to `start`.
@@ -267,94 +253,65 @@ def decompose_by_hyperplanes(start: Cone, functionals: Iterable[Vector]) -> list
     for h in functionals:
         nxt: dict = {}
         for c in cells.values():
-            pos, neg = split_by_hyperplane(c, h)
-            zero = Cone.from_halfspaces(c.lattice, c.facets,
-                                        c.span_equations + (tuple(h),))
-            for part in (pos, neg, zero):
+            gens = c.generators()
+            vals = [dot(h, g) for g in gens]
+            if any(v < 0 for v in vals) and any(v > 0 for v in vals):
+                parts = split_by_hyperplane(c, h) + (Cone.from_halfspaces(
+                    c.lattice, c.facets, c.span_equations + (tuple(h),)),)
+            else:
+                # h keeps one sign on c: c itself and the face where h vanishes
+                parts = (c, Cone.from_generators(
+                    c.lattice, [g for g, v in zip(gens, vals) if v == 0]))
+            for part in parts:
                 nxt[(part.rays, part.lines)] = part
         cells = nxt
     return sorted(cells.values(), key=lambda c: (c.dim, c.rays, c.lines))
 
 
-def _fan_functionals(f: Fan) -> list[Vector]:
-    out = set()
-    for c in f.cones:
-        out.update(c.facets)
-        out.update(c.span_equations)
-    return sorted(out)
+def covers(cell: Cone, cones: Iterable[Cone]) -> bool:
+    """True iff the cones inside `cell` cover it.
 
-
-def _pulled_back_functionals(p: LatticeMap, g: Fan) -> list[Vector]:
-    ft = transpose(p.matrix)
-    out = set()
-    for u in _fan_functionals(g):
-        v = tuple(dot(u, row) for row in ft)
-        if any(x != 0 for x in v):
-            out.add(v)
-    return sorted(out)
+    Only the cones of the cell's dimension count: closed cones of lower
+    dimension cannot cover an open gap.  Cutting the cell by their facets
+    and span equations puts the relative interior of every piece inside or
+    outside each of them, so one interior sample per piece decides.
+    """
+    parts = [c for c in cones if c.dim == cell.dim and cell.contains_cone(c)]
+    hyps = sorted({h for c in parts for h in c.facets + c.span_equations})
+    return all(any(c.contains(piece.interior_sample()) for c in parts)
+               for piece in decompose_by_hyperplanes(cell, hyps))
 
 
 def is_proper(m: FanMorphism) -> bool:
     """Every point of the target support is hit by the source support.
 
-    The source fan models a cone complex with no ambient complement, so the
-    support comparison happens on the target side: cut the target space by
-    the facets of the target cones and of every image cone, then check one
-    interior sample per cell.
+    The target must be a fan.  Each image cone lies in its assigned target
+    cone and meets any other target cone only in the image of one of its
+    faces, itself a source cone; so it suffices that every maximal target
+    cone is covered by the images lying inside it.
     """
-    p = m.lattice_map
-    images = [image_cone(p, sigma) for sigma in m.source.cones]
-    hyps = set(_fan_functionals(m.target))
-    for img in images:
-        hyps.update(img.facets)
-        hyps.update(img.span_equations)
-    cells = decompose_by_hyperplanes(full_space_cone(m.target.lattice), sorted(hyps))
-    for cell in cells:
-        s = cell.interior_sample()
-        if support_contains(m.target, s) and not any(img.contains(s) for img in images):
-            return False
-    return True
-
-
-def supports_equal(f: Fan, g: Fan) -> bool:
-    if f.lattice != g.lattice:
-        raise FanError("support comparison requires a shared lattice")
-    hyps = sorted(set(_fan_functionals(f)) | set(_fan_functionals(g)))
-    cells = decompose_by_hyperplanes(full_space_cone(f.lattice), hyps)
-    for cell in cells:
-        s = cell.interior_sample()
-        if support_contains(f, s) != support_contains(g, s):
-            return False
-    return True
+    images = {image_cone(m.lattice_map, sigma) for sigma in m.source.cones}
+    return all(covers(kappa, images) for kappa in m.target.maximal_cones())
 
 
 # ---------------------------------------------------------------------------
 # modifications and alterations
 
 def is_modification(m: FanMorphism) -> bool:
-    lm = m.lattice_map
-    if lm.domain != lm.codomain or lm.matrix != tuple(
-            tuple(1 if i == j else 0 for j in range(lm.domain.rank))
-            for i in range(lm.domain.rank)):
-        return False
-    return supports_equal(m.source, m.target)
+    """Identity on the lattice with equal supports.  The morphism already
+    puts the source support inside the target's, so properness gives the
+    rest; the target must be a fan."""
+    return (m.lattice_map == LatticeMap.identity_map(m.source.lattice)
+            and is_proper(m))
 
 
 def is_alteration(m: FanMorphism) -> bool:
+    """Finite-index lattice map identifying the supports: the morphism
+    gives one inclusion, properness the other; the target must be a fan."""
     lm = m.lattice_map
-    if lm.domain.rank != lm.codomain.rank:
+    if lm.domain.rank != lm.codomain.rank or det(lm.matrix) == 0:
         return False
-    if det(lm.matrix) == 0:
-        return False
-    # supports must agree under the real-linear isomorphism
-    hyps = sorted(set(_fan_functionals(m.source))
-                  | set(_pulled_back_functionals(lm, m.target)))
-    cells = decompose_by_hyperplanes(full_space_cone(m.source.lattice), hyps)
-    for cell in cells:
-        s = cell.interior_sample()
-        if support_contains(m.source, s) != support_contains(m.target, lm(s)):
-            return False
-    return True
+    return is_proper(m)
 
 
 def factor_alteration(m: FanMorphism) -> tuple[FanMorphism, FanMorphism]:
@@ -417,9 +374,8 @@ def is_weakly_semistable(m) -> WeakSemistabilityReport:
         if img not in under.target.cones:
             failures.append((sigma, 1, f"image cone {img.rays} is not in the target fan"))
             continue
-        kappa = img
-        if not image_monoid_equals_cone_monoid(p, sigma, kappa,
-                                               src_sub(sigma), tgt_sub(kappa)):
+        if not image_monoid_equals_cone_monoid(p, sigma, img,
+                                               src_sub(sigma), tgt_sub(img)):
             failures.append((sigma, 2, "image monoid is strictly smaller than the cone monoid"))
     return WeakSemistabilityReport(tuple(sorted(failures, key=lambda t: (t[0].dim, t[0].rays))))
 
@@ -441,8 +397,6 @@ def is_smooth_fan(f) -> bool:
 
 
 def is_semistable(m) -> bool:
-    if isinstance(m, StackyMorphism):
-        return bool(is_weakly_semistable(m)) and is_smooth_fan(m.source) and is_smooth_fan(m.target)
     return (bool(is_weakly_semistable(m))
             and is_smooth_fan(m.source) and is_smooth_fan(m.target))
 

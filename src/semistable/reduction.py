@@ -24,7 +24,6 @@ from .fan import (
     is_weakly_semistable,
     minimal_containing_cone,
     minimal_modification,
-    supports_equal,
     validate_fan,
     validate_stacky_fan,
 )
@@ -134,7 +133,7 @@ def image_refinement(p: FanMorphism) -> tuple[Fan, list[N0Label]]:
     report = validate_fan(refined)
     if not report:
         raise ReductionError("refined base is not a fan: " + "; ".join(report.violations))
-    if not supports_equal(refined, g):
+    if not is_modification(FanMorphism(refined, g, LatticeMap.identity_map(g.lattice))):
         raise ReductionError("refined base does not cover the target support")
     return refined, [N0Label(cell, labels[cell]) for cell in refined.cones]
 
@@ -290,12 +289,11 @@ def validate_category_object(obj: CategoryCObject, p: FanMorphism,
         pulled = Fan.from_cones(j.source.lattice,
                                 [preimage_cone(j.lattice_map, sigma)
                                  for sigma in p.source.cones])
-        if not supports_equal(j.source, pulled):
-            bad.append("the total fan is not a modification of the pulled-back fan")
-        else:
-            FanMorphism(j.source, pulled,
-                        LatticeMap.identity_map(j.source.lattice))
+        modified = is_modification(FanMorphism(
+            j.source, pulled, LatticeMap.identity_map(j.source.lattice)))
     except ValueError:
+        modified = False
+    if not modified:
         bad.append("the total fan is not a modification of the pulled-back fan")
 
     ws = is_weakly_semistable(pi)
@@ -314,50 +312,40 @@ class FactorCertificate:
     total_assignments: tuple[tuple[Cone, Cone], ...]
 
 
-def factor_through(obj: CategoryCObject, red: ReductionResult) -> FactorCertificate:
-    i, j = obj.alteration, obj.total
-    base_pairs = []
-    for gamma in i.source.cones:
-        img = image_cone(i.lattice_map, gamma)
+def _forced_pairs(f: FanMorphism, reduced: StackyFan, name: str,
+                  landing_hint: str, lattice_hint: str) -> tuple:
+    """Each source cone of `f` with the reduced cone it is forced to map
+    into, checking that its lattice points land in that cone's sublattice."""
+    pairs = []
+    for c in f.source.cones:
+        img = image_cone(f.lattice_map, c)
         try:
-            kappa = minimal_containing_cone(red.base.fan, img)
+            target = minimal_containing_cone(reduced.fan, img)
         except FanError:
             raise ReductionError(
-                f"base cone {gamma.rays} does not land in a single refined cone; "
-                "re-check that the base map is an alteration compatible with the family")
-        q_k = red.base.sublattice(kappa)
+                f"{name} cone {c.rays} does not land in a single refined cone; "
+                + landing_hint)
         moved = sublattice_from_vectors(
-            i.target.lattice,
-            [i(v) for v in intersect_sublattices(
-                full_sublattice(i.source.lattice),
-                span_sublattice(gamma)).vectors()])
-        if not q_k.contains_sublattice(moved):
+            f.target.lattice,
+            [f(v) for v in intersect_sublattices(
+                full_sublattice(f.source.lattice),
+                span_sublattice(c)).vectors()])
+        if not reduced.sublattice(target).contains_sublattice(moved):
             raise ReductionError(
-                f"base cone {gamma.rays} carries lattice points outside the "
-                "reduced base sublattice; re-check the fiber-product condition")
-        base_pairs.append((gamma, kappa))
+                f"{name} cone {c.rays} carries lattice points outside the "
+                f"reduced {name} sublattice; " + lattice_hint)
+        pairs.append((c, target))
+    return tuple(pairs)
 
-    total_pairs = []
-    for phi in j.source.cones:
-        img = image_cone(j.lattice_map, phi)
-        try:
-            sigma = minimal_containing_cone(red.total.fan, img)
-        except FanError:
-            raise ReductionError(
-                f"total cone {phi.rays} does not land in a single refined cone; "
-                "re-check that the total fan refines the pulled-back fan")
-        n_s = red.total.sublattice(sigma)
-        moved = sublattice_from_vectors(
-            j.target.lattice,
-            [j(v) for v in intersect_sublattices(
-                full_sublattice(j.source.lattice),
-                span_sublattice(phi)).vectors()])
-        if not n_s.contains_sublattice(moved):
-            raise ReductionError(
-                f"total cone {phi.rays} carries lattice points outside the "
-                "reduced total sublattice; re-check weak semistability of the projection")
-        total_pairs.append((phi, sigma))
-    return FactorCertificate(tuple(base_pairs), tuple(total_pairs))
+
+def factor_through(obj: CategoryCObject, red: ReductionResult) -> FactorCertificate:
+    return FactorCertificate(
+        _forced_pairs(obj.alteration, red.base, "base",
+                      "re-check that the base map is an alteration compatible "
+                      "with the family", "re-check the fiber-product condition"),
+        _forced_pairs(obj.total, red.total, "total",
+                      "re-check that the total fan refines the pulled-back fan",
+                      "re-check weak semistability of the projection"))
 
 
 def universal_minimal_modification(red: ReductionResult,

@@ -172,12 +172,22 @@ class TestInvalidFans:
         (["reduce", "--input", data("overlap_quad.json")], "$.payload.source"),
         (["reduce", "--input", data("overlap_blowup.json")], "$.payload.source"),
         (["factor", "--family", data("overlap_quad.json"),
-          "--alteration", data("halfline_x2.json")], "$.payload.source"),
+          "--alteration", data("halfline_x2.json")], "--family: $.payload.source"),
         (["factor", "--family", data("fix_semi.json"),
-          "--alteration", data("overlap_quad.json")], "$.payload.source"),
+          "--alteration", data("overlap_quad.json")],
+         "--alteration: $.payload.source"),
         (["render", "--input", data("overlap_fan.json")], "$.payload"),
+        (["check", "--proper", "--input", data("overlap_quad.json")],
+         "$.payload.source"),
+        (["check", "--modification", "--input", data("overlap_quad.json")],
+         "$.payload.source"),
+        (["check", "--alteration", "--input", data("overlap_quad.json")],
+         "$.payload.source"),
+        (["check", "--valid", "--proper", "--input", data("overlap_quad.json")],
+         "$.payload.source"),
     ], ids=["reduce", "reduce-straddle", "factor-family", "factor-alteration",
-            "render"])
+            "render", "check-proper", "check-modification", "check-alteration",
+            "check-valid-proper"])
     def test_rejected_with_json_path(self, args, path, capsys):
         code, out = run_cli(*args)
         assert code == 2
@@ -185,3 +195,20 @@ class TestInvalidFans:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not a fan: ")
         assert "is not a common face" in err
+
+
+@pytest.mark.parametrize("args,prefix", [
+    (["fanprod", "--left", data("blowup_fan.json"),
+      "--right", data("blowup_chart.json")], "--left"),
+    (["fanprod", "--left", data("blowup_chart.json"),
+      "--right", data("blowup_fan.json")], "--right"),
+    (["minmod", "--morphism", data("blowup_fan.json"),
+      "--subdivision", data("blowup_fan.json")], "--morphism"),
+    (["minmod", "--morphism", data("fix_subdiv.json"),
+      "--subdivision", data("fix_subdiv.json")], "--subdivision"),
+])
+def test_multi_document_errors_name_the_option(args, prefix, capsys):
+    code, out = run_cli(*args)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith(f"error: {prefix}: $.kind: expected one of ")

@@ -1,6 +1,6 @@
 import pytest
 
-from semistable.cone import Cone
+from semistable.cone import Cone, image_cone
 from semistable.fan import (
     CartesianReport,
     Fan,
@@ -12,7 +12,6 @@ from semistable.fan import (
     cartesian_check,
     decompose_by_hyperplanes,
     factor_alteration,
-    full_space_cone,
     is_alteration,
     is_modification,
     is_proper,
@@ -23,7 +22,6 @@ from semistable.fan import (
     minimal_containing_cone,
     minimal_modification,
     support_contains,
-    supports_equal,
     toric_fiber_product,
     validate_fan,
     validate_stacky_fan,
@@ -31,6 +29,8 @@ from semistable.fan import (
 from semistable.lattice import (
     Lattice,
     LatticeMap,
+    det,
+    fiber_product_lattice,
     full_sublattice,
     mat,
     preimage_sublattice,
@@ -140,6 +140,14 @@ class TestProper:
         # a single ray cannot cover the whole quadrant
         F = Fan.from_cones(2, [cone(2, (1, 0))])
         G = quadrant_fan()
+        m = FanMorphism(F, G, LatticeMap.identity_map(Lattice(2)))
+        assert not is_proper(m)
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_one_half_of_the_blowup_not_proper(self, kept):
+        # each maximal target cone must be covered, whichever comes first
+        G = blowup_fan()
+        F = Fan.from_cones(2, [G.maximal_cones()[kept]])
         m = FanMorphism(F, G, LatticeMap.identity_map(Lattice(2)))
         assert not is_proper(m)
 
@@ -372,8 +380,13 @@ class TestBaseChange:
 
     def test_identity_inclusion(self):
         m = semi_fixture()
-        out, morph = base_change_along_alteration(m, LatticeMap.identity_map(Lattice(1)))
-        assert supports_equal(out, m.source) or out.lattice.rank == 2
+        j = LatticeMap.identity_map(Lattice(1))
+        out, morph = base_change_along_alteration(m, j)
+        # the output lives in the fiber product lattice; pi_n identifies it
+        # with the source lattice and must carry the cones onto the source's
+        _, pi_n, _ = fiber_product_lattice(m.lattice_map, j)
+        assert abs(det(pi_n.matrix)) == 1
+        assert {image_cone(pi_n, c) for c in out.cones} == set(m.source.cones)
 
     def test_semi_fixture_index_two(self):
         m = semi_fixture()
@@ -408,17 +421,28 @@ class TestStackyValidation:
         assert any("infinite index" in v for v in report.violations)
 
 
+PLANE = Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+
+
 class TestCellDecomposition:
     def test_plane_split_by_axis(self):
-        cells = decompose_by_hyperplanes(full_space_cone(2), [(1, 0)])
+        cells = decompose_by_hyperplanes(PLANE, [(1, 0)])
         # open halves and the dividing line, as closed cones
         assert len(cells) == 3
 
     def test_every_sign_vector_present(self):
-        cells = decompose_by_hyperplanes(full_space_cone(2), [(1, 0), (0, 1)])
+        cells = decompose_by_hyperplanes(PLANE, [(1, 0), (0, 1)])
         signs = set()
         for c in cells:
             s = c.interior_sample()
             signs.add((0 if s[0] == 0 else (1 if s[0] > 0 else -1),
                        0 if s[1] == 0 else (1 if s[1] > 0 else -1)))
         assert len(signs) == 9
+
+    @pytest.mark.parametrize("h", [(1, 0), (-1, 0)])
+    def test_uncrossed_hyperplane_adds_the_face(self, h):
+        # a functional of one sign on the cell keeps it whole and cuts out
+        # the face where it vanishes
+        quad = cone(2, (1, 0), (0, 1))
+        cells = decompose_by_hyperplanes(quad, [h])
+        assert cells == [cone(2, (0, 1)), quad]

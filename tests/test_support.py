@@ -1,0 +1,256 @@
+"""The cone-by-cone support predicates against a whole-space oracle.
+
+The oracle cuts all of R^n by every facet and span equation of the cones
+involved and compares supports at one interior sample per cell, the way
+the library did before the checks were made cone by cone.
+"""
+import functools
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from semistable.cone import Cone, image_cone
+from semistable.fan import (
+    Fan,
+    FanError,
+    FanMorphism,
+    covers,
+    decompose_by_hyperplanes,
+    is_alteration,
+    is_modification,
+    is_proper,
+)
+from semistable.lattice import Lattice, LatticeMap, det, identity
+
+
+# ---------------------------------------------------------------------------
+# the whole-space oracle
+
+def _functionals(cones):
+    return {h for c in cones for h in c.facets + c.span_equations}
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_space_samples(rank, functionals):
+    """One interior sample per cell of R^rank cut by the functionals."""
+    gens = [tuple(s if j == i else 0 for j in range(rank))
+            for i in range(rank) for s in (1, -1)]
+    space = Cone.from_generators(rank, gens)
+    return [cell.interior_sample()
+            for cell in decompose_by_hyperplanes(space, functionals)]
+
+
+def _samples(rank, functionals):
+    return _whole_space_samples(rank, tuple(sorted(functionals)))
+
+
+def _in(cones, v):
+    return any(c.contains(v) for c in cones)
+
+
+def oracle_covers(cell, cones, samples=None):
+    """`samples` may come from any arrangement refining the one cut by the
+    cell and the cones."""
+    inside = [c for c in cones if cell.contains_cone(c)]
+    if samples is None:
+        samples = _samples(cell.lattice.rank, _functionals([cell] + inside))
+    return all(_in(inside, s) or not cell.contains(s) for s in samples)
+
+
+def _target_samples(m, images):
+    return _samples(m.target.lattice.rank,
+                    _functionals(list(m.target.cones) + images))
+
+
+def oracle_proper(m, images):
+    return all(_in(images, s) or not _in(m.target.cones, s)
+               for s in _target_samples(m, images))
+
+
+def _supports_agree(m):
+    """s in |source| iff p(s) in |target|, over cells cut by the source
+    functionals and the target functionals pulled back along p."""
+    p = m.lattice_map
+    pulled = set()
+    for u in _functionals(m.target.cones):
+        v = tuple(sum(u[i] * p.matrix[i][j] for i in range(len(u)))
+                  for j in range(p.domain.rank))
+        if any(v):
+            pulled.add(v)
+    return all(_in(m.source.cones, s) == _in(m.target.cones, p(s))
+               for s in _samples(p.domain.rank,
+                                 _functionals(m.source.cones) | pulled))
+
+
+def assert_agrees(m):
+    p = m.lattice_map
+    images = [image_cone(p, sigma) for sigma in m.source.cones]
+    assert is_proper(m) == oracle_proper(m, images)
+    square = p.domain.rank == p.codomain.rank and det(p.matrix) != 0
+    agree = square and _supports_agree(m)
+    assert is_alteration(m) == agree
+    assert is_modification(m) == (
+        agree and p == LatticeMap.identity_map(m.source.lattice))
+    samples = _target_samples(m, images)
+    for kappa in m.target.cones:
+        assert covers(kappa, images) == oracle_covers(kappa, images, samples)
+
+
+# ---------------------------------------------------------------------------
+# fans from stellar subdivisions of the positive orthant
+
+def orthant(rank):
+    return Cone.from_generators(rank, identity(rank))
+
+
+def stellar(rank, points, drop=None):
+    """Subdivide the orthant stellarly at each point in turn: every maximal
+    cone containing the point is replaced by the joins of the point with
+    its facets that miss it.  `drop` removes one maximal cone."""
+    maximal = [orthant(rank)]
+    for v in points:
+        nxt = []
+        for sigma in maximal:
+            if not sigma.contains(v):
+                nxt.append(sigma)
+                continue
+            for face in sigma.faces():
+                if face.dim == sigma.dim - 1 and not face.contains(v):
+                    nxt.append(Cone.from_generators(rank, face.rays + (v,)))
+        maximal = nxt
+    if drop is not None:
+        del maximal[drop % len(maximal)]
+    return Fan.from_cones(rank, maximal)
+
+
+def morphism(source, target, rows):
+    return FanMorphism(source, target,
+                       LatticeMap(source.lattice, target.lattice, rows))
+
+
+# the whole-space oracle grows fast in rank 3: one small point at most
+MOST_POINTS = {1: 2, 2: 2, 3: 1}
+LARGEST = {1: 3, 2: 3, 3: 2}
+
+
+def points(rank, most=None):
+    most = MOST_POINTS[rank] if most is None else most
+    return st.lists(st.tuples(*[st.integers(1, LARGEST[rank])] * rank),
+                    max_size=most)
+
+
+drops = st.none() | st.integers(0, 7)
+
+
+@st.composite
+def refinements(draw):
+    """A subdivision over a coarser one of the same orthant, by the
+    identity or a diagonal matrix."""
+    rank = draw(st.integers(1, 3))
+    coarse = draw(points(rank))
+    fine = coarse + draw(points(rank, MOST_POINTS[rank] - len(coarse)))
+    diagonal = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
+    rows = tuple(tuple(d if i == j else 0 for j in range(rank))
+                 for i, d in enumerate(diagonal))
+    return (stellar(rank, fine, draw(drops)),
+            stellar(rank, coarse, draw(drops)), rows)
+
+
+@st.composite
+def projections(draw):
+    """A subdivided orthant mapped by a small nonnegative matrix onto a
+    subdivided orthant of rank at most 3."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    rows = tuple(tuple(draw(st.integers(0, 2)) for _ in range(n))
+                 for _ in range(k))
+    return (stellar(n, draw(points(n)), draw(drops)),
+            stellar(k, draw(points(k)), draw(drops)), rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(refinements(), projections()))
+def test_predicates_agree_with_whole_space_oracle(case):
+    source, target, rows = case
+    try:
+        m = morphism(source, target, rows)
+    except FanError:
+        assume(False)
+    assert_agrees(m)
+
+
+# ---------------------------------------------------------------------------
+# fixed cases with both outcomes
+
+C = (1, 1, 1)
+S_CONES = [((1, 0, 0), (0, 1, 0), C), ((0, 1, 0), (0, 0, 1), C),
+           ((1, 0, 0), (0, 0, 1), C)]
+QUAD_ROWS = ((1, 1, 0), (0, 1, 2))
+
+
+def s_fan(keep=(0, 1, 2)):
+    return Fan.from_cones(3, [Cone.from_generators(3, S_CONES[i]) for i in keep])
+
+
+def quadrant():
+    return Fan.from_cones(2, [orthant(2)])
+
+
+def octant():
+    return Fan.from_cones(3, [orthant(3)])
+
+
+@pytest.mark.parametrize("keep,proper", [
+    ((0, 1, 2), True),
+    # dropping one cone keeps S -> quadrant proper: the image of {e1,e3,c}
+    # is the whole quadrant, and those of {e1,e2,c} (0..56 degrees) and
+    # {e2,e3,c} (45..90 degrees) overlap
+    ((0, 1), True),
+    ((1, 2), True),
+    ((0,), False),
+    ((1,), False),
+])
+def test_s_to_quadrant(keep, proper):
+    m = morphism(s_fan(keep), quadrant(), QUAD_ROWS)
+    assert is_proper(m) is proper
+    assert_agrees(m)
+
+
+@pytest.mark.parametrize("keep,modification", [
+    ((0, 1, 2), True),
+    ((0, 1), False),
+])
+def test_s_to_octant(keep, modification):
+    m = morphism(s_fan(keep), octant(), identity(3))
+    assert is_modification(m) is modification
+    assert is_alteration(m) is modification
+    assert_agrees(m)
+
+
+@pytest.mark.parametrize("drop,alteration", [(None, True), (0, False)])
+def test_scaled_blowup_is_alteration_not_modification(drop, alteration):
+    m = morphism(stellar(2, [(1, 1)], drop), quadrant(), ((2, 0), (0, 1)))
+    assert is_alteration(m) is alteration
+    assert not is_modification(m)
+    assert_agrees(m)
+
+
+def test_singular_map_onto_a_ray_is_proper_not_alteration():
+    ray = Fan.from_cones(2, [Cone.from_generators(2, [(1, 0)])])
+    m = morphism(quadrant(), ray, ((1, 1), (0, 0)))
+    assert is_proper(m)
+    assert not is_alteration(m) and not is_modification(m)
+    assert_agrees(m)
+
+
+def test_covers_skips_lower_dimensional_cones():
+    quad = orthant(2)
+    halves = [Cone.from_generators(2, [(1, 0), (1, 1)]),
+              Cone.from_generators(2, [(1, 1), (0, 1)])]
+    assert covers(quad, halves)
+    ray = Cone.from_generators(2, [(1, 1)])
+    assert not covers(quad, halves[:1] + [ray])
+    assert not oracle_covers(quad, halves[:1] + [ray])
+    # a cone outside the cell does not count towards covering it
+    assert not covers(quad, [Cone.from_generators(2, [(1, 0), (-1, 1)])])
+    assert covers(Cone.zero(Lattice(2)), [Cone.zero(Lattice(2))])
