@@ -97,7 +97,7 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
     for i, c in enumerate(cx.cells):
         if not c.is_strictly_convex:
             bad.append(f"cell {i} is not strictly convex")
-    if any("convex" in b for b in bad):
+    if bad:
         return ValidationReport(tuple(bad))
 
     faces = [c.faces() for c in cx.cells]

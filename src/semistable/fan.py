@@ -40,10 +40,16 @@ from .lattice import (
 )
 from .monoid import (
     MonoidMap,
+    _bounded_points,
+    _check_budget,
     _contains_modulo_units,
     dual_monoid,
     image_monoid_equals_cone_monoid,
 )
+
+# Word length of the pairs (m, l) whose pushout classes the cartesian check
+# compares.
+PUSHOUT_TEST_LENGTH = 4
 
 
 class FanError(ValueError):
@@ -431,7 +437,12 @@ class CartesianReport:
 
 def cartesian_check(p: FanMorphism, q: FanMorphism) -> CartesianReport:
     """Compare the pushout of dual monoids with the dual monoid of each
-    fiber cone under the canonical identification of dual lattices."""
+    fiber cone under the canonical identification of dual lattices.
+
+    A failing entry is a proof.  A passing one is exact except for
+    injectivity, which is checked on pairs of word length at most
+    PUSHOUT_TEST_LENGTH.  A search that runs out of budget raises
+    BudgetExceeded instead of adding an entry."""
     if p.target != q.target:
         raise FanError("cartesian check requires a shared target")
     fib, pn, pl = fiber_product_lattice(p.lattice_map, q.lattice_map)
@@ -479,47 +490,35 @@ def _cartesian_triple(p: LatticeMap, q: LatticeMap, sigma: Cone, kappa: Cone,
     mapped = [phi(g, (0,) * q.domain.rank) for g in m_sigma.generators]
     mapped += [phi((0,) * p.domain.rank, g) for g in m_lambda.generators]
     for g in mapped:
-        if not _contains_modulo_units(g, dm.generators, dm.lattice):
+        if not dm.contains(g):
             return False, "pushout monoid escapes the fiber dual monoid"
     for g in dm.generators:
         if not _contains_modulo_units(g, mapped, dm.lattice):
             return False, "fiber dual monoid is strictly larger than the pushout monoid"
 
-    # bounded injectivity of the amalgamated pushout: pairs with the same
-    # restriction must be connected by exchange moves through the base
+    # injectivity of the amalgamated pushout on short words: pairs with the
+    # same restriction must be connected by exchange moves through the base
     if not _pushout_injective_bounded(u, v, phi):
         return False, "canonical map identifies distinct pushout classes"
     return True, ""
 
 
-def _word_ball(gens: Sequence[Vector], rank: int, length: int) -> set:
-    zero = (0,) * rank
-    seen = {zero}
-    frontier = [zero]
-    for _ in range(length):
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(a + b for a, b in zip(x, g))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, phi) -> bool:
+    """Check that any two pairs (m, l) of word length at most
+    PUSHOUT_TEST_LENGTH with the same restriction to the fiber are related
+    by moves (m, l) -> (m -+ u(g), l +- v(g)), g a generator of the base dual
+    monoid, that keep m and l in their monoids.
 
-
-def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, phi,
-                               test_length: int = 4, universe_length: int = 8,
-                               visit_cap: int = 50000) -> bool:
-    """Check, up to bounded word length, that two pairs (m, l) with equal
-    restriction to the fiber are related by moves (m, l) -> (m - u(g), l + v(g))
-    through generators g of the base dual monoid."""
-    m_rank = u.target.lattice.rank
-    l_rank = v.target.lattice.rank
-    m_univ = _word_ball(u.target.generators, m_rank, universe_length)
-    l_univ = _word_ball(v.target.generators, l_rank, universe_length)
-    m_test = _word_ball(u.target.generators, m_rank, test_length)
-    l_test = _word_ball(v.target.generators, l_rank, test_length)
+    These moves generate the pushout relation, so the search is exact: a
+    False proves that the canonical map identifies two distinct pushout
+    classes, and a True is evidence up to the word length.  A component
+    that grows past the search budget raises BudgetExceeded.
+    """
+    M, L = u.target, v.target
+    m_test, _ = _bounded_points(M.lattice.rank, M.generators, [1] * len(M.generators),
+                                PUSHOUT_TEST_LENGTH)
+    l_test, _ = _bounded_points(L.lattice.rank, L.generators, [1] * len(L.generators),
+                                PUSHOUT_TEST_LENGTH)
     moves = [(tuple(u(g)), tuple(v(g))) for g in u.source.generators]
 
     groups: dict = {}
@@ -535,7 +534,7 @@ def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, phi,
         seen = {start}
         frontier = [start]
         found = {start}
-        while frontier and len(found) < len(targets) and len(seen) < visit_cap:
+        while frontier and len(found) < len(targets):
             nxt = []
             for m, l in frontier:
                 for a, b in moves:
@@ -546,8 +545,9 @@ def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, phi,
                          tuple(x - y for x, y in zip(l, b))),
                     ):
                         cm, cl = cand
-                        if cm in m_univ and cl in l_univ and cand not in seen:
+                        if cand not in seen and M.contains(cm) and L.contains(cl):
                             seen.add(cand)
+                            _check_budget(len(seen), "a pushout class search")
                             nxt.append(cand)
                             if cand in targets:
                                 found.add(cand)

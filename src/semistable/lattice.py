@@ -9,12 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
-INFINITE = math.inf
+# lattice_index of a sublattice of smaller rank
+INFINITE = None
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +458,8 @@ def saturate(s: Sublattice) -> Sublattice:
     return sublattice_from_vectors(s.ambient, cols)
 
 
-def lattice_index(inner: Sublattice, outer: Sublattice) -> Union[int, float]:
-    """|outer / inner| when finite, math.inf on a rank drop.
+def lattice_index(inner: Sublattice, outer: Sublattice) -> int | None:
+    """|outer / inner| when finite, INFINITE (None) on a rank drop.
 
     Raises ValueError when inner is not contained in outer.
     """

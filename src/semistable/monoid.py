@@ -1,9 +1,12 @@
 """Affine monoids: Hilbert bases, membership, pushouts, saturation, and a
 bounded checker for the equational criterion of integrality.
 
-All enumeration is exact and bounded by a strictly positive integer
-functional (the sum of facet normals of the relevant cone), so results are
-deterministic and independent of iteration order.
+Membership and the integrality check enumerate monoid points with one
+breadth-first kernel, `_bounded_points`, bounded either by a strictly
+positive integer functional (the sum of facet normals of the relevant cone)
+or by word length; `hilbert_basis` scans a box of candidates.  Every search
+is exact and deterministic, and stops at SEARCH_BUDGET points: running out
+raises `BudgetExceeded`, an "undecided", never a wrong yes or no.
 """
 from __future__ import annotations
 
@@ -38,8 +41,27 @@ from .lattice import (
 )
 
 
+# The most points one search may reach (for hilbert_basis: scan) before it
+# gives up as undecided.  The test suite and the benchmark corpus need at
+# most 27,132 (a Hilbert basis box) and 313 (a pushout class).
+SEARCH_BUDGET = 100_000
+
+
 class MonoidError(ValueError):
     pass
+
+
+class BudgetExceeded(ValueError):
+    """A search reached SEARCH_BUDGET points, so its answer is undecided.
+
+    Deliberately not a MonoidError: callers that record a MonoidError as a
+    failing cone must let an undecided search through."""
+
+
+def _check_budget(count: int, what: str) -> None:
+    if count > SEARCH_BUDGET:
+        raise BudgetExceeded(f"undecided: {what} passed the search budget "
+                             f"of {SEARCH_BUDGET} points")
 
 
 @dataclass(frozen=True)
@@ -65,6 +87,12 @@ class AffineMonoid:
     def cone(self) -> Cone:
         return Cone.from_generators(self.lattice, self.generators)
 
+    def contains(self, w: Sequence[int]) -> bool:
+        """Membership; a saturated monoid (cone ∩ lattice) needs no search."""
+        if self.saturation_cone is not None:
+            return self.saturation_cone.contains(w)
+        return _contains_modulo_units(w, self.generators, self.lattice)
+
     def group(self) -> Sublattice:
         """The subgroup of the lattice generated by the monoid."""
         return sublattice_from_vectors(self.lattice, self.generators)
@@ -81,9 +109,7 @@ class MonoidMap:
                 or self.lattice_map.codomain != self.target.lattice):
             raise MonoidError("lattice map does not match monoid lattices")
         for g in self.source.generators:
-            img = self.lattice_map(g)
-            if not _contains_modulo_units(img, self.target.generators,
-                                          self.target.lattice):
+            if not self.target.contains(self.lattice_map(g)):
                 raise MonoidError(f"image of generator {g} is not in the target monoid")
 
     def __call__(self, v: Sequence[int]) -> Vector:
@@ -147,6 +173,7 @@ def hilbert_basis(c: Cone, L=None) -> list[Vector]:
             if v > hi[j]:
                 hi[j] = v
     ranges = [range(math.floor(lo[j]), math.ceil(hi[j]) + 1) for j in range(d)]
+    _check_budget(math.prod(len(r) for r in ranges), "the Hilbert basis candidate box")
     candidates = []
     for t in itertools.product(*ranges):
         if all(x == 0 for x in t):
@@ -248,6 +275,37 @@ def _positive_functional(gens: Sequence[Vector], n: int) -> Vector:
     return f
 
 
+def _bounded_points(rank: int, gens: Sequence[Vector], weights: Sequence[int],
+                    bound: int, hit=None):
+    """The points sum c_i g_i with sum c_i w_i <= bound, breadth first.
+
+    A point's weight must not depend on the word that reaches it (w_i is
+    f(g_i) for a linear f), or every w_i is 1 and the bound is a word
+    length: either way the first visit is the lightest, so deduplicating by
+    point is exact.  Returns the dict from each point reached, in visiting
+    order, to the index of the generator that reached it (None for zero),
+    and the first point satisfying `hit`, where the search stops, or None.
+    """
+    zero = (0,) * rank
+    reached = {zero: None}
+    frontier = [(zero, 0)]
+    while frontier:
+        nxt = []
+        for x, wx in frontier:
+            for i, g in enumerate(gens):
+                y = vec_add(x, g)
+                wy = wx + weights[i]
+                if wy > bound or y in reached:
+                    continue
+                reached[y] = i
+                _check_budget(len(reached), "a monoid enumeration")
+                if hit is not None and hit(y):
+                    return reached, y
+                nxt.append((y, wy))
+        frontier = nxt
+    return reached, None
+
+
 def monoid_membership(w: Sequence[int], M: AffineMonoid):
     """(True, coefficients) when w is a nonnegative combination, else (False, None)."""
     w = tuple(w)
@@ -257,28 +315,15 @@ def monoid_membership(w: Sequence[int], M: AffineMonoid):
     if not gens:
         return False, None
     f = _positive_functional(gens, M.lattice.rank)
-    fw = dot(f, w)
-    if fw < 0:
+    reached, y = _bounded_points(M.lattice.rank, gens, [dot(f, g) for g in gens],
+                                 dot(f, w), lambda y: y == w)
+    if y is None:
         return False, None
-
-    fg = [dot(f, g) for g in gens]
-
-    def search(idx: int, rest: Vector, rest_f: int):
-        if idx == len(gens):
-            return () if is_zero_vec(rest) else None
-        g, v = gens[idx], fg[idx]
-        out = None
-        for coeff in range(rest_f // v + 1):
-            tail = search(idx + 1, vec_sub(rest, tuple(coeff * x for x in g)),
-                          rest_f - coeff * v)
-            if tail is not None:
-                return (coeff,) + tail
-        return out
-
-    witness = search(0, w, fw)
-    if witness is None:
-        return False, None
-    return True, witness
+    coeffs = [0] * len(gens)
+    while reached[y] is not None:
+        coeffs[reached[y]] += 1
+        y = vec_sub(y, gens[reached[y]])
+    return True, tuple(coeffs)
 
 
 def _contains_modulo_units(w: Sequence[int], gens: Sequence[Vector],
@@ -308,44 +353,17 @@ def _contains_modulo_units(w: Sequence[int], gens: Sequence[Vector],
     if not qmat:
         return U.contains(w)
     q = LatticeMap(lattice, Lattice(n - l), mat(qmat))
-    # the quotient kills exactly the lineality, so images of rest are nonzero
-    qgens = tuple(q(g) for g in rest)
-    qw = q(w)
-    if is_zero_vec(qw):
+    if is_zero_vec(q(w)) or not rest:
         return U.contains(w)
-    if not qgens:
-        return False
-    # enumerate every bounded witness for qw and test the residual in U
-    f = _positive_functional(qgens, n - l)
-    fw = dot(f, qw)
-    if fw < 0:
-        return False
-    fg = [dot(f, g) for g in qgens]
-    rest_nz = list(rest)
-
-    found = []
-
-    def search(idx: int, acc, rest_q: Vector, rest_f: int):
-        if found:
-            return
-        if idx == len(qgens):
-            if is_zero_vec(rest_q):
-                total = (0,) * n
-                for coeff, g in zip(acc, rest_nz):
-                    total = vec_add(total, tuple(coeff * x for x in g))
-                if U.contains(vec_sub(w, total)):
-                    found.append(True)
-            return
-        v = fg[idx]
-        for coeff in range(rest_f // v + 1):
-            search(idx + 1, acc + (coeff,),
-                   vec_sub(rest_q, tuple(coeff * x for x in qgens[idx])),
-                   rest_f - coeff * v)
-            if found:
-                return
-
-    search(0, (), qw, fw)
-    return bool(found)
+    # the quotient kills exactly the lineality, so f(q(g)) > 0 on rest: walk
+    # the points y of the monoid of rest in the lattice itself, by the height
+    # f(q(y)), until w - y lies in U
+    f = _positive_functional([q(g) for g in rest], n - l)
+    fq = tuple(dot(f, col) for col in transpose(q.matrix))
+    fw = dot(fq, w)
+    _, y = _bounded_points(n, rest, [dot(fq, g) for g in rest], fw,
+                           lambda y: dot(fq, y) == fw and U.contains(vec_sub(w, y)))
+    return y is not None
 
 
 # ---------------------------------------------------------------------------
@@ -404,40 +422,19 @@ def pushout_monoid(u: MonoidMap, v: MonoidMap) -> AffineMonoid:
 
 def is_saturated(M: AffineMonoid) -> bool:
     """True iff M equals (cone of M) intersected with (group of M)."""
-    c = M.cone()
-    group = M.group()
-    for g in monoid_generators_of_cone(c, group):
-        if not _contains_modulo_units(g, M.generators, M.lattice):
-            return False
-    return True
+    return all(M.contains(g) for g in monoid_generators_of_cone(M.cone(), M.group()))
 
 
 # ---------------------------------------------------------------------------
 # equational criterion of integrality (bounded)
-
-def _enumerate_monoid(gens: Sequence[Vector], f: Vector, bound: int) -> set[Vector]:
-    n = len(f)
-    zero = (0,) * n
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = vec_add(x, g)
-                if y not in seen and dot(f, y) <= bound:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
 
 def kato_integral(u: MonoidMap, height_bound: int = 8):
     """Bounded check of the equational criterion of integrality for u.
 
     Returns (True, None) when no counterexample of height <= height_bound
     exists, else (False, (p1, p2, q1, q2)).  A True answer is evidence,
-    not a proof.
+    not a proof.  Raises BudgetExceeded when either monoid has more than
+    SEARCH_BUDGET points of that height.
     """
     if kernel_lattice(u.lattice_map).rank != 0:
         raise MonoidError("the criterion requires an injective lattice map")
@@ -450,11 +447,11 @@ def kato_integral(u: MonoidMap, height_bound: int = 8):
         return True, None
     f = _positive_functional(all_gens, n)
 
-    T = _enumerate_monoid(tgt.generators, f, height_bound)
+    T, _ = _bounded_points(n, tgt.generators, [dot(f, g) for g in tgt.generators],
+                           height_bound)
     # source elements, keyed by their (injective) images
-    fu = tuple(sum(f[i] * u.lattice_map.matrix[i][j] for i in range(n))
-               for j in range(src.lattice.rank))
-    S = _enumerate_monoid(src.generators, fu, height_bound)
+    S, _ = _bounded_points(src.lattice.rank, src.generators,
+                           [dot(f, u(g)) for g in src.generators], height_bound)
     img = {tuple(u(s)): s for s in S}
 
     by_sum: dict[Vector, list[tuple[Vector, Vector]]] = {}
@@ -465,7 +462,7 @@ def kato_integral(u: MonoidMap, height_bound: int = 8):
 
     for pairs in by_sum.values():
         for (p1, s1), (p2, s2) in itertools.combinations(pairs, 2):
-            if _kato_witness(p1, s1, p2, s2, u, T, S):
+            if _kato_witness(p1, s1, s2, img, T, S):
                 continue
             q1 = tuple(u(s1))
             q2 = tuple(u(s2))
@@ -473,14 +470,10 @@ def kato_integral(u: MonoidMap, height_bound: int = 8):
     return True, None
 
 
-def _kato_witness(p1, s1, p2, s2, u: MonoidMap, T: set, S: set) -> bool:
-    for r1 in S:
-        w = vec_sub(p1, tuple(u(r1)))
-        if w not in T:
-            continue
-        r2 = vec_sub(vec_add(s1, r1), s2)
-        if r2 not in S:
-            continue
-        if vec_add(w, tuple(u(r2))) == p2:
-            return True
-    return False
+def _kato_witness(p1, s1, s2, img: dict, T: dict, S: dict) -> bool:
+    """Some r1 in S with w = p1 - u(r1) in T and r2 = s1 + r1 - s2 in S.
+
+    Then w + u(r2) = p2 by linearity, because p1 + u(s1) = p2 + u(s2).
+    """
+    return any(vec_sub(p1, q) in T and vec_sub(vec_add(s1, r1), s2) in S
+               for q, r1 in img.items())

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from semistable import monoid
 from semistable.cli import (
     DocumentError,
     _enc_int,
@@ -105,6 +106,29 @@ class TestDocuments:
         code, _ = run_cli("reduce", "--input", data("blowup_fan.json"))
         assert code == 2
         assert "kind" in capsys.readouterr().err
+
+
+class TestUndecided:
+    """A search that runs out of budget exits 2, never 1 ("predicate
+    false")."""
+
+    def test_huge_hilbert_box_is_refused_at_once(self, tmp_path, capsys):
+        doc = {"version": "1", "kind": "fan",
+               "payload": {"lattice_rank": 2,
+                           "cones": [{"rays": [[1, 0], [1, 10**9]]}]}}
+        path = tmp_path / "thin_cone.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli("hilbert", "--input", str(path))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "undecided" in err and "budget" in err
+
+    def test_weak_semistability_out_of_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 0)
+        code, _ = run_cli("check", "--input", data("fix_semi.json"),
+                          "--weakly-semistable")
+        assert code == 2
+        assert "undecided" in capsys.readouterr().err
 
 
 class TestSemantics:

@@ -1,5 +1,6 @@
 import pytest
 
+from semistable import monoid
 from semistable.cone import Cone
 from semistable.conecomplex import (
     ComplexError,
@@ -16,6 +17,7 @@ from semistable.conecomplex import (
 )
 from semistable.fan import Fan, FanMorphism
 from semistable.lattice import Lattice, LatticeMap, mat
+from semistable.monoid import BudgetExceeded
 from semistable.reduction import ReductionError, reduce
 
 
@@ -243,6 +245,13 @@ class TestWeakSemistability:
         assert not report
         diag = cone(2, (1, 1))
         assert diag in [c for c, _, _ in report.failures]
+
+    def test_out_of_budget_raises_instead_of_failing(self, monkeypatch):
+        # a MonoidError becomes a failing cell; an undecided search must not
+        m = fan_morphism_as_complex(fix_semi())
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 0)
+        with pytest.raises(BudgetExceeded):
+            complex_weak_semistability(m)
 
     def test_reduced_morphism_passes(self):
         cres = reduce_complex(fan_morphism_as_complex(fix_semi()))

@@ -1,5 +1,6 @@
 import pytest
 
+from semistable import monoid
 from semistable.cone import Cone, image_cone
 from semistable.fan import (
     CartesianReport,
@@ -36,6 +37,7 @@ from semistable.lattice import (
     preimage_sublattice,
     sublattice_from_vectors,
 )
+from semistable.monoid import BudgetExceeded
 
 
 def lmap(rows):
@@ -233,6 +235,11 @@ class TestWeakSemistability:
         assert report.failing_cones() == [cone(2, (1, 1))]
         assert report.failures[0][1] == 2
 
+    def test_out_of_budget_raises_instead_of_failing(self, monkeypatch):
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 0)
+        with pytest.raises(BudgetExceeded):
+            is_weakly_semistable(semi_fixture())
+
     def test_identity_true(self):
         f = blowup_fan()
         m = FanMorphism(f, f, LatticeMap.identity_map(Lattice(2)))
@@ -347,6 +354,15 @@ class TestCartesian:
         quad = quadrant_fan()
         p = FanMorphism(quad, quad, lmap([[1, 0], [1, 1]]))
         assert not cartesian_check(p, p)
+
+    def test_move_search_out_of_budget_raises(self, monkeypatch):
+        # the pushout class search of the blowup chart reaches 313 states;
+        # every other search of this check stays below 100
+        quad = quadrant_fan()
+        p = FanMorphism(quad, quad, lmap([[1, 0], [1, 1]]))
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 100)
+        with pytest.raises(BudgetExceeded, match="pushout class search"):
+            cartesian_check(p, p)
 
     def test_two_three_fail(self):
         f = halfline_fan()

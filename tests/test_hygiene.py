@@ -1,5 +1,5 @@
-"""Source hygiene without a lint tool: every import sits at module level
-and every module-level import is used."""
+"""Source hygiene without a lint tool: every import sits at module level,
+every module-level import is used, and no float enters the exact code."""
 import ast
 import glob
 import os
@@ -42,3 +42,32 @@ def test_module_level_imports_are_used(path):
     unused = [f"{name} (line {line})" for name, line in imported
               if name not in used]
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+# the one place floats may appear: SVG coordinates are printed as decimals
+FLOAT_ALLOWED = {("cli.py", "_svg_point")}
+
+
+def _float_uses(tree, module):
+    allowed = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and (module, fn.name) in FLOAT_ALLOWED:
+            allowed |= {id(n) for n in ast.walk(fn)}
+    found = []
+    for n in ast.walk(tree):
+        if id(n) in allowed:
+            continue
+        if isinstance(n, ast.Name) and n.id == "float":
+            found.append(f"float (line {n.lineno})")
+        elif isinstance(n, ast.Constant) and isinstance(n.value, (float, complex)):
+            found.append(f"{n.value!r} (line {n.lineno})")
+        elif (isinstance(n, ast.Attribute) and n.attr in ("inf", "nan")
+              and isinstance(n.value, ast.Name) and n.value.id == "math"):
+            found.append(f"math.{n.attr} (line {n.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_floats(path):
+    found = _float_uses(_tree(path), os.path.basename(path))
+    assert not found, f"floats in exact code: {', '.join(found)}"

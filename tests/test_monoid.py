@@ -14,8 +14,10 @@ from semistable.lattice import (
     transpose,
     vec_add,
 )
+from semistable import monoid
 from semistable.monoid import (
     AffineMonoid,
+    BudgetExceeded,
     MonoidError,
     MonoidMap,
     _contains_modulo_units,
@@ -394,6 +396,44 @@ class TestMonoidMapValidation:
         src = AffineMonoid(Lattice(1), ((1,),))
         tgt = AffineMonoid(Lattice(1), ((2,),))
         MonoidMap(src, tgt, lmap([[4]]))
+
+
+class TestSearchBudget:
+    """A search that reaches the budget is undecided: it raises, whatever
+    the answer would have been."""
+
+    def test_membership(self, monkeypatch):
+        M = AffineMonoid(Lattice(2), ((2, 0), (0, 2)))
+        assert monoid_membership((7, 7), M) == (False, None)
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 10)
+        for w in [(7, 7), (8, 8)]:
+            with pytest.raises(BudgetExceeded, match="undecided"):
+                monoid_membership(w, M)
+
+    def test_membership_modulo_units(self, monkeypatch):
+        gens = [(1, -1), (-1, 1), (0, 2), (2, 0)]
+        assert not _contains_modulo_units((0, 7), gens, Lattice(2))
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 5)
+        with pytest.raises(BudgetExceeded):
+            _contains_modulo_units((0, 7), gens, Lattice(2))
+
+    def test_kato(self, monkeypatch):
+        z_pos = AffineMonoid(Lattice(1), ((1,),))
+        u = MonoidMap(z_pos, z_pos, lmap([[2]]))
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 5)
+        with pytest.raises(BudgetExceeded):
+            kato_integral(u, height_bound=10)
+
+    def test_hilbert_box(self, monkeypatch):
+        c = Cone.from_generators(2, [(1, 0), (1, 50)])
+        assert len(hilbert_basis(c)) == 51
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 100)
+        with pytest.raises(BudgetExceeded, match="Hilbert basis candidate box"):
+            hilbert_basis(c)
+
+    def test_undecided_is_not_a_monoid_error(self):
+        assert issubclass(BudgetExceeded, ValueError)
+        assert not issubclass(BudgetExceeded, MonoidError)
 
 
 # -- properties -------------------------------------------------------------
