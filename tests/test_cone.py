@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semistable.cone import (
+    CONE_MEMO_SIZE,
     Cone,
     ConeError,
     dual_cone,
@@ -71,6 +73,46 @@ class TestConstruction:
         assert len(c.rays) == 1
         assert c.contains((5, 1)) and c.contains((-5, 1))
         assert not c.contains((0, -1))
+
+
+def _fields(c):
+    return (c.lattice, c.rays, c.lines, c.facets, c.span_equations)
+
+
+def _fresh(lattice, gens):
+    """Build the cone from primitive generators, bypassing the memo."""
+    return Cone._build.__wrapped__(Lattice(lattice), tuple(sorted(set(gens))))
+
+
+class TestMemo:
+    def test_equivalent_inputs_share_one_cone(self):
+        c = cone2((1, 0), (1, 2))
+        assert cone2((1, 2), (1, 0)) is c
+        assert cone2((3, 0), (2, 4)) is c
+        assert cone2((1, 0), (1, 2), (2, 4), (1, 0)) is c
+        assert cone2((0, 0), (1, 0), (0, 0), (1, 2)) is c
+        assert Cone.from_generators(Lattice(2), [[1, 0], [1, 2]]) is c
+
+    def test_lattice_rank_is_part_of_the_key(self):
+        z2, z3 = Cone.zero(2), Cone.zero(3)
+        assert z2 is not z3 and z2 != z3
+        assert z2.span_equations == ((1, 0), (0, 1))
+        assert len(z3.span_equations) == 3
+
+    def test_results_stay_exact_past_the_bound(self):
+        n = CONE_MEMO_SIZE + 50
+        gens = [[(1, 0), (k, 1)] for k in range(n)]
+        built = [cone2(*g) for g in gens]
+        assert Cone._build.cache_info().currsize <= CONE_MEMO_SIZE
+        # the first ones are evicted by now: rebuilt, and built again fresh
+        for g, c in zip(gens, built):
+            assert _fields(c) == _fields(_fresh(2, g))
+            assert _fields(cone2(*g)) == _fields(c)
+
+    def test_shared_cones_are_immutable(self):
+        c = cone2((1, 0), (0, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.rays = ()
 
 
 class TestDuality:

@@ -218,6 +218,16 @@ class TestMinimalModification:
         out, _ = minimal_modification(LatticeMap.identity_map(Lattice(2)), F, G)
         assert out == F
 
+    @pytest.mark.parametrize("name", ["source", "target"])
+    def test_input_not_closed_under_faces_raises(self, name):
+        # the ray (1,1) lies inside the quadrant but is not a face of it
+        not_closed = Fan(Lattice(2), tuple(sorted(
+            set(cone(2, (1, 0), (0, 1)).faces()) | {cone(2, (1, 1))})))
+        fans = {"source": quadrant_fan(), "target": quadrant_fan(), name: not_closed}
+        with pytest.raises(FanError, match=f"the {name} fan"):
+            minimal_modification(LatticeMap.identity_map(Lattice(2)),
+                                 fans["source"], fans["target"])
+
     def test_universal_property_sample(self):
         # any modification of F that maps to G factors through the output
         out, _ = minimal_modification(LatticeMap.identity_map(Lattice(2)),

@@ -1,6 +1,10 @@
-"""Rank-3 regression: S is the star subdivision of the positive octant at
-c = (1, 1, 1), mapped onto the ray by (1, 1, 1)."""
+"""Rank-3 and rank-4 regression: S is the star subdivision of the positive
+octant at c = (1, 1, 1), mapped onto the ray by (1, 1, 1) and onto the
+quadrant by [[1, 1, 0], [0, 1, 2]]; S^4 is the star subdivision of the
+positive 4-orthant at (1, 1, 1, 1), mapped onto the quadrant by
+[[1, 1, 0, 0], [0, 0, 1, 1]]."""
 import io
+import json
 import os
 
 import pytest
@@ -31,6 +35,17 @@ def test_cli_reduce_matches_golden_file():
     assert main(["reduce", "--input", S_RAY], out=out) == 0
     with open(os.path.join(DATA, "golden", "reduce_s_ray.json")) as fh:
         assert out.getvalue() == fh.read()
+
+
+@pytest.mark.parametrize("name,base,total", [("s_quad", 8, 30), ("s4_quad", 6, 62)])
+def test_cli_reduce_matches_golden_file_with_cone_counts(name, base, total):
+    out = io.StringIO()
+    assert main(["reduce", "--input", os.path.join(DATA, f"{name}.json")], out=out) == 0
+    with open(os.path.join(DATA, "golden", f"reduce_{name}.json")) as fh:
+        assert out.getvalue() == fh.read()
+    payload = json.loads(out.getvalue())["payload"]
+    assert len(payload["base"]["cones"]) == base
+    assert len(payload["total"]["cones"]) == total
 
 
 def test_hand_derived_figures(family, reduced):

@@ -1,26 +1,34 @@
-"""The cone-by-cone support predicates against a whole-space oracle.
+"""The cone-by-cone support predicates against a whole-space oracle, and
+the checks made on maximal cones against every-pair oracles.
 
-The oracle cuts all of R^n by every facet and span equation of the cones
-involved and compares supports at one interior sample per cell, the way
-the library did before the checks were made cone by cone.
+The whole-space oracle cuts all of R^n by every facet and span equation of
+the cones involved and compares supports at one interior sample per cell,
+the way the library did before the checks were made cone by cone.
 """
 import functools
+import glob
+import os
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from semistable.cone import Cone, image_cone
+from semistable.cli import DocumentError, load_document
+from semistable.cone import Cone, image_cone, intersect, preimage_cone
 from semistable.fan import (
     Fan,
     FanError,
     FanMorphism,
+    _every_pair,
     covers,
     decompose_by_hyperplanes,
     is_alteration,
     is_modification,
     is_proper,
+    minimal_modification,
+    validate_fan,
 )
 from semistable.lattice import Lattice, LatticeMap, det, identity
+from semistable.reduction import ReductionError, image_refinement
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +262,137 @@ def test_covers_skips_lower_dimensional_cones():
     # a cone outside the cell does not count towards covering it
     assert not covers(quad, [Cone.from_generators(2, [(1, 0), (-1, 1)])])
     assert covers(Cone.zero(Lattice(2)), [Cone.zero(Lattice(2))])
+
+
+# ---------------------------------------------------------------------------
+# validate_fan decides on maximal cones: the every-pair enumeration agrees
+
+@st.composite
+def corrupted_fans(draw):
+    """A stellar fan, left valid or broken one way: a cone sticking out of
+    the orthant from its interior (with its faces), a cone removed, a cone
+    listed twice, or a ray inside a maximal cone that is not a face of it."""
+    rank = draw(st.integers(1, 3))
+    fan = stellar(rank, draw(points(rank)), draw(drops))
+    cones = list(fan.cones)
+    kind = draw(st.sampled_from(["valid", "overlap", "missing", "duplicate", "inner"]))
+    i = draw(st.integers(0, len(cones) - 1))
+    if kind == "overlap":
+        assume(rank >= 2)
+        inside = draw(st.tuples(*[st.integers(1, 2)] * rank))
+        outside = (-1,) + draw(st.tuples(*[st.integers(0, 2)] * (rank - 1)))
+        extra = Cone.from_generators(rank, [inside, outside])
+        cones = sorted(set(cones) | set(extra.faces()))
+    elif kind == "missing":
+        del cones[i]
+    elif kind == "duplicate":
+        cones.insert(i, cones[i])
+    elif kind == "inner":
+        big = [c for c in fan.maximal_cones() if c.dim >= 2]
+        assume(big)
+        inner = Cone.from_generators(rank, [big[i % len(big)].interior_sample()])
+        cones = sorted(set(cones) | {inner})
+    return Fan(Lattice(rank), tuple(cones))
+
+
+def test_validate_fan_agrees_with_every_pair():
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(corrupted_fans())
+    def check(fan):
+        report = validate_fan(fan)
+        assert report == _every_pair(fan)
+        outcomes.add(bool(report))
+
+    check()
+    assert outcomes == {True, False}
+
+
+def _faces(*cones):
+    return {f for c in cones for f in c.faces()}
+
+
+QUAD = orthant(2)
+RAY_11 = Cone.from_generators(2, [(1, 1)])
+LOW, HIGH = (Cone.from_generators(2, [(1, 0), (1, 1)]),
+             Cone.from_generators(2, [(1, 1), (0, 1)]))
+OVER = Cone.from_generators(2, [(1, 2), (1, 0)])
+
+
+@pytest.mark.parametrize("cones,valid", [
+    (sorted(_faces(LOW, HIGH)), True),
+    # one maximal cone with all of its faces present, and one more ray
+    (sorted(_faces(QUAD) | {RAY_11}), False),
+    (sorted(_faces(OVER, HIGH)), False),
+    (sorted(_faces(QUAD) - {Cone.from_generators(2, [(1, 0)])}), False),
+    (sorted(_faces(QUAD)) + [QUAD], False),
+], ids=["blowup", "inner-ray", "overlap", "missing-face", "duplicate"])
+def test_validate_fan_on_fixed_fans(cones, valid):
+    fan = Fan(Lattice(2), tuple(cones))
+    assert bool(validate_fan(fan)) is valid
+    assert validate_fan(fan) == _every_pair(fan)
+
+
+def test_inner_ray_leaves_one_maximal_cone():
+    fan = Fan(Lattice(2), tuple(sorted(_faces(QUAD) | {RAY_11})))
+    assert fan.maximal_cones() == [QUAD]
+
+
+# ---------------------------------------------------------------------------
+# minimal_modification intersects maximal cones: every pair agrees
+
+def oracle_minimal_modification(p_map, f, g):
+    """Intersect every target preimage with every source cone."""
+    pieces = [intersect(preimage_cone(p_map, kappa), sigma)
+              for kappa in g.cones for sigma in f.cones]
+    return Fan.from_cones(f.lattice, [c for c in pieces if c.is_strictly_convex])
+
+
+def assert_same_modification(p_map, f, g):
+    assert minimal_modification(p_map, f, g)[0] == oracle_minimal_modification(p_map, f, g)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DOCUMENTS = sorted(glob.glob(os.path.join(ROOT, "tests", "data", "*.json"))
+                   + glob.glob(os.path.join(ROOT, "perfbench", "inputs", "*.json")))
+
+
+def _fan_morphism(path):
+    with open(path) as fh:
+        try:
+            _, p = load_document(fh.read(), ("fan_morphism",))
+        except DocumentError:
+            return None
+    if validate_fan(p.source) and validate_fan(p.target):
+        return p
+    return None
+
+
+FAN_MORPHISMS = [(os.path.relpath(path, ROOT), p)
+                 for path in DOCUMENTS if (p := _fan_morphism(path)) is not None]
+
+
+def test_stored_fan_morphisms_are_found():
+    # 25 when written: every stored fan morphism but the two overlapping ones
+    assert len(FAN_MORPHISMS) >= 25
+
+
+@pytest.mark.parametrize("p", [p for _, p in FAN_MORPHISMS],
+                         ids=[name for name, _ in FAN_MORPHISMS])
+def test_minimal_modification_agrees_with_every_pair_on_documents(p):
+    # over the target itself, and over the refined base of a reduction
+    assert_same_modification(p.lattice_map, p.source, p.target)
+    try:
+        base, _ = image_refinement(p)
+    except ReductionError:
+        return
+    assert_same_modification(p.lattice_map, p.source, base)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(refinements(), projections()))
+def test_minimal_modification_agrees_with_every_pair(case):
+    source, target, rows = case
+    assert_same_modification(LatticeMap(source.lattice, target.lattice, rows),
+                             source, target)
