@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -19,6 +19,7 @@ from .lattice import (
     Matrix,
     Sublattice,
     Vector,
+    det,
     dot,
     from_columns,
     identity,
@@ -28,6 +29,7 @@ from .lattice import (
     matmul,
     matvec,
     primitive,
+    rank,
     row_hermite_form,
     saturate,
     smith_normal_form,
@@ -39,18 +41,6 @@ from .lattice import (
 
 # one operation builds at most 243 distinct cones, one benchmark pass 290
 CONE_MEMO_SIZE = 1024
-
-
-def _rank_of(vectors: Sequence[Sequence[int]], n: int) -> int:
-    if not vectors:
-        return 0
-    return smith_normal_form(mat(vectors)).rank if n else 0
-
-
-def _span_basis(gens: Sequence[Vector], n: int) -> Matrix:
-    """Saturated basis (columns) of the lattice spanned by the generators."""
-    sub = saturate(sublattice_from_vectors(Lattice(n), gens))
-    return sub.basis
 
 
 def _left_inverse(b: Matrix) -> Matrix:
@@ -82,14 +72,13 @@ def _facets_fulldim(rays: Sequence[Vector], d: int) -> list[Vector]:
         return []
     found: set[Vector] = set()
     for subset in itertools.combinations(range(len(rays)), d - 1):
-        if subset:
-            kb = kernel_basis(mat([rays[i] for i in subset]))
-        else:
-            # d == 1: the only candidate hyperplane is the origin
-            kb = [(1,)]
-        if len(kb) != 1:
+        # the signed (d-1)-minors span the kernel of the subset, and all
+        # vanish exactly when its rank is below d - 1
+        sub = [rays[i] for i in subset]
+        u = primitive(tuple((-1) ** k * det(tuple(r[:k] + r[k + 1:] for r in sub))
+                            for k in range(d)))
+        if is_zero_vec(u):
             continue
-        u = primitive(kb[0])
         vals = [dot(u, r) for r in rays]
         if all(x <= 0 for x in vals):
             u = vec_neg(u)
@@ -97,7 +86,7 @@ def _facets_fulldim(rays: Sequence[Vector], d: int) -> list[Vector]:
         elif not all(x >= 0 for x in vals):
             continue
         tight = [rays[i] for i, x in enumerate(vals) if x == 0]
-        if _rank_of(tight, d) == d - 1:
+        if rank(tight) == d - 1:
             found.add(u)
     return sorted(found)
 
@@ -115,6 +104,7 @@ class Cone:
     lines: saturated basis of the lineality space; empty iff strictly convex.
     facets: irredundant supporting functionals, nonnegative on the cone.
     span_equations: integer equations cutting out the linear span.
+    span: the saturated sublattice (lattice intersect Span), built once.
     """
 
     lattice: Lattice
@@ -122,6 +112,7 @@ class Cone:
     lines: tuple[Vector, ...]
     facets: tuple[Vector, ...]
     span_equations: tuple[Vector, ...]
+    span: Sublattice = field(repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -135,11 +126,11 @@ class Cone:
     @functools.lru_cache(maxsize=CONE_MEMO_SIZE)
     def _build(lattice: Lattice, gen_list: tuple[Vector, ...]) -> "Cone":
         n = lattice.rank
-        span = _span_basis(gen_list, n)
-        d = len(span[0]) if span else 0
+        span_lat = saturate(sublattice_from_vectors(lattice, gen_list))
+        span = span_lat.basis
+        d = span_lat.rank
         if d == 0:
-            eye = identity(n)
-            return Cone(lattice, (), (), (), tuple(eye))
+            return Cone(lattice, (), (), (), identity(n), span_lat)
 
         # equations of the span: integer functionals vanishing on it
         span_eqs = tuple(sorted(primitive(v) for v in kernel_basis(transpose(span))))
@@ -148,15 +139,18 @@ class Cone:
         rays_c = [matvec(proj, g) for g in gen_list]
         facets_c = _facets_fulldim(rays_c, d)
 
-        # lineality inside the span: where every facet is tight
-        lin_c = kernel_basis(mat(facets_c)) if facets_c else \
-            [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+        # lineality inside the span: where every facet is tight, so none
+        # when the facets have full rank
+        if rank(facets_c) == d:
+            lin_c = []
+        else:
+            lin_c = kernel_basis(mat(facets_c)) if facets_c else list(identity(d))
 
         if not lin_c:
             extremal = []
             for r in rays_c:
                 tight = [u for u in facets_c if dot(u, r) == 0]
-                if _rank_of(tight, d) >= d - 1:
+                if rank(tight) >= d - 1:
                     extremal.append(r)
             rays_amb = sorted(primitive(matvec(span, r)) for r in extremal)
             lines_amb: tuple[Vector, ...] = ()
@@ -175,7 +169,7 @@ class Cone:
                 extremal_q = []
                 for r in q_rays:
                     tight = [u for u in q_facets if dot(u, r) == 0]
-                    if _rank_of(tight, d - l) >= d - l - 1:
+                    if rank(tight) >= d - l - 1:
                         extremal_q.append(r)
                 rays_amb = []
                 lin_rows = mat([matvec(span, c) for c in lin_c])
@@ -192,7 +186,7 @@ class Cone:
             sorted(primitive(_reduce_mod_rows(matvec(transpose(proj), u), mat(span_eqs) if span_eqs else ()))
                    for u in facets_c)
         )
-        return Cone(lattice, tuple(rays_amb), lines_amb, facets_amb, span_eqs)
+        return Cone(lattice, tuple(rays_amb), lines_amb, facets_amb, span_eqs, span_lat)
 
     @staticmethod
     def from_halfspaces(lattice: Lattice | int,
@@ -255,16 +249,17 @@ class Cone:
         return all(self.contains(g) for g in other.generators())
 
     def faces(self) -> list["Cone"]:
-        """All faces, enumerated by tight facet subsets (strictly convex only)."""
+        """All faces (strictly convex only): the ray sets tight on some set
+        of facets, that is the closure of the facets' tight sets under
+        intersection, each built once."""
         if self.lines:
             raise ConeError("face enumeration requires a strictly convex cone")
-        seen: dict[tuple, Cone] = {}
-        for k in range(len(self.facets) + 1):
-            for subset in itertools.combinations(self.facets, k):
-                rs = [r for r in self.rays if all(dot(u, r) == 0 for u in subset)]
-                face = Cone.from_generators(self.lattice, rs)
-                seen[face.rays] = face
-        return sorted(seen.values(), key=lambda c: (c.dim, c.rays))
+        tight_sets = {frozenset(self.rays)}
+        for u in self.facets:
+            tight = frozenset(r for r in self.rays if dot(u, r) == 0)
+            tight_sets |= {t & tight for t in tight_sets}
+        faces = [Cone.from_generators(self.lattice, t) for t in tight_sets]
+        return sorted(faces, key=lambda c: (c.dim, c.rays))
 
     def __hash__(self):
         return hash((self.lattice, self.rays, self.lines))
@@ -317,4 +312,4 @@ def split_by_hyperplane(c: Cone, functional: Sequence[int]) -> tuple[Cone, Cone]
 
 def span_sublattice(c: Cone) -> Sublattice:
     """The saturated sublattice (ambient lattice intersect Span c)."""
-    return saturate(sublattice_from_vectors(c.lattice, c.generators()))
+    return c.span

@@ -26,15 +26,13 @@ from .lattice import (
     Sublattice,
     Vector,
     full_sublattice,
-    image_lattice,
     intersect_sublattices,
     is_zero_vec,
-    kernel_lattice,
     matmul,
     matvec,
     preimage_sublattice,
     primitive,
-    saturate,
+    smith_normal_form,
     solve_integer,
     solve_rational,
     sublattice_from_vectors,
@@ -118,10 +116,11 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
             bad.append(f"embedding for face {g.face.rays} of cell {g.cell} "
                        "connects the wrong lattices")
             continue
-        if kernel_lattice(e).rank != 0:
+        # injective: full column rank; saturated image: invariant factors 1
+        snf = smith_normal_form(e.matrix)
+        if snf.rank != e.domain.rank:
             bad.append(f"embedding into cell {g.cell} is not injective")
-        img = image_lattice(e)
-        if saturate(img).basis != img.basis:
+        if any(d != 1 for d in snf.invariant_factors):
             bad.append(f"embedding into cell {g.cell} has a non-saturated image")
         if image_cone(e, cx.cells[g.chart]) != g.face:
             bad.append(f"chart {g.chart} does not map onto face "

@@ -161,11 +161,17 @@ class StackyFan:
                 pairs.append((c, span_sublattice(c)))
         return StackyFan(fan, tuple(pairs))
 
-    def sublattice(self, c: Cone) -> Sublattice:
+    def __post_init__(self):
+        # a cone listed twice keeps its first sublattice
+        index: dict[Cone, Sublattice] = {}
         for cone, s in self.assignments:
-            if cone == c:
-                return s
-        raise FanError(f"cone {c.rays} is not in the stacky fan")
+            index.setdefault(cone, s)
+        object.__setattr__(self, "_index", index)
+
+    def sublattice(self, c: Cone) -> Sublattice:
+        if c not in self._index:
+            raise FanError(f"cone {c.rays} is not in the stacky fan")
+        return self._index[c]
 
 
 def validate_stacky_fan(s: StackyFan) -> ValidationReport:
@@ -179,10 +185,9 @@ def validate_stacky_fan(s: StackyFan) -> ValidationReport:
             continue
         if idx == INFINITE:
             bad.append(f"sublattice of {c.rays} has infinite index")
-    cone_set = {c for c, _ in s.assignments}
     for c, sub in s.assignments:
         for face in c.faces():
-            if face not in cone_set:
+            if face not in s._index:
                 continue
             expected = s.sublattice(face)
             got = intersect_sublattices(sub, span_sublattice(face))

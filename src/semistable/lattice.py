@@ -3,6 +3,16 @@
 Everything here is arbitrary-precision integer arithmetic; no floats.
 Matrices are tuples of row tuples.  A map between lattices of ranks
 (m out, n in) is an m x n integer matrix acting on column vectors.
+
+Each question gets one elimination of the kind it needs:
+- `det` and `rank`: fraction-free Bareiss elimination;
+- sublattice bases: column Hermite form, so membership and coordinates
+  (`Sublattice.coordinates`, `lattice_index`) are one substitution down
+  the stored basis;
+- `saturate`: one Smith form, whose column transform gives the saturated
+  basis by exact division;
+- `kernel_basis`, `solve_integer` and `pushout_lattice`: the Smith form,
+  kept where the invariant factors or a unimodular transform are needed.
 """
 from __future__ import annotations
 
@@ -112,6 +122,25 @@ def det(a: Matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def rank(a: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss elimination."""
+    m = [list(row) for row in a]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    prev = 1
+    for col in range(ncols):
+        p = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        piv = m[r][col]
+        for i in range(r + 1, len(m)):
+            m[i] = [(x * piv - m[i][col] * y) // prev for x, y in zip(m[i], m[r])]
+        prev = piv
+        r += 1
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +299,10 @@ def column_hermite_form(a: Matrix) -> Matrix:
 
 def solve_integer(a: Matrix, b: Sequence[int]) -> Vector | None:
     """One integer solution x of A x = b, or None if there is none."""
-    snf = smith_normal_form(a)
     m = len(a)
+    if len(b) != m:
+        raise ValueError(f"vector of length {len(b)} for a matrix with {m} rows")
+    snf = smith_normal_form(a)
     n = len(a[0]) if m else 0
     c = matvec(snf.U, b)
     y = [0] * n
@@ -326,20 +357,6 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     snf = smith_normal_form(a)
     r = snf.rank
     return [tuple(snf.V[i][j] for i in range(n)) for j in range(r, n)]
-
-
-def right_inverse(a: Matrix) -> Matrix:
-    """Integer right inverse of a surjective map; raises if not surjective."""
-    m = len(a)
-    cols = []
-    for i in range(m):
-        e = tuple(1 if j == i else 0 for j in range(m))
-        x = solve_integer(a, e)
-        if x is None:
-            raise ValueError("matrix has no integer right inverse")
-        cols.append(x)
-    n = len(a[0]) if m else 0
-    return from_columns(cols, n)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +425,29 @@ class Sublattice:
     def vectors(self) -> list[Vector]:
         return columns(self.basis)
 
+    def coordinates(self, v: Sequence[int]) -> Vector | None:
+        """x with basis @ x = v, or None when v is not in the sublattice.
+
+        The Hermite basis is echelon: column j is zero above its pivot row,
+        and later columns are zero on that row, so one pass down the pivots
+        determines x."""
+        if len(v) != self.ambient.rank:
+            raise ValueError(f"vector of length {len(v)} in a lattice of rank "
+                             f"{self.ambient.rank}")
+        rest = list(v)
+        x = []
+        for col in columns(self.basis):
+            p = next(i for i, c in enumerate(col) if c != 0)
+            q, r = divmod(rest[p], col[p])
+            if r:
+                return None
+            x.append(q)
+            if q:
+                rest = [y - q * c for y, c in zip(rest, col)]
+        return tuple(x) if not any(rest) else None
+
     def contains(self, v: Sequence[int]) -> bool:
-        if self.rank == 0:
-            return is_zero_vec(v)
-        return solve_integer(self.basis, v) is not None
+        return self.coordinates(v) is not None
 
     def contains_sublattice(self, other: "Sublattice") -> bool:
         return all(self.contains(c) for c in other.vectors())
@@ -450,11 +486,12 @@ def saturate(s: Sublattice) -> Sublattice:
     """(Q-span of s) intersected with the ambient lattice."""
     if s.rank == 0:
         return s
+    # U B V = D with B injective: column j of B V is d_j times column j of
+    # U^-1, and the first rank columns of U^-1 span the saturation
     snf = smith_normal_form(s.basis)
-    r = snf.rank
-    n = s.ambient.rank
-    uinv = right_inverse(snf.U)  # U is unimodular, so this is its exact inverse
-    cols = [tuple(uinv[i][j] for i in range(n)) for j in range(r)]
+    bv = matmul(s.basis, snf.V)
+    cols = [tuple(row[j] // d for row in bv)
+            for j, d in enumerate(snf.invariant_factors)]
     return sublattice_from_vectors(s.ambient, cols)
 
 
@@ -467,7 +504,7 @@ def lattice_index(inner: Sublattice, outer: Sublattice) -> int | None:
         raise ValueError("sublattices have different ambient lattices")
     coords = []
     for c in inner.vectors():
-        x = solve_integer(outer.basis, c)
+        x = outer.coordinates(c)
         if x is None:
             raise ValueError("inner sublattice is not contained in the outer one")
         coords.append(x)

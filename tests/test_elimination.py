@@ -1,0 +1,238 @@
+"""Each lattice question against the Smith-form routine it replaced (see
+oracles.py), on bounded random integer matrices and cones of rank <= 4, and
+a guard on the number of Smith forms one reduce makes."""
+import io
+import os
+import sys
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import oracles
+from semistable.cli import main
+from semistable.cone import Cone, _facets_fulldim, span_sublattice
+from semistable.lattice import (
+    Lattice,
+    LatticeMap,
+    Sublattice,
+    identity,
+    image_lattice,
+    kernel_lattice,
+    lattice_index,
+    mat,
+    matvec,
+    rank,
+    saturate,
+    smith_normal_form,
+    solve_integer,
+    sublattice_from_vectors,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+entry = st.integers(-4, 4)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5, min_rows=0):
+    """Integer matrices with zero rows, repeated rows and row combinations
+    mixed in, so rank-deficient cases are common."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        kind = draw(st.sampled_from(("random", "random", "zero", "combo")))
+        if kind == "zero" or (kind == "combo" and not rows):
+            rows.append((0,) * ncols)
+        elif kind == "combo":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(draw(st.lists(entry, min_size=ncols, max_size=ncols))))
+    return mat(rows), ncols
+
+
+@st.composite
+def sublattices(draw, max_rank=4):
+    n = draw(st.integers(1, max_rank))
+    gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    return sublattice_from_vectors(Lattice(n), gens)
+
+
+@st.composite
+def vectors_for(draw, sub):
+    """A vector of the ambient lattice: often in the sublattice or in its
+    saturation, otherwise random."""
+    n = sub.ambient.rank
+    kind = draw(st.sampled_from(("inside", "scaled", "random")))
+    if kind == "random" or sub.rank == 0:
+        return tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    x = draw(st.lists(entry, min_size=sub.rank, max_size=sub.rank))
+    v = matvec(sub.basis, x)
+    if kind == "scaled":
+        # a vector of the saturation that may fall outside sub
+        sat = saturate(sub)
+        v = matvec(sat.basis, draw(st.lists(entry, min_size=sat.rank,
+                                            max_size=sat.rank)))
+    return v
+
+
+@st.composite
+def cones(draw, max_rank=4):
+    n = draw(st.integers(1, max_rank))
+    gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=6))
+    return Cone.from_generators(n, gens)
+
+
+@given(matrices())
+@SETTINGS
+def test_bareiss_rank_matches_smith_form(case):
+    a, ncols = case
+    assert rank(a) == oracles.rank_of(a, ncols)
+
+
+def test_rank_of_degenerate_shapes():
+    assert rank(()) == 0
+    assert rank(((), ())) == 0
+    assert rank(((0, 0), (0, 0))) == 0
+    assert rank(((0, 2), (0, 4), (1, 0))) == 2
+
+
+def test_contains_and_coordinates_match_solve_integer():
+    seen = set()
+
+    @given(st.data())
+    @SETTINGS
+    def check(data):
+        sub = data.draw(sublattices())
+        v = data.draw(vectors_for(sub))
+        got = sub.contains(v)
+        assert got == oracles.contains(sub, v)
+        x = sub.coordinates(v)
+        assert (x is not None) == got
+        if got:
+            assert matvec(sub.basis, x) == tuple(v)
+        seen.add(got)
+
+    check()
+    assert seen == {True, False}
+
+
+def test_lattice_index_matches_solve_integer():
+    outcomes = set()
+
+    @given(st.data())
+    @SETTINGS
+    def check(data):
+        outer = data.draw(sublattices())
+        inner = sublattice_from_vectors(
+            outer.ambient, [data.draw(vectors_for(outer)) for _ in range(data.draw(st.integers(0, 4)))])
+        try:
+            want = oracles.lattice_index(inner, outer)
+        except ValueError:
+            with pytest.raises(ValueError):
+                lattice_index(inner, outer)
+            outcomes.add("not contained")
+            return
+        assert lattice_index(inner, outer) == want
+        outcomes.add("infinite" if want is None else "finite")
+
+    check()
+    assert outcomes == {"not contained", "infinite", "finite"}
+
+
+@given(sublattices())
+@SETTINGS
+def test_saturate_matches_right_inverse(sub):
+    assert saturate(sub).basis == oracles.saturate(sub).basis
+
+
+@given(cones())
+@SETTINGS
+def test_span_is_the_saturated_span_of_the_generators(c):
+    want = oracles.saturate(sublattice_from_vectors(c.lattice, c.generators()))
+    assert span_sublattice(c).basis == want.basis
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple),
+        min_size=d, max_size=d + 3))))
+@SETTINGS
+def test_facets_from_minors_match_kernel_per_subset(case):
+    d, rays = case
+    assume(oracles.rank_of(rays, d) == d)
+    assert _facets_fulldim(rays, d) == oracles.facets_fulldim(rays, d)
+
+
+@given(cones())
+@SETTINGS
+def test_faces_from_incidences_match_every_facet_subset(c):
+    assume(c.is_strictly_convex)
+    assert [(f.dim, f.rays) for f in c.faces()] == \
+        [(f.dim, f.rays) for f in oracles.faces(c)]
+
+
+@given(matrices(max_rows=4, max_cols=3, min_rows=1))
+@SETTINGS
+def test_one_smith_form_decides_injective_and_saturated(case):
+    a, ncols = case
+    e = LatticeMap(Lattice(ncols), Lattice(len(a)), a)
+    snf = smith_normal_form(e.matrix)
+    img = image_lattice(e)
+    assert (snf.rank == ncols) == (kernel_lattice(e).rank == 0)
+    assert all(d == 1 for d in snf.invariant_factors) == \
+        (oracles.saturate(img).basis == img.basis)
+
+
+# ---------------------------------------------------------------------------
+# vectors of the wrong length
+
+def test_contains_rejects_a_vector_of_the_wrong_length():
+    sub = Sublattice(Lattice(2), ((1,), (0,)))
+    assert sub.contains((1, 0)) and not sub.contains((0, 1))
+    for v in ((1, 0, 5), (1,)):
+        with pytest.raises(ValueError):
+            sub.contains(v)
+        with pytest.raises(ValueError):
+            sub.coordinates(v)
+
+
+def test_solve_integer_rejects_a_vector_of_the_wrong_length():
+    assert solve_integer(identity(2), (1, 2)) == (1, 2)
+    for b in ((1, 2, 3), (1,)):
+        with pytest.raises(ValueError):
+            solve_integer(identity(2), b)
+
+
+# ---------------------------------------------------------------------------
+# Smith forms per reduce
+
+# S->quad makes 792 Smith forms from a cleared cone memo; with a Smith form
+# for every membership test, rank, facet candidate and saturation solve it
+# made 3,711
+SMITH_FORMS_S_QUAD = 820
+
+
+def test_reduce_s_quad_smith_form_count():
+    code = smith_normal_form.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    Cone._build.cache_clear()
+    out = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        status = main(["reduce", "--input", os.path.join(DATA, "s_quad.json")], out=out)
+    finally:
+        sys.setprofile(None)
+    assert status == 0
+    with open(os.path.join(DATA, "golden", "reduce_s_quad.json")) as fh:
+        assert out.getvalue() == fh.read()
+    assert 0 < calls <= SMITH_FORMS_S_QUAD

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import right_inverse
 from semistable.lattice import (
     INFINITE,
     Lattice,
@@ -23,7 +24,6 @@ from semistable.lattice import (
     matmul,
     matvec,
     preimage_sublattice,
-    right_inverse,
     pushout_lattice,
     saturate,
     smith_normal_form,
