@@ -5,6 +5,15 @@ extremal rays (plus lineality generators when the cone contains lines),
 irredundant facet normals, and integer equations cutting out the linear
 span.  All conversions are exact.  Cones are immutable, and one memo of
 CONE_MEMO_SIZE entries, keyed on the normalized generators, builds each once.
+
+One construction, `Cone._build`, answers every question about a cone with
+the elimination it needs: one Smith form of the generators (`span_basis`)
+gives the span lattice, coordinates in it and the span equations (kept in
+row Hermite form); facet normals come from signed minors in those
+coordinates; extremal rays and the lineality are read off the generators'
+tight facets by Bareiss rank; a cone with lines takes one more Smith form
+for its lineality quotient.  `from_halfspaces` is the dual of a cone built
+from generators.
 """
 from __future__ import annotations
 
@@ -21,19 +30,13 @@ from .lattice import (
     Vector,
     det,
     dot,
-    from_columns,
-    identity,
     is_zero_vec,
-    kernel_basis,
-    mat,
-    matmul,
     matvec,
     primitive,
     rank,
     row_hermite_form,
-    saturate,
-    smith_normal_form,
     solve_integer,
+    span_basis,
     sublattice_from_vectors,
     transpose,
     vec_neg,
@@ -43,23 +46,20 @@ from .lattice import (
 CONE_MEMO_SIZE = 1024
 
 
-def _left_inverse(b: Matrix) -> Matrix:
-    """P with P @ B = I for a saturated column basis B."""
-    d = len(b[0]) if b else 0
-    n = len(b)
-    snf = smith_normal_form(b)
-    # saturated basis => all invariant factors are 1
-    head = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(d))
-    return matmul(matmul(snf.V, head), snf.U)
+def _both_signs(vectors: Iterable[Sequence[int]], lines: Iterable[Sequence[int]]) -> list[Vector]:
+    """The vectors, then each of `lines` in both directions."""
+    out = [tuple(v) for v in vectors]
+    for l in lines:
+        out += [tuple(l), vec_neg(l)]
+    return out
 
 
-def _reduce_mod_rows(v: Vector, rows: Matrix) -> Vector:
-    """Deterministic representative of v modulo the row lattice of `rows`."""
+def _reduce_mod_rows(v: Vector, hnf_rows: Matrix) -> Vector:
+    """Deterministic representative of v modulo the row lattice of rows
+    already in row Hermite form."""
     out = list(v)
-    for row in row_hermite_form(rows):
-        col = next((k for k, x in enumerate(row) if x != 0), None)
-        if col is None:
-            continue
+    for row in hnf_rows:
+        col = next(k for k, x in enumerate(row) if x != 0)
         q = out[col] // row[col]
         if q:
             out = [x - q * y for x, y in zip(out, row)]
@@ -103,7 +103,8 @@ class Cone:
     the lineality space when the cone contains lines), sorted.
     lines: saturated basis of the lineality space; empty iff strictly convex.
     facets: irredundant supporting functionals, nonnegative on the cone.
-    span_equations: integer equations cutting out the linear span.
+    span_equations: integer equations cutting out the linear span, a row
+    Hermite basis of the functionals vanishing on it.
     span: the saturated sublattice (lattice intersect Span), built once.
     """
 
@@ -126,86 +127,51 @@ class Cone:
     @functools.lru_cache(maxsize=CONE_MEMO_SIZE)
     def _build(lattice: Lattice, gen_list: tuple[Vector, ...]) -> "Cone":
         n = lattice.rank
-        span_lat = saturate(sublattice_from_vectors(lattice, gen_list))
-        span = span_lat.basis
-        d = span_lat.rank
+        basis, coords, eqs = span_basis(gen_list, n)
+        span_lat = sublattice_from_vectors(lattice, basis)
+        span_eqs = row_hermite_form(eqs)
+        d = len(basis)
         if d == 0:
-            return Cone(lattice, (), (), (), identity(n), span_lat)
+            return Cone(lattice, (), (), (), span_eqs, span_lat)
 
-        # equations of the span: integer functionals vanishing on it
-        span_eqs = tuple(sorted(primitive(v) for v in kernel_basis(transpose(span))))
-
-        proj = _left_inverse(span)  # coordinates inside the span
-        rays_c = [matvec(proj, g) for g in gen_list]
+        # full-dimensional in the coordinates of its span
+        rays_c = [matvec(coords, g) for g in gen_list]
         facets_c = _facets_fulldim(rays_c, d)
+        pull = transpose(coords)
+        facets_amb = tuple(sorted(_reduce_mod_rows(matvec(pull, u), span_eqs) for u in facets_c))
 
-        # lineality inside the span: where every facet is tight, so none
-        # when the facets have full rank
-        if rank(facets_c) == d:
-            lin_c = []
-        else:
-            lin_c = kernel_basis(mat(facets_c)) if facets_c else list(identity(d))
+        # a generator tight on every facet lies in the lineality; any other
+        # is extremal modulo the lineality when its tight facets have
+        # corank one among all facets
+        k = rank(facets_c)
+        units, extremal = [], []
+        for g, r in zip(gen_list, rays_c):
+            tight = [u for u in facets_c if dot(u, r) == 0]
+            if len(tight) == len(facets_c):
+                units.append(g)
+            elif rank(tight) == k - 1:
+                extremal.append(g)
+        if not units:
+            return Cone(lattice, tuple(extremal), (), facets_amb, span_eqs, span_lat)
 
-        if not lin_c:
-            extremal = []
-            for r in rays_c:
-                tight = [u for u in facets_c if dot(u, r) == 0]
-                if rank(tight) >= d - 1:
-                    extremal.append(r)
-            rays_amb = sorted(primitive(matvec(span, r)) for r in extremal)
-            lines_amb: tuple[Vector, ...] = ()
-        else:
-            # quotient out the lineality, take extremal rays there, lift back
-            lin_mat = from_columns(lin_c, d)
-            snf = smith_normal_form(lin_mat)
-            l = snf.rank
-            quot = snf.U[l:]  # kernel is exactly the (saturated) lineality
-            if len(quot) == 0:
-                rays_amb = []
-            else:
-                q_rays = [matvec(quot, r) for r in rays_c]
-                q_rays = sorted({primitive(r) for r in q_rays if not is_zero_vec(r)})
-                q_facets = _facets_fulldim(q_rays, d - l)
-                extremal_q = []
-                for r in q_rays:
-                    tight = [u for u in q_facets if dot(u, r) == 0]
-                    if rank(tight) >= d - l - 1:
-                        extremal_q.append(r)
-                rays_amb = []
-                lin_rows = mat([matvec(span, c) for c in lin_c])
-                for r in extremal_q:
-                    x = solve_integer(quot, r)
-                    assert x is not None
-                    amb = matvec(span, x)
-                    rays_amb.append(_reduce_mod_rows(amb, lin_rows))
-                rays_amb = sorted(set(rays_amb))
-            lines_sub = sublattice_from_vectors(lattice, [matvec(span, c) for c in lin_c])
-            lines_amb = tuple(lines_sub.vectors())
-
-        facets_amb = tuple(
-            sorted(primitive(_reduce_mod_rows(matvec(transpose(proj), u), mat(span_eqs) if span_eqs else ()))
-                   for u in facets_c)
-        )
-        return Cone(lattice, tuple(rays_amb), lines_amb, facets_amb, span_eqs, span_lat)
+        # lift the primitive image of each extremal generator in the quotient
+        # by the saturated lineality, and reduce it modulo the lineality
+        line_basis, _, quot = span_basis(units, n)
+        lines = tuple(sublattice_from_vectors(lattice, line_basis).vectors())
+        rays = []
+        for r in sorted({primitive(matvec(quot, g)) for g in extremal}):
+            x = solve_integer(quot, r)
+            if x is None:
+                raise ConeError(f"no lift of the ray {r} from the lineality quotient")
+            rays.append(_reduce_mod_rows(x, lines))
+        return Cone(lattice, tuple(sorted(rays)), lines, facets_amb, span_eqs, span_lat)
 
     @staticmethod
     def from_halfspaces(lattice: Lattice | int,
                         inequalities: Iterable[Sequence[int]],
                         equations: Iterable[Sequence[int]] = ()) -> "Cone":
         """{x : u.x >= 0 for u in inequalities, e.x = 0 for e in equations}."""
-        if isinstance(lattice, int):
-            lattice = Lattice(lattice)
-        n = lattice.rank
-        dual_gens: list[Vector] = [tuple(u) for u in inequalities]
-        for e in equations:
-            dual_gens.append(tuple(e))
-            dual_gens.append(vec_neg(e))
-        dual = Cone.from_generators(lattice, dual_gens)
-        gens = list(dual.facets)
-        for e in dual.span_equations:
-            gens.append(e)
-            gens.append(vec_neg(e))
-        return Cone.from_generators(lattice, gens)
+        return dual_cone(Cone.from_generators(lattice, _both_signs(inequalities, equations)))
 
     @staticmethod
     def zero(lattice: Lattice | int) -> "Cone":
@@ -224,11 +190,7 @@ class Cone:
         return not self.lines
 
     def generators(self) -> list[Vector]:
-        out = list(self.rays)
-        for l in self.lines:
-            out.append(l)
-            out.append(vec_neg(l))
-        return out
+        return _both_signs(self.rays, self.lines)
 
     def contains(self, v: Sequence) -> bool:
         return (all(dot(e, v) == 0 for e in self.span_equations)
@@ -277,11 +239,7 @@ class Cone:
 
 def dual_cone(c: Cone) -> Cone:
     """{u : u.v >= 0 for all v in c} in the dual lattice."""
-    gens = list(c.facets)
-    for e in c.span_equations:
-        gens.append(e)
-        gens.append(vec_neg(e))
-    return Cone.from_generators(Lattice(c.lattice.rank), gens)
+    return Cone.from_generators(Lattice(c.lattice.rank), _both_signs(c.facets, c.span_equations))
 
 
 def intersect(a: Cone, b: Cone) -> Cone:

@@ -21,11 +21,11 @@ from .fan import (
     covers,
 )
 from .lattice import (
-    Lattice,
     LatticeMap,
     Sublattice,
     Vector,
     full_sublattice,
+    image_lattice,
     intersect_sublattices,
     is_zero_vec,
     matmul,
@@ -349,10 +349,8 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
         result = span_sublattice(piece)
         for s, route, img in routes:
             sigma = m.source.cells[s]
-            lat = intersect_sublattices(full_sublattice(sigma.lattice),
-                                        span_sublattice(sigma))
             moved = []
-            for v in lat.vectors():
+            for v in span_sublattice(sigma).vectors():
                 v_lam = matvec(m.cell_maps[s].matrix, v)
                 x = solve_integer(route[1].embedding.matrix, v_lam)
                 if x is None:
@@ -364,11 +362,6 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
                 result, sublattice_from_vectors(cell.lattice, moved))
         subs[_key(piece)] = result
     return _CellRun(tuple(pieces), members, subs)
-
-
-def _moved_sublattice(lat: Lattice, e: LatticeMap, sub: Sublattice) -> Sublattice:
-    return sublattice_from_vectors(lat, [matvec(e.matrix, v)
-                                         for v in sub.vectors()])
 
 
 def _owner_face(cell: Cone, sample) -> Optional[Cone]:
@@ -428,9 +421,8 @@ def _check_face_agreement(cx: ConeComplex, pieces: dict, subs: dict) -> None:
             raise ReductionError(
                 f"subdivisions disagree on the face pair "
                 f"({g.cell}, {g.face.rays}) / chart {g.chart}")
-        lat = cx.cells[g.cell].lattice
         for key, p in moved.items():
-            lifted = _moved_sublattice(lat, g.embedding, subs[g.chart][key])
+            lifted = image_lattice(g.embedding, subs[g.chart][key])
             if lifted.basis != subs[g.cell][_key(p)].basis:
                 raise ReductionError(
                     f"sublattices disagree on the face pair "
@@ -582,8 +574,7 @@ def complex_weak_semistability(m: ComplexMorphism,
             q_sub = target_sublattices[t]
         else:
             gl = m.target.gluing_for(t, img)
-            q_sub = _moved_sublattice(cell.lattice, gl.embedding,
-                                      target_sublattices[gl.chart])
+            q_sub = image_lattice(gl.embedding, target_sublattices[gl.chart])
         try:
             ok = image_monoid_equals_cone_monoid(m.cell_maps[s], sigma, img,
                                                  source_sublattices[s], q_sub)

@@ -31,6 +31,7 @@ from .lattice import (
     dual_map,
     fiber_product_lattice,
     full_sublattice,
+    image_lattice,
     intersect_sublattices,
     lattice_index,
     preimage_sublattice,
@@ -263,8 +264,7 @@ class StackyMorphism:
         for sigma, kappa in self.underlying.assignment:
             n_s = self.source.sublattice(sigma)
             q_k = self.target.sublattice(kappa)
-            img = sublattice_from_vectors(p.codomain, [p(v) for v in n_s.vectors()])
-            if not q_k.contains_sublattice(img):
+            if not q_k.contains_sublattice(image_lattice(p, n_s)):
                 raise FanError(
                     f"image of the sublattice of {sigma.rays} escapes the base sublattice"
                 )

@@ -9,10 +9,14 @@ Each question gets one elimination of the kind it needs:
 - sublattice bases: column Hermite form, so membership and coordinates
   (`Sublattice.coordinates`, `lattice_index`) are one substitution down
   the stored basis;
-- `saturate`: one Smith form, whose column transform gives the saturated
-  basis by exact division;
+- spans: `span_basis`, one Smith form of the generators, gives the
+  saturated basis, coordinates in it and the span's equations (`saturate`,
+  cone spans and lineality quotients);
+- `intersect_sublattices` and `preimage_sublattice`: one row Hermite form
+  of a stacked matrix (the Zassenhaus construction);
 - `kernel_basis`, `solve_integer` and `pushout_lattice`: the Smith form,
-  kept where the invariant factors or a unimodular transform are needed.
+  kept where the invariant factors, a printed basis or a unimodular
+  transform are needed.
 """
 from __future__ import annotations
 
@@ -103,7 +107,8 @@ def det(a: Matrix) -> int:
     n = len(a)
     if n == 0:
         return 1
-    assert all(len(row) == n for row in a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a matrix that is not square")
     m = [list(row) for row in a]
     sign = 1
     prev = 1
@@ -359,6 +364,25 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     return [tuple(snf.V[i][j] for i in range(n)) for j in range(r, n)]
 
 
+def span_basis(vectors: Sequence[Sequence[int]], n: int) -> tuple[list[Vector], Matrix, Matrix]:
+    """(basis, coordinates, equations) of the span of vectors in Z^n.
+
+    One Smith form U G V = D of the generators G (as columns): column j of
+    G V is d_j times column j of U^-1, so dividing gives a basis of the
+    saturated span; the rows U[:r] take a vector of the span to its
+    coordinates in that basis, and the rows U[r:] are equations of the
+    span that map Z^n onto the quotient by the saturated span.
+    """
+    if not vectors:
+        return [], (), identity(n)
+    g = from_columns([tuple(v) for v in vectors], n)
+    snf = smith_normal_form(g)
+    gv = matmul(g, snf.V)
+    basis = [tuple(row[j] // d for row in gv)
+             for j, d in enumerate(snf.invariant_factors)]
+    return basis, snf.U[:len(basis)], snf.U[len(basis):]
+
+
 # ---------------------------------------------------------------------------
 # lattices and maps
 
@@ -473,26 +497,21 @@ def sublattice_from_vectors(lat: Lattice, vecs: Iterable[Sequence[int]]) -> Subl
 
 def kernel_lattice(f: LatticeMap) -> Sublattice:
     """The saturated sublattice {v in domain : f(v) = 0}."""
-    if f.codomain.rank == 0:
-        return full_sublattice(f.domain)
-    return sublattice_from_vectors(f.domain, kernel_basis(f.matrix))
+    return preimage_sublattice(f, zero_sublattice(f.codomain))
 
 
-def image_lattice(f: LatticeMap) -> Sublattice:
-    return Sublattice(f.codomain, f.matrix)
+def image_lattice(f: LatticeMap, s: Sublattice | None = None) -> Sublattice:
+    """f(s) in the codomain; the whole image when s is None."""
+    if s is None:
+        return Sublattice(f.codomain, f.matrix)
+    return sublattice_from_vectors(f.codomain, [f(v) for v in s.vectors()])
 
 
 def saturate(s: Sublattice) -> Sublattice:
     """(Q-span of s) intersected with the ambient lattice."""
     if s.rank == 0:
         return s
-    # U B V = D with B injective: column j of B V is d_j times column j of
-    # U^-1, and the first rank columns of U^-1 span the saturation
-    snf = smith_normal_form(s.basis)
-    bv = matmul(s.basis, snf.V)
-    cols = [tuple(row[j] // d for row in bv)
-            for j, d in enumerate(snf.invariant_factors)]
-    return sublattice_from_vectors(s.ambient, cols)
+    return sublattice_from_vectors(s.ambient, span_basis(s.vectors(), s.ambient.rank)[0])
 
 
 def lattice_index(inner: Sublattice, outer: Sublattice) -> int | None:
@@ -569,26 +588,32 @@ def dual_map(f: LatticeMap) -> LatticeMap:
     return LatticeMap(Lattice(f.codomain.rank), Lattice(f.domain.rank), transpose(f.matrix))
 
 
+def _zero_on_first_block(rows: Sequence[Sequence[int]], lat: Lattice, k: int) -> Sublattice:
+    """Zassenhaus: the rows of the row Hermite form that vanish on the first
+    k coordinates are a basis of the row lattice's part there; return the
+    sublattice their remaining coordinates span."""
+    hnf = row_hermite_form(mat(rows))
+    return sublattice_from_vectors(lat, [r[k:] for r in hnf if is_zero_vec(r[:k])])
+
+
 def intersect_sublattices(a: Sublattice, b: Sublattice) -> Sublattice:
+    """a ∩ b: the rows (v, v) for v in a and (w, 0) for w in b combine to
+    zero on the first block exactly in (0, v) with v = -w in both."""
     if a.ambient != b.ambient:
         raise ValueError("sublattices have different ambient lattices")
-    ka, kb = a.rank, b.rank
-    if ka == 0 or kb == 0:
-        return zero_sublattice(a.ambient)
-    neg_b = tuple(tuple(-x for x in row) for row in b.basis)
-    stacked = hstack(a.basis, neg_b)
-    vecs = [matvec(a.basis, v[:ka]) for v in kernel_basis(stacked)]
-    return sublattice_from_vectors(a.ambient, vecs)
+    zero = (0,) * a.ambient.rank
+    rows = [v + v for v in a.vectors()] + [w + zero for w in b.vectors()]
+    return _zero_on_first_block(rows, a.ambient, a.ambient.rank)
 
 
 def preimage_sublattice(f: LatticeMap, s: Sublattice) -> Sublattice:
-    """{v in domain : f(v) in s}."""
+    """{v in domain : f(v) in s}: the rows (f(e_i), e_i) and (w, 0) for w
+    in s combine to zero on the first block exactly in (0, v) with f(v)
+    in s."""
     if s.ambient != f.codomain:
         raise ValueError("sublattice does not live in the codomain")
     n = f.domain.rank
-    if s.rank == 0:
-        return kernel_lattice(f)
-    neg_b = tuple(tuple(-x for x in row) for row in s.basis)
-    stacked = hstack(f.matrix, neg_b)
-    vecs = [v[:n] for v in kernel_basis(stacked)]
-    return sublattice_from_vectors(f.domain, vecs)
+    zero = (0,) * n
+    rows = [tuple(row[i] for row in f.matrix) + e for i, e in enumerate(identity(n))]
+    rows += [w + zero for w in s.vectors()]
+    return _zero_on_first_block(rows, f.domain, f.codomain.rank)

@@ -23,16 +23,17 @@ from .lattice import (
     Sublattice,
     Vector,
     dot,
-    from_columns,
     full_sublattice,
+    image_lattice,
     intersect_sublattices,
     is_zero_vec,
     kernel_lattice,
     mat,
+    matvec,
     pushout_lattice,
-    smith_normal_form,
     solve_integer,
     solve_rational,
+    span_basis,
     sublattice_from_vectors,
     transpose,
     vec_add,
@@ -148,17 +149,15 @@ def hilbert_basis(c: Cone, L=None) -> list[Vector]:
         return []
     span = span_sublattice(c)
     M = intersect_sublattices(L, span)
-    bm = M.basis  # n x d columns
     d = M.rank
     if d == 0:
         return []
-    basis_rows = bm  # rows indexed by ambient coordinate
     # cone in M coordinates: facets pulled back through the basis
-    cols = [tuple(basis_rows[i][j] for i in range(len(basis_rows))) for j in range(d)]
+    cols = M.vectors()
     facets_t = [tuple(dot(u, col) for col in cols) for u in c.facets]
     f_t = tuple(sum(u[j] for u in facets_t) for j in range(d))
 
-    ray_coords = [_smallest_multiple_coords(basis_rows, r) for r in c.rays]
+    ray_coords = [_smallest_multiple_coords(M.basis, r) for r in c.rays]
     bound = sum(dot(f_t, rc) for rc in ray_coords)
 
     # bounding box from the polytope vertices (0 and scaled rays)
@@ -200,8 +199,7 @@ def hilbert_basis(c: Cone, L=None) -> list[Vector]:
                 break
         if not reducible:
             irreducible.append(t)
-    ambient = [tuple(dot(row, t) for row in basis_rows) for t in irreducible]
-    return sorted(ambient)
+    return sorted(matvec(M.basis, t) for t in irreducible)
 
 
 def monoid_generators_of_cone(c: Cone, L=None) -> list[Vector]:
@@ -217,42 +215,28 @@ def monoid_generators_of_cone(c: Cone, L=None) -> list[Vector]:
     if c.is_strictly_convex:
         return hilbert_basis(c, L)
     n = c.lattice.rank
-    lin = sublattice_from_vectors(c.lattice, c.lines)
-    units_lat = intersect_sublattices(L, lin)
-    units = units_lat.vectors()
+    units = intersect_sublattices(L, sublattice_from_vectors(c.lattice, c.lines)).vectors()
 
     # quotient by the saturated lineality
-    lin_cols = from_columns([tuple(v) for v in c.lines], n)
-    snf = smith_normal_form(lin_cols)
-    l = snf.rank
-    qmat = snf.U[l:]
+    _, _, qmat = span_basis(c.lines, n)
     if not qmat:
-        gens = [tuple(u) for u in units] + [vec_neg(u) for u in units]
-        return sorted(set(gens))
-    q = LatticeMap(c.lattice, Lattice(n - l), mat(qmat))
-    span = span_sublattice(c)
-    ls = intersect_sublattices(L, span)
-    q_ls = sublattice_from_vectors(q.codomain, [q(v) for v in ls.vectors()])
+        return sorted(set(units + [vec_neg(u) for u in units]))
+    q = LatticeMap(c.lattice, Lattice(len(qmat)), qmat)
+    ls = intersect_sublattices(L, span_sublattice(c))
     qc = Cone.from_generators(q.codomain, [q(g) for g in c.generators()])
-    hb = hilbert_basis(qc, q_ls)
+    hb = hilbert_basis(qc, image_lattice(q, ls))
     # lift each quotient generator back into L intersect Span c
-    lift_matrix = mat([q(col) for col in _basis_columns(ls)])
+    lift_matrix = transpose(mat([q(col) for col in ls.vectors()]))
     lifts = []
     for h in hb:
-        t = solve_integer(transpose(lift_matrix), h)
-        assert t is not None
-        lifts.append(tuple(dot(row, t) for row in ls.basis))
-    gens = [tuple(u) for u in units] + [vec_neg(tuple(u)) for u in units] + lifts
-    return sorted(set(gens))
+        t = solve_integer(lift_matrix, h)
+        if t is None:
+            raise MonoidError(f"no lift of the quotient generator {h} to the lattice")
+        lifts.append(matvec(ls.basis, t))
+    return sorted(set(units + [vec_neg(u) for u in units] + lifts))
 
 
-def _basis_columns(s: Sublattice) -> list[Vector]:
-    b = s.basis
-    d = s.rank
-    return [tuple(b[i][j] for i in range(len(b))) for j in range(d)]
-
-
-def dual_monoid(c: Cone, L: Lattice | None = None) -> AffineMonoid:
+def dual_monoid(c: Cone) -> AffineMonoid:
     """Monoid of integer functionals nonnegative on c."""
     d = dual_cone(c)
     gens = monoid_generators_of_cone(d)
@@ -345,23 +329,16 @@ def _contains_modulo_units(w: Sequence[int], gens: Sequence[Vector],
     rest = [g for g in gens if g not in unit_gens]
     # the unit generators span a linear space, so they generate a group
     U = sublattice_from_vectors(lattice, unit_gens)
-    n = lattice.rank
-    sat_lin_cols = from_columns([tuple(v) for v in c.lines], n)
-    snf = smith_normal_form(sat_lin_cols)
-    l = snf.rank
-    qmat = snf.U[l:]
-    if not qmat:
-        return U.contains(w)
-    q = LatticeMap(lattice, Lattice(n - l), mat(qmat))
-    if is_zero_vec(q(w)) or not rest:
+    _, _, qmat = span_basis(c.lines, lattice.rank)
+    if not qmat or is_zero_vec(matvec(qmat, w)) or not rest:
         return U.contains(w)
     # the quotient kills exactly the lineality, so f(q(g)) > 0 on rest: walk
     # the points y of the monoid of rest in the lattice itself, by the height
     # f(q(y)), until w - y lies in U
-    f = _positive_functional([q(g) for g in rest], n - l)
-    fq = tuple(dot(f, col) for col in transpose(q.matrix))
+    f = _positive_functional([matvec(qmat, g) for g in rest], len(qmat))
+    fq = tuple(dot(f, col) for col in transpose(qmat))
     fw = dot(fq, w)
-    _, y = _bounded_points(n, rest, [dot(fq, g) for g in rest], fw,
+    _, y = _bounded_points(lattice.rank, rest, [dot(fq, g) for g in rest], fw,
                            lambda y: dot(fq, y) == fw and U.contains(vec_sub(w, y)))
     return y is not None
 
@@ -378,12 +355,10 @@ def image_monoid_equals_cone_monoid(p: LatticeMap, sigma: Cone, kappa: Cone,
     if image_cone(p, sigma) != kappa:
         raise MonoidError("sigma does not map onto kappa")
     image_gens = tuple(p(h) for h in hilbert_basis(sigma, N_sub))
+    # p(sigma) = kappa, so the image lies in Q_sub ∩ kappa iff it lies in Q_sub
+    if not all(Q_sub.contains(g) for g in image_gens):
+        return False
     target = hilbert_basis(kappa, Q_sub)
-    tgt_monoid = AffineMonoid(p.codomain, tuple(g for g in target))
-    for g in image_gens:
-        if not is_zero_vec(g):
-            ok, _ = monoid_membership(g, tgt_monoid)
-            assert ok, "image monoid escapes the cone monoid"
     src_monoid = AffineMonoid(p.codomain, image_gens)
     for h in target:
         ok, _ = monoid_membership(h, src_monoid)
@@ -402,8 +377,7 @@ def q_kappa_lattice(p: LatticeMap, kappa: Cone,
         if not image_cone(p, sigma).contains_cone(kappa):
             raise MonoidError("contributing cone does not cover kappa")
         m = intersect_sublattices(n_sub, span_sublattice(sigma))
-        img = sublattice_from_vectors(p.codomain, [p(v) for v in m.vectors()])
-        result = intersect_sublattices(result, img)
+        result = intersect_sublattices(result, image_lattice(p, m))
     return result
 
 

@@ -33,13 +33,13 @@ from .lattice import (
     det,
     fiber_product_lattice,
     full_sublattice,
+    image_lattice,
     intersect_sublattices,
     kernel_lattice,
     matmul,
     preimage_sublattice,
     saturate,
     solve_integer,
-    sublattice_from_vectors,
     vec_add,
     zero_sublattice,
 )
@@ -275,9 +275,7 @@ def validate_category_object(obj: CategoryCObject, p: FanMorphism,
     if kernel_variant:
         ker_pi = kernel_lattice(pi.lattice_map)
         ker_p = kernel_lattice(p.lattice_map)
-        moved = sublattice_from_vectors(
-            p.source.lattice, [j(v) for v in ker_pi.vectors()])
-        if saturate(moved).basis != ker_p.basis:
+        if saturate(image_lattice(j.lattice_map, ker_pi)).basis != ker_p.basis:
             bad.append("kernels of the vertical maps do not coincide")
     else:
         if _fiber_identification(p.lattice_map, i.lattice_map,
@@ -325,11 +323,7 @@ def _forced_pairs(f: FanMorphism, reduced: StackyFan, name: str,
             raise ReductionError(
                 f"{name} cone {c.rays} does not land in a single refined cone; "
                 + landing_hint)
-        moved = sublattice_from_vectors(
-            f.target.lattice,
-            [f(v) for v in intersect_sublattices(
-                full_sublattice(f.source.lattice),
-                span_sublattice(c)).vectors()])
+        moved = image_lattice(f.lattice_map, span_sublattice(c))
         if not reduced.sublattice(target).contains_sublattice(moved):
             raise ReductionError(
                 f"{name} cone {c.rays} carries lattice points outside the "

@@ -1,22 +1,35 @@
 """The Smith-form routines the library used before each lattice question got
-its own elimination, kept as oracles for the routines that replaced them."""
+its own elimination, kept as oracles for the routines that replaced them:
+kernels of stacked bases for intersections and preimages, a left inverse
+for span coordinates, and a second facet pass in the quotient by the
+lineality for the rays of a cone with lines."""
 import itertools
 
 from semistable.cone import Cone, ConeError
 from semistable.lattice import (
     INFINITE,
+    Lattice,
+    LatticeMap,
     det,
     dot,
     from_columns,
+    full_sublattice,
+    hstack,
+    identity,
     is_zero_vec,
     kernel_basis,
     mat,
+    matmul,
+    matvec,
     primitive,
+    row_hermite_form,
     smith_normal_form,
     solve_integer,
     sublattice_from_vectors,
+    transpose,
     vec_neg,
 )
+from semistable.monoid import hilbert_basis
 
 
 def rank_of(vectors, n):
@@ -106,3 +119,124 @@ def faces(c):
             face = Cone.from_generators(c.lattice, rs)
             seen[face.rays] = face
     return sorted(seen.values(), key=lambda f: (f.dim, f.rays))
+
+
+def intersect_sublattices(a, b):
+    """a ∩ b from the Smith-form kernel of the stacked bases (a | -b)."""
+    if a.ambient != b.ambient:
+        raise ValueError("sublattices have different ambient lattices")
+    ka, kb = a.rank, b.rank
+    if ka == 0 or kb == 0:
+        return sublattice_from_vectors(a.ambient, [])
+    neg_b = tuple(tuple(-x for x in row) for row in b.basis)
+    stacked = hstack(a.basis, neg_b)
+    vecs = [matvec(a.basis, v[:ka]) for v in kernel_basis(stacked)]
+    return sublattice_from_vectors(a.ambient, vecs)
+
+
+def preimage_sublattice(f, s):
+    """f^-1(s) from the Smith-form kernel of (f | -basis of s)."""
+    if s.ambient != f.codomain:
+        raise ValueError("sublattice does not live in the codomain")
+    n = f.domain.rank
+    if f.codomain.rank == 0:
+        return full_sublattice(f.domain)
+    if s.rank == 0:
+        return sublattice_from_vectors(f.domain, kernel_basis(f.matrix))
+    neg_b = tuple(tuple(-x for x in row) for row in s.basis)
+    stacked = hstack(f.matrix, neg_b)
+    return sublattice_from_vectors(f.domain, [v[:n] for v in kernel_basis(stacked)])
+
+
+def smith_saturate(s):
+    """Saturation by exact division of B V, B the Hermite basis of s."""
+    if s.rank == 0:
+        return s
+    snf = smith_normal_form(s.basis)
+    bv = matmul(s.basis, snf.V)
+    cols = [tuple(row[j] // d for row in bv)
+            for j, d in enumerate(snf.invariant_factors)]
+    return sublattice_from_vectors(s.ambient, cols)
+
+
+def left_inverse(b):
+    """P with P @ B = I for a saturated column basis B."""
+    d = len(b[0]) if b else 0
+    n = len(b)
+    snf = smith_normal_form(b)
+    head = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(d))
+    return matmul(matmul(snf.V, head), snf.U)
+
+
+def reduce_mod_rows(v, rows):
+    out = list(v)
+    for row in row_hermite_form(rows):
+        col = next(k for k, x in enumerate(row) if x != 0)
+        q = out[col] // row[col]
+        if q:
+            out = [x - q * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def cone_data(n, gens):
+    """(rays, lines, facets, span equations) of the cone the generators span:
+    coordinates by a left inverse of the saturated span, the lineality as
+    the kernel of the facets, and the rays of a cone with lines from a second
+    facet pass in the quotient by the lineality, lifted by solve_integer."""
+    lattice = Lattice(n)
+    gen_list = sorted({primitive(g) for g in gens if not is_zero_vec(g)})
+    span = smith_saturate(sublattice_from_vectors(lattice, gen_list)).basis
+    d = len(span[0]) if span and span[0] else 0
+    if d == 0:
+        return (), (), (), identity(n)
+    span_eqs = tuple(sorted(primitive(v) for v in kernel_basis(transpose(span))))
+    proj = left_inverse(span)
+    rays_c = [matvec(proj, g) for g in gen_list]
+    facets_c = facets_fulldim(rays_c, d)
+    if rank_of(facets_c, d) == d:
+        lin_c = []
+    else:
+        lin_c = kernel_basis(mat(facets_c)) if facets_c else list(identity(d))
+    if not lin_c:
+        rays = sorted(primitive(matvec(span, r)) for r in rays_c
+                      if rank_of([u for u in facets_c if dot(u, r) == 0], d) >= d - 1)
+        lines = ()
+    else:
+        snf = smith_normal_form(from_columns(lin_c, d))
+        l = snf.rank
+        quot = snf.U[l:]
+        lin_rows = mat([matvec(span, c) for c in lin_c])
+        rays = set()
+        if quot:
+            q_rays = sorted({primitive(matvec(quot, r)) for r in rays_c} - {(0,) * (d - l)})
+            q_facets = facets_fulldim(q_rays, d - l)
+            for r in q_rays:
+                if rank_of([u for u in q_facets if dot(u, r) == 0], d - l) >= d - l - 1:
+                    x = solve_integer(quot, r)
+                    rays.add(reduce_mod_rows(matvec(span, x), lin_rows))
+        rays = sorted(rays)
+        lines = tuple(sublattice_from_vectors(
+            lattice, [matvec(span, c) for c in lin_c]).vectors())
+    facets = sorted(primitive(reduce_mod_rows(matvec(transpose(proj), u), mat(span_eqs)))
+                    for u in facets_c)
+    return tuple(rays), lines, tuple(facets), span_eqs
+
+
+def monoid_generators_of_cone(c, L):
+    """Generators of c ∩ L for a cone with lines: the points of L in the
+    lineality in both signs, and lifts of the Hilbert basis in the quotient
+    by the Smith form of the lines, with Smith-kernel intersections."""
+    n = c.lattice.rank
+    units = intersect_sublattices(L, sublattice_from_vectors(c.lattice, c.lines)).vectors()
+    snf = smith_normal_form(from_columns(list(c.lines), n))
+    qmat = snf.U[snf.rank:]
+    if not qmat:
+        return sorted(set(units + [vec_neg(u) for u in units]))
+    q = LatticeMap(c.lattice, Lattice(len(qmat)), qmat)
+    ls = intersect_sublattices(L, smith_saturate(
+        sublattice_from_vectors(c.lattice, c.generators())))
+    q_ls = sublattice_from_vectors(q.codomain, [q(v) for v in ls.vectors()])
+    qc = Cone.from_generators(q.codomain, [q(g) for g in c.generators()])
+    lift = transpose(mat([q(v) for v in ls.vectors()]))
+    lifts = [matvec(ls.basis, solve_integer(lift, h)) for h in hilbert_basis(qc, q_ls)]
+    return sorted(set(units + [vec_neg(u) for u in units] + lifts))

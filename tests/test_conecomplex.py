@@ -16,7 +16,7 @@ from semistable.conecomplex import (
     validate_complex_morphism,
 )
 from semistable.fan import Fan, FanMorphism
-from semistable.lattice import Lattice, LatticeMap, mat
+from semistable.lattice import Lattice, LatticeMap, mat, sublattice_from_vectors
 from semistable.monoid import BudgetExceeded
 from semistable.reduction import ReductionError, reduce
 
@@ -245,6 +245,16 @@ class TestWeakSemistability:
         assert not report
         diag = cone(2, (1, 1))
         assert diag in [c for c, _, _ in report.failures]
+
+    def test_image_escaping_the_target_sublattice_is_a_failing_cell(self):
+        f = halfline_fan()
+        m = fan_morphism_as_complex(FanMorphism(f, f, lmap([[1]])))
+        ray = cone(1, (1,))
+        target = [sublattice_from_vectors(c.lattice, [(2,)] if c == ray else [])
+                  for c in m.target.cells]
+        report = complex_weak_semistability(m, None, target)
+        assert not report
+        assert [(c, code) for c, code, _ in report.failures] == [(ray, 2)]
 
     def test_out_of_budget_raises_instead_of_failing(self, monkeypatch):
         # a MonoidError becomes a failing cell; an undecided search must not

@@ -1,6 +1,7 @@
 """Each lattice question against the Smith-form routine it replaced (see
-oracles.py), on bounded random integer matrices and cones of rank <= 4, and
-a guard on the number of Smith forms one reduce makes."""
+oracles.py), on bounded random integer matrices, sublattices and cones of
+rank <= 4 (cones with and without lines), and a guard on the number of
+Smith forms one reduce makes."""
 import io
 import os
 import sys
@@ -10,23 +11,32 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from semistable.cli import main
-from semistable.cone import Cone, _facets_fulldim, span_sublattice
+from semistable.cone import Cone, _facets_fulldim, dual_cone, span_sublattice
 from semistable.lattice import (
     Lattice,
     LatticeMap,
     Sublattice,
+    det,
     identity,
     image_lattice,
+    intersect_sublattices,
     kernel_lattice,
     lattice_index,
     mat,
+    matmul,
     matvec,
+    preimage_sublattice,
     rank,
+    row_hermite_form,
     saturate,
     smith_normal_form,
     solve_integer,
+    span_basis,
     sublattice_from_vectors,
+    transpose,
+    vec_neg,
 )
+from semistable.monoid import monoid_generators_of_cone
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -187,6 +197,134 @@ def test_one_smith_form_decides_injective_and_saturated(case):
         (oracles.saturate(img).basis == img.basis)
 
 
+@given(sublattices())
+@SETTINGS
+def test_saturate_matches_smith_division_of_the_hermite_basis(sub):
+    assert saturate(sub).basis == oracles.smith_saturate(sub).basis
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(entry, min_size=n, max_size=n), max_size=5))))
+@SETTINGS
+def test_span_basis_gives_saturation_coordinates_and_equations(case):
+    n, vecs = case
+    basis, coords, eqs = span_basis(vecs, n)
+    sat = oracles.saturate(sublattice_from_vectors(Lattice(n), vecs))
+    assert sublattice_from_vectors(Lattice(n), basis).basis == sat.basis
+    # (coordinates; equations) is unimodular and inverts the basis on the span
+    assert abs(det(coords + eqs)) == 1
+    if basis:
+        b = transpose(mat(basis))
+        assert matmul(coords, b) == identity(len(basis))
+        assert all(not any(row) for row in matmul(eqs, b))
+
+
+@st.composite
+def sublattice_pairs(draw, max_rank=4):
+    n = draw(st.integers(1, max_rank))
+    vec = st.lists(entry, min_size=n, max_size=n)
+    a = draw(st.lists(vec, max_size=4))
+    b = draw(st.lists(vec, max_size=4))
+    # share a vector often, so the intersection is not always zero
+    if a and draw(st.booleans()):
+        b = b + [a[0]]
+    return sublattice_from_vectors(Lattice(n), a), sublattice_from_vectors(Lattice(n), b)
+
+
+def test_intersection_matches_smith_kernel():
+    ranks = set()
+
+    @given(sublattice_pairs())
+    @SETTINGS
+    def check(pair):
+        a, b = pair
+        got = intersect_sublattices(a, b)
+        assert got.basis == oracles.intersect_sublattices(a, b).basis
+        ranks.add(min(got.rank, 1))
+
+    check()
+    assert ranks == {0, 1}
+
+
+@st.composite
+def maps_and_sublattices(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    s = sublattice_from_vectors(Lattice(m), draw(st.lists(
+        st.lists(entry, min_size=m, max_size=m), max_size=3)))
+    return LatticeMap(Lattice(n), Lattice(m), mat(rows)), s
+
+
+@given(maps_and_sublattices())
+@SETTINGS
+def test_preimage_and_kernel_match_smith_kernel(case):
+    f, s = case
+    assert preimage_sublattice(f, s).basis == oracles.preimage_sublattice(f, s).basis
+    zero = sublattice_from_vectors(f.codomain, [])
+    assert kernel_lattice(f).basis == oracles.preimage_sublattice(f, zero).basis
+
+
+def _both(vectors, lines):
+    return [tuple(v) for v in vectors] + [w for l in lines for w in (tuple(l), vec_neg(l))]
+
+
+@st.composite
+def cone_cases(draw, bound=3):
+    """(cone, the oracle's (rays, lines, facets, span equations)): cones from
+    generators, from half-spaces with equations, and duals of
+    lower-dimensional cones, so many contain lines."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(("generators", "halfspaces", "dual")))
+    if kind == "generators":
+        gens = draw(st.lists(vec, min_size=1, max_size=6))
+        return kind, Cone.from_generators(n, gens), oracles.cone_data(n, gens)
+    if kind == "halfspaces":
+        ineqs = draw(st.lists(vec, max_size=4))
+        eqs = draw(st.lists(vec, min_size=1, max_size=2))
+        dual = oracles.cone_data(n, _both(ineqs, eqs))
+        return (kind, Cone.from_halfspaces(n, ineqs, eqs),
+                oracles.cone_data(n, _both(dual[2], dual[3])))
+    gens = draw(st.lists(vec, max_size=n - 1))
+    low = oracles.cone_data(n, gens)
+    return (kind, dual_cone(Cone.from_generators(n, gens)),
+            oracles.cone_data(n, _both(low[2], low[3])))
+
+
+def test_cone_construction_matches_the_quotient_facet_pass():
+    seen = set()
+
+    @given(cone_cases())
+    @SETTINGS
+    def check(case):
+        kind, c, (rays, lines, facets, eqs) = case
+        assert (c.rays, c.lines, c.facets) == (rays, lines, facets)
+        assert c.span_equations == row_hermite_form(mat(eqs))
+        seen.add((kind, bool(c.lines)))
+
+    check()
+    assert {k for k, _ in seen} == {"generators", "halfspaces", "dual"}
+    assert {has_lines for _, has_lines in seen} == {True, False}
+
+
+def test_monoid_generators_with_lines_match_smith_quotient():
+    kinds = set()
+
+    @given(cone_cases(bound=2), st.lists(st.integers(1, 2), min_size=4, max_size=4))
+    @SETTINGS
+    def check(case, scale):
+        kind, c, _ = case
+        assume(c.lines)
+        n = c.lattice.rank
+        L = sublattice_from_vectors(c.lattice, [tuple(scale[i] if i == j else 0 for j in range(n))
+                                                for i in range(n)])
+        assert monoid_generators_of_cone(c, L) == oracles.monoid_generators_of_cone(c, L)
+        kinds.add(kind)
+
+    check()
+    assert kinds == {"generators", "halfspaces", "dual"}
+
+
 # ---------------------------------------------------------------------------
 # vectors of the wrong length
 
@@ -210,10 +348,11 @@ def test_solve_integer_rejects_a_vector_of_the_wrong_length():
 # ---------------------------------------------------------------------------
 # Smith forms per reduce
 
-# S->quad makes 792 Smith forms from a cleared cone memo; with a Smith form
-# for every membership test, rank, facet candidate and saturation solve it
-# made 3,711
-SMITH_FORMS_S_QUAD = 820
+# S->quad makes 191 Smith forms from a cleared cone memo, one per cone span,
+# lineality quotient and ray lift; with Smith-kernel intersections and
+# preimages and three per span it made 792, and with a Smith form for every
+# membership test, rank, facet candidate and saturation solve 3,711
+SMITH_FORMS_S_QUAD = 250
 
 
 def test_reduce_s_quad_smith_form_count():

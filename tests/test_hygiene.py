@@ -1,5 +1,7 @@
 """Source hygiene without a lint tool: every import sits at module level,
-every module-level import is used, and no float enters the exact code."""
+every module-level import is used, no float enters the exact code, no
+assert stands in for an error, and the Smith form is called only where
+its invariant factors or transforms are needed."""
 import ast
 import glob
 import os
@@ -71,3 +73,29 @@ def _float_uses(tree, module):
 def test_no_floats(path):
     found = _float_uses(_tree(path), os.path.basename(path))
     assert not found, f"floats in exact code: {', '.join(found)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_asserts(path):
+    # asserts vanish under python -O; a failed check must raise a typed error
+    found = [f"line {n.lineno}" for n in ast.walk(_tree(path))
+             if isinstance(n, ast.Assert)]
+    assert not found, f"assert statements: {', '.join(found)}"
+
+
+# the questions that need invariant factors, a printed basis or a unimodular
+# transform; everything else uses Bareiss or Hermite elimination
+SMITH_FORM_CALLERS = {"span_basis", "kernel_basis", "solve_integer",
+                      "pushout_lattice", "validate_complex"}
+
+
+def test_smith_normal_form_is_called_only_where_needed():
+    callers = set()
+    for path in MODULES:
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers |= {fn.name for n in ast.walk(fn)
+                            if isinstance(n, ast.Call)
+                            and "smith_normal_form" in (getattr(n.func, "id", None),
+                                                     getattr(n.func, "attr", None))}
+    assert callers == SMITH_FORM_CALLERS

@@ -225,6 +225,14 @@ class TestImageMonoidEquality:
         kappa = Cone.from_generators(1, [(1,)])
         assert not image_monoid_equals_cone_monoid(p, sigma, kappa)
 
+    def test_image_escaping_the_target_lattice_fails(self):
+        # p = id on the ray, N = Z, Q = 2Z: the generator 1 escapes 2Z
+        p = lmap([[1]])
+        ray = Cone.from_generators(1, [(1,)])
+        q_sub = sublattice_from_vectors(Lattice(1), [(2,)])
+        assert not image_monoid_equals_cone_monoid(p, ray, ray, None, q_sub)
+        assert image_monoid_equals_cone_monoid(p, ray, ray, q_sub, q_sub)
+
     def test_precondition(self):
         p = lmap([[1, 1]])
         sigma = Cone.from_generators(2, [(1, 0)])
