@@ -178,9 +178,7 @@ def emit_stacky_fan(s: StackyFan):
     return out
 
 
-def parse_fan_morphism(payload, path) -> FanMorphism:
-    source = parse_fan(_get(payload, "source", path), f"{path}.source")
-    target = parse_fan(_get(payload, "target", path), f"{path}.target")
+def _read_fan_morphism(payload, path, source: Fan, target: Fan) -> FanMorphism:
     matrix = _read_matrix(_get(payload, "matrix", path), f"{path}.matrix",
                           source.lattice.rank)
     if len(matrix) != target.lattice.rank:
@@ -195,6 +193,12 @@ def parse_fan_morphism(payload, path) -> FanMorphism:
         raise
 
 
+def parse_fan_morphism(payload, path) -> FanMorphism:
+    source = parse_fan(_get(payload, "source", path), f"{path}.source")
+    target = parse_fan(_get(payload, "target", path), f"{path}.target")
+    return _read_fan_morphism(payload, path, source, target)
+
+
 def emit_fan_morphism(m: FanMorphism):
     return {"matrix": _enc_matrix(m.lattice_map.matrix),
             "source": emit_fan(m.source), "target": emit_fan(m.target)}
@@ -203,12 +207,7 @@ def emit_fan_morphism(m: FanMorphism):
 def parse_stacky_morphism(payload, path) -> StackyMorphism:
     source = parse_stacky_fan(_get(payload, "source", path), f"{path}.source")
     target = parse_stacky_fan(_get(payload, "target", path), f"{path}.target")
-    matrix = _read_matrix(_get(payload, "matrix", path), f"{path}.matrix",
-                          source.fan.lattice.rank)
-    if len(matrix) != target.fan.lattice.rank:
-        _fail(f"{path}.matrix", "row count does not match the target rank")
-    lm = LatticeMap(source.fan.lattice, target.fan.lattice, matrix)
-    return StackyMorphism(FanMorphism(source.fan, target.fan, lm),
+    return StackyMorphism(_read_fan_morphism(payload, path, source.fan, target.fan),
                           source, target)
 
 
@@ -378,38 +377,41 @@ def _cmd_check(args, out) -> int:
         if flag:
             checks.append(name)
 
-    # the fan predicates need valid fans; --valid reports the same checks
+    # the fan predicates need valid fans; --valid reports the same checks,
+    # before the sublattice checks of a stacky document
+    fans = {}
+    if kind in ("fan", "stacky_fan"):
+        fans = {"$.payload": obj if kind == "fan" else obj.fan}
+    elif kind in ("fan_morphism", "stacky_morphism"):
+        p = obj if kind == "fan_morphism" else obj.underlying
+        fans = {"$.payload.source": p.source, "$.payload.target": p.target}
     fan_reports = {}
-    if kind == "fan_morphism" and {"valid", "proper", "modification",
-                                   "alteration"} & set(checks):
-        fan_reports = {"$.payload.source": validate_fan(obj.source),
-                       "$.payload.target": validate_fan(obj.target)}
+    if {"valid", "proper", "modification", "alteration",
+            "representable"} & set(checks):
+        fan_reports = {path: validate_fan(f) for path, f in fans.items()}
     violations = []
     details = []
     for name in checks:
         if name == "valid":
-            if kind == "fan":
-                rep = validate_fan(obj)
-            elif kind == "stacky_fan":
-                rep = validate_stacky_fan(obj)
-            elif kind == "fan_morphism":
-                rep = ValidationReport(tuple(v for r in fan_reports.values()
-                                             for v in r.violations))
+            found = [v for r in fan_reports.values() for v in r.violations]
+            if kind == "stacky_fan":
+                found += validate_stacky_fan(obj).violations
             elif kind == "stacky_morphism":
-                rep = ValidationReport(validate_stacky_fan(obj.source).violations
-                                       + validate_stacky_fan(obj.target).violations)
+                found += (validate_stacky_fan(obj.source).violations
+                          + validate_stacky_fan(obj.target).violations)
             elif kind == "cone_complex":
-                rep = validate_complex(obj)
+                found += validate_complex(obj).violations
+            elif kind == "complex_morphism":
+                found += validate_complex_morphism(obj).violations
+            if found:
+                violations.extend(f"valid: {v}" for v in found)
             else:
-                rep = validate_complex_morphism(obj)
-            if rep:
                 details.append("valid: yes")
-            else:
-                violations.extend(f"valid: {v}" for v in rep.violations)
             continue
-        if name in ("proper", "modification", "alteration"):
-            if kind != "fan_morphism":
-                raise DocumentError(f"--{name} requires a fan_morphism document")
+        if name in ("proper", "modification", "alteration", "representable"):
+            needs = "stacky_morphism" if name == "representable" else "fan_morphism"
+            if kind != needs:
+                raise DocumentError(f"--{name} requires a {needs} document")
             for path, rep in fan_reports.items():
                 _require_fan(path, rep)
         if name == "proper":
@@ -423,9 +425,6 @@ def _cmd_check(args, out) -> int:
                 raise DocumentError("--smooth requires a fan document")
             flag_ok = is_smooth_fan(obj if kind == "fan" else obj.fan)
         elif name == "representable":
-            if kind != "stacky_morphism":
-                raise DocumentError(
-                    "--representable requires a stacky_morphism document")
             flag_ok = is_representable(obj)
         else:  # weakly-semistable
             if kind not in ("fan_morphism", "stacky_morphism"):

@@ -2,13 +2,16 @@
 faces, together with morphisms of complexes and the chart-local version of
 the reduction pipeline.
 
-A complex stores no ambient lattice.  Every transport of points, functionals
-or sublattices between charts goes through the gluing embeddings, so the fan
-case (all charts equal to one ambient lattice, identity embeddings) is
-recovered exactly.
+A complex stores no ambient lattice.  Every crossing of a gluing, for
+points, functionals, sublattice vectors, map columns and cones inside a
+face, is a product with the gluing's embedding or with its retraction (the
+left inverse, taken from one Smith form when the gluing is first crossed),
+so the fan case (all charts equal to one ambient lattice, identity
+embeddings) is recovered exactly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,20 +25,19 @@ from .fan import (
 )
 from .lattice import (
     LatticeMap,
+    Matrix,
     Sublattice,
-    Vector,
+    dot,
     full_sublattice,
     image_lattice,
     intersect_sublattices,
     is_zero_vec,
+    left_inverse,
     matmul,
     matvec,
     preimage_sublattice,
     primitive,
-    smith_normal_form,
-    solve_integer,
-    solve_rational,
-    sublattice_from_vectors,
+    saturate,
     transpose,
     zero_sublattice,
 )
@@ -63,6 +65,14 @@ class Gluing:
     face: Cone
     chart: int
     embedding: LatticeMap
+
+    @functools.cached_property
+    def retraction(self) -> Optional[LatticeMap]:
+        """Left inverse of the embedding, None unless it is injective with a
+        saturated image; computed on first use, not when a complex is built."""
+        e = self.embedding
+        inv = left_inverse(e.matrix)
+        return None if inv is None else LatticeMap(e.codomain, e.domain, inv)
 
 
 @dataclass(frozen=True)
@@ -116,12 +126,12 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
             bad.append(f"embedding for face {g.face.rays} of cell {g.cell} "
                        "connects the wrong lattices")
             continue
-        # injective: full column rank; saturated image: invariant factors 1
-        snf = smith_normal_form(e.matrix)
-        if snf.rank != e.domain.rank:
-            bad.append(f"embedding into cell {g.cell} is not injective")
-        if any(d != 1 for d in snf.invariant_factors):
-            bad.append(f"embedding into cell {g.cell} has a non-saturated image")
+        if g.retraction is None:
+            image = image_lattice(e)
+            if image.rank != e.domain.rank:
+                bad.append(f"embedding into cell {g.cell} is not injective")
+            if saturate(image).basis != image.basis:
+                bad.append(f"embedding into cell {g.cell} has a non-saturated image")
         if image_cone(e, cx.cells[g.chart]) != g.face:
             bad.append(f"chart {g.chart} does not map onto face "
                        f"{g.face.rays} of cell {g.cell}")
@@ -139,7 +149,7 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
         e = g.embedding
         for h in filter(g.face.contains_cone, faces[g.cell]):
             direct = by_occurrence[(g.cell, _key(h))]
-            h_chart = preimage_cone(e, h)
+            h_chart = image_cone(g.retraction, h)
             step = by_occurrence.get((g.chart, _key(h_chart)))
             if step is None:
                 bad.append(f"face {h.rays} of cell {g.cell} has no counterpart "
@@ -228,16 +238,26 @@ def _routes(cx: ConeComplex, t: int, lam: int) -> list[tuple[Gluing, Gluing]]:
     return out
 
 
+def _retraction(g: Gluing) -> LatticeMap:
+    if g.retraction is None:
+        raise ComplexError(f"embedding into cell {g.cell} is not injective "
+                           "with a saturated image")
+    return g.retraction
+
+
 def _transport_point(route: tuple[Gluing, Gluing], w: Sequence):
     # the gluing identifies only the spans of the two face occurrences
     g1, g2 = route
-    if any(sum(a * b for a, b in zip(eq, w)) != 0
-           for eq in g1.face.span_equations):
+    if any(dot(eq, w) != 0 for eq in g1.face.span_equations):
         return None
-    x = solve_rational(g1.embedding.matrix, w)
-    if x is None:
-        return None
-    return matvec(g2.embedding.matrix, x)
+    return g2.embedding(_retraction(g1)(w))
+
+
+def _descend(g: Gluing, a: Matrix) -> Optional[Matrix]:
+    """X with E X = a for the embedding E of g, or None when a column of a
+    is not in the image of E."""
+    x = matmul(_retraction(g).matrix, a)
+    return x if matmul(g.embedding.matrix, x) == a else None
 
 
 def complex_N0(m: ComplexMorphism, kappa: int, w: Sequence) -> frozenset[int]:
@@ -286,14 +306,6 @@ class _CellRun:
     sublattices: dict
 
 
-def _pull_functional(route: tuple[Gluing, Gluing], psi: Vector) -> Optional[Vector]:
-    """Functional on the far cell, moved to the near cell through the shared
-    chart; exists because embeddings have saturated images."""
-    g1, g2 = route
-    psi_c = matvec(transpose(g2.embedding.matrix), psi)
-    return solve_integer(transpose(g1.embedding.matrix), psi_c)
-
-
 def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _CellRun:
     cell = m.target.cells[t]
     contributions = []
@@ -302,13 +314,13 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
             contributions.append((s, route, images[s]))
 
     hyps = set()
-    for s, route, img in contributions:
-        for psi in img.facets + img.span_equations:
-            moved = _pull_functional(route, psi)
-            if moved is not None and not is_zero_vec(moved):
-                hyps.add(primitive(moved))
-        for eq in route[0].face.span_equations:
-            hyps.add(primitive(eq))
+    for s, (g1, g2), img in contributions:
+        # a functional psi of the far cell moves to psi after E2 after L1,
+        # which agrees with psi after E2 on the face span
+        pull = transpose(matmul(g2.embedding.matrix, _retraction(g1).matrix))
+        moved = [matvec(pull, psi) for psi in img.facets + img.span_equations]
+        hyps |= {primitive(v) for v in moved + list(g1.face.span_equations)
+                 if not is_zero_vec(v)}
 
     def member_routes(pt):
         out = []
@@ -347,19 +359,15 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
             raise ReductionError(
                 f"a cell of target cell {t} has no contributing source cells")
         result = span_sublattice(piece)
-        for s, route, img in routes:
-            sigma = m.source.cells[s]
-            moved = []
-            for v in span_sublattice(sigma).vectors():
-                v_lam = matvec(m.cell_maps[s].matrix, v)
-                x = solve_integer(route[1].embedding.matrix, v_lam)
-                if x is None:
-                    raise ReductionError(
-                        f"image lattice of source cell {s} does not descend "
-                        f"to the shared chart over target cell {t}")
-                moved.append(matvec(route[0].embedding.matrix, x))
+        for s, (g1, g2), img in routes:
+            x = _descend(g2, matmul(m.cell_maps[s].matrix,
+                                    span_sublattice(m.source.cells[s]).basis))
+            if x is None:
+                raise ReductionError(
+                    f"image lattice of source cell {s} does not descend "
+                    f"to the shared chart over target cell {t}")
             result = intersect_sublattices(
-                result, sublattice_from_vectors(cell.lattice, moved))
+                result, Sublattice(cell.lattice, matmul(g1.embedding.matrix, x)))
         subs[_key(piece)] = result
     return _CellRun(tuple(pieces), members, subs)
 
@@ -398,7 +406,7 @@ def _assemble_complex(cx: ConeComplex, runs: dict) -> tuple:
                 gl.append(Gluing(new_idx, h, index[(t, _key(h))], ident))
                 continue
             orig = cx.gluing_for(t, f)
-            h_chart = preimage_cone(orig.embedding, h)
+            h_chart = image_cone(_retraction(orig), h)
             chart_idx = index.get((orig.chart, _key(h_chart)))
             if chart_idx is None:
                 raise ReductionError(
@@ -415,7 +423,7 @@ def _check_face_agreement(cx: ConeComplex, pieces: dict, subs: dict) -> None:
         if g.chart == g.cell and g.face == cx.cells[g.cell]:
             continue
         inside = [p for p in pieces[g.cell] if g.face.contains_cone(p)]
-        moved = {_key(preimage_cone(g.embedding, p)): p for p in inside}
+        moved = {_key(image_cone(_retraction(g), p)): p for p in inside}
         chart_keys = {_key(p) for p in pieces[g.chart]}
         if set(moved) != chart_keys:
             raise ReductionError(
@@ -429,20 +437,19 @@ def _check_face_agreement(cx: ConeComplex, pieces: dict, subs: dict) -> None:
                     f"({g.cell}, {g.face.rays}) / chart {g.chart}")
 
 
+def _require(report: ValidationReport, error: type, what: str) -> None:
+    if not report:
+        raise error(f"{what}: " + "; ".join(report.violations))
+
+
 def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     """Run the reduction chart-locally over every target cell and glue the
     results; face agreement between neighbouring charts is asserted, never
     assumed."""
-    report = validate_complex(m.source)
-    if not report:
-        raise ComplexError("source complex invalid: " + "; ".join(report.violations))
-    report = validate_complex(m.target)
-    if not report:
-        raise ComplexError("target complex invalid: " + "; ".join(report.violations))
-    report = validate_complex_morphism(m)
-    if not report:
-        raise ComplexError("morphism incompatible with gluings: "
-                           + "; ".join(report.violations))
+    _require(validate_complex(m.source), ComplexError, "source complex invalid")
+    _require(validate_complex(m.target), ComplexError, "target complex invalid")
+    _require(validate_complex_morphism(m), ComplexError,
+             "morphism incompatible with gluings")
 
     images = [image_cone(m.cell_maps[s], sigma)
               for s, sigma in enumerate(m.source.cells)]
@@ -451,10 +458,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
                           {t: runs[t].sublattices for t in runs})
 
     base_cx, base_owners, base_index = _assemble_complex(m.target, runs)
-    report = validate_complex(base_cx)
-    if not report:
-        raise ReductionError("glued base complex invalid: "
-                             + "; ".join(report.violations))
+    _require(validate_complex(base_cx), ReductionError, "glued base complex invalid")
     base_subs = tuple(runs[t].sublattices[_key(piece)]
                       for piece, t in zip(base_cx.cells, base_owners))
 
@@ -488,10 +492,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     _check_face_agreement(m.source, {s: src_runs[s].pieces for s in src_runs},
                           {s: src_runs[s].sublattices for s in src_runs})
     total_cx, total_owners, total_index = _assemble_complex(m.source, src_runs)
-    report = validate_complex(total_cx)
-    if not report:
-        raise ReductionError("glued total complex invalid: "
-                             + "; ".join(report.violations))
+    _require(validate_complex(total_cx), ReductionError, "glued total complex invalid")
     total_subs = tuple(src_runs[s].sublattices[_key(piece)]
                        for piece, s in zip(total_cx.cells, total_owners))
 
@@ -509,14 +510,11 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
             assign.append(base_index[(lam, _key(target_piece))])
             continue
         orig = m.target.gluing_for(lam, f)
-        cols = [solve_integer(orig.embedding.matrix, col)
-                for col in zip(*pmap.matrix)]
-        if all(c is not None for c in cols):
-            chart_piece = preimage_cone(orig.embedding, target_piece)
-            rows = tuple(zip(*cols))
+        descended = _descend(orig, pmap.matrix)
+        if descended is not None:
+            chart_piece = image_cone(_retraction(orig), target_piece)
             maps.append(LatticeMap(pmap.domain,
-                                   m.target.cells[orig.chart].lattice,
-                                   tuple(tuple(r) for r in rows)))
+                                   m.target.cells[orig.chart].lattice, descended))
             assign.append(base_index[(orig.chart, _key(chart_piece))])
             continue
         # the map does not descend to the face chart: fall back to the
@@ -532,10 +530,8 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
         assign.append(min(candidates)[3])
 
     morph = ComplexMorphism(total_cx, base_cx, tuple(maps), tuple(assign))
-    report = validate_complex_morphism(morph)
-    if not report:
-        raise ReductionError("reduced morphism incompatible with gluings: "
-                             + "; ".join(report.violations))
+    _require(validate_complex_morphism(morph), ReductionError,
+             "reduced morphism incompatible with gluings")
     ws = complex_weak_semistability(morph, total_subs, base_subs)
     if not ws:
         raise ReductionError(

@@ -14,9 +14,10 @@ Each question gets one elimination of the kind it needs:
   cone spans and lineality quotients);
 - `intersect_sublattices` and `preimage_sublattice`: one row Hermite form
   of a stacked matrix (the Zassenhaus construction);
-- `kernel_basis`, `solve_integer` and `pushout_lattice`: the Smith form,
-  kept where the invariant factors, a printed basis or a unimodular
-  transform are needed.
+- `kernel_basis`, `solve_integer`, `left_inverse` and `pushout_lattice`:
+  the Smith form, kept where the invariant factors, a printed basis or a
+  unimodular transform are needed; `left_inverse` is taken once per
+  embedding and then crosses it by matrix products alone.
 """
 from __future__ import annotations
 
@@ -321,6 +322,16 @@ def solve_integer(a: Matrix, b: Sequence[int]) -> Vector | None:
                 return None
             y[i] = c[i] // d
     return matvec(snf.V, y)
+
+
+def left_inverse(a: Matrix) -> Matrix | None:
+    """L = V U[:k] with L A = 1, from one Smith form U A V = (1; 0) of an
+    injective A with a saturated image; None for any other A."""
+    k = len(a[0]) if a else 0
+    snf = smith_normal_form(a)
+    if snf.rank != k or any(d != 1 for d in snf.invariant_factors):
+        return None
+    return matmul(snf.V, snf.U[:k])
 
 
 def solve_rational(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:

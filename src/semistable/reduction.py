@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
-from .cone import Cone, image_cone, intersect, preimage_cone, span_sublattice
+from .cone import Cone, image_cone, preimage_cone, span_sublattice
 from .fan import (
     Fan,
     FanError,
@@ -24,6 +24,7 @@ from .fan import (
     is_weakly_semistable,
     minimal_containing_cone,
     minimal_modification,
+    toric_fiber_product,
     validate_fan,
     validate_stacky_fan,
 )
@@ -36,10 +37,10 @@ from .lattice import (
     image_lattice,
     intersect_sublattices,
     kernel_lattice,
+    left_inverse,
     matmul,
     preimage_sublattice,
     saturate,
-    solve_integer,
     vec_add,
     zero_sublattice,
 )
@@ -235,19 +236,11 @@ def _fiber_identification(p: LatticeMap, i: LatticeMap,
     fib, pr_n, pr_q = fiber_product_lattice(p, i)
     if fib.rank != j.domain.rank:
         return None
+    # the fiber lattice is a kernel, so its inclusion has a saturated image
     emb = pr_n.matrix + pr_q.matrix  # stacked: (n + q') x fib_rank
-    cols = []
-    n_prime = j.domain.rank
-    for k in range(n_prime):
-        e = tuple(1 if t == k else 0 for t in range(n_prime))
-        target = tuple(j(e)) + tuple(pi(e))
-        x = solve_integer(emb, target)
-        if x is None:
-            return None
-        cols.append(x)
-    matrix = tuple(tuple(cols[c][r] for c in range(n_prime))
-                   for r in range(fib.rank))
-    if abs(det(matrix)) != 1:
+    maps = j.matrix + pi.matrix
+    matrix = matmul(left_inverse(emb), maps)
+    if matmul(emb, matrix) != maps or abs(det(matrix)) != 1:
         return None
     return matrix
 
@@ -355,19 +348,11 @@ def universal_minimal_modification(red: ReductionResult,
                                                     red.base.fan)
     p_orig = FanMorphism(red.total_to_original.target, red.base_to_original.target,
                          p.lattice_map)
-    fib, pr_n, pr_q = fiber_product_lattice(p.lattice_map, i.lattice_map)
-    cones = []
-    for sigma in red.total.fan.cones:
-        for gamma in gamma_refined.cones:
-            fc = intersect(preimage_cone(pr_n, sigma), preimage_cone(pr_q, gamma))
-            if fc.is_strictly_convex:
-                cones.append(fc)
-    phi_fan = Fan.from_cones(fib, cones)
-    j = FanMorphism(phi_fan, red.total_to_original.target, pr_n)
+    phi_fan, to_total, pi = toric_fiber_product(p, i_refined)
+    j = FanMorphism(phi_fan, red.total_to_original.target, to_total.lattice_map)
     # the projection targets the refined altered base, so the returned
     # square carries the refinement of the given alteration
     i_refined_to_g = FanMorphism(gamma_refined, i.target, i.lattice_map)
-    pi = FanMorphism(phi_fan, gamma_refined, pr_q)
     obj = CategoryCObject(i_refined_to_g, j, pi)
     report = validate_category_object(obj, p_orig)
     if not report:

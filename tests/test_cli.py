@@ -192,6 +192,37 @@ class TestInvalidFans:
         assert code == 1
         assert json.loads(out)["payload"]["violations"] == OVERLAP_VIOLATIONS
 
+    @staticmethod
+    def stacky(tmp_path, name):
+        """The document with its fans read as stacky fans of full sublattices."""
+        with open(data(name)) as fh:
+            doc = json.load(fh)
+        doc["kind"] = {"fan": "stacky_fan", "fan_morphism": "stacky_morphism"}[doc["kind"]]
+        path = tmp_path / f"stacky_{name}"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("name", ["overlap_fan.json", "overlap_quad.json"])
+    def test_check_valid_lists_every_violation_of_a_stacky_document(self, name,
+                                                                     tmp_path):
+        code, out = run_cli("check", "--input", self.stacky(tmp_path, name), "--valid")
+        assert code == 1
+        assert json.loads(out)["payload"]["violations"] == OVERLAP_VIOLATIONS
+
+    @pytest.mark.parametrize("name,flags", [
+        ("overlap_quad.json", ["--representable"]),
+        ("overlap_quad.json", ["--valid", "--representable"]),
+        ("overlap_blowup.json", ["--valid"]),
+    ], ids=["representable", "valid-representable", "parse-straddle"])
+    def test_stacky_morphism_rejected_with_json_path(self, name, flags, tmp_path,
+                                                     capsys):
+        code, out = run_cli("check", *flags, "--input", self.stacky(tmp_path, name))
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.payload.source: not a fan: ")
+        assert "is not a common face" in err
+
     @pytest.mark.parametrize("args,path", [
         (["reduce", "--input", data("overlap_quad.json")], "$.payload.source"),
         (["reduce", "--input", data("overlap_blowup.json")], "$.payload.source"),

@@ -16,7 +16,7 @@ from semistable.conecomplex import (
     validate_complex_morphism,
 )
 from semistable.fan import Fan, FanMorphism
-from semistable.lattice import Lattice, LatticeMap, mat, sublattice_from_vectors
+from semistable.lattice import Lattice, LatticeMap, identity, mat, sublattice_from_vectors
 from semistable.monoid import BudgetExceeded
 from semistable.reduction import ReductionError, reduce
 
@@ -159,6 +159,22 @@ class TestComplexN0:
         ray_t = next(i for i, c in enumerate(m.target.cells) if c.dim == 1)
         with pytest.raises(ComplexError):
             complex_N0(m, ray_t, (-1,))
+
+    @pytest.mark.parametrize("matrix", [[[2]], [[1, 1]]],
+                             ids=["non-saturated", "non-injective"])
+    def test_route_through_a_bad_embedding_rejected(self, matrix):
+        # the ray of cell 0 is glued to the chart cell 1 by `matrix`; the
+        # complex is not validated, so the bad gluing is met on the way
+        ray = cone(1, (1,))
+        n = len(matrix[0])
+        chart = Cone.from_generators(n, identity(n))
+        ident = LatticeMap.identity_map(Lattice(n))
+        tgt = ConeComplex((ray, chart), (Gluing(0, ray, 1, lmap(matrix)),
+                                         Gluing(1, chart, 1, ident)))
+        src = ConeComplex((chart,), (Gluing(0, chart, 0, ident),))
+        m = ComplexMorphism(src, tgt, (ident,), (1,))
+        with pytest.raises(ComplexError, match="not injective with a saturated"):
+            complex_N0(m, 0, (1,))
 
 
 def assert_matches_fan_reduction(cres, red):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from semistable.cli import main
+from semistable.cli import load_document, main
 from semistable.cone import Cone, _facets_fulldim, dual_cone, span_sublattice
+from semistable.conecomplex import fan_morphism_as_complex, reduce_complex
 from semistable.lattice import (
     Lattice,
     LatticeMap,
@@ -22,6 +23,7 @@ from semistable.lattice import (
     intersect_sublattices,
     kernel_lattice,
     lattice_index,
+    left_inverse,
     mat,
     matmul,
     matvec,
@@ -197,6 +199,28 @@ def test_one_smith_form_decides_injective_and_saturated(case):
         (oracles.saturate(img).basis == img.basis)
 
 
+def test_left_inverse_matches_smith_form_and_solve_integer():
+    outcomes = set()
+
+    @given(matrices(max_rows=4, max_cols=4, min_rows=1),
+           st.lists(entry, min_size=4, max_size=4))
+    @SETTINGS
+    def check(case, coeffs):
+        a, ncols = case
+        snf = smith_normal_form(a)
+        embeds = snf.rank == ncols and all(d == 1 for d in snf.invariant_factors)
+        inv = left_inverse(a)
+        assert (inv is not None) == embeds
+        if embeds:
+            assert matmul(inv, a) == identity(ncols)
+            b = matvec(a, coeffs[:ncols])
+            assert matvec(inv, b) == solve_integer(a, b)
+        outcomes.add(embeds)
+
+    check()
+    assert outcomes == {True, False}
+
+
 @given(sublattices())
 @SETTINGS
 def test_saturate_matches_smith_division_of_the_hermite_basis(sub):
@@ -353,9 +377,14 @@ def test_solve_integer_rejects_a_vector_of_the_wrong_length():
 # preimages and three per span it made 792, and with a Smith form for every
 # membership test, rank, facet candidate and saturation solve 3,711
 SMITH_FORMS_S_QUAD = 250
+# the same family reduced chart by chart makes 643, adding one left inverse
+# per gluing crossed; with a Smith form per gluing in validate_complex and an
+# integer solve per functional, sublattice vector and map column it made 1,060
+SMITH_FORMS_S_QUAD_COMPLEX = 700
 
 
-def test_reduce_s_quad_smith_form_count():
+def _smith_forms(run):
+    """The number of Smith forms `run()` makes from a cleared cone memo."""
     code = smith_normal_form.__code__
     calls = 0
 
@@ -365,13 +394,31 @@ def test_reduce_s_quad_smith_form_count():
             calls += 1
 
     Cone._build.cache_clear()
-    out = io.StringIO()
     sys.setprofile(profile)
     try:
-        status = main(["reduce", "--input", os.path.join(DATA, "s_quad.json")], out=out)
+        run()
     finally:
         sys.setprofile(None)
-    assert status == 0
+    return calls
+
+
+def test_reduce_s_quad_smith_form_count():
+    out = io.StringIO()
+    status = []
+    calls = _smith_forms(lambda: status.append(
+        main(["reduce", "--input", os.path.join(DATA, "s_quad.json")], out=out)))
+    assert status == [0]
     with open(os.path.join(DATA, "golden", "reduce_s_quad.json")) as fh:
         assert out.getvalue() == fh.read()
     assert 0 < calls <= SMITH_FORMS_S_QUAD
+
+
+def test_reduce_complex_s_quad_smith_form_count():
+    with open(os.path.join(DATA, "s_quad.json")) as fh:
+        _, p = load_document(fh.read(), ("fan_morphism",))
+    m = fan_morphism_as_complex(p)
+    results = []
+    calls = _smith_forms(lambda: results.append(reduce_complex(m)))
+    cx = results[0]
+    assert (len(cx.base.complex.cells), len(cx.total.complex.cells)) == (8, 30)
+    assert 0 < calls <= SMITH_FORMS_S_QUAD_COMPLEX

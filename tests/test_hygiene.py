@@ -86,16 +86,33 @@ def test_no_asserts(path):
 # the questions that need invariant factors, a printed basis or a unimodular
 # transform; everything else uses Bareiss or Hermite elimination
 SMITH_FORM_CALLERS = {"span_basis", "kernel_basis", "solve_integer",
-                      "pushout_lattice", "validate_complex"}
+                      "pushout_lattice", "left_inverse"}
 
 
-def test_smith_normal_form_is_called_only_where_needed():
+def _callers(names):
+    """(module, function) pairs whose bodies call one of `names`."""
     callers = set()
     for path in MODULES:
         for fn in ast.walk(_tree(path)):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                callers |= {fn.name for n in ast.walk(fn)
+                callers |= {(os.path.basename(path), fn.name) for n in ast.walk(fn)
                             if isinstance(n, ast.Call)
-                            and "smith_normal_form" in (getattr(n.func, "id", None),
-                                                     getattr(n.func, "attr", None))}
-    assert callers == SMITH_FORM_CALLERS
+                            and names & {getattr(n.func, "id", None),
+                                         getattr(n.func, "attr", None)}}
+    return callers
+
+
+def test_smith_normal_form_is_called_only_where_needed():
+    assert {fn for _, fn in _callers({"smith_normal_form"})} == SMITH_FORM_CALLERS
+
+
+# a gluing is crossed by its embedding and its left inverse; the solvers
+# are left to the ray lifts of a lineality quotient and the monoid searches
+SOLVER_CALLERS = {("cone.py", "_build"), ("monoid.py", "monoid_generators_of_cone"),
+                  ("monoid.py", "_smallest_multiple_coords")}
+
+
+def test_solvers_are_called_only_where_needed():
+    callers = {(module, fn) for module, fn in
+               _callers({"solve_integer", "solve_rational"}) if module != "lattice.py"}
+    assert callers == SOLVER_CALLERS
