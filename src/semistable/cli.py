@@ -385,10 +385,7 @@ def _cmd_check(args, out) -> int:
     elif kind in ("fan_morphism", "stacky_morphism"):
         p = obj if kind == "fan_morphism" else obj.underlying
         fans = {"$.payload.source": p.source, "$.payload.target": p.target}
-    fan_reports = {}
-    if {"valid", "proper", "modification", "alteration",
-            "representable"} & set(checks):
-        fan_reports = {path: validate_fan(f) for path, f in fans.items()}
+    fan_reports = {path: validate_fan(f) for path, f in fans.items()}
     violations = []
     details = []
     for name in checks:
@@ -412,8 +409,13 @@ def _cmd_check(args, out) -> int:
             needs = "stacky_morphism" if name == "representable" else "fan_morphism"
             if kind != needs:
                 raise DocumentError(f"--{name} requires a {needs} document")
-            for path, rep in fan_reports.items():
-                _require_fan(path, rep)
+        elif name == "smooth" and kind not in ("fan", "stacky_fan"):
+            raise DocumentError("--smooth requires a fan document")
+        elif name == "weakly-semistable" and kind not in ("fan_morphism",
+                                                          "stacky_morphism"):
+            raise DocumentError("--weakly-semistable requires a morphism document")
+        for path, rep in fan_reports.items():
+            _require_fan(path, rep)
         if name == "proper":
             flag_ok = is_proper(obj)
         elif name == "modification":
@@ -421,15 +423,10 @@ def _cmd_check(args, out) -> int:
         elif name == "alteration":
             flag_ok = is_alteration(obj)
         elif name == "smooth":
-            if kind not in ("fan", "stacky_fan"):
-                raise DocumentError("--smooth requires a fan document")
             flag_ok = is_smooth_fan(obj if kind == "fan" else obj.fan)
         elif name == "representable":
             flag_ok = is_representable(obj)
         else:  # weakly-semistable
-            if kind not in ("fan_morphism", "stacky_morphism"):
-                raise DocumentError(
-                    "--weakly-semistable requires a morphism document")
             ws = is_weakly_semistable(obj)
             flag_ok = bool(ws)
             for cone, cond, msg in ws.failures:

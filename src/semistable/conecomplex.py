@@ -5,7 +5,8 @@ the reduction pipeline.
 A complex stores no ambient lattice.  Every crossing of a gluing, for
 points, functionals, sublattice vectors, map columns and cones inside a
 face, is a product with the gluing's embedding or with its retraction (the
-left inverse, taken from one Smith form when the gluing is first crossed),
+left inverse, taken from one Smith form per distinct embedding when a
+gluing with it is first crossed),
 so the fan case (all charts equal to one ambient lattice, identity
 embeddings) is recovered exactly.
 """
@@ -45,6 +46,10 @@ from .monoid import MonoidError, image_monoid_equals_cone_monoid
 from .reduction import ReductionError, refine_cell
 
 
+# one reduction crosses at most 2 distinct embeddings, the test suite 5
+RETRACTION_MEMO_SIZE = 64
+
+
 class ComplexError(ValueError):
     pass
 
@@ -70,9 +75,15 @@ class Gluing:
     def retraction(self) -> Optional[LatticeMap]:
         """Left inverse of the embedding, None unless it is injective with a
         saturated image; computed on first use, not when a complex is built."""
-        e = self.embedding
-        inv = left_inverse(e.matrix)
-        return None if inv is None else LatticeMap(e.codomain, e.domain, inv)
+        return _left_inverse_map(self.embedding)
+
+
+@functools.lru_cache(maxsize=RETRACTION_MEMO_SIZE)
+def _left_inverse_map(e: LatticeMap) -> Optional[LatticeMap]:
+    """One left inverse per distinct embedding: the complexes a reduction
+    assembles glue new cells by the embeddings of the old ones."""
+    inv = left_inverse(e.matrix)
+    return None if inv is None else LatticeMap(e.codomain, e.domain, inv)
 
 
 @dataclass(frozen=True)

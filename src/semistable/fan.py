@@ -46,6 +46,7 @@ from .monoid import (
     _contains_modulo_units,
     dual_monoid,
     image_monoid_equals_cone_monoid,
+    integral_by_flatness,
 )
 
 # Word length of the pairs (m, l) whose pushout classes the cartesian check
@@ -467,10 +468,12 @@ def cartesian_check(p: FanMorphism, q: FanMorphism) -> CartesianReport:
     """Compare the pushout of dual monoids with the dual monoid of each
     fiber cone under the canonical identification of dual lattices.
 
-    A failing entry is a proof.  A passing one is exact except for
-    injectivity, which is checked on pairs of word length at most
-    PUSHOUT_TEST_LENGTH.  A search that runs out of budget raises
-    BudgetExceeded instead of adding an entry."""
+    A failing entry is a proof.  A passing entry whose base dual monoid
+    maps integrally into one of its legs (`integral_by_flatness`) is exact
+    too; any other passing entry is exact except for injectivity, which is
+    checked on pairs of word length at most PUSHOUT_TEST_LENGTH.  A search
+    that runs out of budget raises BudgetExceeded instead of adding an
+    entry."""
     if p.target != q.target:
         raise FanError("cartesian check requires a shared target")
     fib, pn, pl = fiber_product_lattice(p.lattice_map, q.lattice_map)
@@ -524,8 +527,14 @@ def _cartesian_triple(p: LatticeMap, q: LatticeMap, sigma: Cone, kappa: Cone,
         if not _contains_modulo_units(g, mapped, dm.lattice):
             return False, "fiber dual monoid is strictly larger than the pushout monoid"
 
-    # injectivity of the amalgamated pushout on short words: pairs with the
-    # same restriction must be connected by exchange moves through the base
+    # injectivity of the amalgamated pushout.  An integral leg makes the
+    # pushout monoid integral, so its classes are those of its torsion-free
+    # lattice, on which phi is injective: the lattice has the fiber rank and
+    # phi maps it onto the group of the fiber dual monoid.  Otherwise pairs
+    # of short words with the same restriction must be connected by
+    # exchange moves through the base
+    if integral_by_flatness(u) or integral_by_flatness(v):
+        return True, ""
     if not _pushout_injective_bounded(u, v, phi):
         return False, "canonical map identifies distinct pushout classes"
     return True, ""
@@ -541,6 +550,8 @@ def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, phi) -> bool:
     False proves that the canonical map identifies two distinct pushout
     classes, and a True is evidence up to the word length.  A component
     that grows past the search budget raises BudgetExceeded.
+    `_cartesian_triple` calls it only when neither leg is integral by
+    flatness; with an integral leg it could only answer True.
     """
     M, L = u.target, v.target
     m_test, _ = _bounded_points(M.lattice.rank, M.generators, [1] * len(M.generators),

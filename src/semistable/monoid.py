@@ -1,12 +1,16 @@
-"""Affine monoids: Hilbert bases, membership, pushouts, saturation, and a
-bounded checker for the equational criterion of integrality.
+"""Affine monoids: Hilbert bases, membership, pushouts, saturation, and
+integrality: a proof by flatness where it applies, else a bounded checker
+for the equational criterion.
 
 Membership and the integrality check enumerate monoid points with one
 breadth-first kernel, `_bounded_points`, bounded either by a strictly
 positive integer functional (the sum of facet normals of the relevant cone)
 or by word length; `hilbert_basis` scans a box of candidates.  Every search
 is exact and deterministic, and stops at SEARCH_BUDGET points: running out
-raises `BudgetExceeded`, an "undecided", never a wrong yes or no.
+raises `BudgetExceeded`, an "undecided", never a wrong yes or no.  Which
+answers are proofs: membership, saturation and a False from `kato_integral`
+always; a True from `kato_integral` when `integral_by_flatness` gave it,
+and otherwise only evidence up to the height searched.
 """
 from __future__ import annotations
 
@@ -22,7 +26,9 @@ from .lattice import (
     LatticeMap,
     Sublattice,
     Vector,
+    det,
     dot,
+    dual_map,
     full_sublattice,
     image_lattice,
     intersect_sublattices,
@@ -396,22 +402,72 @@ def pushout_monoid(u: MonoidMap, v: MonoidMap) -> AffineMonoid:
 
 def is_saturated(M: AffineMonoid) -> bool:
     """True iff M equals (cone of M) intersected with (group of M)."""
-    return all(M.contains(g) for g in monoid_generators_of_cone(M.cone(), M.group()))
+    gens = set(M.generators)
+    return all(g in gens or M.contains(g)
+               for g in monoid_generators_of_cone(M.cone(), M.group()))
 
 
 # ---------------------------------------------------------------------------
-# equational criterion of integrality (bounded)
+# integrality: a proof by flatness, else the bounded equational criterion
+
+def integral_by_flatness(u: MonoidMap) -> bool:
+    """True proves that u: P -> Q is integral; False only means that this
+    criterion does not apply.
+
+    It holds when (a) the lattice map of u is injective, (b) Q is saturated
+    and generates its lattice, (c) P is free modulo units: saturated,
+    generating its lattice, with the rays of its cone and a basis of its
+    lines forming a lattice basis, so k[P] is regular, and (d) the transpose
+    of u sends every face of the dual cone of Q onto a face of the dual cone
+    of P, so the fibres of Spec k[Q] -> Spec k[P] are equidimensional.
+    Then k[P] -> k[Q] is flat by miracle flatness (k[Q] is Cohen-Macaulay
+    by Hochster's theorem; Abramovich-Karu, Invent. Math. 2000, §4-5), and
+    flatness is integrality (K. Kato, "Logarithmic structures of
+    Fontaine-Illusie", 1989, Prop. 4.1).
+
+    (c) cannot be dropped: the Kummer map diag(2, 1, 1) into the monoid of
+    the cone over a square satisfies (a), (b) and (d), and P is saturated,
+    but its cone has four rays in rank 3, and the map is not integral.  The
+    saturation tests run last, since a monoid without a saturation cone
+    needs a search.
+    """
+    if kernel_lattice(u.lattice_map).rank != 0:
+        return False
+    P, Q = u.source, u.target
+    cp, cq = P.cone(), Q.cone()
+    basis = cp.rays + cp.lines
+    if len(basis) != P.lattice.rank or abs(det(basis)) != 1:
+        return False
+    if any(M.group() != full_sublattice(M.lattice) for M in (P, Q)):
+        return False
+    # both cones are full-dimensional, so their duals are strictly convex
+    dual_faces = set(dual_cone(cp).faces())
+    t = dual_map(u.lattice_map)
+    if not all(image_cone(t, f) in dual_faces for f in dual_cone(cq).faces()):
+        return False
+    return all(M.saturation_cone is not None or is_saturated(M) for M in (P, Q))
+
 
 def kato_integral(u: MonoidMap, height_bound: int = 8):
-    """Bounded check of the equational criterion of integrality for u.
+    """Integrality of u by flatness, else by a bounded check of the
+    equational criterion.
 
-    Returns (True, None) when no counterexample of height <= height_bound
-    exists, else (False, (p1, p2, q1, q2)).  A True answer is evidence,
-    not a proof.  Raises BudgetExceeded when either monoid has more than
-    SEARCH_BUDGET points of that height.
+    Returns (True, None) when `integral_by_flatness` proves u integral, or
+    when no counterexample of height <= height_bound exists, and
+    (False, (p1, p2, q1, q2)) otherwise.  A True from the criterion is a
+    proof and a False is a proof; a True from the search is evidence up to
+    the height.  Raises BudgetExceeded when the search meets a monoid with
+    more than SEARCH_BUDGET points of that height.
     """
     if kernel_lattice(u.lattice_map).rank != 0:
         raise MonoidError("the criterion requires an injective lattice map")
+    if integral_by_flatness(u):
+        return True, None
+    return _kato_search(u, height_bound)
+
+
+def _kato_search(u: MonoidMap, height_bound: int):
+    """The equational criterion on the points of height <= height_bound."""
     tgt = u.target
     src = u.source
     n = tgt.lattice.rank

@@ -209,18 +209,21 @@ class TestInvalidFans:
         assert code == 1
         assert json.loads(out)["payload"]["violations"] == OVERLAP_VIOLATIONS
 
-    @pytest.mark.parametrize("name,flags", [
-        ("overlap_quad.json", ["--representable"]),
-        ("overlap_quad.json", ["--valid", "--representable"]),
-        ("overlap_blowup.json", ["--valid"]),
-    ], ids=["representable", "valid-representable", "parse-straddle"])
-    def test_stacky_morphism_rejected_with_json_path(self, name, flags, tmp_path,
-                                                     capsys):
+    @pytest.mark.parametrize("name,flags,path", [
+        ("overlap_quad.json", ["--representable"], "$.payload.source"),
+        ("overlap_quad.json", ["--valid", "--representable"], "$.payload.source"),
+        ("overlap_blowup.json", ["--valid"], "$.payload.source"),
+        ("overlap_quad.json", ["--weakly-semistable"], "$.payload.source"),
+        ("overlap_fan.json", ["--smooth"], "$.payload"),
+    ], ids=["representable", "valid-representable", "parse-straddle",
+            "weakly-semistable", "stacky-fan-smooth"])
+    def test_stacky_morphism_rejected_with_json_path(self, name, flags, path,
+                                                     tmp_path, capsys):
         code, out = run_cli("check", *flags, "--input", self.stacky(tmp_path, name))
         assert code == 2
         assert out == ""
         err = capsys.readouterr().err
-        assert err.startswith("error: $.payload.source: not a fan: ")
+        assert err.startswith(f"error: {path}: not a fan: ")
         assert "is not a common face" in err
 
     @pytest.mark.parametrize("args,path", [
@@ -240,9 +243,12 @@ class TestInvalidFans:
          "$.payload.source"),
         (["check", "--valid", "--proper", "--input", data("overlap_quad.json")],
          "$.payload.source"),
+        (["check", "--weakly-semistable", "--input", data("overlap_quad.json")],
+         "$.payload.source"),
+        (["check", "--smooth", "--input", data("overlap_fan.json")], "$.payload"),
     ], ids=["reduce", "reduce-straddle", "factor-family", "factor-alteration",
             "render", "check-proper", "check-modification", "check-alteration",
-            "check-valid-proper"])
+            "check-valid-proper", "check-weakly-semistable", "check-smooth"])
     def test_rejected_with_json_path(self, args, path, capsys):
         code, out = run_cli(*args)
         assert code == 2

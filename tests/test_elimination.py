@@ -12,7 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from semistable.cli import load_document, main
 from semistable.cone import Cone, _facets_fulldim, dual_cone, span_sublattice
-from semistable.conecomplex import fan_morphism_as_complex, reduce_complex
+from semistable.conecomplex import (
+    _left_inverse_map,
+    fan_morphism_as_complex,
+    reduce_complex,
+)
 from semistable.lattice import (
     Lattice,
     LatticeMap,
@@ -377,14 +381,16 @@ def test_solve_integer_rejects_a_vector_of_the_wrong_length():
 # preimages and three per span it made 792, and with a Smith form for every
 # membership test, rank, facet candidate and saturation solve 3,711
 SMITH_FORMS_S_QUAD = 250
-# the same family reduced chart by chart makes 643, adding one left inverse
-# per gluing crossed; with a Smith form per gluing in validate_complex and an
-# integer solve per functional, sublattice vector and map column it made 1,060
-SMITH_FORMS_S_QUAD_COMPLEX = 700
+# the same family reduced chart by chart makes 427, adding one left inverse
+# per distinct embedding (2); with one per gluing crossed it made 643, and
+# with a Smith form per gluing in validate_complex and an integer solve per
+# functional, sublattice vector and map column 1,060
+SMITH_FORMS_S_QUAD_COMPLEX = 450
 
 
 def _smith_forms(run):
-    """The number of Smith forms `run()` makes from a cleared cone memo."""
+    """The number of Smith forms `run()` makes from cleared cone and
+    left-inverse memos."""
     code = smith_normal_form.__code__
     calls = 0
 
@@ -394,6 +400,7 @@ def _smith_forms(run):
             calls += 1
 
     Cone._build.cache_clear()
+    _left_inverse_map.cache_clear()
     sys.setprofile(profile)
     try:
         run()

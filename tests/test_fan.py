@@ -366,13 +366,31 @@ class TestCartesian:
         assert not cartesian_check(p, p)
 
     def test_move_search_out_of_budget_raises(self, monkeypatch):
-        # the pushout class search of the blowup chart reaches 313 states;
-        # every other search of this check stays below 100
-        quad = quadrant_fan()
-        p = FanMorphism(quad, quad, lmap([[1, 0], [1, 1]]))
-        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 100)
+        # the cone (1,0),(1,2) has index 2, so the base dual monoid is not
+        # free and no leg of the identity is integral by flatness; the
+        # pushout class search reaches 41 states, every other search of
+        # this check at most 25
+        f = Fan.from_cones(2, [Cone.from_generators(2, [(1, 0), (1, 2)])])
+        ident = FanMorphism(f, f, LatticeMap.identity_map(Lattice(2)))
+        assert cartesian_check(ident, ident)
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 30)
         with pytest.raises(BudgetExceeded, match="pushout class search"):
-            cartesian_check(p, p)
+            cartesian_check(ident, ident)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_integral_leg_skips_the_move_search(self, monkeypatch, k):
+        # x k is integral by flatness, so no entry of the quadrant's
+        # projection against it enumerates words or searches classes (the
+        # surjectivity test still decides membership by search)
+        def no_search(*args):
+            raise AssertionError("the pushout search ran")
+
+        p = FanMorphism(quadrant_fan(), halfline_fan(), lmap([[1, 0]]))
+        q = FanMorphism(halfline_fan(), halfline_fan(), lmap([[k]]))
+        monkeypatch.setattr("semistable.fan._pushout_injective_bounded", no_search)
+        monkeypatch.setattr("semistable.fan._bounded_points", no_search)
+        report = cartesian_check(p, q)
+        assert report and len(report.entries) == 4
 
     def test_two_three_fail(self):
         f = halfline_fan()

@@ -1,7 +1,8 @@
 """Source hygiene without a lint tool: every import sits at module level,
 every module-level import is used, no float enters the exact code, no
-assert stands in for an error, and the Smith form is called only where
-its invariant factors or transforms are needed."""
+assert stands in for an error, the Smith form is called only where its
+invariant factors or transforms are needed, and the cartesian check's
+pushout search only where no proof of integrality stands in for it."""
 import ast
 import glob
 import os
@@ -116,3 +117,9 @@ def test_solvers_are_called_only_where_needed():
     callers = {(module, fn) for module, fn in
                _callers({"solve_integer", "solve_rational"}) if module != "lattice.py"}
     assert callers == SOLVER_CALLERS
+
+
+def test_pushout_search_runs_only_for_entries_without_an_integral_leg():
+    # the search is evidence up to a word length; _cartesian_triple runs it
+    # only where integral_by_flatness proves neither leg integral
+    assert _callers({"_pushout_injective_bounded"}) == {("fan.py", "_cartesian_triple")}

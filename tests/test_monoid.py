@@ -1,15 +1,18 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from semistable.cone import Cone, ConeError, dual_cone
+from semistable.cone import Cone, ConeError, dual_cone, image_cone, preimage_cone
 from semistable.lattice import (
     Lattice,
     LatticeMap,
     dot,
+    dual_map,
     full_sublattice,
+    identity,
     mat,
+    rank,
     sublattice_from_vectors,
     transpose,
     vec_add,
@@ -21,9 +24,11 @@ from semistable.monoid import (
     MonoidError,
     MonoidMap,
     _contains_modulo_units,
+    _kato_search,
     dual_monoid,
     hilbert_basis,
     image_monoid_equals_cone_monoid,
+    integral_by_flatness,
     is_saturated,
     kato_integral,
     monoid_generators_of_cone,
@@ -393,6 +398,113 @@ class TestKatoIntegral:
                 assert vec_add(s1, r1) != vec_add(s2, r2)
 
 
+def kummer_square():
+    """diag(2, 1, 1) into the monoid of the cone over a square: both monoids
+    saturated, the lattice map injective, and the dual map sends faces
+    onto faces, yet the source cone has four rays in rank 3."""
+    square = Cone.from_generators(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+    f = lmap([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    src = preimage_cone(f, square)
+    return MonoidMap(
+        AffineMonoid(Lattice(3), tuple(hilbert_basis(src)), saturation_cone=src),
+        AffineMonoid(Lattice(3), tuple(hilbert_basis(square)), saturation_cone=square),
+        f)
+
+
+class TestIntegralByFlatness:
+    def test_free_source_is_required(self):
+        # the Kummer map is not integral: the search finds its
+        # counterexample at height 4
+        u = kummer_square()
+        assert len(u.source.cone().rays) == 4
+        assert not integral_by_flatness(u)
+        assert kato_integral(u, height_bound=4) == (
+            False, ((1, 0, 1), (1, 1, 1), (0, 1, 1), (0, 0, 1)))
+
+    def test_faces_onto_faces_is_required(self):
+        # the dual of the blowup chart sends the ray (0, 1) of the quadrant
+        # onto (1, 1), which is no face
+        quad = Cone.from_generators(2, [(1, 0), (0, 1)])
+        u = MonoidMap(dual_monoid(quad), dual_monoid(quad), lmap([[1, 0], [1, 1]]))
+        assert not integral_by_flatness(u)
+
+    def test_saturation_is_required(self):
+        # x -> x into <2, 3>: the target misses 1
+        u = MonoidMap(AffineMonoid(Lattice(1), ((2,),)),
+                      AffineMonoid(Lattice(1), ((2,), (3,))), lmap([[1]]))
+        assert not integral_by_flatness(u)
+
+    def test_units_in_the_source(self):
+        # a group maps integrally into any monoid
+        z = AffineMonoid(Lattice(1), ((1,), (-1,)))
+        half = AffineMonoid(Lattice(2), ((1, 0), (-1, 0), (0, 1)))
+        assert integral_by_flatness(MonoidMap(z, half, lmap([[1], [0]])))
+
+    def test_kato_skips_the_search(self, monkeypatch):
+        # the identity of N^2 is integral by flatness
+        def no_search(*args):
+            raise AssertionError("a bounded search ran")
+
+        n2 = AffineMonoid(Lattice(2), ((1, 0), (0, 1)))
+        u = MonoidMap(n2, n2, lmap(identity(2)))
+        monkeypatch.setattr(monoid, "_bounded_points", no_search)
+        assert kato_integral(u) == (True, None)
+
+
+vec3 = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(tuple)
+
+
+@st.composite
+def monoid_maps(draw):
+    """Dual maps of random cones under small integer maps, and maps between
+    monoids of random generators, which are seldom saturated."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        sigma = Cone.from_generators(n, [g[:n] for g in draw(
+            st.lists(vec3, min_size=n, max_size=n + 2))])
+        assume(sigma.dim == n and sigma.is_strictly_convex)
+        k = draw(st.integers(1, n))
+        f = lmap([g[:n] for g in draw(st.lists(vec3, min_size=k, max_size=k))])
+        assume(rank(f.matrix) == k)
+        kappa = image_cone(f, sigma)
+        assume(kappa.is_strictly_convex)
+        try:
+            return "dual", MonoidMap(dual_monoid(kappa), dual_monoid(sigma), dual_map(f))
+        except BudgetExceeded:
+            assume(False)
+    m = draw(st.integers(1, n))
+    small = st.lists(st.integers(0, 2), min_size=3, max_size=3).map(tuple)
+    f = LatticeMap(Lattice(m), Lattice(n),
+                   tuple(r[:m] for r in draw(st.lists(small, min_size=n, max_size=n))))
+    assume(rank(f.matrix) == m)
+    src = AffineMonoid(Lattice(m), tuple(g[:m] for g in draw(
+        st.lists(small, min_size=1, max_size=m + 1))))
+    assume(src.generators)
+    extra = tuple(g[:n] for g in draw(st.lists(small, max_size=n + 1)))
+    tgt = AffineMonoid(Lattice(n), extra + tuple(f(g) for g in src.generators))
+    return "plain", MonoidMap(src, tgt, f)
+
+
+def test_integral_by_flatness_never_meets_a_counterexample():
+    outcomes = set()
+
+    @given(monoid_maps())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def check(case):
+        kind, u = case
+        proved = integral_by_flatness(u)
+        try:
+            found, cex = _kato_search(u, 6)
+        except BudgetExceeded:
+            assume(False)
+        assert found or not proved, cex
+        outcomes.add((kind, proved))
+
+    check()
+    assert {(kind, proved) for kind in ("dual", "plain") for proved in (True, False)} \
+        <= outcomes
+
+
 class TestMonoidMapValidation:
     def test_rejects_escaping_generator(self):
         src = AffineMonoid(Lattice(1), ((1,),))
@@ -426,8 +538,9 @@ class TestSearchBudget:
             _contains_modulo_units((0, 7), gens, Lattice(2))
 
     def test_kato(self, monkeypatch):
-        z_pos = AffineMonoid(Lattice(1), ((1,),))
-        u = MonoidMap(z_pos, z_pos, lmap([[2]]))
+        # integrality by flatness does not apply to the Kummer map, so the
+        # search runs, and its first enumeration passes 5 points
+        u = kummer_square()
         monkeypatch.setattr(monoid, "SEARCH_BUDGET", 5)
         with pytest.raises(BudgetExceeded):
             kato_integral(u, height_bound=10)
