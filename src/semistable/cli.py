@@ -42,6 +42,7 @@ from .fan import (
     is_smooth_fan,
     is_weakly_semistable,
     minimal_modification,
+    require_finite_index,
     toric_fiber_product,
     validate_fan,
     validate_stacky_fan,
@@ -472,8 +473,12 @@ def _cmd_basechange(args, out) -> int:
     except json.JSONDecodeError as exc:
         raise DocumentError(f"--matrix: {exc.msg}")
     matrix = _read_matrix(matrix, "--matrix")
-    j = LatticeMap(Lattice(len(matrix[0]) if matrix else 0),
-                   p.target.lattice, matrix)
+    try:
+        j = LatticeMap(Lattice(len(matrix[0]) if matrix else 0),
+                       p.target.lattice, matrix)
+        require_finite_index(j)
+    except ValueError as exc:
+        raise DocumentError(f"--matrix: {exc}") from None
     _, morphism = base_change_along_alteration(p, j)
     out.write(emit_document("fan_morphism", emit_fan_morphism(morphism)))
     return 0

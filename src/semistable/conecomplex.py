@@ -383,6 +383,18 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
     return _CellRun(tuple(pieces), members, subs)
 
 
+def _cut_source_cell(sigma: Cone, pmap: LatticeMap, image: Cone,
+                     top: Sequence[Cone]) -> tuple[Cone, ...]:
+    """The subdivision of sigma by the preimages of the target pieces, from
+    the maximal pieces `top` alone: a piece P <= P' pulls back to a face of
+    the preimage of P' in sigma, and Fan.from_cones closes under faces.  A
+    piece containing the image of sigma leaves sigma uncut."""
+    if any(piece.contains_cone(image) for piece in top):
+        return Fan.from_cones(sigma.lattice, [sigma]).cones
+    return Fan.from_cones(sigma.lattice, [intersect(preimage_cone(pmap, piece), sigma)
+                                          for piece in top]).cones
+
+
 def _owner_face(cell: Cone, sample) -> Optional[Cone]:
     """Smallest face whose interior contains the sample; None for the cell
     itself."""
@@ -478,15 +490,13 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
                       if m.source.cells[s].dim > images[s].dim})
 
     # subdivide every source cell by the preimages of its target subdivision
+    tops = {t: Fan(m.target.cells[t].lattice, runs[t].pieces).maximal_cones()
+            for t in runs}
     src_runs: dict = {}
     for s, sigma in enumerate(m.source.cells):
         lam = m.assignment[s]
         pmap = m.cell_maps[s]
-        cut: dict = {}
-        for piece in runs[lam].pieces:
-            part = intersect(preimage_cone(pmap, piece), sigma)
-            cut[_key(part)] = part
-        parts = Fan.from_cones(sigma.lattice, cut.values()).cones
+        parts = _cut_source_cell(sigma, pmap, images[s], tops[lam])
         if not covers(sigma, parts):
             raise ReductionError(
                 f"subdivision of source cell {s} misses part of the cell")

@@ -8,6 +8,7 @@ sample per piece decides coverage exactly.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -81,11 +82,15 @@ class Fan:
         return Fan(lattice, tuple(sorted(closed.values())))
 
     def maximal_cones(self) -> list[Cone]:
-        out = []
-        for c in self.cones:
-            if not any(o != c and o.contains_cone(c) for o in self.cones):
-                out.append(c)
-        return out
+        """The cones inside no other cone, in fan order."""
+        return list(self._maximal)
+
+    @functools.cached_property
+    def _maximal(self) -> tuple[Cone, ...]:
+        # computed once per fan; a cone of lower dimension cannot contain c
+        return tuple(c for c in self.cones
+                     if not any(o.dim >= c.dim and o != c and o.contains_cone(c)
+                                for o in self.cones))
 
     def __contains__(self, c: Cone) -> bool:
         return c in self.cones
@@ -523,9 +528,15 @@ def _cartesian_triple(p: LatticeMap, q: LatticeMap, sigma: Cone, kappa: Cone,
     for g in mapped:
         if not dm.contains(g):
             return False, "pushout monoid escapes the fiber dual monoid"
-    for g in dm.generators:
-        if not _contains_modulo_units(g, mapped, dm.lattice):
-            return False, "fiber dual monoid is strictly larger than the pushout monoid"
+    # a Hilbert basis element of a strictly convex dm is irreducible in dm,
+    # and mapped lies in dm, so it is in the monoid of mapped only as a member
+    if dm.saturation_cone.is_strictly_convex:
+        larger = not set(dm.generators) <= set(mapped)
+    else:
+        larger = not all(_contains_modulo_units(g, mapped, dm.lattice)
+                         for g in dm.generators)
+    if larger:
+        return False, "fiber dual monoid is strictly larger than the pushout monoid"
 
     # injectivity of the amalgamated pushout.  An integral leg makes the
     # pushout monoid integral, so its classes are those of its torsion-free
@@ -596,13 +607,18 @@ def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, phi) -> bool:
     return True
 
 
+def require_finite_index(j: LatticeMap) -> None:
+    """Raise FanError unless j is a finite-index inclusion of lattices."""
+    if j.domain.rank != j.codomain.rank or det(j.matrix) == 0:
+        raise FanError("base change requires a finite-index inclusion")
+
+
 def base_change_along_alteration(p: FanMorphism, j: LatticeMap) -> tuple[Fan, FanMorphism]:
     """Pull a family back along a finite-index base lattice inclusion and
     take the coarsest fan refinement that maps to the pulled-back base."""
     if j.codomain != p.target.lattice:
         raise FanError("inclusion codomain must be the base lattice")
-    if j.domain.rank != j.codomain.rank or det(j.matrix) == 0:
-        raise FanError("base change requires a finite-index inclusion")
+    require_finite_index(j)
     fib, pi_n, pi_q = fiber_product_lattice(p.lattice_map, j)
     pulled_f = Fan.from_cones(fib, [preimage_cone(pi_n, s)
                                     for s in p.source.cones

@@ -1,6 +1,7 @@
-"""Affine monoids: Hilbert bases, membership, pushouts, saturation, and
-integrality: a proof by flatness where it applies, else a bounded checker
-for the equational criterion.
+"""Affine monoids: Hilbert bases, membership, pushouts, saturation, the
+lattice points of a cone's image (weak semistability), and integrality: a
+proof by flatness where it applies, else a bounded checker for the
+equational criterion.
 
 Membership and the integrality check enumerate monoid points with one
 breadth-first kernel, `_bounded_points`, bounded either by a strictly
@@ -8,9 +9,11 @@ positive integer functional (the sum of facet normals of the relevant cone)
 or by word length; `hilbert_basis` scans a box of candidates.  Every search
 is exact and deterministic, and stops at SEARCH_BUDGET points: running out
 raises `BudgetExceeded`, an "undecided", never a wrong yes or no.  Which
-answers are proofs: membership, saturation and a False from `kato_integral`
-always; a True from `kato_integral` when `integral_by_flatness` gave it,
-and otherwise only evidence up to the height searched.
+answers are proofs: membership, saturation, both answers of
+`image_monoid_equals_cone_monoid` (a lattice certificate where it applies,
+else Hilbert bases) and a False from `kato_integral` always; a True from
+`kato_integral` when `integral_by_flatness` gave it, and otherwise only
+evidence up to the height searched.
 """
 from __future__ import annotations
 
@@ -321,7 +324,7 @@ def _contains_modulo_units(w: Sequence[int], gens: Sequence[Vector],
     """Membership that tolerates unit generators (g with -g in the cone)."""
     w = tuple(w)
     gens = tuple(tuple(g) for g in gens if not is_zero_vec(g))
-    if is_zero_vec(w):
+    if is_zero_vec(w) or w in gens:
         return True
     if not gens:
         return False
@@ -355,11 +358,67 @@ def _contains_modulo_units(w: Sequence[int], gens: Sequence[Vector],
 def image_monoid_equals_cone_monoid(p: LatticeMap, sigma: Cone, kappa: Cone,
                                     N_sub: Sublattice | None = None,
                                     Q_sub: Sublattice | None = None) -> bool:
-    """True iff p(N_sub intersect sigma) equals Q_sub intersect kappa."""
+    """True iff p(N_sub intersect sigma) equals Q_sub intersect kappa.
+
+    Decided by `_lattice_certificate` where it applies, and otherwise by
+    comparing Hilbert bases; both answers are proofs."""
     N_sub = _as_sublattice(N_sub, p.domain)
     Q_sub = _as_sublattice(Q_sub, p.codomain)
     if image_cone(p, sigma) != kappa:
         raise MonoidError("sigma does not map onto kappa")
+    decided = _lattice_certificate(p, sigma, N_sub, Q_sub)
+    if decided is not None:
+        return decided
+    return _compare_hilbert_bases(p, sigma, kappa, N_sub, Q_sub)
+
+
+def _lattice_certificate(p: LatticeMap, sigma: Cone, N_sub: Sublattice,
+                         Q_sub: Sublattice) -> Optional[bool]:
+    """p(N_sub ∩ sigma) = Q_sub ∩ p(sigma) decided by lattices alone, or None
+    when this certificate does not apply.
+
+    It applies to a strictly convex sigma whose lattice M = N_sub ∩ Span sigma
+    has rank dim sigma.  Then sigma ∩ M generates M, so p(N_sub ∩ sigma) lies
+    in Q_sub exactly when p sends a basis of M into Q_sub: False otherwise.
+    True when, in addition, every face tau of sigma on which p is injective
+    has Q_sub ∩ Span p(tau) inside p(N_sub ∩ Span tau).  Proof: take v in
+    Q_sub ∩ p(sigma).  Its fibre sigma ∩ p^-1(v) is a nonempty polyhedron
+    without lines, since sigma has none, so it has a vertex x.  Let tau be
+    the face of sigma with x in its relative interior.  A w != 0 in Span tau
+    with p(w) = 0 would put x ± εw in the fibre, so p is injective on
+    Span tau.  Then v = p(x) lies in Q_sub ∩ Span p(tau), hence v = p(y) for
+    some y in N_sub ∩ Span tau, and y = x by injectivity: v is the image of
+    x in N_sub ∩ sigma (following Abramovich-Karu, "Weak semistable
+    reduction in characteristic 0", Invent. Math. 2000, §4-5).
+    None when some such face fails, which does not by itself disprove
+    equality.  A face inside a passing face on which p is injective passes
+    too, so the faces are tried largest first and those are skipped.
+    """
+    if not sigma.is_strictly_convex:
+        return None
+    M = intersect_sublattices(N_sub, span_sublattice(sigma))
+    if M.rank != sigma.dim:
+        return None
+    if not all(Q_sub.contains(p(v)) for v in M.vectors()):
+        return False
+    passed: list[Cone] = []
+    for tau in reversed(sigma.faces()):
+        if any(t.contains_cone(tau) for t in passed):
+            continue
+        img = image_cone(p, tau)
+        if img.dim != tau.dim:
+            continue
+        reached = image_lattice(p, intersect_sublattices(M, span_sublattice(tau)))
+        if not reached.contains_sublattice(intersect_sublattices(Q_sub, span_sublattice(img))):
+            return None
+        passed.append(tau)
+    return True
+
+
+def _compare_hilbert_bases(p: LatticeMap, sigma: Cone, kappa: Cone,
+                           N_sub: Sublattice, Q_sub: Sublattice) -> bool:
+    """p(N_sub ∩ sigma) = Q_sub ∩ kappa by the Hilbert bases of both sides,
+    for kappa = p(sigma)."""
     image_gens = tuple(p(h) for h in hilbert_basis(sigma, N_sub))
     # p(sigma) = kappa, so the image lies in Q_sub ∩ kappa iff it lies in Q_sub
     if not all(Q_sub.contains(g) for g in image_gens):

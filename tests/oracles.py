@@ -2,10 +2,14 @@
 its own elimination, kept as oracles for the routines that replaced them:
 kernels of stacked bases for intersections and preimages, a left inverse
 for span coordinates, and a second facet pass in the quotient by the
-lineality for the rays of a cone with lines."""
+lineality for the rays of a cone with lines.  Also the maximal cones of a
+fan by every pair, and the cut of a source cell of `reduce_complex` by
+every piece of its target subdivision, which the cut by the maximal pieces
+replaced."""
 import itertools
 
-from semistable.cone import Cone, ConeError
+from semistable.cone import Cone, ConeError, intersect, preimage_cone
+from semistable.fan import Fan
 from semistable.lattice import (
     INFINITE,
     Lattice,
@@ -240,3 +244,14 @@ def monoid_generators_of_cone(c, L):
     lift = transpose(mat([q(v) for v in ls.vectors()]))
     lifts = [matvec(ls.basis, solve_integer(lift, h)) for h in hilbert_basis(qc, q_ls)]
     return sorted(set(units + [vec_neg(u) for u in units] + lifts))
+
+
+def cut_by_all_pieces(sigma, pmap, pieces):
+    """sigma cut by the preimage of every piece, faces of pieces included."""
+    return Fan.from_cones(sigma.lattice, [intersect(preimage_cone(pmap, piece), sigma)
+                                          for piece in pieces]).cones
+
+
+def maximal_cones(f):
+    """The cones of f inside no other cone, by every pair, in fan order."""
+    return [c for c in f.cones if not any(o != c and o.contains_cone(c) for o in f.cones)]

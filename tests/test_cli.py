@@ -273,3 +273,16 @@ def test_multi_document_errors_name_the_option(args, prefix, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith(f"error: {prefix}: $.kind: expected one of ")
+
+
+@pytest.mark.parametrize("matrix,message", [
+    ("[[2],[3]]", "matrix row count does not match codomain rank"),
+    ("[]", "matrix row count does not match codomain rank"),
+    ("[[0]]", "base change requires a finite-index inclusion"),
+])
+def test_basechange_matrix_errors_name_the_option(matrix, message, capsys):
+    code, out = run_cli("basechange", "--morphism", data("fix_double.json"),
+                        "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: --matrix: {message}\n"

@@ -1,7 +1,7 @@
 """Each lattice question against the Smith-form routine it replaced (see
 oracles.py), on bounded random integer matrices, sublattices and cones of
-rank <= 4 (cones with and without lines), and a guard on the number of
-Smith forms one reduce makes."""
+rank <= 4 (cones with and without lines), and guards on the number of
+Smith forms, cone intersections and Hilbert bases one reduce makes."""
 import io
 import os
 import sys
@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from semistable.cli import load_document, main
-from semistable.cone import Cone, _facets_fulldim, dual_cone, span_sublattice
+from semistable.cone import Cone, _facets_fulldim, dual_cone, intersect, span_sublattice
 from semistable.conecomplex import (
     _left_inverse_map,
     fan_morphism_as_complex,
@@ -42,7 +42,7 @@ from semistable.lattice import (
     transpose,
     vec_neg,
 )
-from semistable.monoid import monoid_generators_of_cone
+from semistable.monoid import hilbert_basis, monoid_generators_of_cone
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -374,30 +374,35 @@ def test_solve_integer_rejects_a_vector_of_the_wrong_length():
 
 
 # ---------------------------------------------------------------------------
-# Smith forms per reduce
+# Smith forms, intersections and Hilbert bases per reduce
 
 # S->quad makes 191 Smith forms from a cleared cone memo, one per cone span,
 # lineality quotient and ray lift; with Smith-kernel intersections and
 # preimages and three per span it made 792, and with a Smith form for every
 # membership test, rank, facet candidate and saturation solve 3,711
 SMITH_FORMS_S_QUAD = 250
-# the same family reduced chart by chart makes 427, adding one left inverse
-# per distinct embedding (2); with one per gluing crossed it made 643, and
-# with a Smith form per gluing in validate_complex and an integer solve per
-# functional, sublattice vector and map column 1,060
-SMITH_FORMS_S_QUAD_COMPLEX = 450
+# the same family reduced chart by chart makes 201, with one left inverse
+# per distinct embedding (2); cutting every source cell by every target piece
+# it made 427, with one left inverse per gluing crossed 643, and with a Smith
+# form per gluing in validate_complex and an integer solve per functional,
+# sublattice vector and map column 1,060
+SMITH_FORMS_S_QUAD_COMPLEX = 250
+# and it intersects cones 18 times, cutting each source cell by the maximal
+# pieces of its target subdivision only (93 by every piece); it computes no
+# Hilbert basis, the lattice certificate deciding weak semistability (60
+# before)
+INTERSECTS_S_QUAD_COMPLEX = 30
 
 
-def _smith_forms(run):
-    """The number of Smith forms `run()` makes from cleared cone and
-    left-inverse memos."""
-    code = smith_normal_form.__code__
-    calls = 0
+def _calls(run, *functions):
+    """The number of calls `run()` makes to each of the functions, from
+    cleared cone and left-inverse memos."""
+    codes = [f.__code__ for f in functions]
+    calls = [0] * len(codes)
 
     def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code:
-            calls += 1
+        if event == "call" and frame.f_code in codes:
+            calls[codes.index(frame.f_code)] += 1
 
     Cone._build.cache_clear()
     _left_inverse_map.cache_clear()
@@ -412,20 +417,24 @@ def _smith_forms(run):
 def test_reduce_s_quad_smith_form_count():
     out = io.StringIO()
     status = []
-    calls = _smith_forms(lambda: status.append(
-        main(["reduce", "--input", os.path.join(DATA, "s_quad.json")], out=out)))
+    [calls] = _calls(lambda: status.append(
+        main(["reduce", "--input", os.path.join(DATA, "s_quad.json")], out=out)),
+        smith_normal_form)
     assert status == [0]
     with open(os.path.join(DATA, "golden", "reduce_s_quad.json")) as fh:
         assert out.getvalue() == fh.read()
     assert 0 < calls <= SMITH_FORMS_S_QUAD
 
 
-def test_reduce_complex_s_quad_smith_form_count():
+def test_reduce_complex_s_quad_call_counts():
     with open(os.path.join(DATA, "s_quad.json")) as fh:
         _, p = load_document(fh.read(), ("fan_morphism",))
     m = fan_morphism_as_complex(p)
     results = []
-    calls = _smith_forms(lambda: results.append(reduce_complex(m)))
+    smith, intersects, hilbert = _calls(lambda: results.append(reduce_complex(m)),
+                                        smith_normal_form, intersect, hilbert_basis)
     cx = results[0]
     assert (len(cx.base.complex.cells), len(cx.total.complex.cells)) == (8, 30)
-    assert 0 < calls <= SMITH_FORMS_S_QUAD_COMPLEX
+    assert 0 < smith <= SMITH_FORMS_S_QUAD_COMPLEX
+    assert 0 < intersects <= INTERSECTS_S_QUAD_COMPLEX
+    assert hilbert == 0

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from semistable import monoid
 from semistable.cone import Cone, image_cone
 from semistable.fan import (
@@ -98,6 +99,21 @@ class TestFanConstruction:
     def test_maximal_cones(self):
         f = blowup_fan()
         assert len(f.maximal_cones()) == 2
+
+    @pytest.mark.parametrize("cones", [
+        # overlapping, nested of equal dimension, a ray inside a cone but no
+        # face of it, a cone listed twice, and out of order
+        tuple(sorted(set(cone(2, (1, 0), (1, 1)).faces())
+                     | set(cone(2, (2, 1), (0, 1)).faces()))),
+        (cone(2, (1, 0), (1, 1)), cone(2, (1, 0), (0, 1))),
+        (cone(2, (1, 1)), cone(2, (1, 0), (0, 1)), cone(2, (1, 0))),
+        (cone(2, (1, 0), (0, 1)), cone(2, (1, 0), (0, 1)), cone(2, (-1, 0))),
+    ])
+    def test_maximal_cones_of_non_fans_match_every_pair(self, cones):
+        f = Fan(Lattice(2), cones)
+        assert f.maximal_cones() == oracles.maximal_cones(f)
+        f.maximal_cones().clear()
+        assert f.maximal_cones() == oracles.maximal_cones(f)
 
     def test_support(self):
         f = blowup_fan()
@@ -377,20 +393,21 @@ class TestCartesian:
         with pytest.raises(BudgetExceeded, match="pushout class search"):
             cartesian_check(ident, ident)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_integral_leg_skips_the_move_search(self, monkeypatch, k):
         # x k is integral by flatness, so no entry of the quadrant's
-        # projection against it enumerates words or searches classes (the
-        # surjectivity test still decides membership by search)
+        # projection against it enumerates words or searches classes, and
+        # the surjectivity test decides without a membership search
         def no_search(*args):
-            raise AssertionError("the pushout search ran")
+            raise AssertionError("a search ran")
 
         p = FanMorphism(quadrant_fan(), halfline_fan(), lmap([[1, 0]]))
         q = FanMorphism(halfline_fan(), halfline_fan(), lmap([[k]]))
         monkeypatch.setattr("semistable.fan._pushout_injective_bounded", no_search)
         monkeypatch.setattr("semistable.fan._bounded_points", no_search)
+        monkeypatch.setattr("semistable.monoid._bounded_points", no_search)
         report = cartesian_check(p, q)
-        assert report and len(report.entries) == 4
+        assert [entry[3:] for entry in report.entries] == [(True, "")] * 4
 
     def test_two_three_fail(self):
         f = halfline_fan()

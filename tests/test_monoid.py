@@ -11,6 +11,7 @@ from semistable.lattice import (
     dual_map,
     full_sublattice,
     identity,
+    image_lattice,
     mat,
     rank,
     sublattice_from_vectors,
@@ -23,8 +24,10 @@ from semistable.monoid import (
     BudgetExceeded,
     MonoidError,
     MonoidMap,
+    _compare_hilbert_bases,
     _contains_modulo_units,
     _kato_search,
+    _lattice_certificate,
     dual_monoid,
     hilbert_basis,
     image_monoid_equals_cone_monoid,
@@ -244,6 +247,55 @@ class TestImageMonoidEquality:
         kappa = Cone.from_generators(1, [(-1,)])
         with pytest.raises(MonoidError):
             image_monoid_equals_cone_monoid(p, sigma, kappa)
+
+
+@st.composite
+def image_monoid_cases(draw):
+    """A strictly convex sigma of rank 2-3 onto a strictly convex kappa under
+    a small map p, with sublattices N_sub of the source and Q_sub of the
+    target: the whole lattice, p(N_sub), or random, of any rank."""
+    n = draw(st.integers(2, 3))
+    sigma = Cone.from_generators(n, [g[:n] for g in draw(
+        st.lists(vec3, min_size=n, max_size=n + 1))])
+    assume(sigma.is_strictly_convex)
+    k = draw(st.integers(1, n))
+    p = lmap([g[:n] for g in draw(st.lists(vec3, min_size=k, max_size=k))])
+    kappa = image_cone(p, sigma)
+    assume(kappa.is_strictly_convex)
+    small = st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(tuple)
+
+    def sublattice(lat, image_of=None):
+        kind = draw(st.sampled_from(["full", "image", "random"] if image_of else
+                                    ["full", "random"]))
+        if kind == "full":
+            return full_sublattice(lat)
+        if kind == "image":
+            return image_lattice(p, image_of)
+        return sublattice_from_vectors(lat, [g[:lat.rank] for g in draw(
+            st.lists(small, min_size=lat.rank, max_size=lat.rank + 1))])
+
+    n_sub = sublattice(p.domain)
+    return p, sigma, kappa, n_sub, sublattice(p.codomain, n_sub)
+
+
+def test_lattice_certificate_agrees_with_hilbert_bases():
+    outcomes = set()
+
+    @given(image_monoid_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def check(case):
+        p, sigma, kappa, n_sub, q_sub = case
+        try:
+            want = _compare_hilbert_bases(p, sigma, kappa, n_sub, q_sub)
+        except (BudgetExceeded, MonoidError):
+            assume(False)
+        got = _lattice_certificate(p, sigma, n_sub, q_sub)
+        assert got in (None, want)
+        assert image_monoid_equals_cone_monoid(p, sigma, kappa, n_sub, q_sub) == want
+        outcomes.add(got)
+
+    check()
+    assert outcomes == {True, False, None}
 
 
 def brute_force_q_kappa(p, kappa, contributing, height=12):

@@ -60,7 +60,10 @@ def test_hand_derived_figures(family, reduced):
 
 
 def test_fan_and_complex_pipelines_agree(family, reduced):
-    cres = reduce_complex(fan_morphism_as_complex(family))
+    assert_pipelines_agree(reduced, reduce_complex(fan_morphism_as_complex(family)))
+
+
+def assert_pipelines_agree(reduced, cres):
     base = dict(zip(cres.base.complex.cells, cres.base.sublattices))
     assert set(base) == set(reduced.base.fan.cones)
     for c in reduced.base.fan.cones:
@@ -69,3 +72,20 @@ def test_fan_and_complex_pipelines_agree(family, reduced):
     assert set(total) == set(reduced.total.fan.cones)
     for c in reduced.total.fan.cones:
         assert total[c].basis == reduced.total.sublattice(c).basis
+
+
+@pytest.mark.parametrize("name", ["s_quad", "s4_quad"])
+def test_both_pipelines_reach_the_golden_file_without_hilbert_bases(name, monkeypatch):
+    # the lattice certificate decides weak semistability of every cone
+    def no_hilbert_basis(*args):
+        raise AssertionError("a Hilbert basis was computed")
+
+    monkeypatch.setattr("semistable.monoid.hilbert_basis", no_hilbert_basis)
+    path = os.path.join(DATA, f"{name}.json")
+    out = io.StringIO()
+    assert main(["reduce", "--input", path], out=out) == 0
+    with open(os.path.join(DATA, "golden", f"reduce_{name}.json")) as fh:
+        assert out.getvalue() == fh.read()
+    with open(path) as fh:
+        _, p = load_document(fh.read(), ("fan_morphism",))
+    assert_pipelines_agree(reduce(p), reduce_complex(fan_morphism_as_complex(p)))

@@ -12,8 +12,14 @@ import os
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from semistable.cli import DocumentError, load_document
 from semistable.cone import Cone, image_cone, intersect, preimage_cone
+from semistable.conecomplex import (
+    _cut_source_cell,
+    _run_target_cell,
+    fan_morphism_as_complex,
+)
 from semistable.fan import (
     Fan,
     FanError,
@@ -388,6 +394,22 @@ def test_minimal_modification_agrees_with_every_pair_on_documents(p):
     except ReductionError:
         return
     assert_same_modification(p.lattice_map, p.source, base)
+
+
+@pytest.mark.parametrize("p", [p for _, p in FAN_MORPHISMS],
+                         ids=[name for name, _ in FAN_MORPHISMS])
+def test_source_cells_cut_by_maximal_pieces_agree_with_every_piece(p):
+    m = fan_morphism_as_complex(p)
+    images = [image_cone(f, sigma) for f, sigma in zip(m.cell_maps, m.source.cells)]
+    try:
+        runs = [_run_target_cell(m, t, images) for t in range(len(m.target.cells))]
+    except ReductionError:
+        return
+    for s, sigma in enumerate(m.source.cells):
+        run = runs[m.assignment[s]]
+        top = Fan(p.target.lattice, run.pieces).maximal_cones()
+        assert (_cut_source_cell(sigma, m.cell_maps[s], images[s], top)
+                == oracles.cut_by_all_pieces(sigma, m.cell_maps[s], run.pieces))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
