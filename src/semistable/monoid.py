@@ -6,9 +6,10 @@ equational criterion.
 Membership and the integrality check enumerate monoid points with one
 breadth-first kernel, `_bounded_points`, bounded either by a strictly
 positive integer functional (the sum of facet normals of the relevant cone)
-or by word length; `hilbert_basis` scans a box of candidates.  Every search
-is exact and deterministic, and stops at SEARCH_BUDGET points: running out
-raises `BudgetExceeded`, an "undecided", never a wrong yes or no.  Which
+or by word length; `hilbert_basis` takes its candidates from the fundamental
+parallelepipeds of a triangulation.  Every search is exact and
+deterministic, and stops at SEARCH_BUDGET points: running out raises
+`BudgetExceeded`, an "undecided", never a wrong yes or no.  Which
 answers are proofs: membership, saturation, both answers of
 `image_monoid_equals_cone_monoid` (a lattice certificate where it applies,
 else Hilbert bases) and a False from `kato_integral` always; a True from
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cone import Cone, ConeError, dual_cone, image_cone, span_sublattice
@@ -33,6 +33,7 @@ from .lattice import (
     dot,
     dual_map,
     full_sublattice,
+    identity,
     image_lattice,
     intersect_sublattices,
     is_zero_vec,
@@ -51,9 +52,11 @@ from .lattice import (
 )
 
 
-# The most points one search may reach (for hilbert_basis: scan) before it
-# gives up as undecided.  The test suite and the benchmark corpus need at
-# most 27,132 (a Hilbert basis box) and 313 (a pushout class).
+# The most points one search may reach (for hilbert_basis: the sum of the
+# parallelepipeds' sizes) before it gives up as undecided.  The test suite
+# and the benchmark corpus need at most 5,000 (the Hilbert basis
+# parallelepiped of the thin cone (1,0),(1,5000); 60 in the benchmark) and
+# 270 (a monoid enumeration).
 SEARCH_BUDGET = 100_000
 
 
@@ -145,56 +148,104 @@ def _smallest_multiple_coords(basis_cols, ray: Vector) -> Vector:
     return tuple(int(x * k) for x in y)
 
 
+def _pulling_triangulation(c: Cone) -> list[tuple[Vector, ...]]:
+    """Simplicial cones, as ray tuples, triangulating the strictly convex
+    cone c: a simplicial face is its own triangulation, and any other face
+    joins its first ray to the simplices of its facets that miss that ray.
+    Every face pulls its rays in the same (sorted) order, so the
+    triangulations of two faces agree where they meet."""
+    if len(c.rays) == c.dim:
+        return [c.rays]
+    done: list[tuple[frozenset, int, list[tuple[Vector, ...]]]] = []
+    for f in c.faces():
+        rays = frozenset(f.rays)
+        if len(f.rays) == f.dim:
+            simplices = [f.rays]
+        else:
+            apex = f.rays[0]
+            simplices = [(apex,) + s for g, dim, tri in done
+                         if dim == f.dim - 1 and apex not in g and g < rays
+                         for s in tri]
+        done.append((rays, f.dim, simplices))
+    return done[-1][2]
+
+
+def _parallelepiped_points(rays: tuple[Vector, ...]) -> set[Vector]:
+    """The lattice points of the half-open parallelepiped
+    {sum l_i r_i : 0 <= l_i < 1} of d linearly independent rays in Z^d, one
+    in each class of Z^d / sum Z r_i, so |det| of them.
+
+    The classes are reached from 0 by adding unit vectors, and each point
+    is brought into the parallelepiped by x -> x - sum floor(u_i.x / u_i.r_i) r_i,
+    where u_i is the facet of the simplicial cone opposite r_i: u_i.r_j = 0
+    for j != i, so each step fixes one coordinate l_i and leaves the
+    others."""
+    d = len(rays)
+    facets = Cone.from_generators(d, rays).facets
+    opposite = [(u, r, dot(u, r)) for r in rays for u in facets if dot(u, r) > 0]
+
+    def reduce(x: Vector) -> Vector:
+        for u, r, h in opposite:
+            q = dot(u, x) // h
+            if q:
+                x = tuple(a - q * b for a, b in zip(x, r))
+        return x
+
+    units = identity(d)
+    zero = (0,) * d
+    points = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for e in units:
+                y = reduce(vec_add(x, e))
+                if y not in points:
+                    points.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return points
+
+
 def hilbert_basis(c: Cone, L=None) -> list[Vector]:
     """Minimal generating set of c intersect L, lex sorted.
 
-    Candidates are the lattice points of the zonotope spanned by the
-    smallest lattice multiples of the extremal rays; irreducibles survive.
+    Worked in coordinates of M = L ∩ Span c, where the cone has rays r the
+    smallest lattice multiples of its extremal rays.  Candidates are the
+    rays and the lattice points of the half-open fundamental parallelepiped
+    of each simplex of a pulling triangulation (Bruns-Ichim, "Normaliz:
+    algorithms for affine monoids and rational cones", J. Algebra 324,
+    2010).  They generate c ∩ M: a point x lies in some simplex, so
+    x = sum l_i r_i with l_i >= 0, and x - sum floor(l_i) r_i is a point of
+    that parallelepiped.  So every irreducible element is a candidate, and
+    a candidate is reducible exactly when a lighter candidate leaves a
+    remainder in the cone.  The SEARCH_BUDGET bounds sum |det| over the
+    simplices, the number of parallelepiped points, before any is listed.
     """
     if not c.is_strictly_convex:
         raise ConeError("hilbert basis requires a strictly convex cone")
     L = _as_sublattice(L, c.lattice)
     if c.dim == 0:
         return []
-    span = span_sublattice(c)
-    M = intersect_sublattices(L, span)
+    M = intersect_sublattices(L, span_sublattice(c))
     d = M.rank
     if d == 0:
         return []
-    # cone in M coordinates: facets pulled back through the basis
-    cols = M.vectors()
-    facets_t = [tuple(dot(u, col) for col in cols) for u in c.facets]
-    f_t = tuple(sum(u[j] for u in facets_t) for j in range(d))
-
-    ray_coords = [_smallest_multiple_coords(M.basis, r) for r in c.rays]
-    bound = sum(dot(f_t, rc) for rc in ray_coords)
-
-    # bounding box from the polytope vertices (0 and scaled rays)
-    lo = [0] * d
-    hi = [0] * d
-    for rc in ray_coords:
-        fr = dot(f_t, rc)
-        for j in range(d):
-            v = Fraction(bound * rc[j], fr)
-            if v < lo[j]:
-                lo[j] = v
-            if v > hi[j]:
-                hi[j] = v
-    ranges = [range(math.floor(lo[j]), math.ceil(hi[j]) + 1) for j in range(d)]
-    _check_budget(math.prod(len(r) for r in ranges), "the Hilbert basis candidate box")
-    candidates = []
-    for t in itertools.product(*ranges):
-        if all(x == 0 for x in t):
-            continue
-        if dot(f_t, t) > bound:
-            continue
-        if any(dot(u, t) < 0 for u in facets_t):
-            continue
-        candidates.append(t)
-    candidates.sort(key=lambda t: (dot(f_t, t), t))
+    ct = Cone.from_generators(d, [_smallest_multiple_coords(M.basis, r) for r in c.rays])
+    simplices = _pulling_triangulation(ct)
+    sizes = [abs(det(s)) for s in simplices]
+    _check_budget(sum(sizes), "the Hilbert basis parallelepipeds")
+    candidates = set(ct.rays)
+    for s, size in zip(simplices, sizes):
+        # a unimodular simplex's parallelepiped holds only 0
+        if size > 1:
+            candidates |= _parallelepiped_points(s)
+    candidates.discard((0,) * d)
+    f_t = tuple(sum(u[j] for u in ct.facets) for j in range(d))
+    candidates = sorted(candidates, key=lambda t: (dot(f_t, t), t))
 
     def in_monoid(t):
-        return all(dot(u, t) >= 0 for u in facets_t)
+        return all(dot(u, t) >= 0 for u in ct.facets)
 
     irreducible = []
     for t in candidates:

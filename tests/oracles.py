@@ -5,8 +5,11 @@ for span coordinates, and a second facet pass in the quotient by the
 lineality for the rays of a cone with lines.  Also the maximal cones of a
 fan by every pair, and the cut of a source cell of `reduce_complex` by
 every piece of its target subdivision, which the cut by the maximal pieces
-replaced."""
+replaced, and the Hilbert basis by a scan of a box of candidates, which the
+fundamental parallelepipeds of a triangulation replaced."""
 import itertools
+import math
+from fractions import Fraction
 
 from semistable.cone import Cone, ConeError, intersect, preimage_cone
 from semistable.fan import Fan
@@ -33,7 +36,12 @@ from semistable.lattice import (
     transpose,
     vec_neg,
 )
-from semistable.monoid import hilbert_basis
+from semistable.monoid import (
+    _as_sublattice,
+    _check_budget,
+    _smallest_multiple_coords,
+    hilbert_basis,
+)
 
 
 def rank_of(vectors, n):
@@ -226,10 +234,53 @@ def cone_data(n, gens):
     return tuple(rays), lines, tuple(facets), span_eqs
 
 
-def monoid_generators_of_cone(c, L):
+def box_hilbert_basis(c, L=None):
+    """Minimal generating set of c ∩ L, lex sorted, from every lattice point
+    of the box around the zonotope spanned by the smallest lattice
+    multiples of the extremal rays.  Raises BudgetExceeded when the box
+    holds more than SEARCH_BUDGET points."""
+    if not c.is_strictly_convex:
+        raise ConeError("hilbert basis requires a strictly convex cone")
+    L = _as_sublattice(L, c.lattice)
+    if c.dim == 0:
+        return []
+    M = intersect_sublattices(L, c.span)
+    d = M.rank
+    if d == 0:
+        return []
+    cols = M.vectors()
+    facets_t = [tuple(dot(u, col) for col in cols) for u in c.facets]
+    f_t = tuple(sum(u[j] for u in facets_t) for j in range(d))
+    ray_coords = [_smallest_multiple_coords(M.basis, r) for r in c.rays]
+    bound = sum(dot(f_t, rc) for rc in ray_coords)
+    lo = [0] * d
+    hi = [0] * d
+    for rc in ray_coords:
+        fr = dot(f_t, rc)
+        for j in range(d):
+            v = Fraction(bound * rc[j], fr)
+            lo[j] = min(lo[j], v)
+            hi[j] = max(hi[j], v)
+    ranges = [range(math.floor(lo[j]), math.ceil(hi[j]) + 1) for j in range(d)]
+    _check_budget(math.prod(len(r) for r in ranges), "the Hilbert basis candidate box")
+    candidates = sorted((t for t in itertools.product(*ranges)
+                         if any(t) and dot(f_t, t) <= bound
+                         and all(dot(u, t) >= 0 for u in facets_t)),
+                        key=lambda t: (dot(f_t, t), t))
+    irreducible = []
+    for t in candidates:
+        ft = dot(f_t, t)
+        if not any(all(dot(u, t) - dot(u, s) >= 0 for u in facets_t)
+                   for s in itertools.takewhile(lambda s: dot(f_t, s) < ft, candidates)):
+            irreducible.append(t)
+    return sorted(matvec(M.basis, t) for t in irreducible)
+
+
+def monoid_generators_of_cone(c, L, hilbert=hilbert_basis):
     """Generators of c ∩ L for a cone with lines: the points of L in the
-    lineality in both signs, and lifts of the Hilbert basis in the quotient
-    by the Smith form of the lines, with Smith-kernel intersections."""
+    lineality in both signs, and lifts of the `hilbert` basis in the
+    quotient by the Smith form of the lines, with Smith-kernel
+    intersections."""
     n = c.lattice.rank
     units = intersect_sublattices(L, sublattice_from_vectors(c.lattice, c.lines)).vectors()
     snf = smith_normal_form(from_columns(list(c.lines), n))
@@ -242,7 +293,7 @@ def monoid_generators_of_cone(c, L):
     q_ls = sublattice_from_vectors(q.codomain, [q(v) for v in ls.vectors()])
     qc = Cone.from_generators(q.codomain, [q(g) for g in c.generators()])
     lift = transpose(mat([q(v) for v in ls.vectors()]))
-    lifts = [matvec(ls.basis, solve_integer(lift, h)) for h in hilbert_basis(qc, q_ls)]
+    lifts = [matvec(ls.basis, solve_integer(lift, h)) for h in hilbert(qc, q_ls)]
     return sorted(set(units + [vec_neg(u) for u in units] + lifts))
 
 

@@ -1,7 +1,8 @@
 """Each lattice question against the Smith-form routine it replaced (see
 oracles.py), on bounded random integer matrices, sublattices and cones of
-rank <= 4 (cones with and without lines), and guards on the number of
-Smith forms, cone intersections and Hilbert bases one reduce makes."""
+rank <= 4 (cones with and without lines), Hilbert bases against the box
+scan they replaced, and guards on the number of Smith forms, cone
+intersections and Hilbert bases one reduce makes."""
 import io
 import os
 import sys
@@ -42,7 +43,8 @@ from semistable.lattice import (
     transpose,
     vec_neg,
 )
-from semistable.monoid import hilbert_basis, monoid_generators_of_cone
+from semistable import monoid
+from semistable.monoid import BudgetExceeded, hilbert_basis, monoid_generators_of_cone
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -351,6 +353,56 @@ def test_monoid_generators_with_lines_match_smith_quotient():
 
     check()
     assert kinds == {"generators", "halfspaces", "dual"}
+
+
+@st.composite
+def monoid_cases(draw):
+    """(cone, sublattice) of rank 2-4: generators with a positive first
+    coordinate, so most cones are strictly convex and many have more rays
+    than their dimension, and in some a line of first coordinate 0 added in
+    both directions; and a lower triangular basis of a random sublattice of
+    finite index."""
+    n = draw(st.integers(2, 4))
+    tail = st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1).map(tuple)
+    gens = draw(st.lists(st.tuples(st.integers(1, 2), tail).map(lambda t: (t[0],) + t[1]),
+                         min_size=n, max_size=n + 2))
+    lines = [(0,) + t for t in draw(st.lists(tail, max_size=1))]
+    c = Cone.from_generators(n, gens + _both((), lines))
+    diagonal = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    below = st.integers(-1, 1)
+    L = sublattice_from_vectors(c.lattice, [
+        tuple(diagonal[i] if i == j else draw(below) if j < i else 0 for j in range(n))
+        for i in range(n)])
+    return c, L
+
+
+# the box scan's budget in these examples; the parallelepipeds never hold
+# more points than the box, so the library decides wherever the box does
+BOX_BUDGET = 20_000
+
+
+def test_hilbert_bases_match_the_box_scan(monkeypatch):
+    monkeypatch.setattr(monoid, "SEARCH_BUDGET", BOX_BUDGET)
+    seen = set()
+
+    @given(monoid_cases())
+    @SETTINGS
+    def check(case):
+        c, L = case
+        try:
+            if c.lines:
+                want = oracles.monoid_generators_of_cone(c, L, oracles.box_hilbert_basis)
+            else:
+                want = oracles.box_hilbert_basis(c, L)
+        except BudgetExceeded:
+            return
+        assert monoid_generators_of_cone(c, L) == want
+        pointed_dim = c.dim - len(c.lines)
+        seen.add((bool(c.lines), len(c.rays) == pointed_dim))
+
+    check()
+    assert seen == {(lines, simplicial) for lines in (True, False)
+                    for simplicial in (True, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,11 @@ class TestHilbertBasis:
     def test_zero_cone(self):
         assert hilbert_basis(Cone.zero(2)) == []
 
+    def test_thin_cone(self):
+        # one parallelepiped of 5,000 points; its box held about 30,000
+        c = Cone.from_generators(2, [(1, 0), (1, 5000)])
+        assert hilbert_basis(c) == [(1, k) for k in range(5001)]
+
     def test_minimality(self):
         c = Cone.from_generators(2, [(2, -1), (0, 1)])
         hb = hilbert_basis(c)
@@ -598,11 +603,18 @@ class TestSearchBudget:
             kato_integral(u, height_bound=10)
 
     def test_hilbert_box(self, monkeypatch):
+        # the budget bounds the parallelepiped points, |det| = 50 here
         c = Cone.from_generators(2, [(1, 0), (1, 50)])
         assert len(hilbert_basis(c)) == 51
-        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 100)
-        with pytest.raises(BudgetExceeded, match="Hilbert basis candidate box"):
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 49)
+        with pytest.raises(BudgetExceeded, match="Hilbert basis parallelepipeds"):
             hilbert_basis(c)
+
+    def test_hilbert_candidates_are_parallelepiped_points(self, monkeypatch):
+        # a simplicial cone of |det| 60, whose candidate box held 27,132 points
+        c = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (5, 7, 60)])
+        monkeypatch.setattr(monoid, "SEARCH_BUDGET", 63)
+        assert len(hilbert_basis(c)) == 23
 
     def test_undecided_is_not_a_monoid_error(self):
         assert issubclass(BudgetExceeded, ValueError)
