@@ -448,9 +448,10 @@ def _cmd_check(args, out) -> int:
 
 def _cmd_minmod(args, out) -> int:
     with _option("--morphism"):
-        _, p = _load_file(args.morphism, ("fan_morphism",))
+        p = _load_fan_morphism(args.morphism)
     with _option("--subdivision"):
         _, gprime = _load_file(args.subdivision, ("fan",))
+        _require_fan("$.payload", validate_fan(gprime))
     refined, _ = minimal_modification(p.lattice_map, p.source, gprime)
     out.write(emit_document("fan", emit_fan(refined)))
     return 0
@@ -458,16 +459,16 @@ def _cmd_minmod(args, out) -> int:
 
 def _cmd_fanprod(args, out) -> int:
     with _option("--left"):
-        _, p = _load_file(args.left, ("fan_morphism",))
+        p = _load_fan_morphism(args.left)
     with _option("--right"):
-        _, q = _load_file(args.right, ("fan_morphism",))
+        q = _load_fan_morphism(args.right)
     fan, _, _ = toric_fiber_product(p, q)
     out.write(emit_document("fan", emit_fan(fan)))
     return 0
 
 
 def _cmd_basechange(args, out) -> int:
-    _, p = _load_file(args.morphism, ("fan_morphism",))
+    p = _load_fan_morphism(args.morphism)
     try:
         matrix = json.loads(args.matrix)
     except json.JSONDecodeError as exc:
@@ -513,6 +514,7 @@ def _cmd_factor(args, out) -> int:
 
 def _cmd_hilbert(args, out) -> int:
     _, f = _load_file(args.input, ("fan",))
+    _require_fan("$.payload", validate_fan(f))
     maximal = f.maximal_cones()
     if len(maximal) != 1:
         raise DocumentError(

@@ -12,8 +12,8 @@ gives the span lattice, coordinates in it and the span equations (kept in
 row Hermite form); facet normals come from signed minors in those
 coordinates; extremal rays and the lineality are read off the generators'
 tight facets by Bareiss rank; a cone with lines takes one more Smith form
-for its lineality quotient.  `from_halfspaces` is the dual of a cone built
-from generators.
+for its lineality quotient and one `lift` for all its rays.
+`from_halfspaces` is the dual of a cone built from generators.
 """
 from __future__ import annotations
 
@@ -25,17 +25,17 @@ from typing import Iterable, Sequence
 from .lattice import (
     Lattice,
     LatticeMap,
-    Matrix,
     Sublattice,
     Vector,
     det,
     dot,
     is_zero_vec,
+    lift,
     matvec,
     primitive,
     rank,
+    reduce_mod_rows,
     row_hermite_form,
-    solve_integer,
     span_basis,
     sublattice_from_vectors,
     transpose,
@@ -52,18 +52,6 @@ def _both_signs(vectors: Iterable[Sequence[int]], lines: Iterable[Sequence[int]]
     for l in lines:
         out += [tuple(l), vec_neg(l)]
     return out
-
-
-def _reduce_mod_rows(v: Vector, hnf_rows: Matrix) -> Vector:
-    """Deterministic representative of v modulo the row lattice of rows
-    already in row Hermite form."""
-    out = list(v)
-    for row in hnf_rows:
-        col = next(k for k, x in enumerate(row) if x != 0)
-        q = out[col] // row[col]
-        if q:
-            out = [x - q * y for x, y in zip(out, row)]
-    return tuple(out)
 
 
 def _facets_fulldim(rays: Sequence[Vector], d: int) -> list[Vector]:
@@ -138,7 +126,7 @@ class Cone:
         rays_c = [matvec(coords, g) for g in gen_list]
         facets_c = _facets_fulldim(rays_c, d)
         pull = transpose(coords)
-        facets_amb = tuple(sorted(_reduce_mod_rows(matvec(pull, u), span_eqs) for u in facets_c))
+        facets_amb = tuple(sorted(reduce_mod_rows(matvec(pull, u), span_eqs) for u in facets_c))
 
         # a generator tight on every facet lies in the lineality; any other
         # is extremal modulo the lineality when its tight facets have
@@ -158,12 +146,12 @@ class Cone:
         # by the saturated lineality, and reduce it modulo the lineality
         line_basis, _, quot = span_basis(units, n)
         lines = tuple(sublattice_from_vectors(lattice, line_basis).vectors())
+        q_rays = sorted({primitive(matvec(quot, g)) for g in extremal})
         rays = []
-        for r in sorted({primitive(matvec(quot, g)) for g in extremal}):
-            x = solve_integer(quot, r)
+        for r, x in zip(q_rays, lift(quot, q_rays)):
             if x is None:
                 raise ConeError(f"no lift of the ray {r} from the lineality quotient")
-            rays.append(_reduce_mod_rows(x, lines))
+            rays.append(reduce_mod_rows(x, lines))
         return Cone(lattice, tuple(sorted(rays)), lines, facets_amb, span_eqs, span_lat)
 
     @staticmethod

@@ -5,7 +5,7 @@ the reduction pipeline.
 A complex stores no ambient lattice.  Every crossing of a gluing, for
 points, functionals, sublattice vectors, map columns and cones inside a
 face, is a product with the gluing's embedding or with its retraction (the
-left inverse, taken from one Smith form per distinct embedding when a
+left inverse, taken from one Hermite form per distinct embedding when a
 gluing with it is first crossed),
 so the fan case (all charts equal to one ambient lattice, identity
 embeddings) is recovered exactly.

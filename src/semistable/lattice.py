@@ -14,16 +14,17 @@ Each question gets one elimination of the kind it needs:
   cone spans and lineality quotients);
 - `intersect_sublattices` and `preimage_sublattice`: one row Hermite form
   of a stacked matrix (the Zassenhaus construction);
-- `kernel_basis`, `solve_integer`, `left_inverse` and `pushout_lattice`:
-  the Smith form, kept where the invariant factors, a printed basis or a
-  unimodular transform are needed; `left_inverse` is taken once per
-  embedding and then crosses it by matrix products alone.
+- integer preimages: `lift`, one row Hermite form of the same stacked rows
+  for any number of targets; `left_inverse` lifts the unit vectors through
+  the transpose, once per embedding, which is then crossed by matrix
+  products alone;
+- `kernel_basis` and `pushout_lattice`: the Smith form, kept where a
+  printed basis or the torsion of a quotient is needed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -303,65 +304,51 @@ def column_hermite_form(a: Matrix) -> Matrix:
     return transpose(row_hermite_form(transpose(a)))
 
 
-def solve_integer(a: Matrix, b: Sequence[int]) -> Vector | None:
-    """One integer solution x of A x = b, or None if there is none."""
+def reduce_mod_rows(v: Sequence[int], hnf_rows: Matrix) -> Vector:
+    """Deterministic representative of v modulo the row lattice of rows
+    already in row Hermite form."""
+    out = tuple(v)
+    for row in hnf_rows:
+        col = next(k for k, x in enumerate(row) if x != 0)
+        q = out[col] // row[col]
+        if q:
+            out = tuple(x - q * y for x, y in zip(out, row))
+    return out
+
+
+def lift(a: Matrix, targets: Iterable[Sequence[int]]) -> list[Vector | None]:
+    """An integer x with A x = b for each b of `targets`, None where there
+    is none, from one row Hermite form of the rows (A e_i, e_i).
+
+    Those rows span {(A x, x)}.  Reducing (b, 0) modulo the Hermite rows
+    with their pivot in the first block clears that block exactly when b is
+    in the image of A, and then leaves (0, -x) with A x = b."""
     m = len(a)
-    if len(b) != m:
-        raise ValueError(f"vector of length {len(b)} for a matrix with {m} rows")
-    snf = smith_normal_form(a)
     n = len(a[0]) if m else 0
-    c = matvec(snf.U, b)
-    y = [0] * n
-    for i in range(m):
-        d = snf.D[i][i] if i < n else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return matvec(snf.V, y)
+    rows = [tuple(row[i] for row in a) + e for i, e in enumerate(identity(n))]
+    image_rows = tuple(r for r in row_hermite_form(rows) if not is_zero_vec(r[:m]))
+    out = []
+    for b in targets:
+        if len(b) != m:
+            raise ValueError(f"vector of length {len(b)} for a matrix with {m} rows")
+        r = reduce_mod_rows(tuple(b) + (0,) * n, image_rows)
+        out.append(None if any(r[:m]) else vec_neg(r[m:]))
+    return out
+
+
+def solve_integer(a: Matrix, b: Sequence[int]) -> Vector | None:
+    """One integer solution x of A x = b, or None: `lift` of one target,
+    for callers outside the package that solve a single system."""
+    return lift(a, [b])[0]
 
 
 def left_inverse(a: Matrix) -> Matrix | None:
-    """L = V U[:k] with L A = 1, from one Smith form U A V = (1; 0) of an
-    injective A with a saturated image; None for any other A."""
+    """L with L A = 1, row i a lift of e_i through the transpose of A.
+    Every e_i lifts exactly when A is injective with a saturated image;
+    None for any other A."""
     k = len(a[0]) if a else 0
-    snf = smith_normal_form(a)
-    if snf.rank != k or any(d != 1 for d in snf.invariant_factors):
-        return None
-    return matmul(snf.V, snf.U[:k])
-
-
-def solve_rational(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
-    """One rational solution x of A x = b, free variables set to zero, or
-    None if there is none."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(Fraction(y) != 0 for y in b[m:]):
-        return None
-    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if any(rows[i][n] != 0 for i in range(r, m)):
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
-    return tuple(x)
+    rows = lift(transpose(a), identity(k))
+    return None if None in rows else tuple(rows)
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:

@@ -38,11 +38,11 @@ from .lattice import (
     intersect_sublattices,
     is_zero_vec,
     kernel_lattice,
+    lift,
     mat,
     matvec,
     pushout_lattice,
-    solve_integer,
-    solve_rational,
+    reduce_mod_rows,
     span_basis,
     sublattice_from_vectors,
     transpose,
@@ -138,14 +138,17 @@ def _as_sublattice(lat_or_sub, ambient: Lattice) -> Sublattice:
     return full_sublattice(ambient)
 
 
-def _smallest_multiple_coords(basis_cols, ray: Vector) -> Vector:
-    """Coordinates (in the basis) of the smallest positive multiple of
-    `ray` lying in the column lattice of basis_cols."""
-    y = solve_rational(basis_cols, ray)
+def _smallest_multiple_coords(M: Sublattice, ray: Vector) -> Vector:
+    """Coordinates in M of the smallest positive multiple of `ray` lying in
+    M.  Substituting down the Hermite basis divides once by each pivot, so
+    d ray has integer coordinates y for d the product of the pivots, and
+    the smallest multiple is (d / g) ray with g = gcd(d, y)."""
+    d = math.prod(next(x for x in col if x) for col in M.vectors())
+    y = M.coordinates(tuple(d * x for x in ray))
     if y is None:
         raise MonoidError("ray does not lie in the span of the lattice")
-    k = math.lcm(*(x.denominator for x in y))
-    return tuple(int(x * k) for x in y)
+    g = math.gcd(d, *y)
+    return tuple(x // g for x in y)
 
 
 def _pulling_triangulation(c: Cone) -> list[tuple[Vector, ...]]:
@@ -231,7 +234,7 @@ def hilbert_basis(c: Cone, L=None) -> list[Vector]:
     d = M.rank
     if d == 0:
         return []
-    ct = Cone.from_generators(d, [_smallest_multiple_coords(M.basis, r) for r in c.rays])
+    ct = Cone.from_generators(d, [_smallest_multiple_coords(M, r) for r in c.rays])
     simplices = _pulling_triangulation(ct)
     sizes = [abs(det(s)) for s in simplices]
     _check_budget(sum(sizes), "the Hilbert basis parallelepipeds")
@@ -285,14 +288,15 @@ def monoid_generators_of_cone(c: Cone, L=None) -> list[Vector]:
     ls = intersect_sublattices(L, span_sublattice(c))
     qc = Cone.from_generators(q.codomain, [q(g) for g in c.generators()])
     hb = hilbert_basis(qc, image_lattice(q, ls))
-    # lift each quotient generator back into L intersect Span c
+    # lift each quotient generator back into L intersect Span c; two lifts
+    # differ by a unit, so reducing modulo the units' Hermite basis makes
+    # each lift canonical
     lift_matrix = transpose(mat([q(col) for col in ls.vectors()]))
     lifts = []
-    for h in hb:
-        t = solve_integer(lift_matrix, h)
+    for h, t in zip(hb, lift(lift_matrix, hb)):
         if t is None:
             raise MonoidError(f"no lift of the quotient generator {h} to the lattice")
-        lifts.append(matvec(ls.basis, t))
+        lifts.append(reduce_mod_rows(matvec(ls.basis, t), units))
     return sorted(set(units + [vec_neg(u) for u in units] + lifts))
 
 

@@ -5,8 +5,10 @@ for span coordinates, and a second facet pass in the quotient by the
 lineality for the rays of a cone with lines.  Also the maximal cones of a
 fan by every pair, and the cut of a source cell of `reduce_complex` by
 every piece of its target subdivision, which the cut by the maximal pieces
-replaced, and the Hilbert basis by a scan of a box of candidates, which the
-fundamental parallelepipeds of a triangulation replaced."""
+replaced, the Hilbert basis by a scan of a box of candidates, which the
+fundamental parallelepipeds of a triangulation replaced, and the integer
+solve by a Smith form and the rational solve by Gauss-Jordan elimination,
+which one Hermite form per `lift` and the Hermite coordinates replaced."""
 import itertools
 import math
 from fractions import Fraction
@@ -31,7 +33,6 @@ from semistable.lattice import (
     primitive,
     row_hermite_form,
     smith_normal_form,
-    solve_integer,
     sublattice_from_vectors,
     transpose,
     vec_neg,
@@ -39,9 +40,69 @@ from semistable.lattice import (
 from semistable.monoid import (
     _as_sublattice,
     _check_budget,
-    _smallest_multiple_coords,
     hilbert_basis,
 )
+
+
+def solve_integer(a, b):
+    """One integer solution x of A x = b, or None if there is none."""
+    m = len(a)
+    if len(b) != m:
+        raise ValueError(f"vector of length {len(b)} for a matrix with {m} rows")
+    snf = smith_normal_form(a)
+    n = len(a[0]) if m else 0
+    c = matvec(snf.U, b)
+    y = [0] * n
+    for i in range(m):
+        d = snf.D[i][i] if i < n else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            y[i] = c[i] // d
+    return matvec(snf.V, y)
+
+
+def solve_rational(a, b):
+    """One rational solution x of A x = b, free variables set to zero, or
+    None if there is none."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(Fraction(y) != 0 for y in b[m:]):
+        return None
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(rows[i][n] != 0 for i in range(r, m)):
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n]
+    return tuple(x)
+
+
+def smallest_multiple_coords(basis_cols, ray):
+    """Coordinates (in the basis) of the smallest positive multiple of
+    `ray` lying in the column lattice of basis_cols, by a rational solve."""
+    y = solve_rational(basis_cols, ray)
+    if y is None:
+        raise ValueError("ray does not lie in the span of the lattice")
+    k = math.lcm(*(x.denominator for x in y))
+    return tuple(int(x * k) for x in y)
 
 
 def rank_of(vectors, n):
@@ -251,7 +312,7 @@ def box_hilbert_basis(c, L=None):
     cols = M.vectors()
     facets_t = [tuple(dot(u, col) for col in cols) for u in c.facets]
     f_t = tuple(sum(u[j] for u in facets_t) for j in range(d))
-    ray_coords = [_smallest_multiple_coords(M.basis, r) for r in c.rays]
+    ray_coords = [smallest_multiple_coords(M.basis, r) for r in c.rays]
     bound = sum(dot(f_t, rc) for rc in ray_coords)
     lo = [0] * d
     hi = [0] * d
@@ -279,7 +340,8 @@ def box_hilbert_basis(c, L=None):
 def monoid_generators_of_cone(c, L, hilbert=hilbert_basis):
     """Generators of c ∩ L for a cone with lines: the points of L in the
     lineality in both signs, and lifts of the `hilbert` basis in the
-    quotient by the Smith form of the lines, with Smith-kernel
+    quotient by the Smith form of the lines, by Smith-form solves and
+    reduced modulo the Hermite basis of those points, with Smith-kernel
     intersections."""
     n = c.lattice.rank
     units = intersect_sublattices(L, sublattice_from_vectors(c.lattice, c.lines)).vectors()
@@ -293,7 +355,8 @@ def monoid_generators_of_cone(c, L, hilbert=hilbert_basis):
     q_ls = sublattice_from_vectors(q.codomain, [q(v) for v in ls.vectors()])
     qc = Cone.from_generators(q.codomain, [q(g) for g in c.generators()])
     lift = transpose(mat([q(v) for v in ls.vectors()]))
-    lifts = [matvec(ls.basis, solve_integer(lift, h)) for h in hilbert(qc, q_ls)]
+    lifts = [reduce_mod_rows(matvec(ls.basis, solve_integer(lift, h)), units)
+             for h in hilbert(qc, q_ls)]
     return sorted(set(units + [vec_neg(u) for u in units] + lifts))
 
 

@@ -7,6 +7,7 @@ import functools
 import random
 from math import gcd
 
+from oracles import solve_integer, solve_rational
 from semistable.cone import Cone, span_sublattice
 from semistable.conecomplex import (
     fan_morphism_as_complex,
@@ -26,8 +27,6 @@ from semistable.lattice import (
     LatticeMap,
     mat,
     matvec,
-    solve_integer,
-    solve_rational,
     sublattice_from_vectors,
     transpose,
 )

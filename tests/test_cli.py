@@ -246,9 +246,24 @@ class TestInvalidFans:
         (["check", "--weakly-semistable", "--input", data("overlap_quad.json")],
          "$.payload.source"),
         (["check", "--smooth", "--input", data("overlap_fan.json")], "$.payload"),
+        (["hilbert", "--input", data("nested_quad.json")], "$.payload"),
+        (["minmod", "--morphism", data("overlap_quad.json"),
+          "--subdivision", data("blowup_fan.json")], "--morphism: $.payload.source"),
+        (["minmod", "--morphism", data("fix_subdiv.json"),
+          "--subdivision", data("nested_quad.json")], "--subdivision: $.payload"),
+        (["minmod", "--morphism", data("fix_subdiv.json"),
+          "--subdivision", data("overlap_fan.json")], "--subdivision: $.payload"),
+        (["fanprod", "--left", data("overlap_quad.json"),
+          "--right", data("blowup_chart.json")], "--left: $.payload.source"),
+        (["fanprod", "--left", data("blowup_chart.json"),
+          "--right", data("overlap_quad.json")], "--right: $.payload.source"),
+        (["basechange", "--morphism", data("overlap_quad.json"),
+          "--matrix", "[[1, 0], [0, 1]]"], "$.payload.source"),
     ], ids=["reduce", "reduce-straddle", "factor-family", "factor-alteration",
             "render", "check-proper", "check-modification", "check-alteration",
-            "check-valid-proper", "check-weakly-semistable", "check-smooth"])
+            "check-valid-proper", "check-weakly-semistable", "check-smooth",
+            "hilbert-nested", "minmod-morphism", "minmod-subdivision-nested",
+            "minmod-subdivision", "fanprod-left", "fanprod-right", "basechange"])
     def test_rejected_with_json_path(self, args, path, capsys):
         code, out = run_cli(*args)
         assert code == 2
@@ -256,6 +271,21 @@ class TestInvalidFans:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not a fan: ")
         assert "is not a common face" in err
+
+
+def test_reduce_rejects_a_morphism_that_is_not_proper(tmp_path, capsys):
+    # the half line does not cover the line it maps into
+    doc = {"version": "1", "kind": "fan_morphism", "payload": {
+        "matrix": [[1]],
+        "source": {"lattice_rank": 1, "cones": [{"rays": [[1]]}]},
+        "target": {"lattice_rank": 1, "cones": [{"rays": [[1]]}, {"rays": [[-1]]}]}}}
+    path = tmp_path / "not_proper.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli("reduce", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == \
+        "error: the morphism is not proper onto the target support\n"
 
 
 @pytest.mark.parametrize("args,prefix", [

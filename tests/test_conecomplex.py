@@ -82,6 +82,27 @@ def two_copies_morphism():
                            (ray_t, ray_t, zero_t))
 
 
+def ray_collapsed_over_halfline():
+    """The rays (1,0) and (0,1) of Z^2 over the half line by (0 1), each
+    complex's origin a cell of rank 0.  The ray (1,0) goes to the origin,
+    which only the zero cell covers, yet it is assigned to the half line."""
+    ray_x, ray_y = cone(2, (1, 0)), cone(2, (0, 1))
+    zero0 = Cone.zero(0)
+    ident0, ident1, ident2 = (LatticeMap.identity_map(Lattice(n)) for n in (0, 1, 2))
+    from_zero = [LatticeMap(Lattice(0), Lattice(n), ((),) * n) for n in (1, 2)]
+    src = ConeComplex((ray_x, ray_y, zero0), (
+        Gluing(0, ray_x, 0, ident2), Gluing(0, Cone.zero(2), 2, from_zero[1]),
+        Gluing(1, ray_y, 1, ident2), Gluing(1, Cone.zero(2), 2, from_zero[1]),
+        Gluing(2, zero0, 2, ident0)))
+    half = cone(1, (1,))
+    tgt = ConeComplex((half, zero0), (
+        Gluing(0, half, 0, ident1), Gluing(0, Cone.zero(1), 1, from_zero[0]),
+        Gluing(1, zero0, 1, ident0)))
+    proj = lmap([[0, 1]])
+    return ComplexMorphism(src, tgt, (proj, proj, LatticeMap.identity_map(Lattice(0))),
+                           (0, 0, 1))
+
+
 class TestValidation:
     def test_fan_as_complex_ok(self):
         assert validate_complex(fan_as_complex(blowup_fan()))
@@ -244,6 +265,21 @@ class TestReduceComplex:
         cres = reduce_complex(m)
         flagged = {m.source.cells[i] for i in cres.positive_dimensional_lifts}
         assert flagged == {c for c in m.source.cells if c.dim == 2}
+
+    def test_cell_whose_map_does_not_descend_to_its_face_chart(self):
+        # the total cell (1,0) lands on the origin of the half line, whose
+        # chart has rank 0; (0 1) does not factor through it, so the cell
+        # keeps its map and the smallest piece of the half line's own
+        # subdivision that holds its image
+        m = ray_collapsed_over_halfline()
+        cres = reduce_complex(m)
+        assert [c.rays for c in cres.base.complex.cells] == [((1,),), ()]
+        assert [c.rays for c in cres.total.complex.cells] == [((1, 0),), ((0, 1),), ()]
+        assert cres.morphism.assignment == (0, 0, 1)
+        assert [f.matrix for f in cres.morphism.cell_maps] == [((0, 1),)] * 2 + [()]
+        assert [s.vectors() for s in cres.total.sublattices] == [[(1, 0)], [(0, 1)], []]
+        assert [s.vectors() for s in cres.base.sublattices] == [[(1,)], []]
+        assert cres.positive_dimensional_lifts == (0,)
 
     def test_rejects_non_surjective(self):
         src = fan_as_complex(Fan.from_cones(1, []))

@@ -29,6 +29,7 @@ from semistable.lattice import (
     kernel_lattice,
     lattice_index,
     left_inverse,
+    lift,
     mat,
     matmul,
     matvec,
@@ -37,7 +38,6 @@ from semistable.lattice import (
     row_hermite_form,
     saturate,
     smith_normal_form,
-    solve_integer,
     span_basis,
     sublattice_from_vectors,
     transpose,
@@ -220,11 +220,56 @@ def test_left_inverse_matches_smith_form_and_solve_integer():
         if embeds:
             assert matmul(inv, a) == identity(ncols)
             b = matvec(a, coeffs[:ncols])
-            assert matvec(inv, b) == solve_integer(a, b)
+            assert matvec(inv, b) == oracles.solve_integer(a, b)
         outcomes.add(embeds)
 
     check()
     assert outcomes == {True, False}
+
+
+def test_lift_solves_exactly_where_the_smith_form_does():
+    outcomes = set()
+
+    @given(matrices(max_rows=4, max_cols=4, min_rows=1), st.data())
+    @SETTINGS
+    def check(case, data):
+        a, ncols = case
+        # images of random vectors, scaled images and random targets
+        targets = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            kind = data.draw(st.sampled_from(("image", "scaled", "random")))
+            if kind == "random":
+                targets.append(tuple(data.draw(st.lists(entry, min_size=len(a),
+                                                        max_size=len(a)))))
+            else:
+                x = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+                k = data.draw(st.integers(1, 3)) if kind == "scaled" else 1
+                targets.append(tuple(k * y for y in matvec(a, x)))
+        lifts = lift(a, targets)
+        assert len(lifts) == len(targets)
+        for b, x in zip(targets, lifts):
+            want = oracles.solve_integer(a, b)
+            assert (x is None) == (want is None)
+            if x is not None:
+                assert matvec(a, x) == b
+            outcomes.add(x is None)
+
+    check()
+    assert outcomes == {True, False}
+
+
+@given(st.data())
+@SETTINGS
+def test_smallest_multiple_coords_match_the_rational_solve(data):
+    sub = data.draw(sublattices())
+    assume(sub.rank > 0)
+    ray = data.draw(vectors_for(sub))
+    if oracles.solve_rational(sub.basis, ray) is None:
+        with pytest.raises(monoid.MonoidError):
+            monoid._smallest_multiple_coords(sub, ray)
+    else:
+        assert monoid._smallest_multiple_coords(sub, ray) == \
+            oracles.smallest_multiple_coords(sub.basis, ray)
 
 
 @given(sublattices())
@@ -418,27 +463,29 @@ def test_contains_rejects_a_vector_of_the_wrong_length():
             sub.coordinates(v)
 
 
-def test_solve_integer_rejects_a_vector_of_the_wrong_length():
-    assert solve_integer(identity(2), (1, 2)) == (1, 2)
+def test_lift_rejects_a_vector_of_the_wrong_length():
+    assert lift(identity(2), [(1, 2)]) == [(1, 2)]
     for b in ((1, 2, 3), (1,)):
         with pytest.raises(ValueError):
-            solve_integer(identity(2), b)
+            lift(identity(2), [b])
 
 
 # ---------------------------------------------------------------------------
 # Smith forms, intersections and Hilbert bases per reduce
 
-# S->quad makes 191 Smith forms from a cleared cone memo, one per cone span,
-# lineality quotient and ray lift; with Smith-kernel intersections and
-# preimages and three per span it made 792, and with a Smith form for every
-# membership test, rank, facet candidate and saturation solve 3,711
-SMITH_FORMS_S_QUAD = 250
-# the same family reduced chart by chart makes 201, with one left inverse
-# per distinct embedding (2); cutting every source cell by every target piece
-# it made 427, with one left inverse per gluing crossed 643, and with a Smith
-# form per gluing in validate_complex and an integer solve per functional,
-# sublattice vector and map column 1,060
-SMITH_FORMS_S_QUAD_COMPLEX = 250
+# S->quad makes 147 Smith forms from a cleared cone memo, one per cone span
+# and lineality quotient; lifting the rays of a cone with lines by a Smith
+# form each it made 191, with Smith-kernel intersections and preimages and
+# three per span 792, and with a Smith form for every membership test, rank,
+# facet candidate and saturation solve 3,711
+SMITH_FORMS_S_QUAD = 147
+# the same family reduced chart by chart makes 144, its left inverses
+# lifted by Hermite forms; with a Smith form per ray lift and per distinct
+# embedding's left inverse it made 201, cutting every source cell by every
+# target piece 427, with one left inverse per gluing crossed 643, and with a
+# Smith form per gluing in validate_complex and an integer solve per
+# functional, sublattice vector and map column 1,060
+SMITH_FORMS_S_QUAD_COMPLEX = 144
 # and it intersects cones 18 times, cutting each source cell by the maximal
 # pieces of its target subdivision only (93 by every piece); it computes no
 # Hilbert basis, the lattice certificate deciding weak semistability (60

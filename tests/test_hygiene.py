@@ -1,8 +1,9 @@
 """Source hygiene without a lint tool: every import sits at module level,
-every module-level import is used, no float enters the exact code, no
-assert stands in for an error, the Smith form is called only where its
-invariant factors or transforms are needed, and the cartesian check's
-pushout search only where no proof of integrality stands in for it."""
+every module-level import is used, no float enters the exact code and no
+Fraction outside the CLI, no assert stands in for an error, the Smith form
+is called only where its invariant factors or transforms are needed, every
+integer preimage is a `lift`, and the cartesian check's pushout search runs
+only where no proof of integrality stands in for it."""
 import ast
 import glob
 import os
@@ -86,8 +87,7 @@ def test_no_asserts(path):
 
 # the questions that need invariant factors, a printed basis or a unimodular
 # transform; everything else uses Bareiss or Hermite elimination
-SMITH_FORM_CALLERS = {"span_basis", "kernel_basis", "solve_integer",
-                      "pushout_lattice", "left_inverse"}
+SMITH_FORM_CALLERS = {"span_basis", "kernel_basis", "pushout_lattice"}
 
 
 def _callers(names):
@@ -107,16 +107,32 @@ def test_smith_normal_form_is_called_only_where_needed():
     assert {fn for _, fn in _callers({"smith_normal_form"})} == SMITH_FORM_CALLERS
 
 
-# a gluing is crossed by its embedding and its left inverse; the solvers
-# are left to the ray lifts of a lineality quotient and the monoid searches
-SOLVER_CALLERS = {("cone.py", "_build"), ("monoid.py", "monoid_generators_of_cone"),
-                  ("monoid.py", "_smallest_multiple_coords")}
+# every integer preimage is a `lift`: a gluing's left inverse, the rays of
+# a cone with lines and the generators of a monoid with units
+LIFT_CALLERS = {("lattice.py", "left_inverse"), ("lattice.py", "solve_integer"),
+                ("cone.py", "_build"), ("monoid.py", "monoid_generators_of_cone")}
 
 
-def test_solvers_are_called_only_where_needed():
-    callers = {(module, fn) for module, fn in
-               _callers({"solve_integer", "solve_rational"}) if module != "lattice.py"}
-    assert callers == SOLVER_CALLERS
+def test_integer_preimages_are_lifts():
+    assert _callers({"lift"}) == LIFT_CALLERS
+    # solve_integer stays, as `lift` of one target, for scripts that import
+    # it; no module of the package calls it, and no other solver is left
+    solvers = {fn.name for fn in _tree(os.path.join(SRC, "lattice.py")).body
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("solve_")}
+    assert solvers == {"solve_integer"}
+    assert not _callers({"solve_integer", "solve_rational"})
+
+
+def test_only_the_cli_imports_fractions():
+    # exact arithmetic is integral; SVG coordinates are the one use of Fraction
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "fractions" in names:
+                importers.add(os.path.basename(path))
+    assert importers == {"cli.py"}
 
 
 def test_pushout_search_runs_only_for_entries_without_an_integral_leg():

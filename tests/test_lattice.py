@@ -20,6 +20,7 @@ from semistable.lattice import (
     intersect_sublattices,
     kernel_lattice,
     lattice_index,
+    lift,
     mat,
     matmul,
     matvec,
@@ -27,7 +28,6 @@ from semistable.lattice import (
     pushout_lattice,
     saturate,
     smith_normal_form,
-    solve_integer,
     sublattice_from_vectors,
     transpose,
     zero_sublattice,
@@ -258,11 +258,11 @@ class TestDualIntersectPreimage:
 
 @given(matrices(4))
 @settings(max_examples=80, deadline=None)
-def test_solve_integer_roundtrip(a):
+def test_lift_roundtrip(a):
     # any vector in the image has an exact integer preimage
     x = tuple(1 if i % 2 == 0 else -2 for i in range(len(a[0])))
     b = matvec(a, x)
-    sol = solve_integer(a, b)
+    [sol] = lift(a, [b])
     assert sol is not None
     assert matvec(a, sol) == b
 
