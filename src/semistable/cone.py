@@ -4,7 +4,8 @@ A cone is stored with both descriptions computed at construction time:
 extremal rays (plus lineality generators when the cone contains lines),
 irredundant facet normals, and integer equations cutting out the linear
 span.  All conversions are exact.  Cones are immutable, and one memo of
-CONE_MEMO_SIZE entries, keyed on the normalized generators, builds each once.
+CONE_MEMO_SIZE entries, keyed on the normalized generators, builds each once;
+each cone enumerates its faces once, on the first call to `faces`.
 
 One construction, `Cone._build`, answers every question about a cone with
 the elimination it needs: one Smith form of the generators (`span_basis`)
@@ -199,17 +200,21 @@ class Cone:
         return all(self.contains(g) for g in other.generators())
 
     def faces(self) -> list["Cone"]:
-        """All faces (strictly convex only): the ray sets tight on some set
-        of facets, that is the closure of the facets' tight sets under
-        intersection, each built once."""
+        """All faces (strictly convex only), sorted by dimension and rays."""
         if self.lines:
             raise ConeError("face enumeration requires a strictly convex cone")
+        return list(self._faces)
+
+    @functools.cached_property
+    def _faces(self) -> tuple["Cone", ...]:
+        # computed once per cone: the ray sets tight on some set of facets,
+        # that is the closure of the facets' tight sets under intersection
         tight_sets = {frozenset(self.rays)}
         for u in self.facets:
             tight = frozenset(r for r in self.rays if dot(u, r) == 0)
             tight_sets |= {t & tight for t in tight_sets}
         faces = [Cone.from_generators(self.lattice, t) for t in tight_sets]
-        return sorted(faces, key=lambda c: (c.dim, c.rays))
+        return tuple(sorted(faces, key=lambda c: (c.dim, c.rays)))
 
     def __hash__(self):
         return hash((self.lattice, self.rays, self.lines))

@@ -20,9 +20,16 @@ Each question gets one elimination of the kind it needs:
   products alone;
 - `kernel_basis` and `pushout_lattice`: the Smith form, kept where a
   printed basis or the torsion of a quotient is needed.
+
+The checks of a reduction restrict the same sublattices to the same spans
+again and again, so the Hermite forms behind a sublattice's basis, an
+intersection and a preimage are each memoized on their normalized input,
+up to LATTICE_MEMO_SIZE entries, in private helpers behind the public
+functions, which check their arguments on every call.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,6 +39,11 @@ Matrix = tuple[Vector, ...]
 
 # lattice_index of a sublattice of smaller rank
 INFINITE = None
+
+# entries of each Hermite-form memo: one operation asks at most 385
+# distinct questions of one memo (the intersections of an S^4 -> quad
+# reduce), one benchmark operation 153 and one benchmark pass 203
+LATTICE_MEMO_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +313,13 @@ def row_hermite_form(a: Matrix) -> Matrix:
 
 def column_hermite_form(a: Matrix) -> Matrix:
     """Canonical basis (as columns) of the column space; see row_hermite_form."""
+    return _column_hermite(mat(a))
+
+
+@functools.lru_cache(maxsize=LATTICE_MEMO_SIZE)
+def _column_hermite(a: Matrix) -> Matrix:
+    # one elimination per distinct basis: sublattices are rebuilt from the
+    # same vectors by every check that restricts them to a span
     return transpose(row_hermite_form(transpose(a)))
 
 
@@ -434,7 +453,7 @@ class Sublattice:
             b = tuple(() for _ in range(self.ambient.rank)) if not b else b
         if len(b) != self.ambient.rank:
             raise ValueError("basis row count does not match ambient rank")
-        h = column_hermite_form(b)
+        h = _column_hermite(b)
         if not h:
             h = tuple(() for _ in range(self.ambient.rank))
         # columns of an HNF are independent by construction
@@ -599,9 +618,14 @@ def intersect_sublattices(a: Sublattice, b: Sublattice) -> Sublattice:
     zero on the first block exactly in (0, v) with v = -w in both."""
     if a.ambient != b.ambient:
         raise ValueError("sublattices have different ambient lattices")
-    zero = (0,) * a.ambient.rank
-    rows = [v + v for v in a.vectors()] + [w + zero for w in b.vectors()]
-    return _zero_on_first_block(rows, a.ambient, a.ambient.rank)
+    return _intersect(a.ambient, a.basis, b.basis)
+
+
+@functools.lru_cache(maxsize=LATTICE_MEMO_SIZE)
+def _intersect(lat: Lattice, a: Matrix, b: Matrix) -> Sublattice:
+    zero = (0,) * lat.rank
+    rows = [v + v for v in columns(a)] + [w + zero for w in columns(b)]
+    return _zero_on_first_block(rows, lat, lat.rank)
 
 
 def preimage_sublattice(f: LatticeMap, s: Sublattice) -> Sublattice:
@@ -610,8 +634,12 @@ def preimage_sublattice(f: LatticeMap, s: Sublattice) -> Sublattice:
     in s."""
     if s.ambient != f.codomain:
         raise ValueError("sublattice does not live in the codomain")
-    n = f.domain.rank
-    zero = (0,) * n
-    rows = [tuple(row[i] for row in f.matrix) + e for i, e in enumerate(identity(n))]
-    rows += [w + zero for w in s.vectors()]
-    return _zero_on_first_block(rows, f.domain, f.codomain.rank)
+    return _preimage(f.domain, f.matrix, s.basis)
+
+
+@functools.lru_cache(maxsize=LATTICE_MEMO_SIZE)
+def _preimage(lat: Lattice, a: Matrix, s: Matrix) -> Sublattice:
+    zero = (0,) * lat.rank
+    rows = [tuple(row[i] for row in a) + e for i, e in enumerate(identity(lat.rank))]
+    rows += [w + zero for w in columns(s)]
+    return _zero_on_first_block(rows, lat, len(a))

@@ -220,10 +220,18 @@ def hilbert_basis(c: Cone, L=None) -> list[Vector]:
     algorithms for affine monoids and rational cones", J. Algebra 324,
     2010).  They generate c ∩ M: a point x lies in some simplex, so
     x = sum l_i r_i with l_i >= 0, and x - sum floor(l_i) r_i is a point of
-    that parallelepiped.  So every irreducible element is a candidate, and
-    a candidate is reducible exactly when a lighter candidate leaves a
-    remainder in the cone.  The SEARCH_BUDGET bounds sum |det| over the
-    simplices, the number of parallelepiped points, before any is listed.
+    that parallelepiped.  So every irreducible element is a candidate.
+
+    The grading f, the sum of the facet normals, is positive on every
+    nonzero point of the cone.  A candidate t is reducible exactly when a
+    candidate s with 2 f(s) <= f(t) leaves a remainder t - s in the cone:
+    such an s is lighter than t, so the remainder is nonzero.  Conversely,
+    if t = a + b with a and b nonzero, say f(a) <= f(t)/2, then a is a sum
+    of candidates, because they generate the monoid, and each of them
+    weighs at most f(a); any candidate c of that sum has
+    t - c = (a - c) + b in the monoid.  The SEARCH_BUDGET bounds sum |det|
+    over the simplices, the number of parallelepiped points, before any is
+    listed.
     """
     if not c.is_strictly_convex:
         raise ConeError("hilbert basis requires a strictly convex cone")
@@ -255,7 +263,7 @@ def hilbert_basis(c: Cone, L=None) -> list[Vector]:
         ft = dot(f_t, t)
         reducible = False
         for s in candidates:
-            if dot(f_t, s) >= ft:
+            if 2 * dot(f_t, s) > ft:
                 break
             if in_monoid(vec_sub(t, s)):
                 reducible = True

@@ -174,6 +174,24 @@ class TestSemantics:
         assert out.count("<line") == 3
         assert out.startswith("<?xml")
 
+    @pytest.mark.parametrize("index,ok", [(0, True), (3, False)])
+    def test_cone_index_counts_the_face_closure(self, tmp_path, index, ok):
+        # the square's face closure is the origin, (0,1), (1,0), the square:
+        # the zero sublattice marks the origin fine and the square not at all
+        doc = {"version": "1", "kind": "stacky_fan", "payload": {
+            "lattice_rank": 2, "cones": [{"rays": [[1, 0], [0, 1]]}],
+            "sublattices": [{"cone_index": index, "basis": []}]}}
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli("check", "--valid", "--input", str(path))
+        report = json.loads(out)["payload"]
+        assert (code, report["ok"]) == ((0, True) if ok else (1, False))
+        if ok:
+            assert report["details"] == ["valid: yes"]
+        else:
+            assert report["violations"][0] == (
+                "valid: sublattice of ((0, 1), (1, 0)) has infinite index")
+
 
 OVERLAP_VIOLATIONS = [
     "valid: intersection of ((1, 1),) and ((1, 0), (1, 2)) is not a common face",

@@ -159,8 +159,16 @@ class TestFaces:
 
     def test_faces_requires_pointed(self):
         c = cone2((1, 0), (-1, 0), (0, 1))
-        with pytest.raises(ConeError):
-            c.faces()
+        for _ in range(2):
+            with pytest.raises(ConeError):
+                c.faces()
+
+    def test_faces_are_a_fresh_list_each_call(self):
+        c = cone2((1, 0), (0, 1))
+        fs = c.faces()
+        want = list(fs)
+        fs.clear()
+        assert c.faces() == want and c.faces() is not c.faces()
 
     def test_simplicial_3d_face_count(self):
         c = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

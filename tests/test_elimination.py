@@ -18,6 +18,7 @@ from semistable.conecomplex import (
     fan_morphism_as_complex,
     reduce_complex,
 )
+from semistable import lattice
 from semistable.lattice import (
     Lattice,
     LatticeMap,
@@ -471,7 +472,7 @@ def test_lift_rejects_a_vector_of_the_wrong_length():
 
 
 # ---------------------------------------------------------------------------
-# Smith forms, intersections and Hilbert bases per reduce
+# Smith forms, Hermite forms, intersections and Hilbert bases per reduce
 
 # S->quad makes 147 Smith forms from a cleared cone memo, one per cone span
 # and lineality quotient; lifting the rays of a cone with lines by a Smith
@@ -491,11 +492,18 @@ SMITH_FORMS_S_QUAD_COMPLEX = 144
 # Hilbert basis, the lattice certificate deciding weak semistability (60
 # before)
 INTERSECTS_S_QUAD_COMPLEX = 30
+# one row Hermite form per distinct sublattice basis, intersection and
+# preimage: 444 in S->quad reduce and 350 in reduce_complex, which made
+# 1,312 and 1,096 while the checks that restrict the same sublattices to the
+# same spans eliminated again each time
+HERMITE_FORMS_S_QUAD = 444
+HERMITE_FORMS_S_QUAD_COMPLEX = 350
 
 
 def _calls(run, *functions):
     """The number of calls `run()` makes to each of the functions, from
-    cleared cone and left-inverse memos."""
+    cleared cone, left-inverse and lattice memos (a cone's face cache goes
+    with the cone)."""
     codes = [f.__code__ for f in functions]
     calls = [0] * len(codes)
 
@@ -505,6 +513,8 @@ def _calls(run, *functions):
 
     Cone._build.cache_clear()
     _left_inverse_map.cache_clear()
+    for memo in (lattice._column_hermite, lattice._intersect, lattice._preimage):
+        memo.cache_clear()
     sys.setprofile(profile)
     try:
         run()
@@ -516,13 +526,14 @@ def _calls(run, *functions):
 def test_reduce_s_quad_smith_form_count():
     out = io.StringIO()
     status = []
-    [calls] = _calls(lambda: status.append(
+    smith, hermite = _calls(lambda: status.append(
         main(["reduce", "--input", os.path.join(DATA, "s_quad.json")], out=out)),
-        smith_normal_form)
+        smith_normal_form, row_hermite_form)
     assert status == [0]
     with open(os.path.join(DATA, "golden", "reduce_s_quad.json")) as fh:
         assert out.getvalue() == fh.read()
-    assert 0 < calls <= SMITH_FORMS_S_QUAD
+    assert 0 < smith <= SMITH_FORMS_S_QUAD
+    assert 0 < hermite <= HERMITE_FORMS_S_QUAD
 
 
 def test_reduce_complex_s_quad_call_counts():
@@ -530,10 +541,12 @@ def test_reduce_complex_s_quad_call_counts():
         _, p = load_document(fh.read(), ("fan_morphism",))
     m = fan_morphism_as_complex(p)
     results = []
-    smith, intersects, hilbert = _calls(lambda: results.append(reduce_complex(m)),
-                                        smith_normal_form, intersect, hilbert_basis)
+    smith, hermite, intersects, hilbert = _calls(
+        lambda: results.append(reduce_complex(m)),
+        smith_normal_form, row_hermite_form, intersect, hilbert_basis)
     cx = results[0]
     assert (len(cx.base.complex.cells), len(cx.total.complex.cells)) == (8, 30)
     assert 0 < smith <= SMITH_FORMS_S_QUAD_COMPLEX
+    assert 0 < hermite <= HERMITE_FORMS_S_QUAD_COMPLEX
     assert 0 < intersects <= INTERSECTS_S_QUAD_COMPLEX
     assert hilbert == 0

@@ -139,3 +139,42 @@ def test_pushout_search_runs_only_for_entries_without_an_integral_leg():
     # the search is evidence up to a word length; _cartesian_triple runs it
     # only where integral_by_flatness proves neither leg integral
     assert _callers({"_pushout_injective_bounded"}) == {("fan.py", "_cartesian_triple")}
+
+
+def _memo_decorators():
+    """(module, function, decorator) for every functools memo in src/."""
+    found = []
+    for path in MODULES:
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in fn.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in ("lru_cache", "cache"):
+                        found.append((os.path.basename(path), fn.name, dec))
+    return found
+
+
+def _module_int_constants(path):
+    return {t.id for node in _tree(path).body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+            for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
+
+
+def test_every_memo_is_bounded_by_a_named_constant_on_a_private_name():
+    # a long-lived process must not grow a memo without bound, and the
+    # benchmark tracer wraps only public functions, so a memo on a public
+    # name would hide its calls from the per-layer counts
+    memos = _memo_decorators()
+    assert {(module, fn) for module, fn, _ in memos} >= {
+        ("cone.py", "_build"), ("conecomplex.py", "_left_inverse_map"),
+        ("lattice.py", "_column_hermite"), ("lattice.py", "_intersect"),
+        ("lattice.py", "_preimage")}
+    bad = []
+    for module, fn, dec in memos:
+        sizes = [k.value for k in getattr(dec, "keywords", ()) if k.arg == "maxsize"]
+        constants = _module_int_constants(os.path.join(SRC, module))
+        if not (fn.startswith("_") and len(sizes) == 1
+                and isinstance(sizes[0], ast.Name) and sizes[0].id in constants):
+            bad.append(f"{module}:{fn} (line {dec.lineno})")
+    assert not bad, f"unbounded or public memos: {', '.join(bad)}"

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import right_inverse
+from semistable import lattice
 from semistable.lattice import (
     INFINITE,
+    LATTICE_MEMO_SIZE,
     Lattice,
     LatticeMap,
     Sublattice,
@@ -298,3 +300,40 @@ def test_column_hermite_canonical():
     a = mat([[2, 4], [0, 0]])
     h = column_hermite_form(a)
     assert h == mat([[2], [0]])
+    # lists work too, though the memo behind both is keyed on tuples
+    assert column_hermite_form([[2, 4], [0, 0]]) == h
+    assert Sublattice(Lattice(2), [[2, 4], [0, 0]]).basis == h
+
+
+# ---------------------------------------------------------------------------
+# the Hermite-form memos sit behind plain functions
+
+
+def test_mismatched_ambients_raise_on_every_call():
+    a = full_sublattice(Lattice(2))
+    b = full_sublattice(Lattice(3))
+    f = lmap([[1, 0], [0, 1]])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            intersect_sublattices(a, b)
+        with pytest.raises(ValueError):
+            preimage_sublattice(f, b)
+
+
+def test_memos_stay_bounded_and_exact_past_the_bound():
+    z2 = Lattice(2)
+    n = LATTICE_MEMO_SIZE + 50
+    subs = [sublattice_from_vectors(z2, [(k, 1)]) for k in range(n)]
+    f = lmap([[1, 1], [0, 2]])
+    even = sublattice_from_vectors(z2, [(2, 0), (0, 2)])
+    caps = [intersect_sublattices(s, even) for s in subs]
+    pres = [preimage_sublattice(f, s) for s in subs]
+    for memo in (lattice._column_hermite, lattice._intersect, lattice._preimage):
+        assert memo.cache_info().currsize <= LATTICE_MEMO_SIZE
+    # the first ones are evicted by now and come out the same again
+    for k, (s, cap, pre) in enumerate(zip(subs, caps, pres)):
+        assert s.basis == ((k,), (1,))
+        assert cap.basis == ((2 * k,), (2,))
+        assert intersect_sublattices(s, even) == cap
+        assert pre == preimage_sublattice(f, s)
+        assert all(s.contains(matvec(f.matrix, v)) for v in pre.vectors())

@@ -94,6 +94,13 @@ class TestHilbertBasis:
         c = Cone.from_generators(2, [(1, 0), (1, 5000)])
         assert hilbert_basis(c) == [(1, k) for k in range(5001)]
 
+    def test_many_weights(self):
+        # 5,002 basis elements of 5,001 weights; comparing each candidate
+        # with every lighter one took about 40 s, with the candidates of at
+        # most half its weight well under a second
+        c = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 1, 5000)])
+        assert hilbert_basis(c) == [(0, 1, 0), (1, 0, 0)] + [(1, 1, k) for k in range(1, 5001)]
+
     def test_minimality(self):
         c = Cone.from_generators(2, [(2, -1), (0, 1)])
         hb = hilbert_basis(c)
