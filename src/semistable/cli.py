@@ -13,7 +13,6 @@ Exit codes: 0 predicate true / construction succeeded, 1 predicate false,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import re
 import sys
@@ -34,6 +33,7 @@ from .fan import (
     StackyFan,
     StackyMorphism,
     ValidationReport,
+    WeakSemistabilityReport,
     base_change_along_alteration,
     is_alteration,
     is_modification,
@@ -53,8 +53,6 @@ from .reduction import ReductionError, factor_through, reduce, \
     universal_minimal_modification
 
 VERSION = "1"
-KINDS = ("fan", "stacky_fan", "fan_morphism", "stacky_morphism",
-         "cone_complex", "complex_morphism", "reduction_result", "report")
 
 _INT_LIMIT = 2 ** 53
 _INT_RE = re.compile(r"^-?[0-9]+$")
@@ -291,6 +289,20 @@ PARSERS = {
     "complex_morphism": parse_complex_morphism,
     "reduction_result": parse_reduction_result,
 }
+KINDS = (*PARSERS, "report")
+
+
+def _fans(kind: str, obj) -> dict:
+    """The fans a parsed document holds, by JSON path: a reduction result's
+    refined base, and no fan of a cone complex."""
+    if kind in ("fan", "stacky_fan"):
+        return {"$.payload": obj if kind == "fan" else obj.fan}
+    if kind in ("fan_morphism", "stacky_morphism"):
+        p = obj if kind == "fan_morphism" else obj.underlying
+        return {"$.payload.source": p.source, "$.payload.target": p.target}
+    if kind == "reduction_result":
+        return {"$.payload.base": obj[0].fan}
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +346,18 @@ def _load_file(fname: str, expect: tuple[str, ...]):
     return load_document(text, expect)
 
 
-def _load_fan_morphism(fname: str) -> FanMorphism:
-    """A fan_morphism document whose source and target are valid fans."""
-    _, p = _load_file(fname, ("fan_morphism",))
-    _require_fan("$.payload.source", validate_fan(p.source))
-    _require_fan("$.payload.target", validate_fan(p.target))
-    return p
-
-
-@contextlib.contextmanager
-def _option(name: str):
-    """Prefix boundary errors with the option that named the document, for
-    commands that read more than one."""
+def _load(fname: str, kinds: tuple[str, ...], option: str | None = None):
+    """A document of one of `kinds` whose fans are all valid.  Commands that
+    read more than one document name the option in front of each error."""
     try:
-        yield
+        kind, obj = _load_file(fname, kinds)
+        for path, fan in _fans(kind, obj).items():
+            _require_fan(path, validate_fan(fan))
     except DocumentError as exc:
-        raise DocumentError(f"{name}: {exc}") from None
+        if option is None:
+            raise
+        raise DocumentError(f"{option}: {exc}") from None
+    return kind, obj
 
 
 def _report(ok: bool, violations=(), details=()):
@@ -359,116 +367,85 @@ def _report(ok: bool, violations=(), details=()):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_check(args, out) -> int:
-    kind, obj = _load_file(args.input,
-                           ("fan", "stacky_fan", "fan_morphism",
-                            "stacky_morphism", "cone_complex",
-                            "complex_morphism"))
-    checks = []
-    if args.valid or not any((args.proper, args.modification, args.alteration,
-                              args.weakly_semistable, args.smooth,
-                              args.representable)):
-        checks.append("valid")
-    for name, flag in (("proper", args.proper),
-                       ("modification", args.modification),
-                       ("alteration", args.alteration),
-                       ("weakly-semistable", args.weakly_semistable),
-                       ("smooth", args.smooth),
-                       ("representable", args.representable)):
-        if flag:
-            checks.append(name)
+# flag: (the document kinds it takes, how its error names them, the library
+# predicate); each predicate is looked up when it runs, so a wrapper bound
+# to the module name sees the call
+PREDICATES = {
+    "proper": (("fan_morphism",), "a fan_morphism", lambda m: is_proper(m)),
+    "modification": (("fan_morphism",), "a fan_morphism",
+                     lambda m: is_modification(m)),
+    "alteration": (("fan_morphism",), "a fan_morphism", lambda m: is_alteration(m)),
+    "weakly-semistable": (("fan_morphism", "stacky_morphism"), "a morphism",
+                          lambda m: is_weakly_semistable(m)),
+    "smooth": (("fan", "stacky_fan"), "a fan", lambda f: is_smooth_fan(f)),
+    "representable": (("stacky_morphism",), "a stacky_morphism",
+                      lambda m: is_representable(m)),
+}
 
-    # the fan predicates need valid fans; --valid reports the same checks,
-    # before the sublattice checks of a stacky document
-    fans = {}
-    if kind in ("fan", "stacky_fan"):
-        fans = {"$.payload": obj if kind == "fan" else obj.fan}
-    elif kind in ("fan_morphism", "stacky_morphism"):
-        p = obj if kind == "fan_morphism" else obj.underlying
-        fans = {"$.payload.source": p.source, "$.payload.target": p.target}
-    fan_reports = {path: validate_fan(f) for path, f in fans.items()}
+# the kinds `check` reads, with the reports `--valid` adds to those of
+# validate_fan on the document's fans
+VALIDITY = {
+    "fan": lambda f: (),
+    "stacky_fan": lambda s: (validate_stacky_fan(s),),
+    "fan_morphism": lambda p: (),
+    "stacky_morphism": lambda m: (validate_stacky_fan(m.source),
+                                  validate_stacky_fan(m.target)),
+    "cone_complex": lambda c: (validate_complex(c),),
+    "complex_morphism": lambda m: (validate_complex_morphism(m),),
+}
+
+
+def _cmd_check(args, out) -> int:
+    kind, obj = _load_file(args.input, tuple(VALIDITY))
+    chosen = [name for name in PREDICATES if getattr(args, name.replace("-", "_"))]
+    # the predicates need valid fans; --valid reports the same checks first
+    fan_reports = {path: validate_fan(f) for path, f in _fans(kind, obj).items()}
     violations = []
     details = []
-    for name in checks:
-        if name == "valid":
-            found = [v for r in fan_reports.values() for v in r.violations]
-            if kind == "stacky_fan":
-                found += validate_stacky_fan(obj).violations
-            elif kind == "stacky_morphism":
-                found += (validate_stacky_fan(obj.source).violations
-                          + validate_stacky_fan(obj.target).violations)
-            elif kind == "cone_complex":
-                found += validate_complex(obj).violations
-            elif kind == "complex_morphism":
-                found += validate_complex_morphism(obj).violations
-            if found:
-                violations.extend(f"valid: {v}" for v in found)
-            else:
-                details.append("valid: yes")
-            continue
-        if name in ("proper", "modification", "alteration", "representable"):
-            needs = "stacky_morphism" if name == "representable" else "fan_morphism"
-            if kind != needs:
-                raise DocumentError(f"--{name} requires a {needs} document")
-        elif name == "smooth" and kind not in ("fan", "stacky_fan"):
-            raise DocumentError("--smooth requires a fan document")
-        elif name == "weakly-semistable" and kind not in ("fan_morphism",
-                                                          "stacky_morphism"):
-            raise DocumentError("--weakly-semistable requires a morphism document")
+    if args.valid or not chosen:
+        found = [v for r in (*fan_reports.values(), *VALIDITY[kind](obj))
+                 for v in r.violations]
+        if found:
+            violations.extend(f"valid: {v}" for v in found)
+        else:
+            details.append("valid: yes")
+    for name in chosen:
+        kinds, wording, predicate = PREDICATES[name]
+        if kind not in kinds:
+            raise DocumentError(f"--{name} requires {wording} document")
         for path, rep in fan_reports.items():
             _require_fan(path, rep)
-        if name == "proper":
-            flag_ok = is_proper(obj)
-        elif name == "modification":
-            flag_ok = is_modification(obj)
-        elif name == "alteration":
-            flag_ok = is_alteration(obj)
-        elif name == "smooth":
-            flag_ok = is_smooth_fan(obj if kind == "fan" else obj.fan)
-        elif name == "representable":
-            flag_ok = is_representable(obj)
-        else:  # weakly-semistable
-            ws = is_weakly_semistable(obj)
-            flag_ok = bool(ws)
-            for cone, cond, msg in ws.failures:
-                violations.append(
-                    f"weakly-semistable: cone {tuple(cone.rays)} fails "
-                    f"condition {cond}: {msg}")
-        if name != "weakly-semistable":
-            if flag_ok:
-                details.append(f"{name}: yes")
-            else:
-                violations.append(f"{name}: no")
-        elif flag_ok:
-            details.append("weakly-semistable: yes")
+        result = predicate(obj)
+        if result:
+            details.append(f"{name}: yes")
+        elif isinstance(result, WeakSemistabilityReport):
+            violations.extend(f"{name}: cone {tuple(cone.rays)} fails condition "
+                              f"{cond}: {msg}" for cone, cond, msg in result.failures)
+        else:
+            violations.append(f"{name}: no")
     ok = not violations
     out.write(emit_document("report", _report(ok, violations, details)))
     return 0 if ok else 1
 
 
 def _cmd_minmod(args, out) -> int:
-    with _option("--morphism"):
-        p = _load_fan_morphism(args.morphism)
-    with _option("--subdivision"):
-        _, gprime = _load_file(args.subdivision, ("fan",))
-        _require_fan("$.payload", validate_fan(gprime))
+    _, p = _load(args.morphism, ("fan_morphism",), "--morphism")
+    _, gprime = _load(args.subdivision, ("fan",), "--subdivision")
     refined, _ = minimal_modification(p.lattice_map, p.source, gprime)
     out.write(emit_document("fan", emit_fan(refined)))
     return 0
 
 
 def _cmd_fanprod(args, out) -> int:
-    with _option("--left"):
-        p = _load_fan_morphism(args.left)
-    with _option("--right"):
-        q = _load_fan_morphism(args.right)
+    _, p = _load(args.left, ("fan_morphism",), "--left")
+    _, q = _load(args.right, ("fan_morphism",), "--right")
     fan, _, _ = toric_fiber_product(p, q)
     out.write(emit_document("fan", emit_fan(fan)))
     return 0
 
 
 def _cmd_basechange(args, out) -> int:
-    p = _load_fan_morphism(args.morphism)
+    _, p = _load(args.morphism, ("fan_morphism",))
     try:
         matrix = json.loads(args.matrix)
     except json.JSONDecodeError as exc:
@@ -486,17 +463,15 @@ def _cmd_basechange(args, out) -> int:
 
 
 def _cmd_reduce(args, out) -> int:
-    p = _load_fan_morphism(args.input)
+    _, p = _load(args.input, ("fan_morphism",))
     red = reduce(p)
     out.write(emit_document("reduction_result", emit_reduction_result(red)))
     return 0
 
 
 def _cmd_factor(args, out) -> int:
-    with _option("--family"):
-        p = _load_fan_morphism(args.family)
-    with _option("--alteration"):
-        i = _load_fan_morphism(args.alteration)
+    _, p = _load(args.family, ("fan_morphism",), "--family")
+    _, i = _load(args.alteration, ("fan_morphism",), "--alteration")
     red = reduce(p)
     obj = universal_minimal_modification(red, i)
     try:
@@ -513,8 +488,7 @@ def _cmd_factor(args, out) -> int:
 
 
 def _cmd_hilbert(args, out) -> int:
-    _, f = _load_file(args.input, ("fan",))
-    _require_fan("$.payload", validate_fan(f))
+    _, f = _load(args.input, ("fan",))
     maximal = f.maximal_cones()
     if len(maximal) != 1:
         raise DocumentError(
@@ -555,15 +529,9 @@ def render_fan(f: Fan) -> str:
 
 
 def _cmd_render(args, out) -> int:
-    kind, obj = _load_file(args.input, ("fan", "stacky_fan",
-                                        "reduction_result"))
-    if kind == "fan":
-        fan, path = obj, "$.payload"
-    elif kind == "stacky_fan":
-        fan, path = obj.fan, "$.payload"
-    else:
-        fan, path = obj[0].fan, "$.payload.base"  # the refined base subdivision
-    _require_fan(path, validate_fan(fan))
+    # a reduction result draws its refined base subdivision
+    kind, obj = _load(args.input, ("fan", "stacky_fan", "reduction_result"))
+    (fan,) = _fans(kind, obj).values()
     out.write(render_fan(fan))
     return 0
 
@@ -571,60 +539,39 @@ def _cmd_render(args, out) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+# subcommand: (help, required options, handler); `check` also takes --valid
+# and one flag per predicate
+COMMANDS = {
+    "check": ("run validity and morphism predicates", ("--input",), _cmd_check),
+    "minmod": ("coarsest source refinement over a subdivision",
+               ("--morphism", "--subdivision"), _cmd_minmod),
+    "fanprod": ("toric fiber product of two morphisms", ("--left", "--right"),
+                _cmd_fanprod),
+    "basechange": ("pull a family back along a base inclusion",
+                   ("--morphism", "--matrix"), _cmd_basechange),
+    "reduce": ("universal weak semistable reduction", ("--input",), _cmd_reduce),
+    "factor": ("factor an alteration square through the reduction",
+               ("--family", "--alteration"), _cmd_factor),
+    "hilbert": ("Hilbert basis of the unique maximal cone", ("--input",),
+                _cmd_hilbert),
+    "render": ("SVG picture of a rank-2 fan", ("--input",), _cmd_render),
+}
+_OPTION_HELP = {"--matrix": "JSON matrix of the finite-index base inclusion"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semistable",
         description="exact combinatorics of weak semistable reduction")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("check", help="run validity and morphism predicates")
-    c.add_argument("--input", required=True)
-    c.add_argument("--valid", action="store_true")
-    c.add_argument("--proper", action="store_true")
-    c.add_argument("--modification", action="store_true")
-    c.add_argument("--alteration", action="store_true")
-    c.add_argument("--weakly-semistable", dest="weakly_semistable",
-                   action="store_true")
-    c.add_argument("--smooth", action="store_true")
-    c.add_argument("--representable", action="store_true")
-    c.set_defaults(func=_cmd_check)
-
-    c = sub.add_parser("minmod",
-                       help="coarsest source refinement over a subdivision")
-    c.add_argument("--morphism", required=True)
-    c.add_argument("--subdivision", required=True)
-    c.set_defaults(func=_cmd_minmod)
-
-    c = sub.add_parser("fanprod", help="toric fiber product of two morphisms")
-    c.add_argument("--left", required=True)
-    c.add_argument("--right", required=True)
-    c.set_defaults(func=_cmd_fanprod)
-
-    c = sub.add_parser("basechange",
-                       help="pull a family back along a base inclusion")
-    c.add_argument("--morphism", required=True)
-    c.add_argument("--matrix", required=True,
-                   help="JSON matrix of the finite-index base inclusion")
-    c.set_defaults(func=_cmd_basechange)
-
-    c = sub.add_parser("reduce", help="universal weak semistable reduction")
-    c.add_argument("--input", required=True)
-    c.set_defaults(func=_cmd_reduce)
-
-    c = sub.add_parser("factor",
-                       help="factor an alteration square through the reduction")
-    c.add_argument("--family", required=True)
-    c.add_argument("--alteration", required=True)
-    c.set_defaults(func=_cmd_factor)
-
-    c = sub.add_parser("hilbert",
-                       help="Hilbert basis of the unique maximal cone")
-    c.add_argument("--input", required=True)
-    c.set_defaults(func=_cmd_hilbert)
-
-    c = sub.add_parser("render", help="SVG picture of a rank-2 fan")
-    c.add_argument("--input", required=True)
-    c.set_defaults(func=_cmd_render)
+    for name, (text, options, handler) in COMMANDS.items():
+        c = sub.add_parser(name, help=text)
+        for option in options:
+            c.add_argument(option, required=True, help=_OPTION_HELP.get(option))
+        if name == "check":
+            for flag in ("valid", *PREDICATES):
+                c.add_argument(f"--{flag}", action="store_true")
+        c.set_defaults(func=handler)
     return parser
 
 

@@ -37,14 +37,15 @@ from .lattice import (
     lattice_index,
     preimage_sublattice,
     pushout_lattice,
-    sublattice_from_vectors,
     transpose,
 )
 from .monoid import (
+    MonoidError,
     MonoidMap,
     _bounded_points,
     _check_budget,
     _contains_modulo_units,
+    _smallest_multiple_coords,
     dual_monoid,
     image_monoid_equals_cone_monoid,
     integral_by_flatness,
@@ -421,17 +422,25 @@ def is_weakly_semistable(m) -> WeakSemistabilityReport:
 
 
 def is_smooth_fan(f) -> bool:
+    """A cone sigma with lattice N_sigma is smooth when sigma is simplicial
+    and the first points of N_sigma on its rays (the smallest multiples
+    lying in N_sigma) form a basis of N_sigma: the chart X_{sigma,N_sigma}
+    is then an affine space times a torus.  A plain fan takes N_sigma = N
+    cap span(sigma), whose first points are the primitive rays.  A ray
+    with no point in N_sigma has no first point, and its cone is not
+    smooth."""
     if isinstance(f, StackyFan):
         pairs = f.assignments
     else:
         pairs = tuple((c, span_sublattice(c)) for c in f.cones)
     for c, sub in pairs:
-        if not c.is_strictly_convex:
+        if not c.is_strictly_convex or len(c.rays) != c.dim or sub.rank != c.dim:
             return False
-        if len(c.rays) != c.dim:
+        try:
+            first = [_smallest_multiple_coords(sub, r) for r in c.rays]
+        except MonoidError:
             return False
-        ray_lat = sublattice_from_vectors(c.lattice, c.rays)
-        if ray_lat.basis != sub.basis:
+        if abs(det(first)) != 1:
             return False
     return True
 
@@ -445,17 +454,21 @@ def is_semistable(m) -> bool:
 # fiber products
 
 def toric_fiber_product(p: FanMorphism, q: FanMorphism):
-    """Fan of fiber cones inside the fiber product lattice, with projections."""
+    """Fan of fiber cones inside the fiber product lattice, with projections.
+
+    Maximal pairs suffice.  The fiber lattice embeds by iota = (pn, pl), so
+    each fiber cone iota^-1(sigma x lambda) is the cone sigma x lambda cut by
+    a linear subspace: it is strictly convex, and its faces are the cuts of
+    the faces sigma' x lambda' of sigma x lambda, that is the fiber cones of
+    the faces sigma' <= sigma and lambda' <= lambda.  Every cone of a fan is
+    a face of one of its maximal cones, so the face closure of the maximal
+    pairs holds the fiber cone of every pair."""
     if p.target != q.target:
         raise FanError("fiber product requires a shared target")
     fib, pn, pl = fiber_product_lattice(p.lattice_map, q.lattice_map)
-    cones = []
-    for sigma in p.source.cones:
-        for lam in q.source.cones:
-            fc = intersect(preimage_cone(pn, sigma), preimage_cone(pl, lam))
-            if fc.is_strictly_convex:
-                cones.append(fc)
-    fan = Fan.from_cones(fib, cones)
+    fan = Fan.from_cones(fib, [intersect(preimage_cone(pn, sigma), preimage_cone(pl, lam))
+                               for sigma in p.source.maximal_cones()
+                               for lam in q.source.maximal_cones()])
     proj_n = FanMorphism(fan, p.source, pn)
     proj_l = FanMorphism(fan, q.source, pl)
     return fan, proj_n, proj_l

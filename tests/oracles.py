@@ -8,7 +8,9 @@ every piece of its target subdivision, which the cut by the maximal pieces
 replaced, the Hilbert basis by a scan of a box of candidates, which the
 fundamental parallelepipeds of a triangulation replaced, and the integer
 solve by a Smith form and the rational solve by Gauss-Jordan elimination,
-which one Hermite form per `lift` and the Hermite coordinates replaced."""
+which one Hermite form per `lift` and the Hermite coordinates replaced, and
+the toric fiber product from every pair of source cones, which the maximal
+pairs replaced."""
 import itertools
 import math
 from fractions import Fraction
@@ -21,6 +23,7 @@ from semistable.lattice import (
     LatticeMap,
     det,
     dot,
+    fiber_product_lattice,
     from_columns,
     full_sublattice,
     hstack,
@@ -369,3 +372,12 @@ def cut_by_all_pieces(sigma, pmap, pieces):
 def maximal_cones(f):
     """The cones of f inside no other cone, by every pair, in fan order."""
     return [c for c in f.cones if not any(o != c and o.contains_cone(c) for o in f.cones)]
+
+
+def every_pair_fiber_product(p, q):
+    """The fiber product fan of p and q from the fiber cone of every pair of
+    source cones that is strictly convex."""
+    _, pn, pl = fiber_product_lattice(p.lattice_map, q.lattice_map)
+    cones = [intersect(preimage_cone(pn, sigma), preimage_cone(pl, lam))
+             for sigma in p.source.cones for lam in q.source.cones]
+    return Fan.from_cones(pn.domain, [c for c in cones if c.is_strictly_convex])

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from semistable import monoid
+from semistable.fan import is_smooth_fan, validate_stacky_fan
 from semistable.cli import (
     DocumentError,
     _enc_int,
@@ -193,6 +194,36 @@ class TestSemantics:
                 "valid: sublattice of ((0, 1), (1, 0)) has infinite index")
 
 
+# the face closure of the square is the origin, (0,1), (1,0), the square;
+# each ray carries the restriction 2Z of the square's lattice
+SQUARE_RAYS = [{"cone_index": 1, "basis": [[0, 2]]}, {"cone_index": 2, "basis": [[2, 0]]}]
+STACKY_SMOOTHNESS = [
+    ({"lattice_rank": 1, "cones": [{"rays": [[1]]}],
+      "sublattices": [{"cone_index": 1, "basis": [[2]]}]}, True),
+    ({"lattice_rank": 2, "cones": [{"rays": [[1, 0], [0, 1]]}],
+      "sublattices": SQUARE_RAYS + [{"cone_index": 3, "basis": [[2, 0], [0, 2]]}]},
+     True),
+    ({"lattice_rank": 2, "cones": [{"rays": [[1, 0], [0, 1]]}],
+      "sublattices": SQUARE_RAYS + [{"cone_index": 3, "basis": [[1, 1], [1, -1]]}]},
+     False),
+]
+
+
+@pytest.mark.parametrize("payload,smooth", STACKY_SMOOTHNESS,
+                         ids=["ray-2Z", "square-2Zx2Z", "square-a+b-even"])
+def test_check_smooth_reads_the_sublattices(payload, smooth, tmp_path):
+    path = tmp_path / "stacky.json"
+    path.write_text(emit_document("stacky_fan", payload))
+    _, fan = load_document(path.read_text(), ("stacky_fan",))
+    assert validate_stacky_fan(fan)
+    assert is_smooth_fan(fan) is smooth
+    code, out = run_cli("check", "--smooth", "--input", str(path))
+    report = json.loads(out)["payload"]
+    assert (code, report["ok"]) == ((0, True) if smooth else (1, False))
+    assert report["details" if smooth else "violations"] == [
+        f"smooth: {'yes' if smooth else 'no'}"]
+
+
 OVERLAP_VIOLATIONS = [
     "valid: intersection of ((1, 1),) and ((1, 0), (1, 2)) is not a common face",
     "valid: intersection of ((1, 2),) and ((0, 1), (1, 1)) is not a common face",
@@ -334,3 +365,17 @@ def test_basechange_matrix_errors_name_the_option(matrix, message, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == f"error: --matrix: {message}\n"
+
+
+@pytest.mark.parametrize("flag,name,needs", [
+    ("--proper", "blowup_fan.json", "a fan_morphism"),
+    ("--modification", "blowup_fan.json", "a fan_morphism"),
+    ("--alteration", "blowup_fan.json", "a fan_morphism"),
+    ("--weakly-semistable", "blowup_fan.json", "a morphism"),
+    ("--smooth", "fix_semi.json", "a fan"),
+    ("--representable", "fix_semi.json", "a stacky_morphism"),
+])
+def test_check_flag_rejects_other_kinds(flag, name, needs, capsys):
+    code, out = run_cli("check", flag, "--input", data(name))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {flag} requires {needs} document\n"

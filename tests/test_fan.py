@@ -39,6 +39,7 @@ from semistable.lattice import (
     sublattice_from_vectors,
 )
 from semistable.monoid import BudgetExceeded
+from semistable.reduction import reduce
 
 
 def lmap(rows):
@@ -318,6 +319,47 @@ class TestSmoothSemistable:
 
     def test_semi_fixture_not_semistable(self):
         assert not is_semistable(semi_fixture())
+
+    @staticmethod
+    def stacky_square(top):
+        """The square with `top` as its lattice and 2Z on each ray, the
+        restriction of both tops tested."""
+        square = cone(2, (1, 0), (0, 1))
+        subs = {square: top, cone(2, (1, 0)): ((2, 0),), cone(2, (0, 1)): ((0, 2),)}
+        return StackyFan.from_dict(
+            Fan.from_cones(2, [square]),
+            {c: sublattice_from_vectors(Lattice(2), b) for c, b in subs.items()})
+
+    @pytest.mark.parametrize("top,smooth", [
+        (((2, 0), (0, 2)), True),
+        # {a + b even}: the first points (2,0), (0,2) span a sublattice of index 2
+        (((1, 1), (1, -1)), False),
+    ], ids=["2Zx2Z", "a+b-even"])
+    def test_stacky_square(self, top, smooth):
+        f = self.stacky_square(top)
+        assert validate_stacky_fan(f)
+        assert is_smooth_fan(f) is smooth
+
+    def test_root_stack_on_a_ray_is_smooth(self):
+        ray = cone(1, (1,))
+        f = StackyFan.from_dict(halfline_fan(), {ray: sublattice_from_vectors(Lattice(1), [(2,)])})
+        assert validate_stacky_fan(f)
+        assert is_smooth_fan(f)
+        # the underlying fan is smooth, and so is the stacky fan of N cap span
+        assert is_smooth_fan(f.fan) and is_smooth_fan(StackyFan.from_dict(f.fan, {}))
+
+    def test_ray_without_a_point_of_its_lattice_is_not_smooth(self):
+        ray = cone(2, (1, 0))
+        f = StackyFan.from_dict(Fan.from_cones(2, [ray]),
+                                {ray: sublattice_from_vectors(Lattice(2), [(0, 1)])})
+        assert not is_smooth_fan(f)
+
+    def test_reduction_of_semi_fixture_is_semistable(self):
+        # every stacky ray of the reduced base is a root stack, hence smooth;
+        # so is the total of the sum map, which makes the reduction semistable
+        red = reduce(semi_fixture())
+        assert is_smooth_fan(red.base) and is_smooth_fan(red.total)
+        assert is_semistable(red.stacky_map)
 
 
 class TestFiberProduct:

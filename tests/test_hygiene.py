@@ -3,12 +3,16 @@ every module-level import is used, no float enters the exact code and no
 Fraction outside the CLI, no assert stands in for an error, the Smith form
 is called only where its invariant factors or transforms are needed, every
 integer preimage is a `lift`, and the cartesian check's pushout search runs
-only where no proof of integrality stands in for it."""
+only where no proof of integrality stands in for it.  The README's command
+line section names the subcommands and `check` flags the CLI has."""
 import ast
 import glob
 import os
+import re
 
 import pytest
+
+from semistable.cli import COMMANDS, PREDICATES, VALIDITY
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "semistable")
 MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
@@ -178,3 +182,23 @@ def test_every_memo_is_bounded_by_a_named_constant_on_a_private_name():
                 and isinstance(sizes[0], ast.Name) and sizes[0].id in constants):
             bad.append(f"{module}:{fn} (line {dec.lineno})")
     assert not bad, f"unbounded or public memos: {', '.join(bad)}"
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def test_readme_command_line_matches_the_cli_tables():
+    # the usage lines, the check flags and their document kinds are written
+    # out by hand in the README; the CLI states each of them once, in a table
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    usage = re.findall(r"^- `semistable (\S+)(.*)`", section, re.M)
+    assert sorted(name for name, _ in usage) == sorted(COMMANDS)
+    check = dict(usage)["check"]
+    flags = re.fullmatch(r" --input FILE \[(.*)\]", check).group(1).split("|")
+    assert flags == ["--valid"] + [f"--{name}" for name in PREDICATES]
+    rows = {flag: re.findall(r"`(\w+)`", kinds)
+            for flag, kinds in re.findall(r"^\| `(--[\w-]+)` \| (.*) \|$", section, re.M)}
+    assert rows == {"--valid": list(VALIDITY),
+                    **{f"--{name}": list(kinds) for name, (kinds, _, _) in PREDICATES.items()}}

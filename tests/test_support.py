@@ -31,6 +31,7 @@ from semistable.fan import (
     is_modification,
     is_proper,
     minimal_modification,
+    toric_fiber_product,
     validate_fan,
 )
 from semistable.lattice import Lattice, LatticeMap, det, identity
@@ -410,6 +411,27 @@ def test_source_cells_cut_by_maximal_pieces_agree_with_every_piece(p):
         top = Fan(p.target.lattice, run.pieces).maximal_cones()
         assert (_cut_source_cell(sigma, m.cell_maps[s], images[s], top)
                 == oracles.cut_by_all_pieces(sigma, m.cell_maps[s], run.pieces))
+
+
+# each distinct morphism once (the benchmark inputs repeat test documents);
+# the every-pair oracle takes a minute on S^4 -> quad with itself, so the
+# pairs stop at source rank 3
+DISTINCT = [(name, p) for i, (name, p) in enumerate(FAN_MORPHISMS)
+            if p not in [q for _, q in FAN_MORPHISMS[:i]] and p.source.lattice.rank <= 3]
+SHARED_TARGETS = [(f"{a}|{b}", p, q) for a, p in DISTINCT for b, q in DISTINCT
+                  if p.target == q.target]
+
+
+def test_stored_fan_morphism_pairs_with_a_shared_target_are_found():
+    # 126 when written, 110 of them of two different morphisms
+    assert len(SHARED_TARGETS) >= 126
+    assert sum(p != q for _, p, q in SHARED_TARGETS) >= 110
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for _, p, q in SHARED_TARGETS],
+                         ids=[name for name, _, _ in SHARED_TARGETS])
+def test_fiber_product_from_maximal_pairs_agrees_with_every_pair(p, q):
+    assert toric_fiber_product(p, q)[0] == oracles.every_pair_fiber_product(p, q)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
