@@ -383,39 +383,46 @@ PREDICATES = {
 }
 
 # the kinds `check` reads, with the reports `--valid` adds to those of
-# validate_fan on the document's fans
+# validate_fan on the document's fans, by JSON path
 VALIDITY = {
-    "fan": lambda f: (),
-    "stacky_fan": lambda s: (validate_stacky_fan(s),),
-    "fan_morphism": lambda p: (),
-    "stacky_morphism": lambda m: (validate_stacky_fan(m.source),
-                                  validate_stacky_fan(m.target)),
-    "cone_complex": lambda c: (validate_complex(c),),
-    "complex_morphism": lambda m: (validate_complex_morphism(m),),
+    "fan": lambda f: {},
+    "stacky_fan": lambda s: {"$.payload": validate_stacky_fan(s)},
+    "fan_morphism": lambda p: {},
+    "stacky_morphism": lambda m: {"$.payload.source": validate_stacky_fan(m.source),
+                                  "$.payload.target": validate_stacky_fan(m.target)},
+    "cone_complex": lambda c: {"$.payload": validate_complex(c)},
+    "complex_morphism": lambda m: {"$.payload": validate_complex_morphism(m)},
 }
 
 
 def _cmd_check(args, out) -> int:
     kind, obj = _load_file(args.input, tuple(VALIDITY))
     chosen = [name for name in PREDICATES if getattr(args, name.replace("-", "_"))]
-    # the predicates need valid fans; --valid reports the same checks first
+    for name in chosen:
+        kinds, wording, _ = PREDICATES[name]
+        if kind not in kinds:
+            raise DocumentError(f"--{name} requires {wording} document")
+    # the predicates need a valid document; --valid reports the same checks
     fan_reports = {path: validate_fan(f) for path, f in _fans(kind, obj).items()}
+    reports = VALIDITY[kind](obj)
+    if chosen:
+        for path, rep in fan_reports.items():
+            _require_fan(path, rep)
+        # only stacky documents have both predicates and reports here
+        for path, rep in reports.items():
+            if not rep:
+                _fail(path, f"not a stacky fan: {rep.violations[0]}")
     violations = []
     details = []
     if args.valid or not chosen:
-        found = [v for r in (*fan_reports.values(), *VALIDITY[kind](obj))
+        found = [v for r in (*fan_reports.values(), *reports.values())
                  for v in r.violations]
         if found:
             violations.extend(f"valid: {v}" for v in found)
         else:
             details.append("valid: yes")
     for name in chosen:
-        kinds, wording, predicate = PREDICATES[name]
-        if kind not in kinds:
-            raise DocumentError(f"--{name} requires {wording} document")
-        for path, rep in fan_reports.items():
-            _require_fan(path, rep)
-        result = predicate(obj)
+        result = PREDICATES[name][2](obj)
         if result:
             details.append(f"{name}: yes")
         elif isinstance(result, WeakSemistabilityReport):

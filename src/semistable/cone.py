@@ -7,19 +7,24 @@ span.  All conversions are exact.  Cones are immutable, and one memo of
 CONE_MEMO_SIZE entries, keyed on the normalized generators, builds each once;
 each cone enumerates its faces once, on the first call to `faces`.
 
-One construction, `Cone._build`, answers every question about a cone with
-the elimination it needs: one Smith form of the generators (`span_basis`)
-gives the span lattice, coordinates in it and the span equations (kept in
-row Hermite form); facet normals come from signed minors in those
+Both directions of the conversion go through one kernel, `_extreme_rays`,
+an integer double description of a pointed cone given by inequalities.
+`Cone._build` answers every question about a cone from generators with the
+elimination it needs: one Smith form of the generators (`span_basis`) gives
+the span lattice, coordinates in it and the span equations (kept in row
+Hermite form); the facet normals are the extreme rays of the dual in those
 coordinates; extremal rays and the lineality are read off the generators'
 tight facets by Bareiss rank; a cone with lines takes one more Smith form
 for its lineality quotient and one `lift` for all its rays.
-`from_halfspaces` is the dual of a cone built from generators.
+`from_halfspaces` splits off the lineality of its inequalities (one more
+Smith form, only when there is one), finds the rays of the pointed part by
+double description, and builds the cone from those rays and lines; a second
+memo of CONE_MEMO_SIZE entries, keyed on the normalized inequalities, cuts
+each cone out once.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -43,7 +48,12 @@ from .lattice import (
     vec_neg,
 )
 
-# one operation builds at most 243 distinct cones, one benchmark pass 290
+# distinct cones built from cleared memos: at most 59 by one benchmark
+# operation and 61 by one pass, 88 by an S^4 -> quad reduce or
+# reduce_complex and 196 by an S^5 -> quad one (173 and 404 while each cone
+# cut out by inequalities was built twice); and cut out by inequalities: 56
+# by one benchmark operation, 63 by one pass and 208 by an S^5 -> quad
+# reduce_complex
 CONE_MEMO_SIZE = 1024
 
 
@@ -55,29 +65,66 @@ def _both_signs(vectors: Iterable[Sequence[int]], lines: Iterable[Sequence[int]]
     return out
 
 
-def _facets_fulldim(rays: Sequence[Vector], d: int) -> list[Vector]:
-    """Irredundant facet normals of a full-dimensional cone in Z^d."""
-    if d == 0 or not rays:
+def _normalized(vectors: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
+    """The memo key of a cone: its sorted, distinct, primitive, nonzero
+    generators or inequalities."""
+    return tuple(sorted({primitive(v) for v in vectors if not is_zero_vec(v)}))
+
+
+def _extreme_rays(rows: Sequence[Vector], d: int) -> list[Vector]:
+    """Primitive extreme rays, sorted, of the pointed cone {u : a.u >= 0 for
+    a in rows} in Z^d, where the rows have rank d.
+
+    Integer double description (Fukuda-Prodon, "Double description method
+    revisited", LNCS 1120, 1996).  The first d independent rows cut out a
+    simplicial cone; its rays are the columns of their adjugate, signed by
+    the determinant: the signed (d-1)-minors of all but one of the rows,
+    positive on that one.  Each further row a keeps the rays with a.u >= 0
+    and puts one new ray on a = 0 between each adjacent pair of rays on
+    opposite sides.  Two rays are adjacent exactly when no third ray is
+    tight on every row both are tight on, and then they share at least
+    d - 2 tight rows.
+    """
+    if d == 0 or not rows:
         return []
-    found: set[Vector] = set()
-    for subset in itertools.combinations(range(len(rays)), d - 1):
-        # the signed (d-1)-minors span the kernel of the subset, and all
-        # vanish exactly when its rank is below d - 1
-        sub = [rays[i] for i in subset]
+    start: list[int] = []
+    for i, a in enumerate(rows):
+        if rank([rows[j] for j in start] + [a]) > len(start):
+            start.append(i)
+            if len(start) == d:
+                break
+    # each ray with the rows it is tight on, as a bit mask
+    done = sum(1 << i for i in start)
+    rays = []
+    for i in start:
+        sub = [rows[j] for j in start if j != i]
         u = primitive(tuple((-1) ** k * det(tuple(r[:k] + r[k + 1:] for r in sub))
                             for k in range(d)))
-        if is_zero_vec(u):
+        rays.append((vec_neg(u) if dot(rows[i], u) < 0 else u, done & ~(1 << i)))
+    for i, a in enumerate(rows):
+        if done >> i & 1:
             continue
-        vals = [dot(u, r) for r in rays]
-        if all(x <= 0 for x in vals):
-            u = vec_neg(u)
-            vals = [-x for x in vals]
-        elif not all(x >= 0 for x in vals):
-            continue
-        tight = [rays[i] for i, x in enumerate(vals) if x == 0]
-        if rank(tight) == d - 1:
-            found.add(u)
-    return sorted(found)
+        bit = 1 << i
+        kept, pos, neg = [], [], []
+        for u, z in rays:
+            x = dot(a, u)
+            if x > 0:
+                pos.append((u, z, x))
+                kept.append((u, z))
+            elif x < 0:
+                neg.append((u, z, x))
+            else:
+                kept.append((u, z | bit))
+        masks = [z for _, z in rays]
+        for p, zp, xp in pos:
+            for q, zq, xq in neg:
+                common = zp & zq
+                if (common.bit_count() >= d - 2
+                        and len([z for z in masks if z & common == common]) == 2):
+                    kept.append((primitive(tuple(xp * y - xq * x for x, y in zip(p, q))),
+                                 common | bit))
+        rays = kept
+    return sorted(u for u, _ in rays)
 
 
 class ConeError(ValueError):
@@ -110,7 +157,7 @@ class Cone:
     def from_generators(lattice: Lattice | int, gens: Iterable[Sequence[int]]) -> "Cone":
         if isinstance(lattice, int):
             lattice = Lattice(lattice)
-        return Cone._build(lattice, tuple(sorted({primitive(g) for g in gens if not is_zero_vec(g)})))
+        return Cone._build(lattice, _normalized(gens))
 
     @staticmethod
     @functools.lru_cache(maxsize=CONE_MEMO_SIZE)
@@ -125,7 +172,7 @@ class Cone:
 
         # full-dimensional in the coordinates of its span
         rays_c = [matvec(coords, g) for g in gen_list]
-        facets_c = _facets_fulldim(rays_c, d)
+        facets_c = _extreme_rays(rays_c, d)
         pull = transpose(coords)
         facets_amb = tuple(sorted(reduce_mod_rows(matvec(pull, u), span_eqs) for u in facets_c))
 
@@ -159,8 +206,34 @@ class Cone:
     def from_halfspaces(lattice: Lattice | int,
                         inequalities: Iterable[Sequence[int]],
                         equations: Iterable[Sequence[int]] = ()) -> "Cone":
-        """{x : u.x >= 0 for u in inequalities, e.x = 0 for e in equations}."""
-        return dual_cone(Cone.from_generators(lattice, _both_signs(inequalities, equations)))
+        """{x : u.x >= 0 for u in inequalities, e.x = 0 for e in equations}.
+
+        Each equation is the pair of inequalities e.x >= 0 and -e.x >= 0,
+        and the cone is memoized, up to CONE_MEMO_SIZE entries, on the
+        sorted, distinct, primitive, nonzero inequalities.
+        """
+        if isinstance(lattice, int):
+            lattice = Lattice(lattice)
+        return Cone._cut_out(lattice, _normalized(_both_signs(inequalities, equations)))
+
+    @staticmethod
+    @functools.lru_cache(maxsize=CONE_MEMO_SIZE)
+    def _cut_out(lattice: Lattice, rows: tuple[Vector, ...]) -> "Cone":
+        # When the rows have rank n the cone is pointed, and double
+        # description gives its rays.  Otherwise its lineality is their
+        # kernel.  One `span_basis` of them gives a basis of that kernel (its
+        # equations rows) and coordinate rows C with C B = 1 on the saturated
+        # basis B of their span, so every x is C^T B^T x plus a point of the
+        # kernel, and (C u).(B^T x) = u.x: the cone is C^T of the pointed
+        # cone {z : (C u).z >= 0} plus the lineality.  Either way one cone
+        # is built, from the rays and lines.
+        n = lattice.rank
+        if rank(rows) == n:
+            return Cone.from_generators(lattice, _extreme_rays(rows, n))
+        _, coords, lines = span_basis(rows, n)
+        back = transpose(coords)
+        rays = _extreme_rays([matvec(coords, u) for u in rows], len(coords))
+        return Cone.from_generators(lattice, _both_signs((matvec(back, z) for z in rays), lines))
 
     @staticmethod
     def zero(lattice: Lattice | int) -> "Cone":

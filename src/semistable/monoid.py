@@ -18,6 +18,7 @@ evidence up to the height searched.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -252,23 +253,16 @@ def hilbert_basis(c: Cone, L=None) -> list[Vector]:
         if size > 1:
             candidates |= _parallelepiped_points(s)
     candidates.discard((0,) * d)
-    f_t = tuple(sum(u[j] for u in ct.facets) for j in range(d))
-    candidates = sorted(candidates, key=lambda t: (dot(f_t, t), t))
-
-    def in_monoid(t):
-        return all(dot(u, t) >= 0 for u in ct.facets)
-
+    # each candidate with its values on the facets, lightest first by their
+    # sum f; t - s lies in the cone exactly when each value of t is at
+    # least that of s
+    values = {t: tuple(dot(u, t) for u in ct.facets) for t in candidates}
+    graded = sorted((sum(v), t, v) for t, v in values.items())
+    weights = [w for w, _, _ in graded]
     irreducible = []
-    for t in candidates:
-        ft = dot(f_t, t)
-        reducible = False
-        for s in candidates:
-            if 2 * dot(f_t, s) > ft:
-                break
-            if in_monoid(vec_sub(t, s)):
-                reducible = True
-                break
-        if not reducible:
+    for w, t, v in graded:
+        lighter = itertools.islice(graded, bisect.bisect_right(weights, w // 2))
+        if not any(all(x >= y for x, y in zip(v, vs)) for _, _, vs in lighter):
             irreducible.append(t)
     return sorted(matvec(M.basis, t) for t in irreducible)
 

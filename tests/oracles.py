@@ -10,12 +10,14 @@ fundamental parallelepipeds of a triangulation replaced, and the integer
 solve by a Smith form and the rational solve by Gauss-Jordan elimination,
 which one Hermite form per `lift` and the Hermite coordinates replaced, and
 the toric fiber product from every pair of source cones, which the maximal
-pairs replaced."""
+pairs replaced.  And the facets of a cone from a kernel per (d-1)-subset of
+its rays, and the cone cut out by inequalities as the dual of the cone they
+generate, which integer double description replaced in both directions."""
 import itertools
 import math
 from fractions import Fraction
 
-from semistable.cone import Cone, ConeError, intersect, preimage_cone
+from semistable.cone import Cone, ConeError, dual_cone, intersect, preimage_cone
 from semistable.fan import Fan
 from semistable.lattice import (
     INFINITE,
@@ -182,6 +184,14 @@ def facets_fulldim(rays, d):
         if rank_of(tight, d) == d - 1:
             found.add(u)
     return sorted(found)
+
+
+def from_halfspaces(lattice, inequalities, equations=()):
+    """The cone cut out by the inequalities and equations, as the dual of
+    the cone they generate."""
+    return dual_cone(Cone.from_generators(
+        lattice, [tuple(u) for u in inequalities]
+        + [w for e in equations for w in (tuple(e), vec_neg(e))]))
 
 
 def faces(c):

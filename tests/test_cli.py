@@ -224,6 +224,43 @@ def test_check_smooth_reads_the_sublattices(payload, smooth, tmp_path):
         f"smooth: {'yes' if smooth else 'no'}"]
 
 
+# the map (a, b) -> a + b with root stacks of order 2, but the ray (0,1)
+# marked by the lattice of (1,0), which does not lie in its span
+BAD_SOURCE = {
+    "lattice_rank": 2,
+    "cones": [{"rays": [[0, 1], [1, 1]]}, {"rays": [[1, 0], [1, 1]]}],
+    "sublattices": [{"cone_index": 1, "basis": [[1, 0]]},
+                    {"cone_index": 2, "basis": [[2, 0]]},
+                    {"cone_index": 3, "basis": [[1, 1]]},
+                    {"cone_index": 4, "basis": [[1, 1], [0, 2]]},
+                    {"cone_index": 5, "basis": [[1, 1], [0, 2]]}]}
+BAD_MORPHISM = {"matrix": [[1, 1]], "source": BAD_SOURCE, "target": {
+    "lattice_rank": 1, "cones": [{"rays": [[1]]}],
+    "sublattices": [{"cone_index": 1, "basis": [[1]]}]}}
+
+
+@pytest.mark.parametrize("kind,payload,flags,path", [
+    ("stacky_morphism", BAD_MORPHISM, ["--weakly-semistable"], "$.payload.source"),
+    ("stacky_morphism", BAD_MORPHISM, ["--representable"], "$.payload.source"),
+    ("stacky_morphism", BAD_MORPHISM, ["--valid", "--representable"],
+     "$.payload.source"),
+    ("stacky_fan", BAD_SOURCE, ["--smooth"], "$.payload"),
+], ids=["weakly-semistable", "representable", "valid-representable", "smooth"])
+def test_check_predicates_reject_an_invalid_stacky_document(kind, payload, flags,
+                                                            path, tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text(emit_document(kind, payload))
+    code, out = run_cli("check", *flags, "--input", str(doc))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {path}: not a stacky fan: sublattice of ((0, 1),) is not "
+        "contained in Span intersect N\n")
+    code, out = run_cli("check", "--valid", "--input", str(doc))
+    assert code == 1
+    assert json.loads(out)["payload"]["violations"][0] == (
+        "valid: sublattice of ((0, 1),) is not contained in Span intersect N")
+
+
 OVERLAP_VIOLATIONS = [
     "valid: intersection of ((1, 1),) and ((1, 0), (1, 2)) is not a common face",
     "valid: intersection of ((1, 2),) and ((0, 1), (1, 1)) is not a common face",

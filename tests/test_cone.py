@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,44 @@ class TestDuality:
         facets, eqs = c.facets, c.span_equations
         assert eqs == ()
         assert set(facets) == {(0, 1), (2, -1)}
+
+
+def _cyclic(D, m):
+    """The cone over the cyclic polytope C(m, D): generated by the points
+    (1, t, ..., t^D) of the moment curve, t = 1, ..., m."""
+    return Cone.from_generators(D + 1, [tuple(t ** j for j in range(D + 1))
+                                        for t in range(1, m + 1)])
+
+
+def _gale_even(tight, m):
+    """Gale's evenness condition: any two points of the curve off the set
+    are separated by an even number of its points."""
+    off = [t for t in range(1, m + 1) if t not in tight]
+    return all(sum(1 for k in tight if i < k < j) % 2 == 0 for i, j in zip(off, off[1:]))
+
+
+class TestCyclicPolytopes:
+    # the (d-1)-subset loop that double description replaced took 55 s for
+    # the facets of C(22, 7), more than the whole of Tier-1
+    @pytest.mark.parametrize("D, m", [(4, 16), (7, 22)])
+    def test_facets_are_the_gale_even_sets(self, D, m):
+        c = _cyclic(D, m)
+        assert len(c.rays) == m and not c.lines
+        k = D // 2
+        count = (m * math.comb(m - k, k) // (m - k) if D % 2 == 0
+                 else 2 * math.comb(m - k - 1, k))
+        assert len(c.facets) == count
+        # each facet is simplicial and its vertices pass Gale's condition;
+        # facets have distinct vertex sets, so with the count they are all
+        for u in c.facets:
+            tight = [r[1] for r in c.rays if dot(u, r) == 0]
+            assert len(tight) == D and _gale_even(tight, m)
+
+    def test_rays_from_the_facets(self):
+        # 104 inequalities in Z^5: the inequality cone's subset loop would
+        # try C(104, 4) = 4,598,126 subsets
+        c = _cyclic(4, 16)
+        assert Cone.from_halfspaces(c.lattice, c.facets) == c
 
 
 class TestFaces:

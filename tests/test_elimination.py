@@ -1,8 +1,10 @@
 """Each lattice question against the Smith-form routine it replaced (see
-oracles.py), on bounded random integer matrices, sublattices and cones of
-rank <= 4 (cones with and without lines), Hilbert bases against the box
-scan they replaced, and guards on the number of Smith forms, cone
-intersections and Hilbert bases one reduce makes."""
+oracles.py), on bounded random integer matrices and sublattices of rank <= 4
+and cones of rank <= 5 (with and without lines), facets and cones cut out by
+inequalities from double description against the subset loop and the dual
+of the inequality cone, Hilbert bases against the box scan they replaced,
+and guards on the number of Smith forms, cone intersections and Hilbert
+bases one reduce makes."""
 import io
 import os
 import sys
@@ -12,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from semistable.cli import load_document, main
-from semistable.cone import Cone, _facets_fulldim, dual_cone, intersect, span_sublattice
+from semistable.cone import Cone, _extreme_rays, dual_cone, intersect, span_sublattice
 from semistable.conecomplex import (
     _left_inverse_map,
     fan_morphism_as_complex,
@@ -180,10 +182,10 @@ def test_span_is_the_saturated_span_of_the_generators(c):
         st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple),
         min_size=d, max_size=d + 3))))
 @SETTINGS
-def test_facets_from_minors_match_kernel_per_subset(case):
+def test_facets_by_double_description_match_kernel_per_subset(case):
     d, rays = case
     assume(oracles.rank_of(rays, d) == d)
-    assert _facets_fulldim(rays, d) == oracles.facets_fulldim(rays, d)
+    assert _extreme_rays(rays, d) == oracles.facets_fulldim(rays, d)
 
 
 @given(cones())
@@ -346,10 +348,10 @@ def _both(vectors, lines):
 
 @st.composite
 def cone_cases(draw, bound=3):
-    """(cone, the oracle's (rays, lines, facets, span equations)): cones from
-    generators, from half-spaces with equations, and duals of
-    lower-dimensional cones, so many contain lines."""
-    n = draw(st.integers(1, 4))
+    """(kind, cone, the oracle's (rays, lines, facets, span equations)) of
+    rank <= 5: cones from generators, from half-spaces with and without
+    equations, and duals of lower-dimensional cones, so many contain lines."""
+    n = draw(st.integers(1, 5))
     vec = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
     kind = draw(st.sampled_from(("generators", "halfspaces", "dual")))
     if kind == "generators":
@@ -357,7 +359,7 @@ def cone_cases(draw, bound=3):
         return kind, Cone.from_generators(n, gens), oracles.cone_data(n, gens)
     if kind == "halfspaces":
         ineqs = draw(st.lists(vec, max_size=4))
-        eqs = draw(st.lists(vec, min_size=1, max_size=2))
+        eqs = draw(st.lists(vec, max_size=2))
         dual = oracles.cone_data(n, _both(ineqs, eqs))
         return (kind, Cone.from_halfspaces(n, ineqs, eqs),
                 oracles.cone_data(n, _both(dual[2], dual[3])))
@@ -380,13 +382,35 @@ def test_cone_construction_matches_the_quotient_facet_pass():
 
     check()
     assert {k for k, _ in seen} == {"generators", "halfspaces", "dual"}
-    assert {has_lines for _, has_lines in seen} == {True, False}
+    assert {has_lines for k, has_lines in seen if k == "halfspaces"} == {True, False}
+
+
+def test_from_halfspaces_matches_the_dual_of_the_inequality_cone():
+    # one double description against two cone builds, the second from the
+    # facets of the first
+    seen = set()
+
+    @given(st.data())
+    @SETTINGS
+    def check(data):
+        n = data.draw(st.integers(1, 5))
+        vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        ineqs = data.draw(st.lists(vec, max_size=6))
+        eqs = data.draw(st.lists(vec, max_size=2))
+        c = Cone.from_halfspaces(n, ineqs, eqs)
+        want = oracles.from_halfspaces(n, ineqs, eqs)
+        assert (c.rays, c.lines, c.facets, c.span_equations, c.span) == \
+            (want.rays, want.lines, want.facets, want.span_equations, want.span)
+        seen.add((bool(eqs), bool(c.lines)))
+
+    check()
+    assert seen == {(eqs, lines) for eqs in (True, False) for lines in (True, False)}
 
 
 def test_monoid_generators_with_lines_match_smith_quotient():
     kinds = set()
 
-    @given(cone_cases(bound=2), st.lists(st.integers(1, 2), min_size=4, max_size=4))
+    @given(cone_cases(bound=2), st.lists(st.integers(1, 2), min_size=5, max_size=5))
     @SETTINGS
     def check(case, scale):
         kind, c, _ = case
@@ -474,36 +498,40 @@ def test_lift_rejects_a_vector_of_the_wrong_length():
 # ---------------------------------------------------------------------------
 # Smith forms, Hermite forms, intersections and Hilbert bases per reduce
 
-# S->quad makes 147 Smith forms from a cleared cone memo, one per cone span
-# and lineality quotient; lifting the rays of a cone with lines by a Smith
-# form each it made 191, with Smith-kernel intersections and preimages and
-# three per span 792, and with a Smith form for every membership test, rank,
-# facet candidate and saturation solve 3,711
-SMITH_FORMS_S_QUAD = 147
-# the same family reduced chart by chart makes 144, its left inverses
-# lifted by Hermite forms; with a Smith form per ray lift and per distinct
-# embedding's left inverse it made 201, cutting every source cell by every
-# target piece 427, with one left inverse per gluing crossed 643, and with a
-# Smith form per gluing in validate_complex and an integer solve per
-# functional, sublattice vector and map column 1,060
-SMITH_FORMS_S_QUAD_COMPLEX = 144
+# S->quad makes 62 Smith forms from cleared cone memos, one per cone span
+# and lineality quotient and one per lineality of a distinct cone cut out
+# by inequalities; building each such cone twice, as the dual of the cone
+# its inequalities generate, it made 147, lifting the rays of a cone with lines
+# by a Smith form each 191, with Smith-kernel intersections and preimages
+# and three per span 792, and with a Smith form for every membership test,
+# rank, facet candidate and saturation solve 3,711
+SMITH_FORMS_S_QUAD = 62
+# the same family reduced chart by chart makes 63, 144 with two builds per
+# cone cut out by inequalities; its left inverses lifted by Hermite forms;
+# with a Smith form per ray lift and per distinct embedding's left inverse
+# it made 201, cutting every source cell by every target piece 427, with one
+# left inverse per gluing crossed 643, and with a Smith form per gluing in
+# validate_complex and an integer solve per functional, sublattice vector
+# and map column 1,060
+SMITH_FORMS_S_QUAD_COMPLEX = 63
 # and it intersects cones 18 times, cutting each source cell by the maximal
 # pieces of its target subdivision only (93 by every piece); it computes no
 # Hilbert basis, the lattice certificate deciding weak semistability (60
 # before)
 INTERSECTS_S_QUAD_COMPLEX = 30
 # one row Hermite form per distinct sublattice basis, intersection and
-# preimage: 444 in S->quad reduce and 350 in reduce_complex, which made
-# 1,312 and 1,096 while the checks that restrict the same sublattices to the
-# same spans eliminated again each time
-HERMITE_FORMS_S_QUAD = 444
-HERMITE_FORMS_S_QUAD_COMPLEX = 350
+# preimage: 318 in S->quad reduce and 229 in reduce_complex; 444 and 350
+# with two builds per cone cut out by inequalities, and 1,312 and 1,096
+# while the checks that restrict the same sublattices to the same spans
+# eliminated again each time
+HERMITE_FORMS_S_QUAD = 318
+HERMITE_FORMS_S_QUAD_COMPLEX = 229
 
 
 def _calls(run, *functions):
     """The number of calls `run()` makes to each of the functions, from
-    cleared cone, left-inverse and lattice memos (a cone's face cache goes
-    with the cone)."""
+    cleared cone (from generators and from inequalities), left-inverse and
+    lattice memos (a cone's face cache goes with the cone)."""
     codes = [f.__code__ for f in functions]
     calls = [0] * len(codes)
 
@@ -512,6 +540,7 @@ def _calls(run, *functions):
             calls[codes.index(frame.f_code)] += 1
 
     Cone._build.cache_clear()
+    Cone._cut_out.cache_clear()
     _left_inverse_map.cache_clear()
     for memo in (lattice._column_hermite, lattice._intersect, lattice._preimage):
         memo.cache_clear()

@@ -171,7 +171,8 @@ def test_every_memo_is_bounded_by_a_named_constant_on_a_private_name():
     # name would hide its calls from the per-layer counts
     memos = _memo_decorators()
     assert {(module, fn) for module, fn, _ in memos} >= {
-        ("cone.py", "_build"), ("conecomplex.py", "_left_inverse_map"),
+        ("cone.py", "_build"), ("cone.py", "_cut_out"),
+        ("conecomplex.py", "_left_inverse_map"),
         ("lattice.py", "_column_hermite"), ("lattice.py", "_intersect"),
         ("lattice.py", "_preimage")}
     bad = []
