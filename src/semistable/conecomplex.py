@@ -8,7 +8,9 @@ face, is a product with the gluing's embedding or with its retraction (the
 left inverse, taken from one Hermite form per distinct embedding when a
 gluing with it is first crossed),
 so the fan case (all charts equal to one ambient lattice, identity
-embeddings) is recovered exactly.
+embeddings) is recovered exactly.  A point crosses into another cell only
+through the gluing of its owner face, the face whose relative interior
+holds it (see `_members`).
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from .lattice import (
     LatticeMap,
     Matrix,
     Sublattice,
-    dot,
     full_sublattice,
     image_lattice,
     intersect_sublattices,
@@ -97,6 +98,11 @@ class ConeComplex:
                 return g
         return None
 
+    def gluings_of(self, cell: int, chart: int) -> list[Gluing]:
+        """The gluings of cell `cell` from chart `chart`: every face of the
+        cell that is a copy of the chart cell."""
+        return [g for g in self.gluings if g.cell == cell and g.chart == chart]
+
 
 def fan_as_complex(f: Fan) -> ConeComplex:
     """Every cone becomes a cell in the ambient lattice; faces are glued to
@@ -158,14 +164,11 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
     # intermediate chart must give the same embedding
     for g in cx.gluings:
         e = g.embedding
-        for h in filter(g.face.contains_cone, faces[g.cell]):
+        for h in g.face.faces():
             direct = by_occurrence[(g.cell, _key(h))]
-            h_chart = image_cone(g.retraction, h)
-            step = by_occurrence.get((g.chart, _key(h_chart)))
-            if step is None:
-                bad.append(f"face {h.rays} of cell {g.cell} has no counterpart "
-                           f"in chart {g.chart}")
-                continue
+            # g maps its chart onto its face, and every face of the chart
+            # is glued, so h has a counterpart there
+            step = by_occurrence[(g.chart, _key(image_cone(g.retraction, h)))]
             if step.chart != direct.chart:
                 bad.append(f"cell {g.cell}, face {h.rays}: gluing through chart "
                            f"{g.chart} reaches cell {step.chart}, "
@@ -208,16 +211,10 @@ def validate_complex_morphism(m: ComplexMorphism) -> ValidationReport:
         i, j, e = g.cell, g.chart, g.embedding
         kappa, lam = m.assignment[i], m.assignment[j]
         span = span_sublattice(m.source.cells[j]).vectors()
-        ok = False
-        for tg in m.target.gluings:
-            if tg.cell != kappa or tg.chart != lam:
-                continue
-            if all(matvec(m.cell_maps[i].matrix, matvec(e.matrix, v)) ==
-                   matvec(tg.embedding.matrix, matvec(m.cell_maps[j].matrix, v))
-                   for v in span):
-                ok = True
-                break
-        if not ok:
+        if not any(all(matvec(m.cell_maps[i].matrix, matvec(e.matrix, v)) ==
+                       matvec(tg.embedding.matrix, matvec(m.cell_maps[j].matrix, v))
+                       for v in span)
+                   for tg in m.target.gluings_of(kappa, lam)):
             bad.append(f"maps of cells {i} and {j} disagree on the face "
                        f"{g.face.rays}")
     return ValidationReport(tuple(bad))
@@ -236,32 +233,11 @@ def fan_morphism_as_complex(p: FanMorphism) -> ComplexMorphism:
 # ---------------------------------------------------------------------------
 # transport between charts
 
-def _routes(cx: ConeComplex, t: int, lam: int) -> list[tuple[Gluing, Gluing]]:
-    """Pairs of gluings through a shared chart: the first embeds the chart
-    into cell t, the second into cell lam."""
-    out = []
-    for g1 in cx.gluings:
-        if g1.cell != t:
-            continue
-        for g2 in cx.gluings:
-            if g2.cell == lam and g2.chart == g1.chart:
-                out.append((g1, g2))
-    return out
-
-
 def _retraction(g: Gluing) -> LatticeMap:
     if g.retraction is None:
         raise ComplexError(f"embedding into cell {g.cell} is not injective "
                            "with a saturated image")
     return g.retraction
-
-
-def _transport_point(route: tuple[Gluing, Gluing], w: Sequence):
-    # the gluing identifies only the spans of the two face occurrences
-    g1, g2 = route
-    if any(dot(eq, w) != 0 for eq in g1.face.span_equations):
-        return None
-    return g2.embedding(_retraction(g1)(w))
 
 
 def _descend(g: Gluing, a: Matrix) -> Optional[Matrix]:
@@ -271,22 +247,58 @@ def _descend(g: Gluing, a: Matrix) -> Optional[Matrix]:
     return x if matmul(g.embedding.matrix, x) == a else None
 
 
+def _owner_face(cell: Cone, sample) -> Optional[Cone]:
+    """Smallest face whose interior contains the sample; None for the cell
+    itself."""
+    if cell.relint_contains(sample):
+        return None
+    for f in cell.faces():
+        if f != cell and f.relint_contains(sample):
+            return f
+    raise ReductionError("a subdivision cell escapes its chart cell")
+
+
+def _members(m: ComplexMorphism, images: Sequence[Cone], t: int,
+             pt: Sequence) -> tuple[Gluing, dict[int, Gluing]]:
+    """The gluing g of the owner face of the point pt of target cell t, and
+    for each source cell s whose image holds pt in its relative interior,
+    the gluing h of s's assigned cell through which pt arrives there.
+
+    pt moves by g's retraction to the point u of g's chart c, and from
+    there into each copy h of c inside the assigned cell.  On complexes that
+    pass validate_complex, as reduce_complex checks first, every other
+    route through a shared chart reaches one of these points.  Take a
+    gluing g' of cell t, from a chart c', whose face holds pt; that face has
+    the owner face f of pt as a face.  Composites agree, so the copy of f
+    in c' is glued from c and composes with g' to g: pt moves into c' as
+    that copy's image of u.  In the far cell a copy h' of c' likewise
+    carries that image to h(u), for the gluing h of the copy of c inside
+    the face of h'.  As u lies in the relative interior of c, at most one
+    copy h puts h(u) in the relative interior of an image: its face is the
+    smallest face of the cell that holds the image.
+    """
+    cell = m.target.cells[t]
+    f = _owner_face(cell, pt)
+    g = m.target.gluing_for(t, cell if f is None else f)
+    u = _retraction(g)(pt)
+    arrivals = {}
+    for s, img in enumerate(images):
+        for h in m.target.gluings_of(m.assignment[s], g.chart):
+            if img.relint_contains(h.embedding(u)):
+                arrivals[s] = h
+                break
+    return g, arrivals
+
+
 def complex_N0(m: ComplexMorphism, kappa: int, w: Sequence) -> frozenset[int]:
     """Source cells whose image interior covers the point w of target cell
-    kappa, the point being transported through shared face charts."""
-    cell = m.target.cells[kappa]
-    if not cell.contains(w):
+    kappa.  The target complex must be valid (validate_complex): w crosses
+    into the other cells only through the gluing of its owner face."""
+    if not m.target.cells[kappa].contains(w):
         raise ComplexError("the sample point lies outside the target cell")
     images = [image_cone(m.cell_maps[s], sigma)
               for s, sigma in enumerate(m.source.cells)]
-    hit = set()
-    for s in range(len(m.source.cells)):
-        for route in _routes(m.target, kappa, m.assignment[s]):
-            pt = _transport_point(route, w)
-            if pt is not None and images[s].relint_contains(pt):
-                hit.add(s)
-                break
-    return frozenset(hit)
+    return frozenset(_members(m, images, kappa, w)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -319,39 +331,25 @@ class _CellRun:
 
 def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _CellRun:
     cell = m.target.cells[t]
-    contributions = []
-    for s in range(len(m.source.cells)):
-        for route in _routes(m.target, t, m.assignment[s]):
-            contributions.append((s, route, images[s]))
-
     hyps = set()
-    for s, (g1, g2), img in contributions:
-        # a functional psi of the far cell moves to psi after E2 after L1,
-        # which agrees with psi after E2 on the face span
-        pull = transpose(matmul(g2.embedding.matrix, _retraction(g1).matrix))
-        moved = [matvec(pull, psi) for psi in img.facets + img.span_equations]
-        hyps |= {primitive(v) for v in moved + list(g1.face.span_equations)
-                 if not is_zero_vec(v)}
-
-    def member_routes(pt):
-        out = []
-        seen = set()
-        for s, route, img in contributions:
-            if s in seen:
-                continue
-            moved = _transport_point(route, pt)
-            if moved is not None and img.relint_contains(moved):
-                out.append((s, route, img))
-                seen.add(s)
-        return out
+    for g in m.target.gluings:
+        if g.cell != t:
+            continue
+        for s, img in enumerate(images):
+            for h in m.target.gluings_of(m.assignment[s], g.chart):
+                # a functional psi of the far cell moves to psi after E_h
+                # after L_g, which agrees with psi after E_h on g's face span
+                pull = transpose(matmul(h.embedding.matrix, _retraction(g).matrix))
+                moved = [matvec(pull, psi) for psi in img.facets + img.span_equations]
+                hyps |= {primitive(v) for v in moved + list(g.face.span_equations)
+                         if not is_zero_vec(v)}
 
     def label_at(pt):
-        label = frozenset(s for s, _, _ in member_routes(pt))
-        # a point in the interior of a transported image is covered, so
-        # only an empty label needs the closed-cone test
-        if not label and not any(
-                (moved := _transport_point(route, pt)) is not None
-                and img.contains(moved) for _, route, img in contributions):
+        # every face of an image is the image of the source cell glued to
+        # it (validate_complex_morphism), so a point in no image's relative
+        # interior lies in no image
+        label = frozenset(_members(m, images, t, pt)[1])
+        if not label:
             raise ReductionError(
                 f"target cell {t} is not covered by the source images near {pt}")
         return label
@@ -365,20 +363,16 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
         if piece.dim == 0:
             subs[_key(piece)] = zero_sublattice(cell.lattice)
             continue
-        routes = member_routes(piece.interior_sample())
-        if not routes:
-            raise ReductionError(
-                f"a cell of target cell {t} has no contributing source cells")
+        # each member's image lies in the face of h, whose embedding has a
+        # saturated image, so the image lattice descends to the chart exactly
+        g, arrivals = _members(m, images, t, piece.interior_sample())
         result = span_sublattice(piece)
-        for s, (g1, g2), img in routes:
-            x = _descend(g2, matmul(m.cell_maps[s].matrix,
-                                    span_sublattice(m.source.cells[s]).basis))
-            if x is None:
-                raise ReductionError(
-                    f"image lattice of source cell {s} does not descend "
-                    f"to the shared chart over target cell {t}")
+        for s, h in arrivals.items():
+            x = matmul(_retraction(h).matrix,
+                       matmul(m.cell_maps[s].matrix,
+                              span_sublattice(m.source.cells[s]).basis))
             result = intersect_sublattices(
-                result, Sublattice(cell.lattice, matmul(g1.embedding.matrix, x)))
+                result, Sublattice(cell.lattice, matmul(g.embedding.matrix, x)))
         subs[_key(piece)] = result
     return _CellRun(tuple(pieces), members, subs)
 
@@ -393,17 +387,6 @@ def _cut_source_cell(sigma: Cone, pmap: LatticeMap, image: Cone,
         return Fan.from_cones(sigma.lattice, [sigma]).cones
     return Fan.from_cones(sigma.lattice, [intersect(preimage_cone(pmap, piece), sigma)
                                           for piece in top]).cones
-
-
-def _owner_face(cell: Cone, sample) -> Optional[Cone]:
-    """Smallest face whose interior contains the sample; None for the cell
-    itself."""
-    if cell.relint_contains(sample):
-        return None
-    for f in cell.faces():
-        if f != cell and f.relint_contains(sample):
-            return f
-    raise ReductionError("a subdivision cell escapes its chart cell")
 
 
 def _assemble_complex(cx: ConeComplex, runs: dict) -> tuple:
@@ -493,6 +476,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     tops = {t: Fan(m.target.cells[t].lattice, runs[t].pieces).maximal_cones()
             for t in runs}
     src_runs: dict = {}
+    lands_in: dict = {}  # (source cell, part): the target piece it maps into
     for s, sigma in enumerate(m.source.cells):
         lam = m.assignment[s]
         pmap = m.cell_maps[s]
@@ -505,6 +489,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
             img_sample = matvec(pmap.matrix, part.interior_sample())
             target_piece = next(p for p in runs[lam].pieces
                                 if p.relint_contains(img_sample))
+            lands_in[(s, _key(part))] = target_piece
             q = runs[lam].sublattices[_key(target_piece)]
             subs[_key(part)] = intersect_sublattices(
                 preimage_sublattice(pmap, q), span_sublattice(part))
@@ -522,9 +507,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     for piece, s in zip(total_cx.cells, total_owners):
         lam = m.assignment[s]
         pmap = m.cell_maps[s]
-        img_sample = matvec(pmap.matrix, piece.interior_sample())
-        target_piece = next(p for p in runs[lam].pieces
-                            if p.relint_contains(img_sample))
+        target_piece = lands_in[(s, _key(piece))]
         f = _owner_face(m.target.cells[lam], target_piece.interior_sample())
         if f is None:
             maps.append(pmap)

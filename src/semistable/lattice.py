@@ -288,14 +288,9 @@ def row_hermite_form(a: Matrix) -> Matrix:
                     r[k] -= q * base[k]
             pivots = [r for r in pivots if r[col] != 0]
         piv = pivots[0]
-        rows = [r for r in rows if r is not piv]
-        # eliminate this column from the remaining rows
-        for r in rows:
-            if r[col] != 0:
-                q = r[col] // piv[col]
-                for k in range(n):
-                    r[k] -= q * piv[k]
-        rows = [r for r in rows if not is_zero_vec(r)]
+        # the loop above reduced the other rows in place, so piv is the only
+        # row left with a nonzero in this column
+        rows = [r for r in rows if r is not piv and not is_zero_vec(r)]
         if piv[col] < 0:
             piv = [-x for x in piv]
         result.append(piv)

@@ -416,3 +416,97 @@ def test_check_flag_rejects_other_kinds(flag, name, needs, capsys):
     code, out = run_cli("check", flag, "--input", data(name))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {flag} requires {needs} document\n"
+
+
+def test_check_weakly_semistable_names_every_cone_outside_the_target(capsys):
+    # the blow-up's cones map by the identity onto cones the quadrant fan
+    # does not hold
+    code, out = run_cli("check", "--weakly-semistable", "--input",
+                        data("fix_subdiv.json"))
+    assert code == 1
+    assert json.loads(out)["payload"]["violations"] == [
+        f"weakly-semistable: cone {rays} fails condition 1: image cone {rays} "
+        "is not in the target fan"
+        for rays in ("((1, 1),)", "((0, 1), (1, 1))", "((1, 0), (1, 1))")]
+
+
+class TestReductionResultDocuments:
+    @pytest.fixture
+    def reduced(self, tmp_path):
+        _, out = run_cli("reduce", "--input", data("s_quad.json"))
+        path = tmp_path / "reduced.json"
+        path.write_text(out)
+        return str(path), json.loads(out)["payload"]
+
+    def test_check_does_not_read_one(self, reduced, capsys):
+        code, out = run_cli("check", "--input", reduced[0])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: $.kind: expected one of fan, stacky_fan, fan_morphism, "
+            "stacky_morphism, cone_complex, complex_morphism\n")
+
+    def test_render_draws_the_refined_base(self, reduced):
+        code, out = run_cli("render", "--input", reduced[0])
+        cones = reduced[1]["base"]["cones"]
+        assert code == 0
+        assert out.count("<polygon") == sum(len(c["rays"]) == 2 for c in cones)
+        assert out.count("<line") == sum(len(c["rays"]) == 1 for c in cones)
+
+
+def glued_rays():
+    """Two half lines glued at their origin, over the half line by 1 and 2."""
+    ray = {"lattice_rank": 1, "rays": [[1]]}
+    origin = {"lattice_rank": 1, "rays": []}
+
+    def gluing(cell, chart, face_rays):
+        return {"cell": cell, "chart": chart, "embedding": [[1]],
+                "face_rays": face_rays}
+    source = {"cells": [ray, ray, origin],
+              "gluings": [gluing(0, 2, []), gluing(0, 0, [[1]]),
+                          gluing(1, 2, []), gluing(1, 1, [[1]]), gluing(2, 2, [])]}
+    target = {"cells": [ray, origin],
+              "gluings": [gluing(0, 0, [[1]]), gluing(0, 1, []), gluing(1, 1, [])]}
+    return {"source": source, "target": target, "assignment": [0, 0, 1],
+            "cell_maps": [[[1]], [[2]], [[1]]]}
+
+
+class TestComplexDocuments:
+    @staticmethod
+    def write(tmp_path, kind, payload):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"version": "1", "kind": kind, "payload": payload}))
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["cone_complex", "complex_morphism"])
+    def test_check_valid_passes(self, tmp_path, kind):
+        payload = glued_rays()
+        if kind == "cone_complex":
+            payload = payload["source"]
+        code, out = run_cli("check", "--valid", "--input",
+                            self.write(tmp_path, kind, payload))
+        assert code == 0
+        assert json.loads(out)["payload"]["details"] == ["valid: yes"]
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        ("cone_complex", lambda p: p["gluings"][1].update(cell=3),
+         "$.payload.gluings[1]: cell index out of range"),
+        ("cone_complex", lambda p: p["gluings"][1].update(embedding=[[1], [0]]),
+         "$.payload.gluings[1].embedding: row count does not match the cell rank"),
+        ("complex_morphism", lambda p: p.update(assignment=[0, 0, 2]),
+         "$.payload.assignment: one valid target cell per source cell"),
+        ("complex_morphism", lambda p: p["cell_maps"].pop(),
+         "$.payload.cell_maps: one matrix per source cell"),
+        ("complex_morphism", lambda p: p["cell_maps"][1].append([2]),
+         "$.payload.cell_maps[1]: row count does not match the assigned cell rank"),
+    ], ids=["gluing-cell", "embedding-rows", "assignment", "cell-map-count",
+            "cell-map-rows"])
+    def test_malformed_document_names_the_path(self, tmp_path, kind, edit,
+                                               message, capsys):
+        payload = glued_rays()
+        if kind == "cone_complex":
+            payload = payload["source"]
+        edit(payload)
+        code, out = run_cli("check", "--valid", "--input",
+                            self.write(tmp_path, kind, payload))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,6 +1,6 @@
 import pytest
 
-from semistable import monoid
+from semistable import conecomplex, monoid
 from semistable.cone import Cone
 from semistable.conecomplex import (
     ComplexError,
@@ -134,6 +134,90 @@ class TestValidation:
         report = validate_complex(ConeComplex(cx.cells,
                                               cx.gluings + (cx.gluings[0],)))
         assert any("glued twice" in v for v in report.violations)
+
+
+def quadrant_complex():
+    """The quadrant fan as a complex: cells (), (0,1), (1,0), the quadrant."""
+    return fan_as_complex(quadrant_fan())
+
+
+def regluing(cx, old, new):
+    return ConeComplex(cx.cells, tuple(new if g == old else g for g in cx.gluings))
+
+
+def quadrant_face_gluing(cx, rays):
+    return next(g for g in cx.gluings if g.cell == 3 and g.face.rays == rays)
+
+
+def ray_copies(zero_chart_of_copy):
+    """Cell 1 is a copy of the ray cell 0 and the origin of cell 0 is glued
+    to cell 2; the origin of the copy is glued to `zero_chart_of_copy`."""
+    ray, zero = cone(1, (1,)), Cone.zero(1)
+    ident = LatticeMap.identity_map(Lattice(1))
+    return ConeComplex((ray, ray, zero, zero), (
+        Gluing(0, ray, 0, ident), Gluing(0, zero, 2, ident),
+        Gluing(1, ray, 0, ident), Gluing(1, zero, zero_chart_of_copy, ident),
+        Gluing(2, zero, 2, ident), Gluing(3, zero, 3, ident)))
+
+
+def violating_complexes():
+    """Name: (a complex that breaks one rule, the one violation reported)."""
+    ident2 = LatticeMap.identity_map(Lattice(2))
+    zero1, zero2 = Cone.zero(1), Cone.zero(2)
+    quad = quadrant_complex()
+    half = halfline_complex()
+    return {
+        "lines": (ConeComplex((Cone.from_generators(1, [(1,), (-1,)]),), ()),
+                  "cell 0 is not strictly convex"),
+        "non-face": (ConeComplex(quad.cells, quad.gluings +
+                                 (Gluing(3, cone(2, (1, 1)), 3, ident2),)),
+                     "gluing on cell 3 names ((1, 1),), which is not a face "
+                     "of the cell"),
+        "wrong-lattices": (regluing(half, half.gluings[2],
+                                    Gluing(1, cone(1, (1,)), 1, ident2)),
+                           "embedding for face ((1,),) of cell 1 connects the "
+                           "wrong lattices"),
+        "non-injective": (ConeComplex((zero1, zero2), (
+            Gluing(0, zero1, 1, lmap([[1, 1]])), Gluing(1, zero2, 1, ident2))),
+            "embedding into cell 0 is not injective"),
+        "not-onto": (regluing(quad, quadrant_face_gluing(quad, ((1, 0),)),
+                              Gluing(3, cone(2, (1, 0)), 2, lmap([[0, 1], [1, 0]]))),
+                     "chart 2 does not map onto face ((1, 0),) of cell 3"),
+        "composite-reaches-another-cell": (
+            ray_copies(3),
+            "cell 1, face (): gluing through chart 0 reaches cell 2, "
+            "directly it reaches 3"),
+        "composite-disagrees": (
+            ConeComplex((zero1,), (Gluing(0, zero1, 0, lmap([[-1]])),)),
+            "cell 0, face (): composite gluing disagrees with the direct one"),
+    }
+
+
+VIOLATIONS = violating_complexes()
+
+
+class TestValidationViolations:
+    @pytest.mark.parametrize("name", VIOLATIONS)
+    def test_violation_reported_alone(self, name):
+        cx, message = VIOLATIONS[name]
+        assert validate_complex(cx).violations == (message,)
+
+    def test_copy_whose_faces_follow_the_original_passes(self):
+        assert validate_complex(ray_copies(2))
+
+    def test_report_lists_gluing_violations_in_order_then_unglued_faces(self):
+        quad = quadrant_complex()
+        ray_x = quadrant_face_gluing(quad, ((1, 0),))
+        ray_y = quadrant_face_gluing(quad, ((0, 1),))
+        gl = [Gluing(3, ray_x.face, 2, lmap([[0, 1], [1, 0]])) if g == ray_x else g
+              for g in quad.gluings if g != ray_y]
+        gl += [Gluing(3, cone(2, (1, 1)), 3, quad.gluings[0].embedding),
+               quad.gluings[0]]
+        assert validate_complex(ConeComplex(quad.cells, tuple(gl))).violations == (
+            "chart 2 does not map onto face ((1, 0),) of cell 3",
+            "gluing on cell 3 names ((1, 1),), which is not a face of the cell",
+            "face () of cell 0 is glued twice",
+            "face ((0, 1),) of cell 3 is not glued")
 
 
 class TestMorphisms:
@@ -281,6 +365,36 @@ class TestReduceComplex:
         assert [s.vectors() for s in cres.base.sublattices] == [[(1,)], []]
         assert cres.positive_dimensional_lifts == (0,)
 
+    def test_map_descends_to_the_face_chart_of_its_target_piece(self, monkeypatch):
+        # the ray (1,0) of the quadrant's identity, assigned to the quadrant
+        # cell instead of its own cell: its total cell lands on the face
+        # (1,0) of the quadrant, whose chart is the base ray cell, and the
+        # identity descends there
+        q = quadrant_fan()
+        plain = fan_morphism_as_complex(
+            FanMorphism(q, q, LatticeMap.identity_map(Lattice(2))))
+        ray, quad = 2, 3
+        assert plain.source.cells[ray] == cone(2, (1, 0)) == plain.target.cells[ray]
+        assert plain.assignment[ray] == ray
+        assign = list(plain.assignment)
+        assign[ray] = quad
+        moved = ComplexMorphism(plain.source, plain.target, plain.cell_maps,
+                                tuple(assign))
+        descents = []
+        descend = conecomplex._descend
+
+        def spy(g, a):
+            descents.append((g.cell, g.chart, descend(g, a)))
+            return descents[-1][2]
+        monkeypatch.setattr(conecomplex, "_descend", spy)
+        cres = reduce_complex(moved)
+        monkeypatch.undo()
+        assert descents == [(quad, ray, ((1, 0), (0, 1)))]
+        cell = cres.total_owners.index(ray)
+        assert cres.morphism.assignment[cell] == cres.base_owners.index(ray)
+        assert cres.morphism.cell_maps[cell] == LatticeMap.identity_map(Lattice(2))
+        assert cres == reduce_complex(plain)
+
     def test_rejects_non_surjective(self):
         src = fan_as_complex(Fan.from_cones(1, []))
         tgt = halfline_complex()
@@ -307,6 +421,29 @@ class TestWeakSemistability:
         report = complex_weak_semistability(m, None, target)
         assert not report
         assert [(c, code) for c, code, _ in report.failures] == [(ray, 2)]
+
+    def test_image_that_is_not_a_face_fails_condition_one(self):
+        m = fan_morphism_as_complex(fix_subdiv())
+        report = complex_weak_semistability(m)
+        blown_up = [(i, c) for i, c in enumerate(m.source.cells)
+                    if (1, 1) in c.rays]
+        assert [(c, 1, f"image of cell {i} is not a face of its target cell")
+                for i, c in blown_up] == list(report.failures)
+        assert len(blown_up) == 3
+
+    def test_monoid_error_is_a_failing_cell(self):
+        # a source lattice that misses the ray (0,1) of the quadrant
+        q = quadrant_fan()
+        m = fan_morphism_as_complex(
+            FanMorphism(q, q, LatticeMap.identity_map(Lattice(2))))
+        quad = cone(2, (1, 0), (0, 1))
+        source = [sublattice_from_vectors(c.lattice, [(1, 0)] if c == quad
+                                          else identity(2))
+                  for c in m.source.cells]
+        report = complex_weak_semistability(m, source)
+        i = m.source.cells.index(quad)
+        assert report.failures == (
+            (quad, 2, f"cell {i}: ray does not lie in the span of the lattice"),)
 
     def test_out_of_budget_raises_instead_of_failing(self, monkeypatch):
         # a MonoidError becomes a failing cell; an undecided search must not
