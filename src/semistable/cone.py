@@ -322,8 +322,8 @@ def image_cone(f: LatticeMap, c: Cone) -> Cone:
 def preimage_cone(f: LatticeMap, c: Cone) -> Cone:
     # pull the half-space description back along f
     ft = transpose(f.matrix)
-    pulled_ineqs = [tuple(dot(u, row) for row in ft) for u in c.facets]
-    pulled_eqs = [tuple(dot(e, row) for row in ft) for e in c.span_equations]
+    pulled_ineqs = [matvec(ft, u) for u in c.facets]
+    pulled_eqs = [matvec(ft, e) for e in c.span_equations]
     return Cone.from_halfspaces(f.domain, pulled_ineqs, pulled_eqs)
 
 

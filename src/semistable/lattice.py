@@ -4,6 +4,12 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 Matrices are tuples of row tuples.  A map between lattices of ranks
 (m out, n in) is an m x n integer matrix acting on column vectors.
 
+The vector kernel under every cone and gluing check runs in builtins:
+`dot`, `matvec` and `matmul` sum `map(operator.mul, ...)`, `is_zero_vec` is
+`not any(v)` and `primitive` takes one `math.gcd` of all entries.  The
+entries stay Python integers, so each result is exactly the one of an
+entry-by-entry loop.
+
 Each question gets one elimination of the kind it needs:
 - `det` and `rank`: fraction-free Bareiss elimination;
 - sublattice bases: column Hermite form, so membership and coordinates
@@ -32,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -65,11 +72,11 @@ def transpose(a: Matrix) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def matvec(a: Matrix, v: Sequence[int]) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
@@ -85,21 +92,19 @@ def vec_neg(v: Sequence[int]) -> Vector:
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero_vec(v: Sequence) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 def primitive(v: Sequence[int]) -> Vector:
     """Divide out the gcd of the entries; the zero vector is returned as is."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
+    g = math.gcd(*v)
     if g <= 1:
-        return tuple(int(x) for x in v)
-    return tuple(int(x) // g for x in v)
+        return tuple(map(int, v))
+    return tuple([int(x) // g for x in v])
 
 
 def columns(a: Matrix) -> list[Vector]:

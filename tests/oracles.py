@@ -12,13 +12,19 @@ which one Hermite form per `lift` and the Hermite coordinates replaced, and
 the toric fiber product from every pair of source cones, which the maximal
 pairs replaced.  And the facets of a cone from a kernel per (d-1)-subset of
 its rays, and the cone cut out by inequalities as the dual of the cone they
-generate, which integer double description replaced in both directions."""
+generate, which integer double description replaced in both directions.
+And the vector kernel entry by entry (`dot`, `matvec`, `matmul`,
+`is_zero_vec` and `primitive` as generator expressions and a running gcd),
+which sums over `map(operator.mul, ...)`, `any` and one `math.gcd` replaced,
+and `validate_complex` with its composite check on every (gluing, face of
+the glued face) pair, which the pairs of codimension at most one replaced."""
 import itertools
 import math
 from fractions import Fraction
 
-from semistable.cone import Cone, ConeError, dual_cone, intersect, preimage_cone
-from semistable.fan import Fan
+from semistable.cone import Cone, ConeError, dual_cone, image_cone, intersect, preimage_cone
+from semistable.conecomplex import _key
+from semistable.fan import Fan, ValidationReport
 from semistable.lattice import (
     INFINITE,
     Lattice,
@@ -30,6 +36,7 @@ from semistable.lattice import (
     full_sublattice,
     hstack,
     identity,
+    image_lattice,
     is_zero_vec,
     kernel_basis,
     mat,
@@ -37,6 +44,7 @@ from semistable.lattice import (
     matvec,
     primitive,
     row_hermite_form,
+    saturate as lattice_saturate,
     smith_normal_form,
     sublattice_from_vectors,
     transpose,
@@ -391,3 +399,90 @@ def every_pair_fiber_product(p, q):
     cones = [intersect(preimage_cone(pn, sigma), preimage_cone(pl, lam))
              for sigma in p.source.cones for lam in q.source.cones]
     return Fan.from_cones(pn.domain, [c for c in cones if c.is_strictly_convex])
+
+
+def entrywise_dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def entrywise_matvec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def entrywise_matmul(a, b):
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def entrywise_is_zero_vec(v):
+    return all(x == 0 for x in v)
+
+
+def entrywise_primitive(v):
+    g = 0
+    for x in v:
+        g = math.gcd(g, x)
+    if g <= 1:
+        return tuple(int(x) for x in v)
+    return tuple(int(x) // g for x in v)
+
+
+def validate_complex_every_face(cx):
+    """`validate_complex` with the composite check on every face of every
+    glued face, each chart counterpart found by an image cone."""
+    bad = []
+    for i, c in enumerate(cx.cells):
+        if not c.is_strictly_convex:
+            bad.append(f"cell {i} is not strictly convex")
+    if bad:
+        return ValidationReport(tuple(bad))
+
+    faces = [c.faces() for c in cx.cells]
+    by_occurrence = {}
+    for g in cx.gluings:
+        c = cx.cells[g.cell]
+        if g.face not in faces[g.cell]:
+            bad.append(f"gluing on cell {g.cell} names {g.face.rays}, "
+                       "which is not a face of the cell")
+            continue
+        occ = (g.cell, _key(g.face))
+        if occ in by_occurrence:
+            bad.append(f"face {g.face.rays} of cell {g.cell} is glued twice")
+        by_occurrence[occ] = g
+
+        e = g.embedding
+        if e.domain != cx.cells[g.chart].lattice or e.codomain != c.lattice:
+            bad.append(f"embedding for face {g.face.rays} of cell {g.cell} "
+                       "connects the wrong lattices")
+            continue
+        if g.retraction is None:
+            image = image_lattice(e)
+            if image.rank != e.domain.rank:
+                bad.append(f"embedding into cell {g.cell} is not injective")
+            if lattice_saturate(image).basis != image.basis:
+                bad.append(f"embedding into cell {g.cell} has a non-saturated image")
+        if image_cone(e, cx.cells[g.chart]) != g.face:
+            bad.append(f"chart {g.chart} does not map onto face "
+                       f"{g.face.rays} of cell {g.cell}")
+
+    for i, c in enumerate(cx.cells):
+        for face in faces[i]:
+            if (i, _key(face)) not in by_occurrence:
+                bad.append(f"face {face.rays} of cell {i} is not glued")
+    if bad:
+        return ValidationReport(tuple(bad))
+
+    for g in cx.gluings:
+        e = g.embedding
+        for h in g.face.faces():
+            direct = by_occurrence[(g.cell, _key(h))]
+            step = by_occurrence[(g.chart, _key(image_cone(g.retraction, h)))]
+            if step.chart != direct.chart:
+                bad.append(f"cell {g.cell}, face {h.rays}: gluing through chart "
+                           f"{g.chart} reaches cell {step.chart}, "
+                           f"directly it reaches {direct.chart}")
+                continue
+            if matmul(e.matrix, step.embedding.matrix) != direct.embedding.matrix:
+                bad.append(f"cell {g.cell}, face {h.rays}: composite gluing "
+                           "disagrees with the direct one")
+    return ValidationReport(tuple(bad))

@@ -2,7 +2,8 @@
 every module-level import is used, no float enters the exact code and no
 Fraction outside the CLI, no assert stands in for an error, the Smith form
 is called only where its invariant factors or transforms are needed, every
-integer preimage is a `lift`, and the cartesian check's pushout search runs
+integer preimage is a `lift`, every dot product outside the lattice module
+is a call of its kernel, and the cartesian check's pushout search runs
 only where no proof of integrality stands in for it.  The README's command
 line section names the subcommands and `check` flags the CLI has."""
 import ast
@@ -125,6 +126,36 @@ def test_integer_preimages_are_lifts():
                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("solve_")}
     assert solvers == {"solve_integer"}
     assert not _callers({"solve_integer", "solve_rational"})
+
+
+def _inline_products(tree):
+    """Lines of `sum(x * y for x, y in zip(...))` and `sum(map(mul, ...))`."""
+    found = []
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "sum"
+                and n.args):
+            continue
+        arg = n.args[0]
+        if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+            zipped = any(isinstance(c.iter, ast.Call)
+                         and getattr(c.iter.func, "id", None) == "zip"
+                         for c in arg.generators)
+            if zipped and any(isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mult)
+                              for b in ast.walk(arg.elt)):
+                found.append(f"line {n.lineno}")
+        elif (isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "map"
+              and arg.args and getattr(arg.args[0], "id", None) == "mul"):
+            found.append(f"line {n.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if os.path.basename(p) != "lattice.py"],
+                         ids=os.path.basename)
+def test_dot_products_are_kernel_calls(path):
+    # one integer kernel: `dot`, `matvec` and `matmul` in lattice.py are the
+    # only sums of entrywise products, so a faster kernel reaches every caller
+    found = _inline_products(_tree(path))
+    assert not found, f"inline dot products: {', '.join(found)}"
 
 
 def test_only_the_cli_imports_fractions():

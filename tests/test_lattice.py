@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import right_inverse
 from semistable import lattice
 from semistable.lattice import (
@@ -13,6 +14,7 @@ from semistable.lattice import (
     Sublattice,
     column_hermite_form,
     det,
+    dot,
     dual_map,
     fiber_product_lattice,
     full_sublattice,
@@ -20,6 +22,7 @@ from semistable.lattice import (
     identity,
     image_lattice,
     intersect_sublattices,
+    is_zero_vec,
     kernel_lattice,
     lattice_index,
     lift,
@@ -27,6 +30,7 @@ from semistable.lattice import (
     matmul,
     matvec,
     preimage_sublattice,
+    primitive,
     pushout_lattice,
     saturate,
     smith_normal_form,
@@ -337,3 +341,71 @@ def test_memos_stay_bounded_and_exact_past_the_bound():
         assert intersect_sublattices(s, even) == cap
         assert pre == preimage_sublattice(f, s)
         assert all(s.contains(matvec(f.matrix, v)) for v in pre.vectors())
+
+
+# ---------------------------------------------------------------------------
+# the vector kernel against its entry-by-entry references
+
+# entries beyond a machine word, small ones that share factors, and zeros
+WIDE = 10 ** 30
+entries = st.integers(-WIDE, WIDE) | st.integers(-12, 12) | st.just(0)
+
+
+def vectors(n):
+    return st.lists(entries, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A matrix of m x n (either may be 0), a vector of length n, a matrix
+    of n x k, and a vector whose entries share a drawn factor."""
+    m, n, k = (draw(st.integers(0, 4)) for _ in range(3))
+    a = tuple(draw(vectors(n)) for _ in range(m))
+    b = tuple(draw(vectors(k)) for _ in range(n))
+    factor = draw(st.sampled_from([1, -1, 2, -6, 3 * WIDE, -WIDE]))
+    v = draw(vectors(n))
+    return a, v, b, tuple(x * factor for x in v)
+
+
+def _same(got, want):
+    # equal and of the same types, entry by entry: exact Python integers
+    assert got == want
+    assert type(got) is type(want)
+    if isinstance(got, tuple):
+        for x, y in zip(got, want):
+            _same(x, y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_inputs())
+def test_vector_kernel_matches_entrywise_references(case):
+    a, v, b, scaled = case
+    for u in (v, scaled, (0,) * len(v)):
+        _same(dot(u, v), oracles.entrywise_dot(u, v))
+        _same(is_zero_vec(u), oracles.entrywise_is_zero_vec(u))
+        _same(primitive(u), oracles.entrywise_primitive(u))
+    _same(matvec(a, v), oracles.entrywise_matvec(a, v))
+    _same(matmul(a, b), oracles.entrywise_matmul(a, b))
+
+
+@pytest.mark.parametrize("v,want", [
+    ((), ()),
+    ((0, 0, 0), (0, 0, 0)),
+    ((-4, -6), (-2, -3)),
+    ((0, -7), (0, -1)),
+    ((-3 * WIDE, 6 * WIDE), (-1, 2)),
+    ((WIDE + 1, 0), (1, 0)),
+])
+def test_primitive_on_empty_zero_negative_and_wide_vectors(v, want):
+    _same(primitive(v), want)
+    _same(primitive(v), oracles.entrywise_primitive(v))
+
+
+def test_kernel_on_empty_operands():
+    _same(dot((), ()), 0)
+    assert is_zero_vec(())
+    _same(matvec((), (1, 2)), ())
+    _same(matvec(((), ()), ()), (0, 0))
+    _same(matmul((), ((1, 2),)), ())
+    _same(matmul(((), ()), ()), ((), ()))
+    _same(dot((WIDE, -WIDE), (WIDE, WIDE)), 0)
