@@ -13,6 +13,7 @@ Exit codes: 0 predicate true / construction succeeded, 1 predicate false,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -53,6 +54,8 @@ from .reduction import ReductionError, factor_through, reduce, \
     universal_minimal_modification
 
 VERSION = "1"
+# one parser serves every call of `main` in a process
+PARSER_MEMO_SIZE = 1
 
 _INT_LIMIT = 2 ** 53
 _INT_RE = re.compile(r"^-?[0-9]+$")
@@ -566,7 +569,11 @@ COMMANDS = {
 _OPTION_HELP = {"--matrix": "JSON matrix of the finite-index base inclusion"}
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=PARSER_MEMO_SIZE)
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call of `main`, not at
+    import.  It reads only the constant tables above, and `parse_args`
+    returns a new namespace without changing it, so later calls reuse it."""
     parser = argparse.ArgumentParser(
         prog="semistable",
         description="exact combinatorics of weak semistable reduction")
@@ -584,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, out)
     except DocumentError as exc:

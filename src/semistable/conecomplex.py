@@ -95,16 +95,29 @@ class ConeComplex:
     cells: tuple[Cone, ...]
     gluings: tuple[Gluing, ...]
 
-    def gluing_for(self, cell: int, face: Cone) -> Optional[Gluing]:
+    # both indexes are built on first use, once per complex; the first gluing
+    # of a repeated (cell, face) wins, and each chart's gluings keep their order
+    @functools.cached_property
+    def _by_face(self) -> dict:
+        index = {}
         for g in self.gluings:
-            if g.cell == cell and g.face == face:
-                return g
-        return None
+            index.setdefault((g.cell, g.face), g)
+        return index
+
+    @functools.cached_property
+    def _by_chart(self) -> dict:
+        index = {}
+        for g in self.gluings:
+            index.setdefault((g.cell, g.chart), []).append(g)
+        return index
+
+    def gluing_for(self, cell: int, face: Cone) -> Optional[Gluing]:
+        return self._by_face.get((cell, face))
 
     def gluings_of(self, cell: int, chart: int) -> list[Gluing]:
         """The gluings of cell `cell` from chart `chart`: every face of the
         cell that is a copy of the chart cell."""
-        return [g for g in self.gluings if g.cell == cell and g.chart == chart]
+        return list(self._by_chart.get((cell, chart), ()))
 
 
 def fan_as_complex(f: Fan) -> ConeComplex:

@@ -17,7 +17,9 @@ And the vector kernel entry by entry (`dot`, `matvec`, `matmul`,
 `is_zero_vec` and `primitive` as generator expressions and a running gcd),
 which sums over `map(operator.mul, ...)`, `any` and one `math.gcd` replaced,
 and `validate_complex` with its composite check on every (gluing, face of
-the glued face) pair, which the pairs of codimension at most one replaced."""
+the glued face) pair, which the pairs of codimension at most one replaced.
+And a complex's gluings looked up by a scan over all of them, which two
+indexes per complex replaced."""
 import itertools
 import math
 from fractions import Fraction
@@ -486,3 +488,16 @@ def validate_complex_every_face(cx):
                 bad.append(f"cell {g.cell}, face {h.rays}: composite gluing "
                            "disagrees with the direct one")
     return ValidationReport(tuple(bad))
+
+
+def gluing_for_scan(cx, cell, face):
+    """The first gluing of `face` of cell `cell`, found by a scan."""
+    for g in cx.gluings:
+        if g.cell == cell and g.face == face:
+            return g
+    return None
+
+
+def gluings_of_scan(cx, cell, chart):
+    """The gluings of cell `cell` from chart `chart`, in order, by a scan."""
+    return [g for g in cx.gluings if g.cell == cell and g.chart == chart]

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from semistable.fan import is_smooth_fan, validate_stacky_fan
 from semistable.cli import (
     DocumentError,
     _enc_int,
+    _parser,
     _read_int,
     emit_document,
     emit_fan,
@@ -60,6 +63,58 @@ class TestGolden:
     def test_byte_identical_across_runs(self):
         for args, _, _ in GOLDEN:
             assert run_cli(*args) == run_cli(*args)
+
+
+def golden_text(name):
+    with open(os.path.join(DATA, "golden", name)) as fh:
+        return fh.read()
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def run_python(*args):
+    """A fresh interpreter with the package on its path, run from the repo."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestOneParser:
+    """`main` builds its parser on the first call and reuses it for every
+    later call in the process; nothing one call parses reaches the next."""
+
+    def test_interleaved_calls_leave_no_state_behind(self, capsys):
+        usage_errors = []
+        for _ in range(2):
+            for args, golden, expected_code in GOLDEN:
+                assert run_cli(*args) == (expected_code, golden_text(golden))
+                with pytest.raises(SystemExit) as exc:
+                    run_cli("check")
+                assert exc.value.code == 2
+                usage_errors.append(capsys.readouterr().err)
+                code, out = run_cli("check", "--valid", "--input", data("fix_semi.json"))
+                assert (code, json.loads(out)["payload"]["details"]) == (0, ["valid: yes"])
+                code, out = run_cli("check", "--proper", "--input", data("fix_double.json"))
+                assert (code, json.loads(out)["payload"]["details"]) == (0, ["proper: yes"])
+        assert usage_errors[0].endswith("semistable check: error: the following "
+                                        "arguments are required: --input\n")
+        assert usage_errors == usage_errors[:1] * len(usage_errors)
+        assert _parser() is _parser()
+
+    def test_one_shot_call_matches_the_in_process_call(self):
+        done = run_python("-m", "semistable.cli", "reduce", "--input",
+                          os.path.join("tests", "data", "fix_semi.json"))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, golden_text("reduce_semi.json"), "")
+        assert run_cli("reduce", "--input", data("fix_semi.json")) == \
+            (done.returncode, done.stdout)
+
+    def test_import_builds_no_parser(self):
+        # the benchmark's set-up imports the CLI; the first `main` builds
+        done = run_python("-c", "from semistable import cli; "
+                                "print(cli._parser.cache_info().currsize)")
+        assert (done.returncode, done.stdout) == (0, "0\n")
 
 
 class TestDocuments:

@@ -368,6 +368,42 @@ def test_composites_by_lemma_match_every_face_on_stellar_fans(case):
     assert bool(report) != broken
 
 
+class TestGluingIndex:
+    @pytest.mark.parametrize("name", COMPARED)
+    def test_lookups_match_the_scans(self, name):
+        # every face of every strictly convex cell, every cell and glued face,
+        # and every (cell, chart) pair a gluing names, with one cell and one
+        # chart that none names
+        cx = COMPARED[name]
+        faces = {(i, f) for i, c in enumerate(cx.cells)
+                 for f in (c.faces() if c.is_strictly_convex else (c,))}
+        faces |= {(g.cell, g.face) for g in cx.gluings}
+        faces.add((len(cx.cells), Cone.zero(1)))
+        for cell, face in faces:
+            assert cx.gluing_for(cell, face) is oracles.gluing_for_scan(cx, cell, face)
+        pairs = {(g.cell, g.chart) for g in cx.gluings}
+        pairs |= {(0, len(cx.cells)), (len(cx.cells), 0)}
+        for cell, chart in pairs:
+            found = cx.gluings_of(cell, chart)
+            expected = oracles.gluings_of_scan(cx, cell, chart)
+            assert len(found) == len(expected)
+            assert all(a is b for a, b in zip(found, expected))
+
+    def test_a_face_glued_twice_answers_with_its_first_gluing(self):
+        cx = two_rays_glued_at_origin()
+        ident = LatticeMap.identity_map(Lattice(1))
+        first, again = cx.gluings[0], Gluing(0, cx.gluings[0].face, 1, ident)
+        twice = ConeComplex(cx.cells, cx.gluings + (again,))
+        assert twice.gluing_for(0, first.face) is first
+        assert twice.gluings_of(0, 1) == [again]
+
+    def test_gluings_of_returns_a_new_list(self):
+        cx = two_rays_glued_at_origin()
+        cx.gluings_of(0, 2).clear()
+        assert cx.gluings_of(0, 2) == [cx.gluings[0]]
+        assert cx.gluings_of(0, 2) is not cx.gluings_of(0, 2)
+
+
 class TestMorphisms:
     def test_fan_morphism_roundtrip(self):
         m = fan_morphism_as_complex(fix_semi())

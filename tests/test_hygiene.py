@@ -3,9 +3,10 @@ every module-level import is used, no float enters the exact code and no
 Fraction outside the CLI, no assert stands in for an error, the Smith form
 is called only where its invariant factors or transforms are needed, every
 integer preimage is a `lift`, every dot product outside the lattice module
-is a call of its kernel, and the cartesian check's pushout search runs
-only where no proof of integrality stands in for it.  The README's command
-line section names the subcommands and `check` flags the CLI has."""
+is a call of its kernel, the cartesian check's pushout search runs only
+where no proof of integrality stands in for it, and one memoized function
+builds the command line parser.  The README's command line section names
+the subcommands and `check` flags the CLI has."""
 import ast
 import glob
 import os
@@ -95,16 +96,20 @@ def test_no_asserts(path):
 SMITH_FORM_CALLERS = {"span_basis", "kernel_basis", "pushout_lattice"}
 
 
+def _calls(node, names):
+    """The calls of one of `names` under `node`."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and names & {getattr(n.func, "id", None), getattr(n.func, "attr", None)}]
+
+
 def _callers(names):
     """(module, function) pairs whose bodies call one of `names`."""
     callers = set()
     for path in MODULES:
         for fn in ast.walk(_tree(path)):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                callers |= {(os.path.basename(path), fn.name) for n in ast.walk(fn)
-                            if isinstance(n, ast.Call)
-                            and names & {getattr(n.func, "id", None),
-                                         getattr(n.func, "attr", None)}}
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and _calls(fn, names):
+                callers.add((os.path.basename(path), fn.name))
     return callers
 
 
@@ -203,7 +208,7 @@ def test_every_memo_is_bounded_by_a_named_constant_on_a_private_name():
     memos = _memo_decorators()
     assert {(module, fn) for module, fn, _ in memos} >= {
         ("cone.py", "_build"), ("cone.py", "_cut_out"),
-        ("conecomplex.py", "_left_inverse_map"),
+        ("cli.py", "_parser"), ("conecomplex.py", "_left_inverse_map"),
         ("lattice.py", "_column_hermite"), ("lattice.py", "_intersect"),
         ("lattice.py", "_preimage")}
     bad = []
@@ -214,6 +219,18 @@ def test_every_memo_is_bounded_by_a_named_constant_on_a_private_name():
                 and isinstance(sizes[0], ast.Name) and sizes[0].id in constants):
             bad.append(f"{module}:{fn} (line {dec.lineno})")
     assert not bad, f"unbounded or public memos: {', '.join(bad)}"
+
+
+def test_only_the_memoized_parser_builds_an_argument_parser():
+    # building the parser costs more than most subcommands; `_parser` builds
+    # the one every `main` call reuses, no subcommand builds its own, and no
+    # module builds one at import
+    makers = {"ArgumentParser", "add_subparsers", "add_parser"}
+    assert _callers(makers) == {("cli.py", "_parser")}
+    (parser,) = [fn for fn in ast.walk(_tree(os.path.join(SRC, "cli.py")))
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_parser"]
+    assert sum(len(_calls(_tree(path), makers)) for path in MODULES) \
+        == len(_calls(parser, makers))
 
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
