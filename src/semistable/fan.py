@@ -25,6 +25,8 @@ from .lattice import (
     INFINITE,
     Lattice,
     LatticeMap,
+    LatticePushout,
+    Matrix,
     Sublattice,
     Vector,
     det,
@@ -35,9 +37,12 @@ from .lattice import (
     image_lattice,
     intersect_sublattices,
     lattice_index,
+    matvec,
     preimage_sublattice,
     pushout_lattice,
     transpose,
+    vec_add,
+    vec_sub,
 )
 from .monoid import (
     MonoidError,
@@ -146,10 +151,6 @@ def validate_fan(f: Fan) -> ValidationReport:
                     for a, b in itertools.combinations(f.maximal_cones(), 2))):
         return ValidationReport(())
     return _every_pair(f)
-
-
-def support_contains(f: Fan, v: Sequence) -> bool:
-    return any(c.contains(v) for c in f.cones)
 
 
 @dataclass(frozen=True)
@@ -486,6 +487,9 @@ def cartesian_check(p: FanMorphism, q: FanMorphism) -> CartesianReport:
     """Compare the pushout of dual monoids with the dual monoid of each
     fiber cone under the canonical identification of dual lattices.
 
+    What depends on p and q alone (`_Fiber`, and the images of q's cones)
+    is computed once per call, and equal cones share one dual monoid.
+
     A failing entry is a proof.  A passing entry whose base dual monoid
     maps integrally into one of its legs (`integral_by_flatness`) is exact
     too; any other passing entry is exact except for injectivity, which is
@@ -494,50 +498,61 @@ def cartesian_check(p: FanMorphism, q: FanMorphism) -> CartesianReport:
     entry."""
     if p.target != q.target:
         raise FanError("cartesian check requires a shared target")
-    fib, pn, pl = fiber_product_lattice(p.lattice_map, q.lattice_map)
+    _, pn, pl = fiber_product_lattice(p.lattice_map, q.lattice_map)
+    up, uq = dual_map(p.lattice_map), dual_map(q.lattice_map)
+    fiber = _Fiber(pn, pl, up, uq, pushout_lattice(up, uq),
+                   transpose(pn.matrix), transpose(pl.matrix))
+    lam_images = [(lam, q.image_of(lam)) for lam in q.source.cones]
     entries = []
     for sigma in p.source.cones:
         kappa = p.image_of(sigma)
-        for lam in q.source.cones:
-            if q.image_of(lam) != kappa:
+        for lam, image in lam_images:
+            if image != kappa:
                 continue
-            ok, reason = _cartesian_triple(p.lattice_map, q.lattice_map,
-                                           sigma, kappa, lam, fib, pn, pl)
+            ok, reason = _cartesian_triple(fiber, sigma, kappa, lam)
             entries.append((sigma, kappa, lam, ok, reason))
     return CartesianReport(tuple(sorted(
         entries, key=lambda t: (t[0].dim, t[0].rays, t[2].dim, t[2].rays))))
 
 
-def _cartesian_triple(p: LatticeMap, q: LatticeMap, sigma: Cone, kappa: Cone,
-                      lam: Cone, fib: Lattice, pn: LatticeMap, pl: LatticeMap):
+@dataclass(frozen=True)
+class _Fiber:
+    """The data no entry of one cartesian check changes: the projections of
+    the fiber lattice, the dual maps of p and q, their pushout lattice,
+    whose torsion and rank answer for every entry, and the transposed
+    projections, which restrict a functional on either source to the
+    fiber."""
+
+    pn: LatticeMap
+    pl: LatticeMap
+    up: LatticeMap
+    uq: LatticeMap
+    pushout: LatticePushout
+    pn_t: Matrix
+    pl_t: Matrix
+
+
+def _cartesian_triple(fiber: _Fiber, sigma: Cone, kappa: Cone, lam: Cone):
     m_sigma = dual_monoid(sigma)
     m_kappa = dual_monoid(kappa)
     m_lambda = dual_monoid(lam)
-    u = MonoidMap(m_kappa, m_sigma, dual_map(p))
-    v = MonoidMap(m_kappa, m_lambda, dual_map(q))
-    po = pushout_lattice(u.lattice_map, v.lattice_map)
+    u = MonoidMap(m_kappa, m_sigma, fiber.up)
+    v = MonoidMap(m_kappa, m_lambda, fiber.uq)
+    po = fiber.pushout
     if po.torsion_order != 1:
         return False, f"pushout of dual lattices has torsion of order {po.torsion_order}"
 
-    fc = intersect(preimage_cone(pn, sigma), preimage_cone(pl, lam))
+    fc = intersect(preimage_cone(fiber.pn, sigma), preimage_cone(fiber.pl, lam))
     dm = dual_monoid(fc)
-    if po.lattice.rank != fib.rank:
+    if po.lattice.rank != fiber.pn.domain.rank:
         return False, "pushout rank does not match the fiber rank"
 
-    # the canonical map sends a class [m, l] to the functional it restricts
-    # to on the fiber lattice
-    pn_t = transpose(pn.matrix)
-    pl_t = transpose(pl.matrix)
-
-    def phi(m_elt, l_elt):
-        a = tuple(dot(row, m_elt) for row in pn_t)
-        b = tuple(dot(row, l_elt) for row in pl_t)
-        return tuple(x + y for x, y in zip(a, b))
-
-    # surjectivity at the level of monoids: the image monoid must be all of
+    # the canonical map phi sends a class [m, l] to the functional it restricts
+    # to on the fiber lattice, the sum of the restrictions of m and l.
+    # Surjectivity at the level of monoids: the image monoid must be all of
     # the fiber dual monoid, and conversely must stay inside it
-    mapped = [phi(g, (0,) * q.domain.rank) for g in m_sigma.generators]
-    mapped += [phi((0,) * p.domain.rank, g) for g in m_lambda.generators]
+    mapped = [matvec(fiber.pn_t, g) for g in m_sigma.generators]
+    mapped += [matvec(fiber.pl_t, g) for g in m_lambda.generators]
     for g in mapped:
         if not dm.contains(g):
             return False, "pushout monoid escapes the fiber dual monoid"
@@ -559,16 +574,19 @@ def _cartesian_triple(p: LatticeMap, q: LatticeMap, sigma: Cone, kappa: Cone,
     # exchange moves through the base
     if integral_by_flatness(u) or integral_by_flatness(v):
         return True, ""
-    if not _pushout_injective_bounded(u, v, phi):
+    if not _pushout_injective_bounded(u, v, fiber.pn_t, fiber.pl_t):
         return False, "canonical map identifies distinct pushout classes"
     return True, ""
 
 
-def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, phi) -> bool:
+def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, pn_t: Matrix,
+                               pl_t: Matrix) -> bool:
     """Check that any two pairs (m, l) of word length at most
-    PUSHOUT_TEST_LENGTH with the same restriction to the fiber are related
-    by moves (m, l) -> (m -+ u(g), l +- v(g)), g a generator of the base dual
-    monoid, that keep m and l in their monoids.
+    PUSHOUT_TEST_LENGTH with the same restriction pn_t m + pl_t l to the
+    fiber are related by moves (m, l) -> (m -+ u(g), l +- v(g)), g a
+    generator of the base dual monoid, that keep m and l in their monoids.
+    Each m and each l is restricted once, and the pairs are grouped by the
+    sum of the two restrictions.
 
     These moves generate the pushout relation, so the search is exact: a
     False proves that the canonical map identifies two distinct pushout
@@ -583,11 +601,13 @@ def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, phi) -> bool:
     l_test, _ = _bounded_points(L.lattice.rank, L.generators, [1] * len(L.generators),
                                 PUSHOUT_TEST_LENGTH)
     moves = [(tuple(u(g)), tuple(v(g))) for g in u.source.generators]
+    l_images = [(l, matvec(pl_t, l)) for l in l_test]
 
     groups: dict = {}
     for m in m_test:
-        for l in l_test:
-            groups.setdefault(phi(m, l), []).append((m, l))
+        a = matvec(pn_t, m)
+        for l, b in l_images:
+            groups.setdefault(vec_add(a, b), []).append((m, l))
 
     for members in groups.values():
         if len(members) < 2:
@@ -601,12 +621,8 @@ def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, phi) -> bool:
             nxt = []
             for m, l in frontier:
                 for a, b in moves:
-                    for cand in (
-                        (tuple(x - y for x, y in zip(m, a)),
-                         tuple(x + y for x, y in zip(l, b))),
-                        (tuple(x + y for x, y in zip(m, a)),
-                         tuple(x - y for x, y in zip(l, b))),
-                    ):
+                    for cand in ((vec_sub(m, a), vec_add(l, b)),
+                                 (vec_add(m, a), vec_sub(l, b))):
                         cm, cl = cand
                         if cand not in seen and M.contains(cm) and L.contains(cl):
                             seen.add(cand)

@@ -1,7 +1,11 @@
-"""Affine monoids: Hilbert bases, membership, pushouts, saturation, the
+"""Affine monoids: Hilbert bases, dual monoids, membership, saturation, the
 lattice points of a cone's image (weak semistability), and integrality: a
 proof by flatness where it applies, else a bounded checker for the
 equational criterion.
+
+Cones and monoids are immutable, so the dual monoid of a cone is memoized,
+up to DUAL_MONOID_MEMO_SIZE entries, on the cone: the cartesian check asks
+for the same few dual monoids once per pair of cones.
 
 Membership and the integrality check enumerate monoid points with one
 breadth-first kernel, `_bounded_points`, bounded either by a strictly
@@ -19,6 +23,7 @@ evidence up to the height searched.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +47,6 @@ from .lattice import (
     lift,
     mat,
     matvec,
-    pushout_lattice,
     reduce_mod_rows,
     span_basis,
     sublattice_from_vectors,
@@ -59,6 +63,11 @@ from .lattice import (
 # parallelepiped of the thin cone (1,0),(1,5000); 60 in the benchmark) and
 # 270 (a monoid enumeration).
 SEARCH_BUDGET = 100_000
+
+# entries of the dual monoid memo: one benchmark operation asks for the dual
+# monoids of at most 6 distinct cones, one benchmark pass of 6 (in 120
+# calls), and the monoid, fan and acceptance tests of 142
+DUAL_MONOID_MEMO_SIZE = 256
 
 
 class MonoidError(ValueError):
@@ -303,7 +312,15 @@ def monoid_generators_of_cone(c: Cone, L=None) -> list[Vector]:
 
 
 def dual_monoid(c: Cone) -> AffineMonoid:
-    """Monoid of integer functionals nonnegative on c."""
+    """Monoid of integer functionals nonnegative on c; equal cones get the
+    identical monoid.  A memoized monoid is exact, so a call under a smaller
+    SEARCH_BUDGET may return it where a fresh computation would raise
+    BudgetExceeded."""
+    return _dual_monoid(c)
+
+
+@functools.lru_cache(maxsize=DUAL_MONOID_MEMO_SIZE)
+def _dual_monoid(c: Cone) -> AffineMonoid:
     d = dual_cone(c)
     gens = monoid_generators_of_cone(d)
     return AffineMonoid(d.lattice, tuple(gens), saturation_cone=d)
@@ -504,17 +521,7 @@ def q_kappa_lattice(p: LatticeMap, kappa: Cone,
 
 
 # ---------------------------------------------------------------------------
-# pushouts and saturation
-
-def pushout_monoid(u: MonoidMap, v: MonoidMap) -> AffineMonoid:
-    """Image of M ⊕ L in the pushout of the underlying lattices."""
-    if u.source != v.source:
-        raise MonoidError("pushout requires a shared source monoid")
-    po = pushout_lattice(u.lattice_map, v.lattice_map)
-    gens = [po.inc_left(g) for g in u.target.generators]
-    gens += [po.inc_right(g) for g in v.target.generators]
-    return AffineMonoid(po.lattice, tuple(gens))
-
+# saturation
 
 def is_saturated(M: AffineMonoid) -> bool:
     """True iff M equals (cone of M) intersected with (group of M)."""

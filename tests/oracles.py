@@ -19,20 +19,33 @@ which sums over `map(operator.mul, ...)`, `any` and one `math.gcd` replaced,
 and `validate_complex` with its composite check on every (gluing, face of
 the glued face) pair, which the pairs of codimension at most one replaced.
 And a complex's gluings looked up by a scan over all of them, which two
-indexes per complex replaced."""
+indexes per complex replaced.  And the cartesian check with every dual
+monoid, dual map, pushout lattice and restriction recomputed for each pair
+of cones and each pair of test points, which the memoized dual monoids,
+the data of one call and the restriction of each test point once replaced.
+And the pushout monoid of two monoid maps and support membership by a scan
+over the cones of a fan, which no library code calls but the tests use as
+references."""
 import itertools
 import math
 from fractions import Fraction
 
 from semistable.cone import Cone, ConeError, dual_cone, image_cone, intersect, preimage_cone
 from semistable.conecomplex import _key
-from semistable.fan import Fan, ValidationReport
+from semistable.fan import (
+    PUSHOUT_TEST_LENGTH,
+    CartesianReport,
+    Fan,
+    FanError,
+    ValidationReport,
+)
 from semistable.lattice import (
     INFINITE,
     Lattice,
     LatticeMap,
     det,
     dot,
+    dual_map,
     fiber_product_lattice,
     from_columns,
     full_sublattice,
@@ -45,6 +58,7 @@ from semistable.lattice import (
     matmul,
     matvec,
     primitive,
+    pushout_lattice,
     row_hermite_form,
     saturate as lattice_saturate,
     smith_normal_form,
@@ -53,9 +67,16 @@ from semistable.lattice import (
     vec_neg,
 )
 from semistable.monoid import (
+    AffineMonoid,
+    MonoidError,
+    MonoidMap,
     _as_sublattice,
+    _bounded_points,
     _check_budget,
+    _contains_modulo_units,
+    _dual_monoid,
     hilbert_basis,
+    integral_by_flatness,
 )
 
 
@@ -501,3 +522,129 @@ def gluing_for_scan(cx, cell, face):
 def gluings_of_scan(cx, cell, chart):
     """The gluings of cell `cell` from chart `chart`, in order, by a scan."""
     return [g for g in cx.gluings if g.cell == cell and g.chart == chart]
+
+
+def support_contains(f, v):
+    """v lies in some cone of the fan f."""
+    return any(c.contains(v) for c in f.cones)
+
+
+def pushout_monoid(u, v):
+    """Image of M ⊕ L in the pushout of the underlying lattices."""
+    if u.source != v.source:
+        raise MonoidError("pushout requires a shared source monoid")
+    po = pushout_lattice(u.lattice_map, v.lattice_map)
+    gens = [po.inc_left(g) for g in u.target.generators]
+    gens += [po.inc_right(g) for g in v.target.generators]
+    return AffineMonoid(po.lattice, tuple(gens))
+
+
+# the dual monoid computed afresh, past the library's memo
+dual_monoid = _dual_monoid.__wrapped__
+
+
+def cartesian_check_per_pair(p, q):
+    """`cartesian_check` with everything recomputed for each entry."""
+    if p.target != q.target:
+        raise FanError("cartesian check requires a shared target")
+    fib, pn, pl = fiber_product_lattice(p.lattice_map, q.lattice_map)
+    entries = []
+    for sigma in p.source.cones:
+        kappa = p.image_of(sigma)
+        for lam in q.source.cones:
+            if q.image_of(lam) != kappa:
+                continue
+            ok, reason = cartesian_triple_per_pair(p.lattice_map, q.lattice_map,
+                                                   sigma, kappa, lam, fib, pn, pl)
+            entries.append((sigma, kappa, lam, ok, reason))
+    return CartesianReport(tuple(sorted(
+        entries, key=lambda t: (t[0].dim, t[0].rays, t[2].dim, t[2].rays))))
+
+
+def cartesian_triple_per_pair(p, q, sigma, kappa, lam, fib, pn, pl):
+    m_sigma = dual_monoid(sigma)
+    m_kappa = dual_monoid(kappa)
+    m_lambda = dual_monoid(lam)
+    u = MonoidMap(m_kappa, m_sigma, dual_map(p))
+    v = MonoidMap(m_kappa, m_lambda, dual_map(q))
+    po = pushout_lattice(u.lattice_map, v.lattice_map)
+    if po.torsion_order != 1:
+        return False, f"pushout of dual lattices has torsion of order {po.torsion_order}"
+
+    fc = intersect(preimage_cone(pn, sigma), preimage_cone(pl, lam))
+    dm = dual_monoid(fc)
+    if po.lattice.rank != fib.rank:
+        return False, "pushout rank does not match the fiber rank"
+
+    pn_t = transpose(pn.matrix)
+    pl_t = transpose(pl.matrix)
+
+    def phi(m_elt, l_elt):
+        a = tuple(dot(row, m_elt) for row in pn_t)
+        b = tuple(dot(row, l_elt) for row in pl_t)
+        return tuple(x + y for x, y in zip(a, b))
+
+    mapped = [phi(g, (0,) * q.domain.rank) for g in m_sigma.generators]
+    mapped += [phi((0,) * p.domain.rank, g) for g in m_lambda.generators]
+    for g in mapped:
+        if not dm.contains(g):
+            return False, "pushout monoid escapes the fiber dual monoid"
+    if dm.saturation_cone.is_strictly_convex:
+        larger = not set(dm.generators) <= set(mapped)
+    else:
+        larger = not all(_contains_modulo_units(g, mapped, dm.lattice)
+                         for g in dm.generators)
+    if larger:
+        return False, "fiber dual monoid is strictly larger than the pushout monoid"
+
+    if integral_by_flatness(u) or integral_by_flatness(v):
+        return True, ""
+    if not pushout_injective_every_pair(u, v, phi):
+        return False, "canonical map identifies distinct pushout classes"
+    return True, ""
+
+
+def pushout_injective_every_pair(u, v, phi):
+    """The bounded pushout class search with phi evaluated on every pair of
+    test points."""
+    M, L = u.target, v.target
+    m_test, _ = _bounded_points(M.lattice.rank, M.generators, [1] * len(M.generators),
+                                PUSHOUT_TEST_LENGTH)
+    l_test, _ = _bounded_points(L.lattice.rank, L.generators, [1] * len(L.generators),
+                                PUSHOUT_TEST_LENGTH)
+    moves = [(tuple(u(g)), tuple(v(g))) for g in u.source.generators]
+
+    groups = {}
+    for m in m_test:
+        for l in l_test:
+            groups.setdefault(phi(m, l), []).append((m, l))
+
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        targets = set(members)
+        start = members[0]
+        seen = {start}
+        frontier = [start]
+        found = {start}
+        while frontier and len(found) < len(targets):
+            nxt = []
+            for m, l in frontier:
+                for a, b in moves:
+                    for cand in (
+                        (tuple(x - y for x, y in zip(m, a)),
+                         tuple(x + y for x, y in zip(l, b))),
+                        (tuple(x + y for x, y in zip(m, a)),
+                         tuple(x - y for x, y in zip(l, b))),
+                    ):
+                        cm, cl = cand
+                        if cand not in seen and M.contains(cm) and L.contains(cl):
+                            seen.add(cand)
+                            _check_budget(len(seen), "a pushout class search")
+                            nxt.append(cand)
+                            if cand in targets:
+                                found.add(cand)
+            frontier = nxt
+        if len(found) < len(targets):
+            return False
+    return True

@@ -7,7 +7,7 @@ import functools
 import random
 from math import gcd
 
-from oracles import solve_integer, solve_rational
+from oracles import pushout_monoid, solve_integer, solve_rational
 from semistable.cone import Cone, span_sublattice
 from semistable.conecomplex import (
     fan_morphism_as_complex,
@@ -36,7 +36,6 @@ from semistable.monoid import (
     dual_monoid,
     is_saturated,
     kato_integral,
-    pushout_monoid,
 )
 from semistable.reduction import (
     factor_through,

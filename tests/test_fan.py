@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from semistable import monoid
@@ -10,6 +11,7 @@ from semistable.fan import (
     FanMorphism,
     StackyFan,
     StackyMorphism,
+    _pushout_injective_bounded,
     base_change_along_alteration,
     cartesian_check,
     decompose_by_hyperplanes,
@@ -23,7 +25,6 @@ from semistable.fan import (
     is_weakly_semistable,
     minimal_containing_cone,
     minimal_modification,
-    support_contains,
     toric_fiber_product,
     validate_fan,
     validate_stacky_fan,
@@ -118,8 +119,8 @@ class TestFanConstruction:
 
     def test_support(self):
         f = blowup_fan()
-        assert support_contains(f, (3, 5))
-        assert not support_contains(f, (-1, 0))
+        assert oracles.support_contains(f, (3, 5))
+        assert not oracles.support_contains(f, (-1, 0))
 
 
 class TestFanMorphism:
@@ -471,6 +472,91 @@ class TestCartesian:
         p = FanMorphism(F, G, lmap([[1, 0]]))
         b = FanMorphism(G, G, lmap([[2]]))
         assert cartesian_check(p, b)
+
+    # each failure reason that some input reaches.  Two cannot be reached:
+    # the pushout and the fiber lattice both have rank n + l - rank(p, -q),
+    # and the restriction of a functional nonnegative on sigma (or lambda)
+    # is nonnegative on the fiber cone, which sigma (or lambda) contains
+    # under its projection, so it lies in the saturated fiber dual monoid
+    @pytest.mark.parametrize("kp, kq, entries", [
+        (2, 2, [((), (), False, "pushout of dual lattices has torsion of order 2"),
+                (((1,),), ((1,),), False,
+                 "pushout of dual lattices has torsion of order 2")]),
+        (2, 3, [((), (), True, ""),
+                (((1,),), ((1,),), False,
+                 "fiber dual monoid is strictly larger than the pushout monoid")]),
+    ])
+    def test_failure_reasons_of_multiplications(self, kp, kq, entries):
+        f = halfline_fan()
+        p = FanMorphism(f, f, lmap([[kp]]))
+        q = FanMorphism(f, f, lmap([[kq]]))
+        assert _entry_rays(cartesian_check(p, q)) == entries
+
+    def test_blowup_chart_identifies_pushout_classes(self):
+        quad = quadrant_fan()
+        chart = FanMorphism(quad, quad, lmap([[1, 0], [1, 1]]))
+        identified = "canonical map identifies distinct pushout classes"
+        assert _entry_rays(cartesian_check(chart, chart)) == [
+            ((), (), True, ""),
+            (((0, 1),), ((0, 1),), True, ""),
+            (((1, 0),), ((1, 0),), False, identified),
+            (((1, 0),), ((0, 1), (1, 0)), False, identified),
+            (((0, 1), (1, 0)), ((1, 0),), False, identified),
+            (((0, 1), (1, 0)), ((0, 1), (1, 0)), False, identified),
+        ]
+
+    def test_matches_the_per_pair_oracle_on_the_benchmark_pairs(self, monkeypatch):
+        # the quadrant's projection against x k, k = 1..6, and the blowup
+        # chart against itself, with the identity of an index-two cone, whose
+        # pushout search passes, where the chart's fails
+        answers = []
+
+        def recorded(*args):
+            answers.append(_pushout_injective_bounded(*args))
+            return answers[-1]
+
+        monkeypatch.setattr("semistable.fan._pushout_injective_bounded", recorded)
+        quad = quadrant_fan()
+        p = FanMorphism(quad, halfline_fan(), lmap([[1, 0]]))
+        chart = FanMorphism(quad, quad, lmap([[1, 0], [1, 1]]))
+        f = Fan.from_cones(2, [cone(2, (1, 0), (1, 2))])
+        ident = FanMorphism(f, f, LatticeMap.identity_map(Lattice(2)))
+        pairs = [(p, _times(k)) for k in range(1, 7)] + [(chart, chart), (ident, ident)]
+        for a, b in pairs:
+            assert cartesian_check(a, b) == oracles.cartesian_check_per_pair(a, b)
+        assert set(answers) == {True, False}
+
+    @given(st.sampled_from([1, 2]).flatmap(
+        lambda rank: st.tuples(_cartesian_legs(rank), _cartesian_legs(rank))))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_the_per_pair_oracle(self, pair):
+        p, q = pair
+        assert cartesian_check(p, q) == oracles.cartesian_check_per_pair(p, q)
+
+
+def _entry_rays(report):
+    return [(s.rays, lam.rays, ok, reason) for s, _, lam, ok, reason in report.entries]
+
+
+def _times(k):
+    return FanMorphism(halfline_fan(), halfline_fan(), lmap([[k]]))
+
+
+def _cartesian_legs(rank):
+    """Fan morphisms of rank <= 2 onto the half line (rank 1) or the
+    quadrant (rank 2): x k and projections of the quadrant, diagonal Kummer
+    maps and the two blowup charts."""
+    quad = quadrant_fan()
+    if rank == 1:
+        return st.one_of(
+            st.integers(1, 4).map(_times),
+            st.tuples(st.integers(1, 3), st.integers(0, 3)).map(
+                lambda ab: FanMorphism(quad, halfline_fan(), lmap([ab]))))
+    charts = [FanMorphism(quad, quad, lmap(m)) for m in ([[1, 0], [1, 1]], [[1, 1], [0, 1]])]
+    return st.one_of(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+            lambda ab: FanMorphism(quad, quad, lmap([[ab[0], 0], [0, ab[1]]]))),
+        st.sampled_from(charts))
 
 
 class TestBaseChange:

@@ -210,7 +210,7 @@ def test_every_memo_is_bounded_by_a_named_constant_on_a_private_name():
         ("cone.py", "_build"), ("cone.py", "_cut_out"),
         ("cli.py", "_parser"), ("conecomplex.py", "_left_inverse_map"),
         ("lattice.py", "_column_hermite"), ("lattice.py", "_intersect"),
-        ("lattice.py", "_preimage")}
+        ("lattice.py", "_preimage"), ("monoid.py", "_dual_monoid")}
     bad = []
     for module, fn, dec in memos:
         sizes = [k.value for k in getattr(dec, "keywords", ()) if k.arg == "maxsize"]

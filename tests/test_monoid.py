@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import pushout_monoid
 from semistable.cone import Cone, ConeError, dual_cone, image_cone, preimage_cone
 from semistable.lattice import (
     Lattice,
@@ -36,7 +37,6 @@ from semistable.monoid import (
     kato_integral,
     monoid_generators_of_cone,
     monoid_membership,
-    pushout_monoid,
     q_kappa_lattice,
 )
 
@@ -224,6 +224,26 @@ class TestDualMonoid:
     def test_zero_cone_dual_is_whole_lattice(self):
         dm = dual_monoid(Cone.zero(1))
         assert set(dm.generators) == {(1,), (-1,)}
+
+    def test_equal_cones_share_one_monoid(self):
+        # built from different generators, so the cone memo makes two objects
+        a = Cone.from_generators(2, [(1, 0), (1, 2)])
+        b = Cone.from_generators(2, [(2, 0), (1, 2), (2, 2)])
+        assert a == b and a is not b
+        assert dual_monoid(a) is dual_monoid(b)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * n), max_size=4).map(
+            lambda gens: Cone.from_generators(n, gens))))
+    @example(Cone.zero(2))
+    @example(Cone.from_generators(2, [(1, 1)]))
+    @example(Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1)]))
+    @example(Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 3)]))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_memo_matches_a_fresh_computation(self, c):
+        # cones with lines, lower-dimensional cones (whose duals have lines,
+        # the lineality branch of monoid_generators_of_cone) and zero cones
+        assert dual_monoid(c) == monoid._dual_monoid.__wrapped__(c)
 
 
 class TestImageMonoidEquality:
