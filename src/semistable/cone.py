@@ -25,12 +25,12 @@ each cone out once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .lattice import (
     Lattice,
     LatticeMap,
+    Record,
     Sublattice,
     Vector,
     det,
@@ -131,8 +131,7 @@ class ConeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """Cone given by generators, normalized at construction.
 
     rays: primitive extremal generators (canonical representatives modulo
@@ -149,7 +148,7 @@ class Cone:
     lines: tuple[Vector, ...]
     facets: tuple[Vector, ...]
     span_equations: tuple[Vector, ...]
-    span: Sublattice = field(repr=False)
+    span: Sublattice
 
     # -- construction ------------------------------------------------------
 

@@ -18,7 +18,6 @@ reruns the check on every face, to name each violation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cone import Cone, image_cone, intersect, preimage_cone, span_sublattice
@@ -32,6 +31,7 @@ from .fan import (
 from .lattice import (
     LatticeMap,
     Matrix,
+    Record,
     Sublattice,
     full_sublattice,
     image_lattice,
@@ -65,8 +65,7 @@ def _key(c: Cone):
 # ---------------------------------------------------------------------------
 # complexes
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(Record):
     """One face occurrence: `face` of cell `cell` is the image of the chart
     cell under `embedding` (chart lattice into the cell's lattice)."""
 
@@ -90,8 +89,7 @@ def _left_inverse_map(e: LatticeMap) -> Optional[LatticeMap]:
     return None if inv is None else LatticeMap(e.codomain, e.domain, inv)
 
 
-@dataclass(frozen=True)
-class ConeComplex:
+class ConeComplex(Record):
     cells: tuple[Cone, ...]
     gluings: tuple[Gluing, ...]
 
@@ -230,8 +228,7 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # morphisms
 
-@dataclass(frozen=True)
-class ComplexMorphism:
+class ComplexMorphism(Record):
     source: ConeComplex
     target: ConeComplex
     cell_maps: tuple[LatticeMap, ...]
@@ -340,7 +337,10 @@ def _members(m: ComplexMorphism, images: Sequence[Cone], t: int,
 def complex_N0(m: ComplexMorphism, kappa: int, w: Sequence) -> frozenset[int]:
     """Source cells whose image interior covers the point w of target cell
     kappa.  The target complex must be valid (validate_complex): w crosses
-    into the other cells only through the gluing of its owner face."""
+    into the other cells only through the gluing of its owner face.
+
+    No code of the package calls it; it stays as the one public way to ask
+    for the label `reduce_complex` gives each piece, at a chosen point."""
     if not m.target.cells[kappa].contains(w):
         raise ComplexError("the sample point lies outside the target cell")
     images = [image_cone(m.cell_maps[s], sigma)
@@ -351,14 +351,12 @@ def complex_N0(m: ComplexMorphism, kappa: int, w: Sequence) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # chart-local reduction
 
-@dataclass(frozen=True)
-class StackyComplex:
+class StackyComplex(Record):
     complex: ConeComplex
     sublattices: tuple[Sublattice, ...]
 
 
-@dataclass(frozen=True)
-class ComplexReductionResult:
+class ComplexReductionResult(Record):
     base: StackyComplex
     total: StackyComplex
     morphism: ComplexMorphism
@@ -367,8 +365,7 @@ class ComplexReductionResult:
     positive_dimensional_lifts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _CellRun:
+class _CellRun(Record):
     """Everything the local reduction computed inside one target cell."""
 
     pieces: tuple[Cone, ...]

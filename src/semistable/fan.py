@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .cone import (
@@ -27,6 +26,7 @@ from .lattice import (
     LatticeMap,
     LatticePushout,
     Matrix,
+    Record,
     Sublattice,
     Vector,
     det,
@@ -68,8 +68,7 @@ class FanError(ValueError):
 # ---------------------------------------------------------------------------
 # types
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     lattice: Lattice
     cones: tuple[Cone, ...]
 
@@ -102,8 +101,7 @@ class Fan:
         return c in self.cones
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     violations: tuple[str, ...]
 
     def __bool__(self) -> bool:
@@ -153,8 +151,7 @@ def validate_fan(f: Fan) -> ValidationReport:
     return _every_pair(f)
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(Record):
     """Fan together with a finite-index sublattice for each cone."""
 
     fan: Fan
@@ -207,18 +204,16 @@ def validate_stacky_fan(s: StackyFan) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-@dataclass(frozen=True)
-class FanMorphism:
+class FanMorphism(Record):
     """Lattice map sending every source cone into some target cone.
 
-    The assignment (smallest containing target cone) is recomputed here,
-    never trusted from input.
+    The assignment, each source cone with its smallest containing target
+    cone, is computed here and is not a constructor argument.
     """
 
     source: Fan
     target: Fan
     lattice_map: LatticeMap
-    assignment: tuple[tuple[Cone, Cone], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if (self.lattice_map.domain != self.source.lattice
@@ -258,8 +253,7 @@ def minimal_containing_cone(f: Fan, c: Cone) -> Cone:
     raise FanError(f"no fan cone contains the point {sample}")
 
 
-@dataclass(frozen=True)
-class StackyMorphism:
+class StackyMorphism(Record):
     underlying: FanMorphism
     source: StackyFan
     target: StackyFan
@@ -355,7 +349,10 @@ def is_alteration(m: FanMorphism) -> bool:
 
 def factor_alteration(m: FanMorphism) -> tuple[FanMorphism, FanMorphism]:
     """Split an alteration into a modification followed by a finite-index
-    inclusion through the pulled-back fan."""
+    inclusion through the pulled-back fan.
+
+    No code of the package calls it; it stays as the library form of the
+    factorisation that the category of alteration squares is built on."""
     if not is_alteration(m):
         raise FanError("morphism is not an alteration")
     j = m.lattice_map
@@ -389,8 +386,7 @@ def minimal_modification(p_map: LatticeMap, f: Fan, g: Fan) -> tuple[Fan, FanMor
 # ---------------------------------------------------------------------------
 # weak semistability
 
-@dataclass(frozen=True)
-class WeakSemistabilityReport:
+class WeakSemistabilityReport(Record):
     failures: tuple[tuple[Cone, int, str], ...]
 
     def __bool__(self) -> bool:
@@ -446,11 +442,6 @@ def is_smooth_fan(f) -> bool:
     return True
 
 
-def is_semistable(m) -> bool:
-    return (bool(is_weakly_semistable(m))
-            and is_smooth_fan(m.source) and is_smooth_fan(m.target))
-
-
 # ---------------------------------------------------------------------------
 # fiber products
 
@@ -475,8 +466,7 @@ def toric_fiber_product(p: FanMorphism, q: FanMorphism):
     return fan, proj_n, proj_l
 
 
-@dataclass(frozen=True)
-class CartesianReport:
+class CartesianReport(Record):
     entries: tuple[tuple[Cone, Cone, Cone, bool, str], ...]
 
     def __bool__(self) -> bool:
@@ -515,8 +505,7 @@ def cartesian_check(p: FanMorphism, q: FanMorphism) -> CartesianReport:
         entries, key=lambda t: (t[0].dim, t[0].rays, t[2].dim, t[2].rays))))
 
 
-@dataclass(frozen=True)
-class _Fiber:
+class _Fiber(Record):
     """The data no entry of one cartesian check changes: the projections of
     the fiber lattice, the dual maps of p and q, their pushout lattice,
     whose torsion and rank answer for every entry, and the transposed

@@ -32,12 +32,16 @@ again and again, so the Hermite forms behind a sublattice's basis, an
 intersection and a preimage are each memoized on their normalized input,
 up to LATTICE_MEMO_SIZE entries, in private helpers behind the public
 functions, which check their arguments on every call.
+
+As the bottom module it also holds `Record`, the base of every value class
+of the package: immutable, compared and hashed by its fields, with the
+methods of each class compiled once when the class is defined.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -51,6 +55,71 @@ INFINITE = None
 # distinct questions of one memo (the intersections of an S^4 -> quad
 # reduce), one benchmark operation 153 and one benchmark pass 203
 LATTICE_MEMO_SIZE = 1024
+
+
+# ---------------------------------------------------------------------------
+# value classes
+
+class Record:
+    """Base of the immutable value classes of the package.
+
+    The annotations of a subclass body are its fields, in order, and a value
+    in the body is that field's default.  One `exec` per subclass compiles
+    the `__init__`, `__eq__` and `__hash__` a frozen dataclass generates,
+    each only where the body does not define it: `__init__` sets the fields
+    and then calls `__post_init__` if the class has one, two records are
+    equal when they are of one class and their field tuples are equal, and
+    a record hashes as its field tuple.  Assigning or deleting an attribute
+    raises FrozenInstanceError; `functools.cached_property` still stores
+    into the instance dict.  The dataclass decorator compiles six functions
+    per class, and those compilations were most of the package's import time.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        cls._fields = fields = tuple(own.get("__annotations__", ()))
+        env = {"__name__": cls.__module__, "_set": object.__setattr__}
+        params = ["self"]
+        for name in fields:
+            if name in own:
+                env[f"_default_{name}"] = own[name]
+                params.append(f"{name}=_default_{name}")
+            else:
+                params.append(name)
+        sets = [f"    _set(self, {name!r}, {name})\n" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            sets.append("    self.__post_init__()\n")
+
+        def values(of):
+            return "(" + "".join(f"{of}.{name}, " for name in fields) + ")"
+
+        methods = {
+            "__init__": f"def __init__({', '.join(params)}):\n" + "".join(sets),
+            "__eq__": ("def __eq__(self, other):\n"
+                       "    if other.__class__ is self.__class__:\n"
+                       f"        return {values('self')} == {values('other')}\n"
+                       "    return NotImplemented\n"),
+            "__hash__": f"def __hash__(self):\n    return hash({values('self')})\n",
+        }
+        # a body that defines __eq__ alone has __hash__ set to None
+        missing = [m for m in methods if own.get(m) is None]
+        exec("".join(methods[m] for m in missing), env)
+        for m in missing:
+            env[m].__qualname__ = f"{cls.__qualname__}.{m}"
+            setattr(cls, m, env[m])
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +239,7 @@ def rank(a: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 # normal forms
 
-@dataclass(frozen=True)
-class SNFDecomposition:
+class SNFDecomposition(Record):
     """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
 
     U: Matrix
@@ -311,11 +379,6 @@ def row_hermite_form(a: Matrix) -> Matrix:
     return mat(result)
 
 
-def column_hermite_form(a: Matrix) -> Matrix:
-    """Canonical basis (as columns) of the column space; see row_hermite_form."""
-    return _column_hermite(mat(a))
-
-
 @functools.lru_cache(maxsize=LATTICE_MEMO_SIZE)
 def _column_hermite(a: Matrix) -> Matrix:
     # one elimination per distinct basis: sublattices are rebuilt from the
@@ -403,8 +466,7 @@ def span_basis(vectors: Sequence[Sequence[int]], n: int) -> tuple[list[Vector], 
 # ---------------------------------------------------------------------------
 # lattices and maps
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     rank: int
 
     def __post_init__(self):
@@ -412,8 +474,7 @@ class Lattice:
             raise ValueError("rank must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(Record):
     domain: Lattice
     codomain: Lattice
     matrix: Matrix
@@ -440,8 +501,7 @@ class LatticeMap:
         return LatticeMap(lat, lat, identity(lat.rank))
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """Sublattice of Z^n given by an independent column basis, stored in HNF."""
 
     ambient: Lattice
@@ -571,8 +631,7 @@ def fiber_product_lattice(p: LatticeMap, i: LatticeMap) -> tuple[Lattice, Lattic
     return fiber, proj_n, proj_l
 
 
-@dataclass(frozen=True)
-class LatticePushout:
+class LatticePushout(Record):
     lattice: Lattice
     inc_left: LatticeMap   # from the codomain of u
     inc_right: LatticeMap  # from the codomain of v

@@ -26,13 +26,13 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cone import Cone, ConeError, dual_cone, image_cone, span_sublattice
 from .lattice import (
     Lattice,
     LatticeMap,
+    Record,
     Sublattice,
     Vector,
     det,
@@ -87,8 +87,7 @@ def _check_budget(count: int, what: str) -> None:
                              f"of {SEARCH_BUDGET} points")
 
 
-@dataclass(frozen=True)
-class AffineMonoid:
+class AffineMonoid(Record):
     """Submonoid of a lattice given by a finite generating set.
 
     saturation_cone, when present, records that the monoid arose as
@@ -121,8 +120,7 @@ class AffineMonoid:
         return sublattice_from_vectors(self.lattice, self.generators)
 
 
-@dataclass(frozen=True)
-class MonoidMap:
+class MonoidMap(Record):
     source: AffineMonoid
     target: AffineMonoid
     lattice_map: LatticeMap

@@ -5,7 +5,6 @@ alteration squares through it).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 from .cone import Cone, image_cone, preimage_cone, span_sublattice
@@ -30,6 +29,7 @@ from .fan import (
 )
 from .lattice import (
     LatticeMap,
+    Record,
     Vector,
     det,
     fiber_product_lattice,
@@ -54,8 +54,7 @@ class ReductionError(ValueError):
 # ---------------------------------------------------------------------------
 # image refinement
 
-@dataclass(frozen=True)
-class N0Label:
+class N0Label(Record):
     """Cell of the refined base together with the source cones whose image
     interiors cover the cell's interior."""
 
@@ -190,8 +189,7 @@ def total_refinement(p: FanMorphism, base: StackyFan) -> tuple[StackyFan, Stacky
     return total, sm
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     base: StackyFan
     total: StackyFan
     stacky_map: StackyMorphism
@@ -218,8 +216,7 @@ def reduce(p: FanMorphism) -> ReductionResult:
 # ---------------------------------------------------------------------------
 # the category of compatible alteration squares
 
-@dataclass(frozen=True)
-class CategoryCObject:
+class CategoryCObject(Record):
     """Commutative square: an alteration of the base, the fiber-product
     total space, a modification of the pulled-back source fan, and a weakly
     semistable projection."""
@@ -294,8 +291,7 @@ def validate_category_object(obj: CategoryCObject, p: FanMorphism,
     return ValidationReport(tuple(bad))
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
+class FactorCertificate(Record):
     """Forced cone assignments realizing the factorization through the
     reduced datum; forced because the lattice maps are fixed."""
 

@@ -23,9 +23,14 @@ indexes per complex replaced.  And the cartesian check with every dual
 monoid, dual map, pushout lattice and restriction recomputed for each pair
 of cones and each pair of test points, which the memoized dual monoids,
 the data of one call and the restriction of each test point once replaced.
-And the pushout monoid of two monoid maps and support membership by a scan
-over the cones of a fan, which no library code calls but the tests use as
-references."""
+And the pushout monoid of two monoid maps, support membership by a scan
+over the cones of a fan, the column Hermite form of a matrix without the
+memo and semistability of a morphism, which no library code calls but the
+tests use as references.  And, for each `Record` class, the frozen dataclass
+with the same fields and defaults, whose generated methods `Record`
+replaced."""
+import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -38,6 +43,8 @@ from semistable.fan import (
     Fan,
     FanError,
     ValidationReport,
+    is_smooth_fan,
+    is_weakly_semistable,
 )
 from semistable.lattice import (
     INFINITE,
@@ -648,3 +655,26 @@ def pushout_injective_every_pair(u, v, phi):
         if len(found) < len(targets):
             return False
     return True
+
+
+def column_hermite_form(a):
+    """Canonical basis, as columns, of the column space of a: the transposed
+    row Hermite form, computed afresh."""
+    return transpose(row_hermite_form(transpose(mat(a))))
+
+
+def is_semistable(m):
+    """Weakly semistable between smooth fans."""
+    return (bool(is_weakly_semistable(m))
+            and is_smooth_fan(m.source) and is_smooth_fan(m.target))
+
+
+@functools.cache
+def frozen_dataclass_twin(cls):
+    """The frozen dataclass of the fields of the `Record` class `cls`, in
+    order, with the same defaults and no methods of its own: the reference
+    for the `__init__`, `__eq__`, `__hash__` and `__repr__` of a record.
+    One twin per class, so that the twins of two records can compare."""
+    fields = [(name, object, dataclasses.field(default=vars(cls)[name]))
+              if name in vars(cls) else (name, object) for name in cls._fields]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)

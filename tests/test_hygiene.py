@@ -4,8 +4,8 @@ Fraction outside the CLI, no assert stands in for an error, the Smith form
 is called only where its invariant factors or transforms are needed, every
 integer preimage is a `lift`, every dot product outside the lattice module
 is a call of its kernel, the cartesian check's pushout search runs only
-where no proof of integrality stands in for it, and one memoized function
-builds the command line parser.  The README's command line section names
+where no proof of integrality stands in for it, one memoized function
+builds the command line parser, and every value class is a `Record`.  The README's command line section names
 the subcommands and `check` flags the CLI has."""
 import ast
 import glob
@@ -231,6 +231,32 @@ def test_only_the_memoized_parser_builds_an_argument_parser():
                  if isinstance(fn, ast.FunctionDef) and fn.name == "_parser"]
     assert sum(len(_calls(_tree(path), makers)) for path in MODULES) \
         == len(_calls(parser, makers))
+
+
+def test_value_classes_are_records_and_one_exec_compiles_them():
+    # the dataclass decorator compiles about six functions per class at
+    # import; Record.__init_subclass__ compiles a class's methods in one exec
+    decorated, imports = [], []
+    for path in MODULES:
+        module = os.path.basename(path)
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef):
+                decorated += [f"{module}:{node.name}" for dec in node.decorator_list
+                              if "dataclass" in ast.dump(dec)]
+            elif isinstance(node, ast.Import):
+                imports += [(module, a.name) for a in node.names if a.name == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                imports += [(module, a.name) for a in node.names]
+    assert not decorated, f"dataclasses: {', '.join(decorated)}"
+    assert imports == [("lattice.py", "FrozenInstanceError")]
+    (record,) = [c for c in _tree(os.path.join(SRC, "lattice.py")).body
+                 if isinstance(c, ast.ClassDef) and c.name == "Record"]
+    (hook,) = [fn for fn in record.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "__init_subclass__"]
+    assert len(_calls(hook, {"exec"})) == 1
+    runners = [n for path in MODULES for n in ast.walk(_tree(path)) if isinstance(n, ast.Call)
+               and getattr(n.func, "id", None) in {"exec", "eval", "compile"}]
+    assert len(runners) == 1
 
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import right_inverse
+from oracles import column_hermite_form, right_inverse
 from semistable import lattice
 from semistable.lattice import (
     INFINITE,
@@ -12,7 +12,6 @@ from semistable.lattice import (
     Lattice,
     LatticeMap,
     Sublattice,
-    column_hermite_form,
     det,
     dot,
     dual_map,
@@ -304,9 +303,9 @@ def test_column_hermite_canonical():
     a = mat([[2, 4], [0, 0]])
     h = column_hermite_form(a)
     assert h == mat([[2], [0]])
-    # lists work too, though the memo behind both is keyed on tuples
-    assert column_hermite_form([[2, 4], [0, 0]]) == h
+    # the memoized form behind a sublattice's basis, from lists or tuples
     assert Sublattice(Lattice(2), [[2, 4], [0, 0]]).basis == h
+    assert Sublattice(Lattice(2), a).basis == h
 
 
 # ---------------------------------------------------------------------------
