@@ -21,13 +21,23 @@ Smith form, only when there is one), finds the rays of the pointed part by
 double description, and builds the cone from those rays and lines; a second
 memo of CONE_MEMO_SIZE entries, keyed on the normalized inequalities, cuts
 each cone out once.
+
+`from_generators`, `from_halfspaces` and `split_by_hyperplane` take only
+integer entries (`lattice.integer_rows`), and `contains` and
+`relint_contains` take rational points: an int or Fraction entry, never a
+float or a string (IntegerError).  Membership is one `dot` per equation
+and facet, mapped over the rows and compared by `operator.le` or `lt`.
 """
 from __future__ import annotations
 
 import functools
+from itertools import repeat
+from numbers import Rational
+from operator import le, lt
 from typing import Iterable, Sequence
 
 from .lattice import (
+    IntegerError,
     Lattice,
     LatticeMap,
     Record,
@@ -35,9 +45,12 @@ from .lattice import (
     Vector,
     det,
     dot,
+    integer_rows,
+    integer_vector,
     is_zero_vec,
     lift,
     matvec,
+    plain_ints,
     primitive,
     rank,
     reduce_mod_rows,
@@ -46,6 +59,7 @@ from .lattice import (
     sublattice_from_vectors,
     transpose,
     vec_neg,
+    vec_sub,
 )
 
 # distinct cones built from cleared memos: at most 59 by one benchmark
@@ -53,7 +67,7 @@ from .lattice import (
 # reduce_complex and 196 by an S^5 -> quad one (173 and 404 while each cone
 # cut out by inequalities was built twice); and cut out by inequalities: 56
 # by one benchmark operation, 63 by one pass and 208 by an S^5 -> quad
-# reduce_complex
+# reduce_complex; and dual cones: 13 by one monoid_checks pass
 CONE_MEMO_SIZE = 1024
 
 
@@ -121,7 +135,7 @@ def _extreme_rays(rows: Sequence[Vector], d: int) -> list[Vector]:
                 common = zp & zq
                 if (common.bit_count() >= d - 2
                         and len([z for z in masks if z & common == common]) == 2):
-                    kept.append((primitive(tuple(xp * y - xq * x for x, y in zip(p, q))),
+                    kept.append((primitive(vec_sub([xp * y for y in q], [xq * x for x in p])),
                                  common | bit))
         rays = kept
     return sorted(u for u, _ in rays)
@@ -129,6 +143,20 @@ def _extreme_rays(rows: Sequence[Vector], d: int) -> list[Vector]:
 
 class ConeError(ValueError):
     pass
+
+
+def _check_rational(v: Sequence) -> None:
+    """Raise IntegerError unless every entry of the point v is an integer or
+    a Fraction.  A sum of such entries is one of them, and a float or a
+    string among them makes the sum a float or raises TypeError."""
+    try:
+        total = sum(v)
+    except TypeError:
+        total = None
+    if total.__class__ is not int and not isinstance(total, Rational):
+        bad = next((x for x in v if not isinstance(x, Rational)), total)
+        raise IntegerError(f"v has the entry {bad!r} of type {type(bad).__name__};"
+                           " expected integers or Fractions")
 
 
 class Cone(Record):
@@ -154,13 +182,14 @@ class Cone(Record):
 
     @staticmethod
     def from_generators(lattice: Lattice | int, gens: Iterable[Sequence[int]]) -> "Cone":
-        if isinstance(lattice, int):
+        if not isinstance(lattice, Lattice):
             lattice = Lattice(lattice)
-        return Cone._build(lattice, _normalized(gens))
+        return Cone._build(lattice, _normalized(integer_rows("gens", gens)))
 
     @staticmethod
     @functools.lru_cache(maxsize=CONE_MEMO_SIZE)
     def _build(lattice: Lattice, gen_list: tuple[Vector, ...]) -> "Cone":
+        gen_list = plain_ints(gen_list)
         n = lattice.rank
         basis, coords, eqs = span_basis(gen_list, n)
         span_lat = sublattice_from_vectors(lattice, basis)
@@ -211,9 +240,10 @@ class Cone(Record):
         and the cone is memoized, up to CONE_MEMO_SIZE entries, on the
         sorted, distinct, primitive, nonzero inequalities.
         """
-        if isinstance(lattice, int):
+        if not isinstance(lattice, Lattice):
             lattice = Lattice(lattice)
-        return Cone._cut_out(lattice, _normalized(_both_signs(inequalities, equations)))
+        return Cone._cut_out(lattice, _normalized(_both_signs(
+            integer_rows("inequalities", inequalities), integer_rows("equations", equations))))
 
     @staticmethod
     @functools.lru_cache(maxsize=CONE_MEMO_SIZE)
@@ -236,8 +266,6 @@ class Cone(Record):
 
     @staticmethod
     def zero(lattice: Lattice | int) -> "Cone":
-        if isinstance(lattice, int):
-            lattice = Lattice(lattice)
         return Cone.from_generators(lattice, [])
 
     # -- basic queries -----------------------------------------------------
@@ -254,19 +282,22 @@ class Cone(Record):
         return _both_signs(self.rays, self.lines)
 
     def contains(self, v: Sequence) -> bool:
-        return (all(dot(e, v) == 0 for e in self.span_equations)
-                and all(dot(u, v) >= 0 for u in self.facets))
+        """v lies in the cone; its entries may be integers or Fractions."""
+        _check_rational(v)
+        return (not any(map(dot, self.span_equations, repeat(v)))
+                and all(map(le, repeat(0), map(dot, self.facets, repeat(v)))))
 
     def relint_contains(self, v: Sequence) -> bool:
-        return (all(dot(e, v) == 0 for e in self.span_equations)
-                and all(dot(u, v) > 0 for u in self.facets))
+        """v lies in the relative interior; its entries may be integers or
+        Fractions."""
+        _check_rational(v)
+        return (not any(map(dot, self.span_equations, repeat(v)))
+                and all(map(lt, repeat(0), map(dot, self.facets, repeat(v)))))
 
     def interior_sample(self) -> Vector:
-        n = self.lattice.rank
-        out = [0] * n
-        for r in self.rays:
-            out = [x + y for x, y in zip(out, r)]
-        return tuple(out)
+        if not self.rays:
+            return (0,) * self.lattice.rank
+        return tuple(map(sum, zip(*self.rays)))
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(g) for g in other.generators())
@@ -303,8 +334,27 @@ class Cone(Record):
 # operations
 
 def dual_cone(c: Cone) -> Cone:
-    """{u : u.v >= 0 for all v in c} in the dual lattice."""
-    return Cone.from_generators(Lattice(c.lattice.rank), _both_signs(c.facets, c.span_equations))
+    """{u : u.v >= 0 for all v in c} in the dual lattice, memoized on c up to
+    CONE_MEMO_SIZE cones.
+
+    It is read off the double description of c, with one `span_basis` of
+    c's lines as its only elimination: the rays of the dual are the facets
+    of c, its lines the span equations of c, its facets the rays of c and
+    its span equations the lines of c.  Each is already in the canonical
+    form that `Cone.from_generators` gives the dual: primitive vectors,
+    sorted and reduced modulo the Hermite basis of the lineality of their
+    cone, and the row Hermite bases of the two saturated lattices (the
+    lineality of the dual is span(c)^⊥, and its span is the annihilator of
+    the lineality of c).
+    """
+    return _dual(c)
+
+
+@functools.lru_cache(maxsize=CONE_MEMO_SIZE)
+def _dual(c: Cone) -> Cone:
+    n = c.lattice.rank
+    span = sublattice_from_vectors(c.lattice, span_basis(c.lines, n)[2])
+    return Cone(c.lattice, c.facets, c.span_equations, c.rays, c.lines, span)
 
 
 def intersect(a: Cone, b: Cone) -> Cone:
@@ -327,7 +377,7 @@ def preimage_cone(f: LatticeMap, c: Cone) -> Cone:
 
 
 def split_by_hyperplane(c: Cone, functional: Sequence[int]) -> tuple[Cone, Cone]:
-    u = tuple(functional)
+    u = integer_vector("functional", functional)
     pos = Cone.from_halfspaces(c.lattice, c.facets + (u,), c.span_equations)
     neg = Cone.from_halfspaces(c.lattice, c.facets + (vec_neg(u),), c.span_equations)
     return pos, neg

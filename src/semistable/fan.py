@@ -45,6 +45,7 @@ from .lattice import (
     vec_sub,
 )
 from .monoid import (
+    AffineMonoid,
     MonoidError,
     MonoidMap,
     _bounded_points,
@@ -74,7 +75,7 @@ class Fan(Record):
 
     @staticmethod
     def from_cones(lattice: Lattice | int, cones: Iterable[Cone]) -> "Fan":
-        if isinstance(lattice, int):
+        if not isinstance(lattice, Lattice):
             lattice = Lattice(lattice)
         closed: dict = {}
         for c in cones:
@@ -458,12 +459,24 @@ def toric_fiber_product(p: FanMorphism, q: FanMorphism):
     if p.target != q.target:
         raise FanError("fiber product requires a shared target")
     fib, pn, pl = fiber_product_lattice(p.lattice_map, q.lattice_map)
-    fan = Fan.from_cones(fib, [intersect(preimage_cone(pn, sigma), preimage_cone(pl, lam))
+    fan = Fan.from_cones(fib, [_fiber_cone(pn, pl, sigma, lam)
                                for sigma in p.source.maximal_cones()
                                for lam in q.source.maximal_cones()])
     proj_n = FanMorphism(fan, p.source, pn)
     proj_l = FanMorphism(fan, q.source, pl)
     return fan, proj_n, proj_l
+
+
+def _fiber_cone(pn: LatticeMap, pl: LatticeMap, sigma: Cone, lam: Cone) -> Cone:
+    """iota^-1(sigma x lambda) for iota = (pn, pl): the intersection of the
+    preimages of sigma and lambda, cut out as one cone by the facets and
+    span equations of both pulled back to the fiber lattice."""
+    tn, tl = transpose(pn.matrix), transpose(pl.matrix)
+    return Cone.from_halfspaces(
+        pn.domain,
+        [matvec(tn, u) for u in sigma.facets] + [matvec(tl, u) for u in lam.facets],
+        [matvec(tn, e) for e in sigma.span_equations]
+        + [matvec(tl, e) for e in lam.span_equations])
 
 
 class CartesianReport(Record):
@@ -478,7 +491,9 @@ def cartesian_check(p: FanMorphism, q: FanMorphism) -> CartesianReport:
     fiber cone under the canonical identification of dual lattices.
 
     What depends on p and q alone (`_Fiber`, and the images of q's cones)
-    is computed once per call, and equal cones share one dual monoid.
+    is computed once per call, equal cones share one dual monoid, and the
+    legs of the entries and what the entries ask of them are computed once
+    per call (`_Legs`).
 
     A failing entry is a proof.  A passing entry whose base dual monoid
     maps integrally into one of its legs (`integral_by_flatness`) is exact
@@ -493,13 +508,14 @@ def cartesian_check(p: FanMorphism, q: FanMorphism) -> CartesianReport:
     fiber = _Fiber(pn, pl, up, uq, pushout_lattice(up, uq),
                    transpose(pn.matrix), transpose(pl.matrix))
     lam_images = [(lam, q.image_of(lam)) for lam in q.source.cones]
+    legs = _Legs()
     entries = []
     for sigma in p.source.cones:
         kappa = p.image_of(sigma)
         for lam, image in lam_images:
             if image != kappa:
                 continue
-            ok, reason = _cartesian_triple(fiber, sigma, kappa, lam)
+            ok, reason = _cartesian_triple(fiber, legs, sigma, kappa, lam)
             entries.append((sigma, kappa, lam, ok, reason))
     return CartesianReport(tuple(sorted(
         entries, key=lambda t: (t[0].dim, t[0].rays, t[2].dim, t[2].rays))))
@@ -521,18 +537,50 @@ class _Fiber(Record):
     pl_t: Matrix
 
 
-def _cartesian_triple(fiber: _Fiber, sigma: Cone, kappa: Cone, lam: Cone):
-    m_sigma = dual_monoid(sigma)
-    m_kappa = dual_monoid(kappa)
-    m_lambda = dual_monoid(lam)
-    u = MonoidMap(m_kappa, m_sigma, fiber.up)
-    v = MonoidMap(m_kappa, m_lambda, fiber.uq)
+class _Legs:
+    """What the entries of one cartesian check share, each computed on first
+    use and then kept: the legs of the entries, maps of dual monoids from a
+    base cone to a source cone by the dual map of p or q; whether
+    `integral_by_flatness` proves a leg integral; and the points of a dual
+    monoid of word length at most PUSHOUT_TEST_LENGTH with their
+    restrictions to the fiber lattice.  The legs are keyed by value, so
+    when p = q a leg of p is the same leg of q."""
+
+    def __init__(self):
+        self._maps: dict = {}
+        self._integral: dict = {}
+        self._points: dict = {}
+
+    def map(self, dual: LatticeMap, kappa: Cone, cone: Cone) -> MonoidMap:
+        key = (dual, kappa, cone)
+        if key not in self._maps:
+            self._maps[key] = MonoidMap(dual_monoid(kappa), dual_monoid(cone), dual)
+        return self._maps[key]
+
+    def integral(self, u: MonoidMap) -> bool:
+        if u not in self._integral:
+            self._integral[u] = integral_by_flatness(u)
+        return self._integral[u]
+
+    def test_points(self, monoid: AffineMonoid, restrict: Matrix) -> tuple[list, list]:
+        key = (monoid, restrict)
+        if key not in self._points:
+            points, _ = _bounded_points(monoid.lattice.rank, monoid.generators,
+                                        [1] * len(monoid.generators), PUSHOUT_TEST_LENGTH)
+            self._points[key] = (list(points), [matvec(restrict, m) for m in points])
+        return self._points[key]
+
+
+def _cartesian_triple(fiber: _Fiber, legs: _Legs, sigma: Cone, kappa: Cone, lam: Cone):
+    u = legs.map(fiber.up, kappa, sigma)
+    v = legs.map(fiber.uq, kappa, lam)
+    m_sigma = u.target
+    m_lambda = v.target
     po = fiber.pushout
     if po.torsion_order != 1:
         return False, f"pushout of dual lattices has torsion of order {po.torsion_order}"
 
-    fc = intersect(preimage_cone(fiber.pn, sigma), preimage_cone(fiber.pl, lam))
-    dm = dual_monoid(fc)
+    dm = dual_monoid(_fiber_cone(fiber.pn, fiber.pl, sigma, lam))
     if po.lattice.rank != fiber.pn.domain.rank:
         return False, "pushout rank does not match the fiber rank"
 
@@ -561,21 +609,33 @@ def _cartesian_triple(fiber: _Fiber, sigma: Cone, kappa: Cone, lam: Cone):
     # phi maps it onto the group of the fiber dual monoid.  Otherwise pairs
     # of short words with the same restriction must be connected by
     # exchange moves through the base
-    if integral_by_flatness(u) or integral_by_flatness(v):
+    if legs.integral(u) or legs.integral(v):
         return True, ""
-    if not _pushout_injective_bounded(u, v, fiber.pn_t, fiber.pl_t):
+    if not _pushout_injective_bounded(u, v, legs.test_points(m_sigma, fiber.pn_t),
+                                      legs.test_points(m_lambda, fiber.pl_t)):
         return False, "canonical map identifies distinct pushout classes"
     return True, ""
 
 
-def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, pn_t: Matrix,
-                               pl_t: Matrix) -> bool:
-    """Check that any two pairs (m, l) of word length at most
-    PUSHOUT_TEST_LENGTH with the same restriction pn_t m + pl_t l to the
-    fiber are related by moves (m, l) -> (m -+ u(g), l +- v(g)), g a
-    generator of the base dual monoid, that keep m and l in their monoids.
-    Each m and each l is restricted once, and the pairs are grouped by the
-    sum of the two restrictions.
+def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, m_test: tuple[list, list],
+                               l_test: tuple[list, list]) -> bool:
+    """Check that any two pairs (m, l) of test points with the same
+    restriction to the fiber are related by moves
+    (m, l) -> (m -+ u(g), l +- v(g)), g a generator of the base dual
+    monoid, that keep m and l in their monoids.  The test points of either
+    side, `m_test` and `l_test`, are the points of word length at most
+    PUSHOUT_TEST_LENGTH of the target of u or v, with their restrictions.
+
+    The pairs are grouped by the sum of their two restrictions, written as
+    one integer: x -> sum x_i w^i is linear, so a pair's key is the sum of
+    the keys of its two restrictions, and it is injective on the vectors
+    whose entries lie in [-(w - 1)/2, (w - 1)/2] (balanced base w), where
+    every sum of two restrictions lies for w = 4 B + 1, B the largest
+    absolute entry of a restriction.  The groups are searched one at a
+    time, in the order of their first pairs and each from its first pair,
+    and the pairs of a group come from the test points of each side
+    indexed by key, so the search stops at the first group that is not
+    connected without forming the others.
 
     These moves generate the pushout relation, so the search is exact: a
     False proves that the canonical map identifies two distinct pushout
@@ -584,45 +644,58 @@ def _pushout_injective_bounded(u: MonoidMap, v: MonoidMap, pn_t: Matrix,
     `_cartesian_triple` calls it only when neither leg is integral by
     flatness; with an integral leg it could only answer True.
     """
-    M, L = u.target, v.target
-    m_test, _ = _bounded_points(M.lattice.rank, M.generators, [1] * len(M.generators),
-                                PUSHOUT_TEST_LENGTH)
-    l_test, _ = _bounded_points(L.lattice.rank, L.generators, [1] * len(L.generators),
-                                PUSHOUT_TEST_LENGTH)
-    moves = [(tuple(u(g)), tuple(v(g))) for g in u.source.generators]
-    l_images = [(l, matvec(pl_t, l)) for l in l_test]
-
-    groups: dict = {}
-    for m in m_test:
-        a = matvec(pn_t, m)
-        for l, b in l_images:
-            groups.setdefault(vec_add(a, b), []).append((m, l))
-
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        targets = set(members)
-        start = members[0]
-        seen = {start}
-        frontier = [start]
-        found = {start}
-        while frontier and len(found) < len(targets):
-            nxt = []
-            for m, l in frontier:
-                for a, b in moves:
-                    for cand in ((vec_sub(m, a), vec_add(l, b)),
-                                 (vec_add(m, a), vec_sub(l, b))):
-                        cm, cl = cand
-                        if cand not in seen and M.contains(cm) and L.contains(cl):
-                            seen.add(cand)
-                            _check_budget(len(seen), "a pushout class search")
-                            nxt.append(cand)
-                            if cand in targets:
-                                found.add(cand)
-            frontier = nxt
-        if len(found) < len(targets):
-            return False
+    moves = [(u(g), v(g)) for g in u.source.generators]
+    m_points, m_restricted = m_test
+    l_points, l_restricted = l_test
+    bound = max(map(abs, itertools.chain(*m_restricted, *l_restricted)), default=0)
+    powers = [(4 * bound + 1) ** i for i in range(len(m_restricted[0]))]
+    m_keys = [dot(powers, a) for a in m_restricted]
+    m_by_key = _by_key(m_points, m_keys)
+    l_by_key = _by_key(l_points, [dot(powers, b) for b in l_restricted])
+    searched = set()
+    for m, ka in zip(m_points, m_keys):
+        for kb, ls in l_by_key.items():
+            key = ka + kb
+            if key in searched:
+                continue
+            searched.add(key)
+            group = {(x, l) for kx, xs in m_by_key.items()
+                     for l in l_by_key.get(key - kx, ()) for x in xs}
+            if len(group) > 1 and not _connected((m, ls[0]), group, moves, u.target, v.target):
+                return False
     return True
+
+
+def _by_key(points: list[Vector], keys: list[int]) -> dict[int, list[Vector]]:
+    """The points with each key, in their order."""
+    out: dict[int, list[Vector]] = {}
+    for x, k in zip(points, keys):
+        out.setdefault(k, []).append(x)
+    return out
+
+
+def _connected(start: tuple[Vector, Vector], targets: set, moves: list,
+               M: AffineMonoid, L: AffineMonoid) -> bool:
+    """Whether moves (m, l) -> (m -+ a, l +- b) that keep m in M and l in L
+    reach every pair of `targets` from `start`, breadth first."""
+    seen = {start}
+    frontier = [start]
+    found = {start}
+    while frontier and len(found) < len(targets):
+        nxt = []
+        for m, l in frontier:
+            for a, b in moves:
+                for cand in ((vec_sub(m, a), vec_add(l, b)),
+                             (vec_add(m, a), vec_sub(l, b))):
+                    cm, cl = cand
+                    if cand not in seen and M.contains(cm) and L.contains(cl):
+                        seen.add(cand)
+                        _check_budget(len(seen), "a pushout class search")
+                        nxt.append(cand)
+                        if cand in targets:
+                            found.add(cand)
+        frontier = nxt
+    return len(found) == len(targets)
 
 
 def require_finite_index(j: LatticeMap) -> None:

@@ -4,10 +4,23 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 Matrices are tuples of row tuples.  A map between lattices of ranks
 (m out, n in) is an m x n integer matrix acting on column vectors.
 
-The vector kernel under every cone and gluing check runs in builtins:
-`dot`, `matvec` and `matmul` sum `map(operator.mul, ...)`, `is_zero_vec` is
-`not any(v)` and `primitive` takes one `math.gcd` of all entries.  The
-entries stay Python integers, so each result is exactly the one of an
+Integers are checked once, where they enter: the public functions and
+constructors that take vectors or matrices from a caller (`det`, `rank`,
+the normal forms, `kernel_basis`, `span_basis`, `lift`, `Lattice`,
+`LatticeMap` and its application, `Sublattice` and its membership) pass
+them through `integer_rows` or `integer_vector`, which raise IntegerError
+naming the argument on a float, Fraction or string entry; a value built by
+them holds integers for good.  One `math.gcd` per row is the whole check,
+and it lets a bool through as 0 or 1; `plain_ints` turns it into that int
+where a memo would share it with other callers.
+
+The kernels below them take tuples of int by contract and convert
+nothing, so they run in builtins: `mat` is `tuple(map(tuple, rows))`,
+`dot`, `matvec` and `matmul` sum `map(operator.mul, ...)`, `vec_add`,
+`vec_sub` and `vec_neg` map `operator.add`, `sub` and `neg`, `is_zero_vec`
+is `not any(v)`, `primitive` takes one `math.gcd` of all entries, and
+`identity` answers from a memo of IDENTITY_MEMO_SIZE sizes.  The entries
+stay Python integers, so each result is exactly the one of an
 entry-by-entry loop.
 
 Each question gets one elimination of the kind it needs:
@@ -40,9 +53,9 @@ methods of each class compiled once when the class is defined.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import FrozenInstanceError
-from operator import mul
+from itertools import chain
+from math import gcd
+from operator import add, index, mul, neg, sub
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -55,6 +68,62 @@ INFINITE = None
 # distinct questions of one memo (the intersections of an S^4 -> quad
 # reduce), one benchmark operation 153 and one benchmark pass 203
 LATTICE_MEMO_SIZE = 1024
+
+# identity matrices kept, one per size: a benchmark pass asks for at most 5
+# sizes (0 to 5 over the four workloads), and the whole test suite for 24
+# distinct sizes up to 32
+IDENTITY_MEMO_SIZE = 32
+
+
+# ---------------------------------------------------------------------------
+# errors and the integer boundary
+
+class FrozenInstanceError(AttributeError):
+    """Assigning or deleting an attribute of a `Record`."""
+
+
+class IntegerError(TypeError):
+    """An entry that is not an integer reached a public entry point."""
+
+
+def integer_rows(name: str, rows: Iterable[Iterable[int]]) -> Matrix:
+    """The rows of a caller's matrix or vectors as a Matrix, after checking
+    that every entry is an integer; IntegerError names the argument `name`
+    otherwise.
+
+    One `math.gcd` of each row is the check: it raises TypeError on a
+    float, a Fraction or a string and takes any `int`, `bool` included,
+    without a Python step per entry."""
+    m = tuple(map(tuple, rows))
+    try:
+        for row in m:
+            gcd(*row)
+    except TypeError:
+        raise _not_integer(name, chain.from_iterable(m)) from None
+    return m
+
+
+def integer_vector(name: str, v: Iterable[int]) -> Vector:
+    """One vector of a caller, checked as `integer_rows` checks a matrix."""
+    v = tuple(v)
+    try:
+        gcd(*v)
+    except TypeError:
+        raise _not_integer(name, v) from None
+    return v
+
+
+def plain_ints(rows: Iterable[Iterable[int]]) -> Matrix:
+    """The rows with each entry an exact int: a bool passes the checks as the
+    int it equals, and this keeps it out of the values that a memo shares
+    with every caller of an equal key.  Run on memo misses only."""
+    return tuple(tuple(map(index, row)) for row in rows)
+
+
+def _not_integer(name: str, entries: Iterable) -> IntegerError:
+    bad = next((x for x in entries if not isinstance(x, int)), None)
+    return IntegerError(f"{name} has the entry {bad!r} of type {type(bad).__name__};"
+                        " expected integers")
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +195,15 @@ class Record:
 # matrix helpers
 
 def mat(rows: Iterable[Iterable[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def identity(n: int) -> Matrix:
+    return _identity(n)
+
+
+@functools.lru_cache(maxsize=IDENTITY_MEMO_SIZE, typed=True)
+def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -149,15 +223,15 @@ def matvec(a: Matrix, v: Sequence[int]) -> Vector:
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_neg(v: Sequence[int]) -> Vector:
-    return tuple(-x for x in v)
+    return tuple(map(neg, v))
 
 
 def dot(u: Sequence, v: Sequence):
@@ -170,10 +244,10 @@ def is_zero_vec(v: Sequence) -> bool:
 
 def primitive(v: Sequence[int]) -> Vector:
     """Divide out the gcd of the entries; the zero vector is returned as is."""
-    g = math.gcd(*v)
+    g = gcd(*v)
     if g <= 1:
-        return tuple(map(int, v))
-    return tuple([int(x) // g for x in v])
+        return tuple(v)
+    return tuple([x // g for x in v])
 
 
 def columns(a: Matrix) -> list[Vector]:
@@ -192,6 +266,7 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 
 def det(a: Matrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
+    a = integer_rows("a", a)
     n = len(a)
     if n == 0:
         return 1
@@ -219,7 +294,7 @@ def det(a: Matrix) -> int:
 
 def rank(a: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free Bareiss elimination."""
-    m = [list(row) for row in a]
+    m = [list(row) for row in integer_rows("a", a)]
     ncols = len(m[0]) if m else 0
     r = 0
     prev = 1
@@ -259,7 +334,7 @@ class SNFDecomposition(Record):
 
 def smith_normal_form(a: Matrix) -> SNFDecomposition:
     """Smith normal form with transformation matrices."""
-    a = mat(a)
+    a = integer_rows("a", a)
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
@@ -342,7 +417,7 @@ def row_hermite_form(a: Matrix) -> Matrix:
     Row-style Hermite normal form: pivots positive, strictly increasing pivot
     columns, entries above a pivot reduced into [0, pivot).  Zero rows dropped.
     """
-    rows = [list(r) for r in a if not is_zero_vec(r)]
+    rows = [list(r) for r in integer_rows("a", a) if not is_zero_vec(r)]
     if not rows:
         return ()
     n = len(rows[0])
@@ -383,7 +458,7 @@ def row_hermite_form(a: Matrix) -> Matrix:
 def _column_hermite(a: Matrix) -> Matrix:
     # one elimination per distinct basis: sublattices are rebuilt from the
     # same vectors by every check that restricts them to a span
-    return transpose(row_hermite_form(transpose(a)))
+    return transpose(row_hermite_form(plain_ints(transpose(a))))
 
 
 def reduce_mod_rows(v: Sequence[int], hnf_rows: Matrix) -> Vector:
@@ -405,12 +480,13 @@ def lift(a: Matrix, targets: Iterable[Sequence[int]]) -> list[Vector | None]:
     Those rows span {(A x, x)}.  Reducing (b, 0) modulo the Hermite rows
     with their pivot in the first block clears that block exactly when b is
     in the image of A, and then leaves (0, -x) with A x = b."""
+    a = integer_rows("a", a)
     m = len(a)
     n = len(a[0]) if m else 0
     rows = [tuple(row[i] for row in a) + e for i, e in enumerate(identity(n))]
     image_rows = tuple(r for r in row_hermite_form(rows) if not is_zero_vec(r[:m]))
     out = []
-    for b in targets:
+    for b in integer_rows("targets", targets):
         if len(b) != m:
             raise ValueError(f"vector of length {len(b)} for a matrix with {m} rows")
         r = reduce_mod_rows(tuple(b) + (0,) * n, image_rows)
@@ -421,7 +497,7 @@ def lift(a: Matrix, targets: Iterable[Sequence[int]]) -> list[Vector | None]:
 def solve_integer(a: Matrix, b: Sequence[int]) -> Vector | None:
     """One integer solution x of A x = b, or None: `lift` of one target,
     for callers outside the package that solve a single system."""
-    return lift(a, [b])[0]
+    return lift(a, [integer_vector("b", b)])[0]
 
 
 def left_inverse(a: Matrix) -> Matrix | None:
@@ -453,9 +529,10 @@ def span_basis(vectors: Sequence[Sequence[int]], n: int) -> tuple[list[Vector], 
     coordinates in that basis, and the rows U[r:] are equations of the
     span that map Z^n onto the quotient by the saturated span.
     """
+    vectors = integer_rows("vectors", vectors)
     if not vectors:
         return [], (), identity(n)
-    g = from_columns([tuple(v) for v in vectors], n)
+    g = from_columns(vectors, n)
     snf = smith_normal_form(g)
     gv = matmul(g, snf.V)
     basis = [tuple(row[j] // d for row in gv)
@@ -470,6 +547,10 @@ class Lattice(Record):
     rank: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "rank", index(self.rank))
+        except TypeError:
+            raise _not_integer("rank", (self.rank,)) from None
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
 
@@ -480,7 +561,7 @@ class LatticeMap(Record):
     matrix: Matrix
 
     def __post_init__(self):
-        m = mat(self.matrix)
+        m = integer_rows("matrix", self.matrix)
         object.__setattr__(self, "matrix", m)
         if len(m) != self.codomain.rank:
             raise ValueError("matrix row count does not match codomain rank")
@@ -488,6 +569,12 @@ class LatticeMap(Record):
             raise ValueError("matrix column count does not match domain rank")
 
     def __call__(self, v: Sequence[int]) -> Vector:
+        # `integer_vector` without its copy: the pipelines apply maps to
+        # thousands of vectors
+        try:
+            gcd(*v)
+        except TypeError:
+            raise _not_integer("v", v) from None
         return matvec(self.matrix, v)
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
@@ -508,7 +595,7 @@ class Sublattice(Record):
     basis: Matrix  # n x k, columns generate
 
     def __post_init__(self):
-        b = mat(self.basis)
+        b = integer_rows("basis", self.basis)
         if len(b) != self.ambient.rank:
             b = tuple(() for _ in range(self.ambient.rank)) if not b else b
         if len(b) != self.ambient.rank:
@@ -532,6 +619,7 @@ class Sublattice(Record):
         The Hermite basis is echelon: column j is zero above its pivot row,
         and later columns are zero on that row, so one pass down the pivots
         determines x."""
+        v = integer_vector("v", v)
         if len(v) != self.ambient.rank:
             raise ValueError(f"vector of length {len(v)} in a lattice of rank "
                              f"{self.ambient.rank}")
@@ -566,7 +654,7 @@ def zero_sublattice(lat: Lattice) -> Sublattice:
 
 
 def sublattice_from_vectors(lat: Lattice, vecs: Iterable[Sequence[int]]) -> Sublattice:
-    return Sublattice(lat, from_columns([tuple(v) for v in vecs], lat.rank))
+    return Sublattice(lat, from_columns(integer_rows("vecs", vecs), lat.rank))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ from .lattice import (
     full_sublattice,
     identity,
     image_lattice,
+    integer_rows,
+    integer_vector,
     intersect_sublattices,
     is_zero_vec,
     kernel_lattice,
@@ -99,7 +101,8 @@ class AffineMonoid(Record):
     saturation_cone: Optional[Cone] = None
 
     def __post_init__(self):
-        gens = tuple(sorted({tuple(g) for g in self.generators if not is_zero_vec(g)}))
+        gens = tuple(sorted({g for g in integer_rows("generators", self.generators)
+                             if not is_zero_vec(g)}))
         object.__setattr__(self, "generators", gens)
         if self.saturation_cone is not None:
             for g in gens:
@@ -107,10 +110,15 @@ class AffineMonoid(Record):
                     raise MonoidError(f"generator {g} outside the saturation cone")
 
     def cone(self) -> Cone:
+        """The cone of the monoid: its saturation cone when it has one, the
+        monoid being that cone's lattice points."""
+        if self.saturation_cone is not None:
+            return self.saturation_cone
         return Cone.from_generators(self.lattice, self.generators)
 
     def contains(self, w: Sequence[int]) -> bool:
         """Membership; a saturated monoid (cone ∩ lattice) needs no search."""
+        w = integer_vector("w", w)
         if self.saturation_cone is not None:
             return self.saturation_cone.contains(w)
         return _contains_modulo_units(w, self.generators, self.lattice)
@@ -199,7 +207,7 @@ def _parallelepiped_points(rays: tuple[Vector, ...]) -> set[Vector]:
         for u, r, h in opposite:
             q = dot(u, x) // h
             if q:
-                x = tuple(a - q * b for a, b in zip(x, r))
+                x = vec_sub(x, [q * b for b in r])
         return x
 
     units = identity(d)
@@ -373,7 +381,7 @@ def _bounded_points(rank: int, gens: Sequence[Vector], weights: Sequence[int],
 
 def monoid_membership(w: Sequence[int], M: AffineMonoid):
     """(True, coefficients) when w is a nonnegative combination, else (False, None)."""
-    w = tuple(w)
+    w = integer_vector("w", w)
     gens = M.generators
     if is_zero_vec(w):
         return True, (0,) * len(gens)
@@ -580,6 +588,7 @@ def kato_integral(u: MonoidMap, height_bound: int = 8):
     the height.  Raises BudgetExceeded when the search meets a monoid with
     more than SEARCH_BUDGET points of that height.
     """
+    integer_vector("height_bound", (height_bound,))
     if kernel_lattice(u.lattice_map).rank != 0:
         raise MonoidError("the criterion requires an injective lattice map")
     if integral_by_flatness(u):

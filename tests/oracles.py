@@ -16,6 +16,11 @@ generate, which integer double description replaced in both directions.
 And the vector kernel entry by entry (`dot`, `matvec`, `matmul`,
 `is_zero_vec` and `primitive` as generator expressions and a running gcd),
 which sums over `map(operator.mul, ...)`, `any` and one `math.gcd` replaced,
+and `mat` with its `int()` of every entry, `vec_add`, `vec_sub`, `vec_neg`,
+`identity`, cone membership and a cone's interior sample as generator
+expressions and loops, which `map` over `operator` functions replaced,
+the dual cone built from the facets and span equations, which reading it
+off the cone's double description replaced,
 and `validate_complex` with its composite check on every (gluing, face of
 the glued face) pair, which the pairs of codimension at most one replaced.
 And a complex's gluings looked up by a scan over all of them, which two
@@ -442,6 +447,49 @@ def entrywise_matvec(a, v):
 def entrywise_matmul(a, b):
     bt = transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def entrywise_vec_add(u, v):
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def entrywise_vec_sub(u, v):
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def entrywise_vec_neg(v):
+    return tuple(-x for x in v)
+
+
+def coercing_mat(rows):
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def entrywise_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def entrywise_contains(c, v):
+    return (all(entrywise_dot(e, v) == 0 for e in c.span_equations)
+            and all(entrywise_dot(u, v) >= 0 for u in c.facets))
+
+
+def entrywise_relint_contains(c, v):
+    return (all(entrywise_dot(e, v) == 0 for e in c.span_equations)
+            and all(entrywise_dot(u, v) > 0 for u in c.facets))
+
+
+def entrywise_interior_sample(c):
+    out = [0] * c.lattice.rank
+    for r in c.rays:
+        out = [x + y for x, y in zip(out, r)]
+    return tuple(out)
+
+
+def dual_cone_by_generators(c):
+    """The dual cone built afresh from its generators, past the cone memo."""
+    gens = list(c.facets) + [v for e in c.span_equations for v in (e, tuple(-x for x in e))]
+    return Cone._build.__wrapped__(Lattice(c.lattice.rank), tuple(sorted(set(gens))))
 
 
 def entrywise_is_zero_vec(v):

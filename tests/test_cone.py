@@ -1,10 +1,10 @@
-import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from semistable.cone import (
     CONE_MEMO_SIZE,
     Cone,
@@ -16,7 +16,7 @@ from semistable.cone import (
     span_sublattice,
     split_by_hyperplane,
 )
-from semistable.lattice import Lattice, LatticeMap, dot, mat
+from semistable.lattice import FrozenInstanceError, Lattice, LatticeMap, dot, mat
 
 
 def lmap(rows):
@@ -112,8 +112,9 @@ class TestMemo:
 
     def test_shared_cones_are_immutable(self):
         c = cone2((1, 0), (0, 1))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             c.rays = ()
+        assert issubclass(FrozenInstanceError, AttributeError)
 
 
 class TestDuality:
@@ -375,3 +376,34 @@ def test_interior_sample_in_relint(gens):
     if c.lines:
         return
     assert c.relint_contains(c.interior_sample())
+
+
+# the membership kernels against their loops, on integer and rational points
+points = st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=7)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    gen_lists(n, 4), st.lists(st.tuples(*([points] * n)), min_size=1, max_size=6))))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_membership_and_interior_sample_match_entrywise_references(args):
+    gens, pts = args
+    n = len(pts[0])
+    c = Cone.from_generators(n, gens)
+    for v in pts + [c.interior_sample(), (0,) * n]:
+        assert c.contains(v) is oracles.entrywise_contains(c, v)
+        assert c.relint_contains(v) is oracles.entrywise_relint_contains(c, v)
+    sample = c.interior_sample()
+    assert sample == oracles.entrywise_interior_sample(c)
+    assert all(type(x) is int for x in sample)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), gen_lists(n, 6))))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_dual_cone_matches_the_cone_built_from_its_generators(args):
+    # every field, the span included: the dual read off the double
+    # description is the cone `from_generators` builds, with or without lines
+    n, gens = args
+    c = Cone.from_generators(n, gens)
+    d, want = dual_cone(c), oracles.dual_cone_by_generators(c)
+    assert _fields(d) == _fields(want) and d.span == want.span
+    assert dual_cone(c) is d

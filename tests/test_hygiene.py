@@ -3,7 +3,8 @@ every module-level import is used, no float enters the exact code and no
 Fraction outside the CLI, no assert stands in for an error, the Smith form
 is called only where its invariant factors or transforms are needed, every
 integer preimage is a `lift`, every dot product outside the lattice module
-is a call of its kernel, the cartesian check's pushout search runs only
+is a call of its kernel and so is every entrywise vector sum, an integer
+is converted only at the boundary, the cartesian check's pushout search runs only
 where no proof of integrality stands in for it, one memoized function
 builds the command line parser, and every value class is a `Record`.  The README's command line section names
 the subcommands and `check` flags the CLI has."""
@@ -163,6 +164,75 @@ def test_dot_products_are_kernel_calls(path):
     assert not found, f"inline dot products: {', '.join(found)}"
 
 
+def _inline_sums(tree):
+    """Lines of `tuple(x + y for x, y in zip(...))`, a difference alike, and
+    `map(add, ...)` or `map(sub, ...)`."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.GeneratorExp, ast.ListComp)):
+            zipped = any(isinstance(c.iter, ast.Call)
+                         and getattr(c.iter.func, "id", None) == "zip"
+                         for c in n.generators)
+            if zipped and isinstance(n.elt, ast.BinOp) \
+                    and isinstance(n.elt.op, (ast.Add, ast.Sub)):
+                found.append(f"line {n.lineno}")
+        elif (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "map"
+              and n.args and getattr(n.args[0], "id", None) in ("add", "sub")):
+            found.append(f"line {n.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if os.path.basename(p) != "lattice.py"],
+                         ids=os.path.basename)
+def test_vector_sums_are_kernel_calls(path):
+    # `vec_add` and `vec_sub` in lattice.py are the only entrywise sums and
+    # differences of two vectors, as `dot` is the only dot product
+    found = _inline_sums(_tree(path))
+    assert not found, f"inline vector sums: {', '.join(found)}"
+
+
+def test_vector_sum_rule_sees_an_inline_sum():
+    tree = ast.parse("def f(u, v):\n    return tuple(x - y for x, y in zip(u, v))\n"
+                     "def g(u, v):\n    return tuple(map(add, u, v))\n")
+    assert _inline_sums(tree) == ["line 2", "line 4"]
+
+
+# where an integer may be converted: the CLI's reader of JSON integers and
+# decimal strings, and the library's validator of integer arguments
+INT_ALLOWED = {("cli.py", "_read_int"), ("lattice.py", "integer_rows"),
+               ("lattice.py", "integer_vector")}
+
+
+def _int_conversions(path):
+    """(module, function) of every `int(...)` and `map(int, ...)`; module
+    level counts as the function "<module>"."""
+    module = os.path.basename(path)
+    tree = _tree(path)
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for n in ast.walk(fn):
+                owner.setdefault(id(n), fn.name)
+    found = set()
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        name = getattr(n.func, "id", None)
+        if name == "int" or (name == "map" and n.args
+                             and getattr(n.args[0], "id", None) == "int"):
+            found.add((module, owner.get(id(n), "<module>")))
+    return found
+
+
+def test_integers_are_converted_only_at_the_boundary():
+    # kernels take tuples of int by contract and never coerce: an int()
+    # inside one would truncate a float into a wrong answer and cost a
+    # Python step per entry
+    found = set().union(*map(_int_conversions, MODULES))
+    assert found <= INT_ALLOWED, f"int conversions: {sorted(found - INT_ALLOWED)}"
+    assert ("cli.py", "_read_int") in found
+
+
 def test_only_the_cli_imports_fractions():
     # exact arithmetic is integral; SVG coordinates are the one use of Fraction
     importers = set()
@@ -248,7 +318,9 @@ def test_value_classes_are_records_and_one_exec_compiles_them():
             elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
                 imports += [(module, a.name) for a in node.names]
     assert not decorated, f"dataclasses: {', '.join(decorated)}"
-    assert imports == [("lattice.py", "FrozenInstanceError")]
+    # importing dataclasses loads inspect, several ms of every command's
+    # start; Record raises the package's own FrozenInstanceError
+    assert not imports, f"dataclasses imports: {imports}"
     (record,) = [c for c in _tree(os.path.join(SRC, "lattice.py")).body
                  if isinstance(c, ast.ClassDef) and c.name == "Record"]
     (hook,) = [fn for fn in record.body

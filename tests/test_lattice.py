@@ -35,6 +35,9 @@ from semistable.lattice import (
     smith_normal_form,
     sublattice_from_vectors,
     transpose,
+    vec_add,
+    vec_neg,
+    vec_sub,
     zero_sublattice,
 )
 
@@ -385,6 +388,32 @@ def test_vector_kernel_matches_entrywise_references(case):
         _same(primitive(u), oracles.entrywise_primitive(u))
     _same(matvec(a, v), oracles.entrywise_matvec(a, v))
     _same(matmul(a, b), oracles.entrywise_matmul(a, b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_inputs())
+def test_vector_sums_mat_and_identity_match_entrywise_references(case):
+    # the kernels map `operator.add`, `sub` and `neg`, and `mat` no longer
+    # converts: on integers each equals the loop, the old `int()` of every
+    # entry included, in value and in type
+    a, v, b, scaled = case
+    for u in (v, scaled, (0,) * len(v)):
+        _same(vec_add(u, v), oracles.entrywise_vec_add(u, v))
+        _same(vec_sub(u, v), oracles.entrywise_vec_sub(u, v))
+        _same(vec_neg(u), oracles.entrywise_vec_neg(u))
+    _same(mat(a), oracles.coercing_mat(a))
+    _same(mat([list(row) for row in b]), oracles.coercing_mat(b))
+    _same(identity(len(v)), oracles.entrywise_identity(len(v)))
+
+
+def test_identity_is_memoized_per_rank_and_type():
+    assert identity(3) is identity(3)
+    _same(identity(0), ())
+    # typed: a bool or float rank never answers from an int's entry
+    assert lattice._identity.cache_parameters()["typed"]
+    with pytest.raises(TypeError):
+        identity(2.0)
+    assert lattice._identity.cache_info().maxsize == lattice.IDENTITY_MEMO_SIZE
 
 
 @pytest.mark.parametrize("v,want", [

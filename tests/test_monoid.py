@@ -678,6 +678,18 @@ def test_hilbert_basis_generates_cone_points(gens):
             assert ok == c.contains((x, y))
 
 
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * n), min_size=0, max_size=4)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_the_cone_of_a_dual_monoid_is_its_saturation_cone(gens):
+    # `AffineMonoid.cone` answers with the saturation cone, where it used to
+    # build the cone of the generators: they generate the same cone
+    n = len(gens[0]) if gens else 1
+    m = dual_monoid(Cone.from_generators(n, gens))
+    assert m.cone() is m.saturation_cone
+    assert m.cone() == Cone.from_generators(m.lattice, m.generators)
+
+
 @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                 min_size=1, max_size=4),
        st.tuples(st.integers(-5, 5), st.integers(-5, 5)))

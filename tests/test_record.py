@@ -3,7 +3,6 @@ dataclass with the same fields (`oracles.frozen_dataclass_twin`): the
 constructor's signature, equality, hashing, repr, immutability, defaults,
 `__post_init__` and cached properties, on sample instances of every record
 class of the package."""
-import dataclasses
 import inspect
 import itertools
 
@@ -34,6 +33,7 @@ from semistable.fan import (
     is_weakly_semistable,
 )
 from semistable.lattice import (
+    FrozenInstanceError,
     Lattice,
     LatticeMap,
     LatticePushout,
@@ -206,11 +206,18 @@ def test_fields_are_frozen(cls):
     x = SAMPLES[cls][0]
     before = _values(x)
     for name in (*cls._fields, "unknown"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             setattr(x, name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             delattr(x, name)
     assert _values(x) == before
+
+
+def test_frozen_instance_error_is_the_package_s_attribute_error():
+    # the package's own class, so that importing it loads no `dataclasses`;
+    # code that catches AttributeError, as for a frozen dataclass, still does
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert FrozenInstanceError.__module__ == "semistable.lattice"
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
@@ -320,5 +327,5 @@ def test_fan_morphism_assignment_is_computed_not_a_field():
         FanMorphism(f, f, lmap([[2]]), ())
     assert hash(m) == hash((m.source, m.target, m.lattice_map))
     assert m == FanMorphism(f, f, lmap([[2]]))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         m.assignment = ()
