@@ -17,7 +17,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .cone import Cone
 from .conecomplex import (
@@ -513,8 +512,8 @@ def _cmd_hilbert(args, out) -> int:
 # rendering
 
 def _svg_point(v) -> tuple[str, str]:
-    scale = Fraction(100, max(abs(x) for x in v))
-    return (f"{float(v[0] * scale):.2f}", f"{float(-v[1] * scale):.2f}")
+    m = max(abs(x) for x in v)
+    return (f"{100 * v[0] / m:.2f}", f"{-100 * v[1] / m:.2f}")
 
 
 def render_fan(f: Fan) -> str:

@@ -368,6 +368,11 @@ def image_cone(f: LatticeMap, c: Cone) -> Cone:
     return Cone.from_generators(f.codomain, [f(g) for g in c.generators()])
 
 
+def relint_owner(cones: Iterable[Cone], v: Sequence) -> Cone | None:
+    """The first of `cones` whose relative interior holds v, or None."""
+    return next((c for c in cones if c.relint_contains(v)), None)
+
+
 def preimage_cone(f: LatticeMap, c: Cone) -> Cone:
     # pull the half-space description back along f
     ft = transpose(f.matrix)

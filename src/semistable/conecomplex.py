@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from typing import Optional, Sequence
 
-from .cone import Cone, image_cone, intersect, preimage_cone, span_sublattice
+from .cone import Cone, image_cone, intersect, preimage_cone, relint_owner, span_sublattice
 from .fan import (
     Fan,
     FanMorphism,
@@ -229,6 +229,9 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
 # morphisms
 
 class ComplexMorphism(Record):
+    """Per-cell lattice maps into the assigned target cells; the image of each
+    source cell (`images`, aligned with `source.cells`) is computed here."""
+
     source: ConeComplex
     target: ConeComplex
     cell_maps: tuple[LatticeMap, ...]
@@ -238,13 +241,16 @@ class ComplexMorphism(Record):
         if len(self.cell_maps) != len(self.source.cells) or \
                 len(self.assignment) != len(self.source.cells):
             raise ComplexError("one lattice map and one target cell per source cell")
+        images = []
         for i, sigma in enumerate(self.source.cells):
             m = self.cell_maps[i]
             kappa = self.target.cells[self.assignment[i]]
             if m.domain != sigma.lattice or m.codomain != kappa.lattice:
                 raise ComplexError(f"map of cell {i} connects the wrong lattices")
-            if not kappa.contains_cone(image_cone(m, sigma)):
+            images.append(image_cone(m, sigma))
+            if not kappa.contains_cone(images[-1]):
                 raise ComplexError(f"cell {i} does not map into its assigned cell")
+        object.__setattr__(self, "images", tuple(images))
 
 
 def validate_complex_morphism(m: ComplexMorphism) -> ValidationReport:
@@ -270,7 +276,7 @@ def fan_morphism_as_complex(p: FanMorphism) -> ComplexMorphism:
     tgt_index = {c: i for i, c in enumerate(tgt.cells)}
     maps = tuple(LatticeMap(p.source.lattice, p.target.lattice,
                             p.lattice_map.matrix) for _ in src.cells)
-    assign = tuple(tgt_index[p.image_of(sigma)] for sigma in src.cells)
+    assign = tuple(tgt_index[kappa] for _, kappa in p.assignment)
     return ComplexMorphism(src, tgt, maps, assign)
 
 
@@ -293,17 +299,14 @@ def _descend(g: Gluing, a: Matrix) -> Optional[Matrix]:
 
 def _owner_face(cell: Cone, sample) -> Optional[Cone]:
     """Smallest face whose interior contains the sample; None for the cell
-    itself."""
-    if cell.relint_contains(sample):
-        return None
-    for f in cell.faces():
-        if f != cell and f.relint_contains(sample):
-            return f
-    raise ReductionError("a subdivision cell escapes its chart cell")
+    itself, which is tried first."""
+    f = relint_owner(reversed(cell.faces()), sample)
+    if f is None:
+        raise ReductionError("a subdivision cell escapes its chart cell")
+    return None if f == cell else f
 
 
-def _members(m: ComplexMorphism, images: Sequence[Cone], t: int,
-             pt: Sequence) -> tuple[Gluing, dict[int, Gluing]]:
+def _members(m: ComplexMorphism, t: int, pt: Sequence) -> tuple[Gluing, dict[int, Gluing]]:
     """The gluing g of the owner face of the point pt of target cell t, and
     for each source cell s whose image holds pt in its relative interior,
     the gluing h of s's assigned cell through which pt arrives there.
@@ -326,7 +329,7 @@ def _members(m: ComplexMorphism, images: Sequence[Cone], t: int,
     g = m.target.gluing_for(t, cell if f is None else f)
     u = _retraction(g)(pt)
     arrivals = {}
-    for s, img in enumerate(images):
+    for s, img in enumerate(m.images):
         for h in m.target.gluings_of(m.assignment[s], g.chart):
             if img.relint_contains(h.embedding(u)):
                 arrivals[s] = h
@@ -343,9 +346,7 @@ def complex_N0(m: ComplexMorphism, kappa: int, w: Sequence) -> frozenset[int]:
     for the label `reduce_complex` gives each piece, at a chosen point."""
     if not m.target.cells[kappa].contains(w):
         raise ComplexError("the sample point lies outside the target cell")
-    images = [image_cone(m.cell_maps[s], sigma)
-              for s, sigma in enumerate(m.source.cells)]
-    return frozenset(_members(m, images, kappa, w)[1])
+    return frozenset(_members(m, kappa, w)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +374,13 @@ class _CellRun(Record):
     sublattices: dict
 
 
-def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _CellRun:
+def _run_target_cell(m: ComplexMorphism, t: int) -> _CellRun:
     cell = m.target.cells[t]
     hyps = set()
     for g in m.target.gluings:
         if g.cell != t:
             continue
-        for s, img in enumerate(images):
+        for s, img in enumerate(m.images):
             for h in m.target.gluings_of(m.assignment[s], g.chart):
                 # a functional psi of the far cell moves to psi after E_h
                 # after L_g, which agrees with psi after E_h on g's face span
@@ -392,7 +393,7 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
         # every face of an image is the image of the source cell glued to
         # it (validate_complex_morphism), so a point in no image's relative
         # interior lies in no image
-        label = frozenset(_members(m, images, t, pt)[1])
+        label = frozenset(_members(m, t, pt)[1])
         if not label:
             raise ReductionError(
                 f"target cell {t} is not covered by the source images near {pt}")
@@ -409,7 +410,7 @@ def _run_target_cell(m: ComplexMorphism, t: int, images: Sequence[Cone]) -> _Cel
             continue
         # each member's image lies in the face of h, whose embedding has a
         # saturated image, so the image lattice descends to the chart exactly
-        g, arrivals = _members(m, images, t, piece.interior_sample())
+        g, arrivals = _members(m, t, piece.interior_sample())
         result = span_sublattice(piece)
         for s, h in arrivals.items():
             x = matmul(_retraction(h).matrix,
@@ -501,9 +502,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     _require(validate_complex_morphism(m), ComplexError,
              "morphism incompatible with gluings")
 
-    images = [image_cone(m.cell_maps[s], sigma)
-              for s, sigma in enumerate(m.source.cells)]
-    runs = {t: _run_target_cell(m, t, images) for t in range(len(m.target.cells))}
+    runs = {t: _run_target_cell(m, t) for t in range(len(m.target.cells))}
     _check_face_agreement(m.target, {t: runs[t].pieces for t in runs},
                           {t: runs[t].sublattices for t in runs})
 
@@ -514,7 +513,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
 
     flagged = sorted({s for t in runs for key, label in runs[t].members.items()
                       for s in label
-                      if m.source.cells[s].dim > images[s].dim})
+                      if m.source.cells[s].dim > m.images[s].dim})
 
     # subdivide every source cell by the preimages of its target subdivision
     tops = {t: Fan(m.target.cells[t].lattice, runs[t].pieces).maximal_cones()
@@ -524,15 +523,16 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     for s, sigma in enumerate(m.source.cells):
         lam = m.assignment[s]
         pmap = m.cell_maps[s]
-        parts = _cut_source_cell(sigma, pmap, images[s], tops[lam])
+        parts = _cut_source_cell(sigma, pmap, m.images[s], tops[lam])
         if not covers(sigma, parts):
             raise ReductionError(
                 f"subdivision of source cell {s} misses part of the cell")
         subs: dict = {}
         for part in parts:
-            img_sample = matvec(pmap.matrix, part.interior_sample())
-            target_piece = next(p for p in runs[lam].pieces
-                                if p.relint_contains(img_sample))
+            target_piece = relint_owner(runs[lam].pieces, pmap(part.interior_sample()))
+            if target_piece is None:
+                raise ReductionError(
+                    f"a part of source cell {s} maps into no piece of target cell {lam}")
             lands_in[(s, _key(part))] = target_piece
             q = runs[lam].sublattices[_key(target_piece)]
             subs[_key(part)] = intersect_sublattices(
@@ -609,7 +609,7 @@ def complex_weak_semistability(m: ComplexMorphism,
     for s, sigma in enumerate(m.source.cells):
         t = m.assignment[s]
         cell = m.target.cells[t]
-        img = image_cone(m.cell_maps[s], sigma)
+        img = m.images[s]
         if img not in cell.faces():
             failures.append((sigma, 1,
                              f"image of cell {s} is not a face of its target cell"))

@@ -17,6 +17,7 @@ from .cone import (
     image_cone,
     intersect,
     preimage_cone,
+    relint_owner,
     span_sublattice,
     split_by_hyperplane,
 )
@@ -208,8 +209,9 @@ def validate_stacky_fan(s: StackyFan) -> ValidationReport:
 class FanMorphism(Record):
     """Lattice map sending every source cone into some target cone.
 
-    The assignment, each source cone with its smallest containing target
-    cone, is computed here and is not a constructor argument.
+    The image of each source cone (`images`, aligned with `source.cones`)
+    and the assignment, each source cone with its smallest containing
+    target cone, are computed here and are not constructor arguments.
     """
 
     source: Fan
@@ -220,18 +222,17 @@ class FanMorphism(Record):
         if (self.lattice_map.domain != self.source.lattice
                 or self.lattice_map.codomain != self.target.lattice):
             raise FanError("lattice map does not match fan lattices")
-        pairs = []
-        for c in self.source.cones:
-            img = image_cone(self.lattice_map, c)
-            target = minimal_containing_cone(self.target, img)
-            pairs.append((c, target))
-        object.__setattr__(self, "assignment", tuple(pairs))
+        images = tuple(image_cone(self.lattice_map, c) for c in self.source.cones)
+        pairs = tuple((c, minimal_containing_cone(self.target, img))
+                      for c, img in zip(self.source.cones, images))
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "assignment", pairs)
+        object.__setattr__(self, "_assigned", dict(pairs))
 
     def image_of(self, c: Cone) -> Cone:
-        for s, t in self.assignment:
-            if s == c:
-                return t
-        raise FanError(f"cone {c.rays} is not in the source fan")
+        if c not in self._assigned:
+            raise FanError(f"cone {c.rays} is not in the source fan")
+        return self._assigned[c]
 
     def __call__(self, v: Sequence[int]) -> Vector:
         return self.lattice_map(v)
@@ -244,14 +245,12 @@ class FanMorphism(Record):
 def minimal_containing_cone(f: Fan, c: Cone) -> Cone:
     """The unique fan cone whose relative interior meets relint(c)."""
     sample = c.interior_sample()
-    for candidate in f.cones:
-        if candidate.relint_contains(sample):
-            if not candidate.contains_cone(c):
-                raise FanError(
-                    f"cone with sample {sample} straddles the fan cone {candidate.rays}"
-                )
-            return candidate
-    raise FanError(f"no fan cone contains the point {sample}")
+    candidate = relint_owner(f.cones, sample)
+    if candidate is None:
+        raise FanError(f"no fan cone contains the point {sample}")
+    if not candidate.contains_cone(c):
+        raise FanError(f"cone with sample {sample} straddles the fan cone {candidate.rays}")
+    return candidate
 
 
 class StackyMorphism(Record):
@@ -324,7 +323,7 @@ def is_proper(m: FanMorphism) -> bool:
     faces, itself a source cone; so it suffices that every maximal target
     cone is covered by the images lying inside it.
     """
-    images = {image_cone(m.lattice_map, sigma) for sigma in m.source.cones}
+    images = set(m.images)
     return all(covers(kappa, images) for kappa in m.target.maximal_cones())
 
 
@@ -408,9 +407,8 @@ def is_weakly_semistable(m) -> WeakSemistabilityReport:
         tgt_sub = lambda c: full_sublattice(m.target.lattice)
     p = under.lattice_map
     failures = []
-    for sigma in under.source.cones:
-        img = image_cone(p, sigma)
-        if img not in under.target.cones:
+    for sigma, img in zip(under.source.cones, under.images):
+        if img not in under.target:
             failures.append((sigma, 1, f"image cone {img.rays} is not in the target fan"))
             continue
         if not image_monoid_equals_cone_monoid(p, sigma, img,
@@ -490,10 +488,9 @@ def cartesian_check(p: FanMorphism, q: FanMorphism) -> CartesianReport:
     """Compare the pushout of dual monoids with the dual monoid of each
     fiber cone under the canonical identification of dual lattices.
 
-    What depends on p and q alone (`_Fiber`, and the images of q's cones)
-    is computed once per call, equal cones share one dual monoid, and the
-    legs of the entries and what the entries ask of them are computed once
-    per call (`_Legs`).
+    What depends on p and q alone (`_Fiber`) is computed once per call,
+    equal cones share one dual monoid, and the legs of the entries and what
+    the entries ask of them are computed once per call (`_Legs`).
 
     A failing entry is a proof.  A passing entry whose base dual monoid
     maps integrally into one of its legs (`integral_by_flatness`) is exact
@@ -507,12 +504,10 @@ def cartesian_check(p: FanMorphism, q: FanMorphism) -> CartesianReport:
     up, uq = dual_map(p.lattice_map), dual_map(q.lattice_map)
     fiber = _Fiber(pn, pl, up, uq, pushout_lattice(up, uq),
                    transpose(pn.matrix), transpose(pl.matrix))
-    lam_images = [(lam, q.image_of(lam)) for lam in q.source.cones]
     legs = _Legs()
     entries = []
-    for sigma in p.source.cones:
-        kappa = p.image_of(sigma)
-        for lam, image in lam_images:
+    for sigma, kappa in p.assignment:
+        for lam, image in q.assignment:
             if image != kappa:
                 continue
             ok, reason = _cartesian_triple(fiber, legs, sigma, kappa, lam)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Sequence
 
-from .cone import Cone, image_cone, preimage_cone, span_sublattice
+from .cone import Cone, preimage_cone, span_sublattice
 from .fan import (
     Fan,
     FanError,
@@ -122,7 +122,7 @@ def image_refinement(p: FanMorphism) -> tuple[Fan, list[N0Label]]:
     if not is_proper(p):
         raise ReductionError("the morphism is not proper onto the target support")
     g = p.target
-    images = [(sigma, image_cone(p.lattice_map, sigma)) for sigma in p.source.cones]
+    images = list(zip(p.source.cones, p.images))
     hyps = sorted({psi for _, img in images for psi in img.facets + img.span_equations})
 
     labels: dict = {}
@@ -168,8 +168,7 @@ def total_refinement(p: FanMorphism, base: StackyFan) -> tuple[StackyFan, Stacky
     sublattices."""
     refined_f, morph = minimal_modification(p.lattice_map, p.source, base.fan)
     sub = {}
-    for sigma in refined_f.cones:
-        kappa = morph.image_of(sigma)
+    for sigma, kappa in morph.assignment:
         q_k = base.sublattice(kappa)
         sub[sigma] = intersect_sublattices(
             preimage_sublattice(p.lattice_map, q_k), span_sublattice(sigma))
@@ -304,8 +303,7 @@ def _forced_pairs(f: FanMorphism, reduced: StackyFan, name: str,
     """Each source cone of `f` with the reduced cone it is forced to map
     into, checking that its lattice points land in that cone's sublattice."""
     pairs = []
-    for c in f.source.cones:
-        img = image_cone(f.lattice_map, c)
+    for c, img in zip(f.source.cones, f.images):
         try:
             target = minimal_containing_cone(reduced.fan, img)
         except FanError:

@@ -33,7 +33,12 @@ over the cones of a fan, the column Hermite form of a matrix without the
 memo and semistability of a morphism, which no library code calls but the
 tests use as references.  And, for each `Record` class, the frozen dataclass
 with the same fields and defaults, whose generated methods `Record`
-replaced."""
+replaced.  And the image of every source cone or cell mapped again on each
+call, the target cone of a source cone found by a scan of the assignment,
+and the three scans for the cone whose relative interior holds a point (the
+smallest fan cone holding a cone, the owner face of a point of a cell and
+the piece a source part lands in), which the images and the assignment a
+morphism keeps and the one lookup `relint_owner` replaced."""
 import dataclasses
 import functools
 import itertools
@@ -41,7 +46,7 @@ import math
 from fractions import Fraction
 
 from semistable.cone import Cone, ConeError, dual_cone, image_cone, intersect, preimage_cone
-from semistable.conecomplex import _key
+from semistable.conecomplex import ComplexMorphism, _key
 from semistable.fan import (
     PUSHOUT_TEST_LENGTH,
     CartesianReport,
@@ -90,6 +95,7 @@ from semistable.monoid import (
     hilbert_basis,
     integral_by_flatness,
 )
+from semistable.reduction import ReductionError
 
 
 def solve_integer(a, b):
@@ -726,3 +732,47 @@ def frozen_dataclass_twin(cls):
     fields = [(name, object, dataclasses.field(default=vars(cls)[name]))
               if name in vars(cls) else (name, object) for name in cls._fields]
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+def images_mapped_again(m):
+    """The image of every source cone of a fan morphism, or of every source
+    cell of a complex morphism, computed afresh."""
+    if isinstance(m, ComplexMorphism):
+        return tuple(image_cone(f, c) for f, c in zip(m.cell_maps, m.source.cells))
+    return tuple(image_cone(m.lattice_map, c) for c in m.source.cones)
+
+
+def image_of_scan(m, c):
+    """The target cone a fan morphism assigns to c, by a scan."""
+    for s, t in m.assignment:
+        if s == c:
+            return t
+    raise FanError(f"cone {c.rays} is not in the source fan")
+
+
+def minimal_containing_cone_scan(f, c):
+    """The fan cone whose relative interior holds the sample of c."""
+    sample = c.interior_sample()
+    for candidate in f.cones:
+        if candidate.relint_contains(sample):
+            if not candidate.contains_cone(c):
+                raise FanError(
+                    f"cone with sample {sample} straddles the fan cone {candidate.rays}")
+            return candidate
+    raise FanError(f"no fan cone contains the point {sample}")
+
+
+def owner_face_scan(cell, sample):
+    """The proper face of cell whose relative interior holds the sample,
+    None for the cell itself."""
+    if cell.relint_contains(sample):
+        return None
+    for f in cell.faces():
+        if f != cell and f.relint_contains(sample):
+            return f
+    raise ReductionError("a subdivision cell escapes its chart cell")
+
+
+def target_piece_scan(pieces, pt):
+    """The piece whose relative interior holds pt; StopIteration if none."""
+    return next(p for p in pieces if p.relint_contains(pt))

@@ -21,7 +21,14 @@ from semistable.conecomplex import (
     validate_complex_morphism,
 )
 from semistable.fan import Fan, FanMorphism
-from semistable.lattice import Lattice, LatticeMap, identity, mat, sublattice_from_vectors
+from semistable.lattice import (
+    Lattice,
+    LatticeMap,
+    identity,
+    mat,
+    sublattice_from_vectors,
+    vec_neg,
+)
 from semistable.monoid import BudgetExceeded
 from semistable.reduction import ReductionError, reduce
 from test_support import DOCUMENTS, drops, points, stellar
@@ -423,6 +430,30 @@ class TestMorphisms:
                             (zero_t, zero_t))
 
 
+    def test_rejects_a_map_or_a_target_cell_too_few(self):
+        cx = halfline_complex()
+        with pytest.raises(ComplexError,
+                           match="^one lattice map and one target cell per source cell$"):
+            ComplexMorphism(cx, cx, (lmap([[1]]),), (0, 1))
+
+    def test_rejects_a_map_between_other_lattices(self):
+        cx = halfline_complex()
+        with pytest.raises(ComplexError, match="^map of cell 1 connects the wrong lattices$"):
+            ComplexMorphism(cx, cx, (lmap([[1]]), lmap([[1, 0]])), (0, 1))
+
+    def test_maps_that_disagree_on_a_glued_face_are_named(self):
+        # the map of the cone (1,0),(1,1) doubled: its two glued rays keep
+        # their own maps
+        m = fan_morphism_as_complex(fix_semi())
+        assert m.source.cells[5] == cone(2, (1, 0), (1, 1))
+        maps = m.cell_maps[:5] + (lmap([[2, 2]]),)
+        report = validate_complex_morphism(
+            ComplexMorphism(m.source, m.target, maps, m.assignment))
+        assert report.violations == (
+            "maps of cells 5 and 2 disagree on the face ((1, 0),)",
+            "maps of cells 5 and 3 disagree on the face ((1, 1),)")
+
+
 class TestComplexN0:
     def test_fix_semi_interior_point(self):
         m = fan_morphism_as_complex(fix_semi())
@@ -578,6 +609,20 @@ class TestReduceComplex:
         assert cres.morphism.assignment[cell] == cres.base_owners.index(ray)
         assert cres.morphism.cell_maps[cell] == LatticeMap.identity_map(Lattice(2))
         assert cres == reduce_complex(plain)
+
+    def test_a_part_that_maps_into_no_target_piece_is_named(self, monkeypatch):
+        # fault injection: every source cell is cut into the negatives of
+        # its rays, which the target pieces do not hold, and the cover check
+        # that would catch that first is switched off
+        def negated(sigma, pmap, image, top):
+            rays = [vec_neg(r) for r in sigma.rays]
+            return Fan.from_cones(sigma.lattice, [Cone.from_generators(sigma.lattice, rays)]).cones
+
+        monkeypatch.setattr(conecomplex, "_cut_source_cell", negated)
+        monkeypatch.setattr(conecomplex, "covers", lambda cell, cones: True)
+        with pytest.raises(ReductionError,
+                           match="^a part of source cell 1 maps into no piece of target cell 1$"):
+            reduce_complex(fan_morphism_as_complex(fix_double()))
 
     def test_rejects_non_surjective(self):
         src = fan_as_complex(Fan.from_cones(1, []))

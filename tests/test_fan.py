@@ -129,6 +129,19 @@ class TestFanMorphism:
         assert m.image_of(ray) == Cone.from_generators(1, [(1,)])
         assert m.image_of(Cone.zero(2)) == Cone.zero(1)
 
+    def test_rejects_a_lattice_map_between_other_lattices(self):
+        with pytest.raises(FanError, match="^lattice map does not match fan lattices$"):
+            FanMorphism(blowup_fan(), halfline_fan(), LatticeMap.identity_map(Lattice(2)))
+
+    def test_image_of_a_cone_outside_the_source_fan(self):
+        m = semi_fixture()
+        with pytest.raises(FanError, match=r"^cone \(\(1, 2\),\) is not in the source fan$"):
+            m.image_of(cone(2, (1, 2)))
+
+    def test_minimal_containing_cone_of_a_cone_outside_the_support(self):
+        with pytest.raises(FanError, match=r"^no fan cone contains the point \(-1, 0\)$"):
+            minimal_containing_cone(quadrant_fan(), cone(2, (-1, 0)))
+
     def test_rejects_straddling(self):
         F = quadrant_fan()
         G = blowup_fan()

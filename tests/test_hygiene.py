@@ -1,6 +1,6 @@
 """Source hygiene without a lint tool: every import sits at module level,
-every module-level import is used, no float enters the exact code and no
-Fraction outside the CLI, no assert stands in for an error, the Smith form
+every module-level import is used, no float or true division enters the
+exact code and no module imports `fractions`, no assert stands in for an error, the Smith form
 is called only where its invariant factors or transforms are needed, every
 integer preimage is a `lift`, every dot product outside the lattice module
 is a call of its kernel and so is every entrywise vector sum, an integer
@@ -59,6 +59,11 @@ def test_module_level_imports_are_used(path):
 FLOAT_ALLOWED = {("cli.py", "_svg_point")}
 
 
+def _true_division(n):
+    """`a / b` or `a /= b`: on two integers it silently yields a float."""
+    return isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)
+
+
 def _float_uses(tree, module):
     allowed = set()
     for fn in ast.walk(tree):
@@ -75,6 +80,8 @@ def _float_uses(tree, module):
         elif (isinstance(n, ast.Attribute) and n.attr in ("inf", "nan")
               and isinstance(n.value, ast.Name) and n.value.id == "math"):
             found.append(f"math.{n.attr} (line {n.lineno})")
+        elif _true_division(n):
+            found.append(f"/ (line {n.lineno})")
     return found
 
 
@@ -82,6 +89,15 @@ def _float_uses(tree, module):
 def test_no_floats(path):
     found = _float_uses(_tree(path), os.path.basename(path))
     assert not found, f"floats in exact code: {', '.join(found)}"
+
+
+def test_float_rule_sees_an_inline_division():
+    tree = ast.parse("def f(a, b):\n    return a / b\n"
+                     "def g(a, b):\n    a /= b\n    return a // b\n"
+                     "def _svg_point(v):\n    return v[0] / v[1]\n")
+    assert sorted(_float_uses(tree, "sample.py")) == ["/ (line 2)", "/ (line 4)", "/ (line 7)"]
+    # the SVG coordinates are the one place a division may stand
+    assert sorted(_float_uses(tree, "cli.py")) == ["/ (line 2)", "/ (line 4)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
@@ -233,8 +249,9 @@ def test_integers_are_converted_only_at_the_boundary():
     assert ("cli.py", "_read_int") in found
 
 
-def test_only_the_cli_imports_fractions():
-    # exact arithmetic is integral; SVG coordinates are the one use of Fraction
+def test_no_module_imports_fractions():
+    # exact arithmetic is integral, and SVG coordinates divide integers:
+    # importing fractions (and with it decimal) would only slow every start
     importers = set()
     for path in MODULES:
         for node in ast.walk(_tree(path)):
@@ -242,7 +259,7 @@ def test_only_the_cli_imports_fractions():
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             if "fractions" in names:
                 importers.add(os.path.basename(path))
-    assert importers == {"cli.py"}
+    assert not importers, f"fractions imported by: {sorted(importers)}"
 
 
 def test_pushout_search_runs_only_for_entries_without_an_integral_leg():
