@@ -435,57 +435,70 @@ def _cut_source_cell(sigma: Cone, pmap: LatticeMap, image: Cone,
 
 
 def _assemble_complex(cx: ConeComplex, runs: dict) -> tuple:
-    """New complex from the per-cell subdivisions: a piece belongs to the
-    cell whose interior contains it, faces are glued through the original
-    gluings."""
-    cells = []
-    owners = []
-    index: dict = {}
-    for t in range(len(cx.cells)):
+    """New complex from the per-cell subdivisions, glued through the old
+    gluings where neighbouring charts agree on each glued face, in pieces
+    and sublattices.  Returns the complex, the old cell of each new cell,
+    and for each (cell, piece key) the gluing of the piece's owner face
+    (None when the cell owns it) and the new cell it is a copy of.  The
+    pieces of a cell must cover it and be closed under faces.
+
+    One walk finds each piece's owner face.  An owned piece becomes a cell;
+    every other piece, and every piece of a cell glued whole from another
+    chart, moves through the gluing g of its owner face.  It must land on a
+    piece owned by g's chart whose sublattice E_g carries onto its own, and
+    the pieces landing through g must be all the pieces that chart owns.
+
+    That suffices on complexes that pass validate_complex.  Let g glue the
+    face F of cell t from chart c, h a piece inside F, and g' glue h's
+    owner face F' from c'.  By composites the copy of F' in c is glued by
+    some s from c' with E_g E_s = E_g'.  h lands through g' on a piece h'
+    of c', and the pieces of c landing through s are all those c' owns, so
+    E_s h', whose image under E_g is h, is a piece of c, with the sublattice
+    E_g carries onto h's.  Conversely a piece of c that c owns lands on t
+    through g; one owned by a proper face K of c lands on the chart that
+    also glues E_g K, and E_g carries it onto a piece of t as above.
+    """
+    cells: list = []
+    owners: list = []
+    owned: dict = {}  # chart: {piece key: new cell}
+    glued: dict = {}
+    landing: dict = {}  # (cell, owner face): its gluing, the pieces moved through it
+    for t, cell in enumerate(cx.cells):
         for piece in runs[t].pieces:
-            if _owner_face(cx.cells[t], piece.interior_sample()) is None:
-                index[(t, _key(piece))] = len(cells)
+            f = _owner_face(cell, piece.interior_sample())
+            g = cx.gluing_for(t, cell if f is None else f)
+            if f is None:
+                glued[(t, _key(piece))] = (None, len(cells))
+                owned.setdefault(t, {})[_key(piece)] = len(cells)
                 cells.append(piece)
                 owners.append(t)
+                if g.chart == t:
+                    continue
+            moved = landing.setdefault((t, g.face), (g, {}))[1]
+            moved[_key(image_cone(_retraction(g), piece))] = piece
+
+    for (t, face), (g, moved) in landing.items():
+        chart = owned.get(g.chart, {})
+        if moved.keys() != chart.keys():
+            raise ReductionError(
+                f"subdivisions disagree on the face pair "
+                f"({t}, {face.rays}) / chart {g.chart}")
+        for key, piece in moved.items():
+            lifted = image_lattice(g.embedding, runs[g.chart].sublattices[key])
+            if lifted.basis != runs[t].sublattices[_key(piece)].basis:
+                raise ReductionError(
+                    f"sublattices disagree on the face pair "
+                    f"({t}, {face.rays}) / chart {g.chart}")
+            if face != cx.cells[t]:
+                glued[(t, _key(piece))] = (g, chart[key])
 
     gl = []
     for new_idx, (piece, t) in enumerate(zip(cells, owners)):
         ident = LatticeMap.identity_map(cx.cells[t].lattice)
         for h in piece.faces():
-            f = _owner_face(cx.cells[t], h.interior_sample())
-            if f is None:
-                gl.append(Gluing(new_idx, h, index[(t, _key(h))], ident))
-                continue
-            orig = cx.gluing_for(t, f)
-            h_chart = image_cone(_retraction(orig), h)
-            chart_idx = index.get((orig.chart, _key(h_chart)))
-            if chart_idx is None:
-                raise ReductionError(
-                    f"subdivisions disagree on the face pair "
-                    f"({t}, {f.rays}) / chart {orig.chart}")
-            gl.append(Gluing(new_idx, h, chart_idx, orig.embedding))
-    return ConeComplex(tuple(cells), tuple(gl)), tuple(owners), index
-
-
-def _check_face_agreement(cx: ConeComplex, pieces: dict, subs: dict) -> None:
-    """The subdivision and sublattices computed inside a cell must restrict,
-    on every glued face, to the ones computed in the face's own chart."""
-    for g in cx.gluings:
-        if g.chart == g.cell and g.face == cx.cells[g.cell]:
-            continue
-        inside = [p for p in pieces[g.cell] if g.face.contains_cone(p)]
-        moved = {_key(image_cone(_retraction(g), p)): p for p in inside}
-        chart_keys = {_key(p) for p in pieces[g.chart]}
-        if set(moved) != chart_keys:
-            raise ReductionError(
-                f"subdivisions disagree on the face pair "
-                f"({g.cell}, {g.face.rays}) / chart {g.chart}")
-        for key, p in moved.items():
-            lifted = image_lattice(g.embedding, subs[g.chart][key])
-            if lifted.basis != subs[g.cell][_key(p)].basis:
-                raise ReductionError(
-                    f"sublattices disagree on the face pair "
-                    f"({g.cell}, {g.face.rays}) / chart {g.chart}")
+            g, j = glued[(t, _key(h))]
+            gl.append(Gluing(new_idx, h, j, ident if g is None else g.embedding))
+    return ConeComplex(tuple(cells), tuple(gl)), tuple(owners), glued
 
 
 def _require(report: ValidationReport, error: type, what: str) -> None:
@@ -503,10 +516,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
              "morphism incompatible with gluings")
 
     runs = {t: _run_target_cell(m, t) for t in range(len(m.target.cells))}
-    _check_face_agreement(m.target, {t: runs[t].pieces for t in runs},
-                          {t: runs[t].sublattices for t in runs})
-
-    base_cx, base_owners, base_index = _assemble_complex(m.target, runs)
+    base_cx, base_owners, base_glued = _assemble_complex(m.target, runs)
     _require(validate_complex(base_cx), ReductionError, "glued base complex invalid")
     base_subs = tuple(runs[t].sublattices[_key(piece)]
                       for piece, t in zip(base_cx.cells, base_owners))
@@ -519,7 +529,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     tops = {t: Fan(m.target.cells[t].lattice, runs[t].pieces).maximal_cones()
             for t in runs}
     src_runs: dict = {}
-    lands_in: dict = {}  # (source cell, part): the target piece it maps into
+    lands_in: dict = {}  # (source cell, part): the target piece it maps into, by key
     for s, sigma in enumerate(m.source.cells):
         lam = m.assignment[s]
         pmap = m.cell_maps[s]
@@ -533,15 +543,13 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
             if target_piece is None:
                 raise ReductionError(
                     f"a part of source cell {s} maps into no piece of target cell {lam}")
-            lands_in[(s, _key(part))] = target_piece
+            lands_in[(s, _key(part))] = _key(target_piece)
             q = runs[lam].sublattices[_key(target_piece)]
             subs[_key(part)] = intersect_sublattices(
                 preimage_sublattice(pmap, q), span_sublattice(part))
         src_runs[s] = _CellRun(parts, {}, subs)
 
-    _check_face_agreement(m.source, {s: src_runs[s].pieces for s in src_runs},
-                          {s: src_runs[s].sublattices for s in src_runs})
-    total_cx, total_owners, total_index = _assemble_complex(m.source, src_runs)
+    total_cx, total_owners, _ = _assemble_complex(m.source, src_runs)
     _require(validate_complex(total_cx), ReductionError, "glued total complex invalid")
     total_subs = tuple(src_runs[s].sublattices[_key(piece)]
                        for piece, s in zip(total_cx.cells, total_owners))
@@ -551,26 +559,23 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     for piece, s in zip(total_cx.cells, total_owners):
         lam = m.assignment[s]
         pmap = m.cell_maps[s]
-        target_piece = lands_in[(s, _key(piece))]
-        f = _owner_face(m.target.cells[lam], target_piece.interior_sample())
-        if f is None:
+        orig, j = base_glued[(lam, lands_in[(s, _key(piece))])]
+        if orig is None:
             maps.append(pmap)
-            assign.append(base_index[(lam, _key(target_piece))])
+            assign.append(j)
             continue
-        orig = m.target.gluing_for(lam, f)
         descended = _descend(orig, pmap.matrix)
         if descended is not None:
-            chart_piece = image_cone(_retraction(orig), target_piece)
             maps.append(LatticeMap(pmap.domain,
                                    m.target.cells[orig.chart].lattice, descended))
-            assign.append(base_index[(orig.chart, _key(chart_piece))])
+            assign.append(j)
             continue
         # the map does not descend to the face chart: fall back to the
         # smallest cell of lam's own subdivision containing the image
         img = image_cone(pmap, piece)
-        candidates = [(p.dim, p.rays, p.lines, base_index[(lam, _key(p))])
-                      for p in runs[lam].pieces
-                      if (lam, _key(p)) in base_index and p.contains_cone(img)]
+        candidates = [(p.dim, p.rays, p.lines, i)
+                      for i, (p, t) in enumerate(zip(base_cx.cells, base_owners))
+                      if t == lam and p.contains_cone(img)]
         if not candidates:
             raise ReductionError(
                 f"no target cell of the refined base receives total cell {s}")

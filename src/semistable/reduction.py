@@ -74,8 +74,8 @@ def refine_cell(cell: Cone, functionals: Sequence[Vector],
     The cell is cut by the functionals and every piece is labelled at an
     interior sample, then again one ray further in, so a label that changes
     inside a piece is caught.  The pieces of each label merge into their
-    hull, which must be convex, stay inside the cell and be a union of
-    pieces with that label.  Returns the face closure of the hulls, each
+    hull, which must be convex and be a union of pieces with that label; it
+    lies in the cell, which is convex and holds every piece.  Returns the face closure of the hulls, each
     face with its label, verified the same way.
     """
     def label(c: Cone) -> Hashable:
@@ -100,8 +100,6 @@ def refine_cell(cell: Cone, functionals: Sequence[Vector],
         hull = Cone.from_generators(cell.lattice, gens)
         if not hull.is_strictly_convex:
             raise ReductionError(f"a label region of {where} is not convex")
-        if not cell.contains_cone(hull):
-            raise ReductionError(f"a label hull escapes {where}")
         if mixed(hull, lab):
             raise ReductionError(f"a label region of {where} is not a union of cells")
         hulls.append(hull)

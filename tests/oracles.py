@@ -38,7 +38,11 @@ call, the target cone of a source cone found by a scan of the assignment,
 and the three scans for the cone whose relative interior holds a point (the
 smallest fan cone holding a cone, the owner face of a point of a cell and
 the piece a source part lands in), which the images and the assignment a
-morphism keeps and the one lookup `relint_owner` replaced."""
+morphism keeps and the one lookup `relint_owner` replaced.  And the face
+agreement check of `reduce_complex` on every gluing, each piece inside the
+glued face found by a containment scan, which the walk of
+`_assemble_complex` through the gluing of each piece's owner face
+replaced."""
 import dataclasses
 import functools
 import itertools
@@ -46,7 +50,7 @@ import math
 from fractions import Fraction
 
 from semistable.cone import Cone, ConeError, dual_cone, image_cone, intersect, preimage_cone
-from semistable.conecomplex import ComplexMorphism, _key
+from semistable.conecomplex import ComplexMorphism, _key, _retraction
 from semistable.fan import (
     PUSHOUT_TEST_LENGTH,
     CartesianReport,
@@ -776,3 +780,25 @@ def owner_face_scan(cell, sample):
 def target_piece_scan(pieces, pt):
     """The piece whose relative interior holds pt; StopIteration if none."""
     return next(p for p in pieces if p.relint_contains(pt))
+
+
+def check_face_agreement(cx, pieces, subs):
+    """The subdivision and sublattices computed inside a cell must restrict,
+    on every glued face but the identity self-gluings, to the ones computed
+    in the face's own chart; raises ReductionError where they do not."""
+    for g in cx.gluings:
+        if g.chart == g.cell and g.face == cx.cells[g.cell]:
+            continue
+        inside = [p for p in pieces[g.cell] if g.face.contains_cone(p)]
+        moved = {_key(image_cone(_retraction(g), p)): p for p in inside}
+        chart_keys = {_key(p) for p in pieces[g.chart]}
+        if set(moved) != chart_keys:
+            raise ReductionError(
+                f"subdivisions disagree on the face pair "
+                f"({g.cell}, {g.face.rays}) / chart {g.chart}")
+        for key, p in moved.items():
+            lifted = image_lattice(g.embedding, subs[g.chart][key])
+            if lifted.basis != subs[g.cell][_key(p)].basis:
+                raise ReductionError(
+                    f"sublattices disagree on the face pair "
+                    f"({g.cell}, {g.face.rays}) / chart {g.chart}")

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,12 +8,17 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from semistable import conecomplex, monoid
 from semistable.cli import DocumentError, load_document
-from semistable.cone import Cone
+from semistable.cone import Cone, relint_owner, span_sublattice
 from semistable.conecomplex import (
     ComplexError,
     ComplexMorphism,
     ConeComplex,
     Gluing,
+    _assemble_complex,
+    _CellRun,
+    _cut_source_cell,
+    _key,
+    _run_target_cell,
     complex_N0,
     complex_weak_semistability,
     fan_as_complex,
@@ -20,12 +27,14 @@ from semistable.conecomplex import (
     validate_complex,
     validate_complex_morphism,
 )
-from semistable.fan import Fan, FanMorphism
+from semistable.fan import Fan, FanMorphism, decompose_by_hyperplanes
 from semistable.lattice import (
     Lattice,
     LatticeMap,
     identity,
+    intersect_sublattices,
     mat,
+    preimage_sublattice,
     sublattice_from_vectors,
     vec_neg,
 )
@@ -687,3 +696,350 @@ class TestWeakSemistability:
                                             cres.total.sublattices,
                                             cres.base.sublattices)
         assert report
+
+
+def doubled(sub):
+    return sublattice_from_vectors(sub.ambient,
+                                   [tuple(2 * x for x in v) for v in sub.vectors()])
+
+
+def corrupting_runs(monkeypatch, cell, change):
+    """Make _run_target_cell hand `change(run)` back for target cell `cell`."""
+    run_target_cell = conecomplex._run_target_cell
+
+    def corrupted(m, t):
+        run = run_target_cell(m, t)
+        return change(run) if t == cell else run
+    monkeypatch.setattr(conecomplex, "_run_target_cell", corrupted)
+
+
+class TestReduceComplexFailures:
+    """Each failure branch of reduce_complex, reached by an invalid input or
+    by corrupting the stage that feeds it; fix_subdiv's target cells are
+    the origin, (0,1), (1,0) and the quadrant."""
+
+    def test_invalid_source_complex(self):
+        m = fan_morphism_as_complex(fix_double())
+        source = ConeComplex(m.source.cells, m.source.gluings[1:])
+        with pytest.raises(ComplexError, match=r"^source complex invalid: "
+                           r"face \(\) of cell 0 is not glued$"):
+            reduce_complex(ComplexMorphism(source, m.target, m.cell_maps, m.assignment))
+
+    def test_invalid_target_complex(self):
+        m = fan_morphism_as_complex(fix_double())
+        target = ConeComplex(m.target.cells, m.target.gluings[1:])
+        with pytest.raises(ComplexError, match=r"^target complex invalid: "
+                           r"face \(\) of cell 0 is not glued$"):
+            reduce_complex(ComplexMorphism(m.source, target, m.cell_maps, m.assignment))
+
+    @pytest.mark.parametrize("side,name", [(0, "base"), (1, "total")])
+    def test_invalid_glued_complex(self, monkeypatch, side, name):
+        # the last gluing of the glued base (first call) or total (second)
+        # complex goes missing
+        assemble = conecomplex._assemble_complex
+        calls = []
+
+        def dropping(cx, runs):
+            glued, owners, table = assemble(cx, runs)
+            calls.append(cx)
+            if len(calls) == side + 1:
+                glued = ConeComplex(glued.cells, glued.gluings[:-1])
+            return glued, owners, table
+        monkeypatch.setattr(conecomplex, "_assemble_complex", dropping)
+        with pytest.raises(ReductionError, match=rf"^glued {name} complex invalid: "
+                           r"face \(\(1,\),\) of cell 1 is not glued$"):
+            reduce_complex(fan_morphism_as_complex(fix_double()))
+
+    def test_a_source_cell_left_partly_uncut(self, monkeypatch):
+        # the largest part of every source cell but the origin goes missing
+        cut = conecomplex._cut_source_cell
+
+        def short(sigma, pmap, image, top):
+            parts = cut(sigma, pmap, image, top)
+            return parts[:-1] if sigma.dim else parts
+        monkeypatch.setattr(conecomplex, "_cut_source_cell", short)
+        with pytest.raises(ReductionError,
+                           match="^subdivision of source cell 1 misses part of the cell$"):
+            reduce_complex(fan_morphism_as_complex(fix_double()))
+
+    def test_no_base_cell_receives_a_total_cell(self, monkeypatch):
+        # the half line loses its ray piece, so no base cell it owns holds
+        # the image of (1,0), whose map does not descend to the origin's
+        # chart; the cover check that would catch the half line's source
+        # cell first is switched off
+        corrupting_runs(monkeypatch, 0, lambda run: _CellRun(
+            run.pieces[:-1], run.members, run.sublattices))
+        monkeypatch.setattr(conecomplex, "covers", lambda cell, cones: True)
+        with pytest.raises(ReductionError, match="^no target cell of the refined "
+                           "base receives total cell 0$"):
+            reduce_complex(ray_collapsed_over_halfline())
+
+    def test_doubled_total_sublattices_are_not_weakly_semistable(self, monkeypatch):
+        preimage = conecomplex.preimage_sublattice
+        monkeypatch.setattr(conecomplex, "preimage_sublattice",
+                            lambda f, q: doubled(preimage(f, q)))
+        with pytest.raises(ReductionError, match=(
+                "^reduced complex morphism is not weakly semistable: lattice "
+                "points of cell 1 do not cover the lattice points of its image$")):
+            reduce_complex(fan_morphism_as_complex(fix_double()))
+
+    def test_sublattices_disagree_on_a_glued_face(self, monkeypatch):
+        ray = _key(cone(2, (1, 0)))
+        corrupting_runs(monkeypatch, 3, lambda run: _CellRun(
+            run.pieces, run.members,
+            {**run.sublattices, ray: doubled(run.sublattices[ray])}))
+        with pytest.raises(ReductionError, match=r"^sublattices disagree on the "
+                           r"face pair \(3, \(\(1, 0\),\)\) / chart 2$"):
+            reduce_complex(fan_morphism_as_complex(fix_subdiv()))
+
+    def test_subdivisions_disagree_on_a_glued_face(self, monkeypatch):
+        # the ray cell (1,0) keeps only its origin
+        corrupting_runs(monkeypatch, 2, lambda run: _CellRun(
+            run.pieces[:-1], run.members, run.sublattices))
+        with pytest.raises(ReductionError, match=r"^subdivisions disagree on the "
+                           r"face pair \(3, \(\(1, 0\),\)\) / chart 2$"):
+            reduce_complex(fan_morphism_as_complex(fix_subdiv()))
+
+
+# ---------------------------------------------------------------------------
+# the gluing walk of _assemble_complex against the check on every gluing
+
+def source_runs(m, runs):
+    """The source cells cut as reduce_complex cuts them, with their
+    sublattices."""
+    out = {}
+    for s, sigma in enumerate(m.source.cells):
+        lam, pmap = m.assignment[s], m.cell_maps[s]
+        run = runs[lam]
+        top = Fan(m.target.cells[lam].lattice, run.pieces).maximal_cones()
+        parts = _cut_source_cell(sigma, pmap, m.images[s], top)
+        subs = {}
+        for part in parts:
+            piece = relint_owner(run.pieces, pmap(part.interior_sample()))
+            subs[_key(part)] = intersect_sublattices(
+                preimage_sublattice(pmap, run.sublattices[_key(piece)]),
+                span_sublattice(part))
+        out[s] = _CellRun(parts, {}, subs)
+    return out
+
+
+def walked_sides():
+    """(complex, runs) for the target and the source side of every stored
+    morphism of source rank at most 3 whose target cells reduce, and of the
+    two glued fixtures."""
+    morphisms = {}
+    for path in DOCUMENTS:
+        with open(path) as fh:
+            try:
+                kind, m = load_document(fh.read(), ("fan_morphism", "complex_morphism"))
+            except DocumentError:
+                continue
+        if kind == "fan_morphism":
+            m = fan_morphism_as_complex(m)
+        morphisms[m] = None
+    morphisms.update({two_copies_morphism(): None, ray_collapsed_over_halfline(): None})
+    sides = []
+    for m in morphisms:
+        if max(c.lattice.rank for c in m.source.cells) > 3:
+            continue
+        try:
+            runs = {t: _run_target_cell(m, t) for t in range(len(m.target.cells))}
+        except ReductionError:
+            continue
+        sides += [(m.target, runs), (m.source, source_runs(m, runs))]
+    return sides
+
+
+def corrupt(data, cell, run, kind):
+    """run left alone, or with one sublattice doubled, the subdivision
+    replaced by the cell's faces (coarser) or cut once more by a drawn
+    functional (finer), or one maximal piece dropped; the pieces stay closed
+    under faces."""
+    pieces, subs = run.pieces, dict(run.sublattices)
+    if kind == "double":
+        key = _key(data.draw(st.sampled_from(pieces)))
+        subs[key] = doubled(subs[key])
+    elif kind == "coarser":
+        pieces = tuple(cell.faces())
+        subs = {_key(f): subs.get(_key(f), span_sublattice(f)) for f in pieces}
+    elif kind == "finer" and cell.lattice.rank:
+        u = data.draw(st.tuples(*[st.integers(-2, 2)] * cell.lattice.rank))
+        cut = [c for p in Fan(cell.lattice, pieces).maximal_cones()
+               for c in decompose_by_hyperplanes(p, [u])]
+        old = sorted(pieces, key=lambda p: p.dim)
+        pieces = Fan.from_cones(cell.lattice, cut).cones
+        subs = {_key(p): subs.get(_key(p)) or intersect_sublattices(
+                    run.sublattices[_key(relint_owner(old, p.interior_sample()))],
+                    span_sublattice(p))
+                for p in pieces}
+    elif kind == "drop":
+        top = data.draw(st.sampled_from(Fan(cell.lattice, pieces).maximal_cones()))
+        pieces = tuple(p for p in pieces if p != top)
+        del subs[_key(top)]
+    return _CellRun(pieces, run.members, subs)
+
+
+KINDS = ["valid", "double", "coarser", "finer", "drop"]
+
+
+def cells_to_corrupt(cx, runs, kind):
+    """The cells where `kind` can change what a neighbour sees, among the
+    proper faces of other cells: the subdivided ones for a coarser
+    subdivision, those of dimension 2 or more (a linear cut splits no ray)
+    for a finer one, and the largest ones otherwise."""
+    faces = {g.chart for g in cx.gluings if g.face != cx.cells[g.cell]}
+    if kind == "coarser":
+        return sorted(t for t in faces
+                      if len(runs[t].pieces) != len(cx.cells[t].faces()))
+    top = max((cx.cells[t].dim for t in faces), default=0)
+    if kind == "finer" and top < 2:
+        return []
+    return sorted(t for t in faces if cx.cells[t].dim == top)
+
+
+def test_owner_walk_agrees_with_the_check_on_every_gluing():
+    sides = walked_sides()
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        # half the time a side, and then a cell, where the corruption can show
+        kind = data.draw(st.sampled_from(KINDS))
+        useful = [side for side in sides if cells_to_corrupt(*side, kind)]
+        cx, runs = data.draw(st.sampled_from(useful if useful and data.draw(st.booleans())
+                                             else sides))
+        cells = cells_to_corrupt(cx, runs, kind)
+        t = data.draw(st.sampled_from(cells) if cells and data.draw(st.booleans())
+                      else st.integers(0, len(cx.cells) - 1))
+        runs = {**runs, t: corrupt(data, cx.cells[t], runs[t], kind)}
+        try:
+            oracles.check_face_agreement(cx, {s: r.pieces for s, r in runs.items()},
+                                         {s: r.sublattices for s, r in runs.items()})
+            agree = True
+        except ReductionError:
+            agree = False
+        try:
+            _assemble_complex(cx, runs)
+            walked = True
+        except ReductionError:
+            walked = False
+        assert walked == agree
+        outcomes.add((kind, agree))
+
+    check()
+    # 40 sides of 20 morphisms when written
+    assert len(sides) >= 40
+    assert ("valid", False) not in outcomes
+    assert outcomes >= {("valid", True)} | {(kind, False) for kind in KINDS[1:]}
+
+
+@pytest.mark.parametrize("m", [fan_morphism_as_complex(fix_subdiv()),
+                               two_copies_morphism(),
+                               ray_collapsed_over_halfline()],
+                         ids=["fix_subdiv", "two_copies", "ray_collapsed"])
+def test_walk_finds_each_owner_face_once(monkeypatch, m):
+    """_owner_face at most once per piece in each walk and never after the
+    last one, in the map loop; no containment test in a walk."""
+    events = []
+    owner_face, assemble = conecomplex._owner_face, conecomplex._assemble_complex
+    contains_cone = Cone.contains_cone
+
+    def owner_spy(cell, sample):
+        events.append("owner")
+        return owner_face(cell, sample)
+
+    def contains_spy(self, other):
+        events.append("contains")
+        return contains_cone(self, other)
+
+    def assemble_spy(cx, runs):
+        events.append("walk")
+        out = assemble(cx, runs)
+        events.append(sum(len(run.pieces) for run in runs.values()))
+        return out
+
+    monkeypatch.setattr(conecomplex, "_owner_face", owner_spy)
+    monkeypatch.setattr(conecomplex, "_assemble_complex", assemble_spy)
+    monkeypatch.setattr(Cone, "contains_cone", contains_spy)
+    reduce_complex(m)
+    starts = [i for i, e in enumerate(events) if e == "walk"]
+    assert len(starts) == 2
+    for i in starts:
+        end = next(j for j in range(i, len(events)) if isinstance(events[j], int))
+        assert "contains" not in events[i:end]
+        assert 0 < events[i:end].count("owner") <= events[end]
+    assert "owner" not in events[end:]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's independent referee on reduce_complex
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, imported by path; its own imports (`families`)
+    resolve in perfbench/."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(PERFBENCH)
+    return module
+
+
+REFEREE = perfbench_module("check")
+COMPLEX_REDUCE = perfbench_module("workloads").COMPLEX_REDUCE
+
+
+def referee_output(cres, m):
+    """A reduction in the form the referee reads (as perfbench's worker
+    writes it)."""
+    def subs(s):
+        return [list(v) for v in s.vectors()]
+
+    def rays(c):
+        return [list(r) for r in c.rays]
+
+    base = [{"rank": c.lattice.rank, "rays": rays(c), "sub": subs(s)}
+            for c, s in zip(cres.base.complex.cells, cres.base.sublattices)]
+    total = [{"rank": c.lattice.rank, "rays": rays(c), "sub": subs(s), "owner": o,
+              "map": [list(r) for r in f.matrix], "assign": a}
+             for c, s, o, f, a in zip(cres.total.complex.cells, cres.total.sublattices,
+                                      cres.total_owners, cres.morphism.cell_maps,
+                                      cres.morphism.assignment)]
+    source = [{"rank": c.lattice.rank, "rays": rays(c)} for c in m.source.cells]
+    return {"base": base, "total": total, "source": source}
+
+
+def referee_case(spec):
+    """The referee's output form of reduce_complex on a benchmark operation."""
+    name, kind = ((spec["family"], "fan_morphism") if "family" in spec
+                  else (spec["complex"], "complex_morphism"))
+    with open(os.path.join(PERFBENCH, "inputs", f"{name}.json")) as fh:
+        m = load_document(fh.read(), (kind,))[1]
+    if kind == "fan_morphism":
+        m = fan_morphism_as_complex(m)
+    return referee_output(reduce_complex(m), m)
+
+
+@pytest.mark.parametrize("spec", COMPLEX_REDUCE, ids=[s["name"] for s in COMPLEX_REDUCE])
+def test_referee_accepts_reduce_complex(spec):
+    assert REFEREE.check_complex_reduction(spec, referee_case(spec)) == []
+
+
+# the glued complexes, where the walk matches pieces across different charts
+GLUED = [s for s in COMPLEX_REDUCE if "complex" in s]
+
+
+@pytest.mark.parametrize("spec", GLUED, ids=[s["name"] for s in GLUED])
+def test_referee_rejects_a_doubled_total_sublattice(spec):
+    # the largest total cell, whose image is not the origin
+    out = referee_case(spec)
+    cell = max(out["total"], key=lambda t: len(t["sub"]))
+    cell["sub"] = [[2 * x for x in v] for v in cell["sub"]]
+    assert REFEREE.check_complex_reduction(spec, out)

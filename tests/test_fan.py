@@ -11,6 +11,7 @@ from semistable.fan import (
     FanMorphism,
     StackyFan,
     StackyMorphism,
+    _fiber_cone,
     _pushout_injective_bounded,
     base_change_along_alteration,
     cartesian_check,
@@ -32,13 +33,17 @@ from semistable.lattice import (
     Lattice,
     LatticeMap,
     det,
+    dual_map,
     fiber_product_lattice,
     full_sublattice,
     mat,
+    matvec,
     preimage_sublattice,
+    pushout_lattice,
     sublattice_from_vectors,
+    transpose,
 )
-from semistable.monoid import BudgetExceeded
+from semistable.monoid import BudgetExceeded, dual_monoid
 from semistable.reduction import reduce
 
 
@@ -49,6 +54,18 @@ def lmap(rows):
 
 def cone(rank, *gens):
     return Cone.from_generators(rank, gens)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def pointed_cones(draw, rank):
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), max_size=3))
+    c = Cone.from_generators(rank, gens)
+    return c if c.is_strictly_convex else Cone.zero(rank)
 
 
 # fixture fans -------------------------------------------------------------
@@ -503,6 +520,28 @@ class TestCartesian:
         p = FanMorphism(f, f, lmap([[kp]]))
         q = FanMorphism(f, f, lmap([[kq]]))
         assert _entry_rays(cartesian_check(p, q)) == entries
+
+    # the claims of the two proofs above, on which _cartesian_triple relies
+    # without checking them
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_pushout_and_fiber_lattice_have_one_rank(self, data):
+        k, n, l = (data.draw(st.integers(1, 3)) for _ in range(3))
+        p, q = (lmap(data.draw(matrices(k, cols))) for cols in (n, l))
+        _, pn, _ = fiber_product_lattice(p, q)
+        assert pushout_lattice(dual_map(p), dual_map(q)).lattice.rank == pn.domain.rank
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_restricted_dual_monoids_lie_in_the_fiber_dual_monoid(self, data):
+        k, n, l = (data.draw(st.integers(1, 3)) for _ in range(3))
+        p, q = (lmap(data.draw(matrices(k, cols))) for cols in (n, l))
+        sigma, lam = data.draw(pointed_cones(n)), data.draw(pointed_cones(l))
+        _, pn, pl = fiber_product_lattice(p, q)
+        fiber = dual_monoid(_fiber_cone(pn, pl, sigma, lam))
+        for proj, c in ((pn, sigma), (pl, lam)):
+            for g in dual_monoid(c).generators:
+                assert fiber.contains(matvec(transpose(proj.matrix), g))
 
     def test_blowup_chart_identifies_pushout_classes(self):
         quad = quadrant_fan()

@@ -1,9 +1,10 @@
-"""Rank-3 and rank-4 regression, and properties of the pipeline on random
+"""Rank-3 to rank-5 regression, and properties of the pipeline on random
 projections of rank 1 to 3.  Fixed cases: S is the star subdivision of the positive
 octant at c = (1, 1, 1), mapped onto the ray by (1, 1, 1) and onto the
 quadrant by [[1, 1, 0], [0, 1, 2]]; S^4 is the star subdivision of the
 positive 4-orthant at (1, 1, 1, 1), mapped onto the quadrant by
-[[1, 1, 0, 0], [0, 0, 1, 1]]."""
+[[1, 1, 0, 0], [0, 0, 1, 1]], and S^5 that of the positive 5-orthant at
+(1, 1, 1, 1, 1), mapped onto it by [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]]."""
 import io
 import json
 import os
@@ -42,7 +43,8 @@ def test_cli_reduce_matches_golden_file():
         assert out.getvalue() == fh.read()
 
 
-@pytest.mark.parametrize("name,base,total", [("s_quad", 8, 30), ("s4_quad", 6, 62)])
+@pytest.mark.parametrize("name,base,total", [("s_quad", 8, 30), ("s4_quad", 6, 62),
+                                             ("s5_quad", 6, 142)])
 def test_cli_reduce_matches_golden_file_with_cone_counts(name, base, total):
     out = io.StringIO()
     assert main(["reduce", "--input", os.path.join(DATA, f"{name}.json")], out=out) == 0
@@ -79,7 +81,7 @@ def assert_pipelines_agree(reduced, cres):
         assert total[c].basis == reduced.total.sublattice(c).basis
 
 
-@pytest.mark.parametrize("name", ["s_quad", "s4_quad"])
+@pytest.mark.parametrize("name", ["s_quad", "s4_quad", "s5_quad"])
 def test_both_pipelines_reach_the_golden_file_without_hilbert_bases(name, monkeypatch):
     # the lattice certificate decides weak semistability of every cone
     def no_hilbert_basis(*args):

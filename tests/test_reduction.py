@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from semistable.cone import Cone, span_sublattice
 from semistable.fan import (
     Fan,
     FanMorphism,
     StackyMorphism,
+    decompose_by_hyperplanes,
     is_modification,
     is_representable,
     is_weakly_semistable,
@@ -106,6 +108,22 @@ class TestImageRefinement:
         from semistable.cone import image_cone
         images = [(s, image_cone(p.lattice_map, s)) for s in p.source.cones]
         assert _n0_at((2, 1), images) != _n0_at((1, 2), images)
+
+
+# refine_cell does not check that a label hull stays in the cell: it is the
+# hull of pieces of the cell, and the cell is convex.  The claim it rests on
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_hull_of_pieces_stays_in_the_cell(data):
+    rank = data.draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * rank)
+    cell = Cone.from_generators(rank, data.draw(st.lists(vectors, max_size=4)))
+    assume(cell.is_strictly_convex)
+    pieces = decompose_by_hyperplanes(cell, data.draw(st.lists(vectors, max_size=3)))
+    assert all(cell.contains_cone(p) for p in pieces)
+    chosen = data.draw(st.lists(st.sampled_from(pieces), min_size=1))
+    hull = Cone.from_generators(rank, [g for p in chosen for g in p.generators()])
+    assert cell.contains_cone(hull)
 
 
 class TestBaseLattices:
