@@ -3,14 +3,16 @@ faces, together with morphisms of complexes and the chart-local version of
 the reduction pipeline.
 
 A complex stores no ambient lattice.  Every crossing of a gluing, for
-points, functionals, sublattice vectors, map columns and cones inside a
-face, is a product with the gluing's embedding or with its retraction (the
-left inverse, taken from one Hermite form per distinct embedding when a
-gluing with it is first crossed),
-so the fan case (all charts equal to one ambient lattice, identity
-embeddings) is recovered exactly.  A point crosses into another cell only
-through the gluing of its owner face, the face whose relative interior
-holds it (see `_members`).  `validate_complex` checks that composites of
+cones inside a face, sublattices and map columns, is a product with the
+gluing's embedding or with its retraction (the left inverse, taken from
+one Hermite form per distinct embedding when a gluing with it is first
+crossed), so the fan case (all charts equal to one ambient lattice,
+identity embeddings) is recovered exactly.  Each target cell is cut and
+labelled by the source images moved into its lattice, once each, by the
+per-cell step of the fan pipeline (`refine_by_images`; see
+`_moved_images`), so no point crosses a gluing there; only the walk that
+glues the pieces asks for the owner face of a point, the face whose
+relative interior holds it.  `validate_complex` checks that composites of
 gluings agree on the faces of codimension 0 and 1 of each glued face, which
 proves them on every face (the lemma in its docstring); only a failure
 reruns the check on every face, to name each violation.
@@ -30,24 +32,19 @@ from .fan import (
 )
 from .lattice import (
     LatticeMap,
-    Matrix,
     Record,
     Sublattice,
     full_sublattice,
     image_lattice,
     intersect_sublattices,
-    is_zero_vec,
     left_inverse,
     matmul,
     matvec,
     preimage_sublattice,
-    primitive,
     saturate,
-    transpose,
-    zero_sublattice,
 )
 from .monoid import MonoidError, image_monoid_equals_cone_monoid
-from .reduction import ReductionError, refine_cell
+from .reduction import ReductionError, refine_by_images
 
 
 # one reduction crosses at most 2 distinct embeddings, the test suite 5
@@ -290,11 +287,11 @@ def _retraction(g: Gluing) -> LatticeMap:
     return g.retraction
 
 
-def _descend(g: Gluing, a: Matrix) -> Optional[Matrix]:
-    """X with E X = a for the embedding E of g, or None when a column of a
-    is not in the image of E."""
-    x = matmul(_retraction(g).matrix, a)
-    return x if matmul(g.embedding.matrix, x) == a else None
+def _descend(g: Gluing, f: LatticeMap) -> Optional[LatticeMap]:
+    """The map X with E X = f for the embedding E of g, or None when the
+    image of f is not in the image of E."""
+    x = _retraction(g).compose(f)
+    return x if g.embedding.compose(x) == f else None
 
 
 def _owner_face(cell: Cone, sample) -> Optional[Cone]:
@@ -306,47 +303,54 @@ def _owner_face(cell: Cone, sample) -> Optional[Cone]:
     return None if f == cell else f
 
 
-def _members(m: ComplexMorphism, t: int, pt: Sequence) -> tuple[Gluing, dict[int, Gluing]]:
-    """The gluing g of the owner face of the point pt of target cell t, and
-    for each source cell s whose image holds pt in its relative interior,
-    the gluing h of s's assigned cell through which pt arrives there.
+def _moved_images(m: ComplexMorphism, t: int) -> list[tuple[int, Cone, Sublattice]]:
+    """Each source cell s with its image and image lattice moved into target
+    cell t, once per distinct moved cone, by s.
 
-    pt moves by g's retraction to the point u of g's chart c, and from
-    there into each copy h of c inside the assigned cell.  On complexes that
-    pass validate_complex, as reduce_complex checks first, every other
-    route through a shared chart reaches one of these points.  Take a
-    gluing g' of cell t, from a chart c', whose face holds pt; that face has
-    the owner face f of pt as a face.  Composites agree, so the copy of f
-    in c' is glued from c and composes with g' to g: pt moves into c' as
-    that copy's image of u.  In the far cell a copy h' of c' likewise
-    carries that image to h(u), for the gluing h of the copy of c inside
-    the face of h'.  As u lies in the relative interior of c, at most one
-    copy h puts h(u) in the relative interior of an image: its face is the
-    smallest face of the cell that holds the image.
+    A route is a gluing g of t from a chart c and a gluing h from c into the
+    cell s is assigned to, whose face holds s's image; it moves the image
+    and its lattice by E_g after h's retraction L_h.  On complexes that pass
+    validate_complex, as reduce_complex checks first, a point pt of t lies
+    in the relative interior of a moved image of s exactly when it arrives
+    there through the gluing g0 of its owner face f, from a chart c0: u =
+    L_g0 pt lies in the relative interior of c0, and for some gluing h0 of
+    the assigned cell from c0, E_h0 u lies in the relative interior of the
+    image.  Then the face of h0 holds the image and the route (g0, h0)
+    carries it onto a cone whose relative interior holds pt.  Conversely,
+    let a route (g, h) do so.  The face of g holds pt, so f is a face of
+    it; composites agree, so the copy of f in c is glued by some k from c0
+    with E_g E_k = E_g0, and its copy under E_h by some h0 from c0 with
+    E_h E_k = E_h0.  So E_h0 u = E_h L_g pt lies in the relative interior of
+    the image.  Both routes carry the image lattice onto one lattice, as
+    E_g L_h = E_g0 L_h0 on the span of the face of h0, and h0 is the one
+    gluing of the smallest face of the cell that holds the image.  A route
+    whose face of h misses the image adds nothing.
     """
-    cell = m.target.cells[t]
-    f = _owner_face(cell, pt)
-    g = m.target.gluing_for(t, cell if f is None else f)
-    u = _retraction(g)(pt)
-    arrivals = {}
+    # a route crosses only embeddings that are injective with a saturated image
+    into = [g for g in m.target.gluings if g.cell == t and _retraction(g)]
+    moved: dict = {}
     for s, img in enumerate(m.images):
-        for h in m.target.gluings_of(m.assignment[s], g.chart):
-            if img.relint_contains(h.embedding(u)):
-                arrivals[s] = h
-                break
-    return g, arrivals
+        lattice = image_lattice(m.cell_maps[s], span_sublattice(m.source.cells[s]))
+        for g in into:
+            for h in m.target.gluings_of(m.assignment[s], g.chart):
+                if h.face.contains_cone(img):
+                    down = _retraction(h)
+                    moved.setdefault(
+                        (s, image_cone(g.embedding, image_cone(down, img))),
+                        image_lattice(g.embedding, image_lattice(down, lattice)))
+    return [(s, img, lattice) for (s, img), lattice in moved.items()]
 
 
 def complex_N0(m: ComplexMorphism, kappa: int, w: Sequence) -> frozenset[int]:
-    """Source cells whose image interior covers the point w of target cell
-    kappa.  The target complex must be valid (validate_complex): w crosses
-    into the other cells only through the gluing of its owner face.
+    """Source cells whose image, moved into target cell kappa, holds the
+    point w of the cell in its relative interior.  The target complex must
+    be valid (validate_complex).
 
     No code of the package calls it; it stays as the one public way to ask
     for the label `reduce_complex` gives each piece, at a chosen point."""
     if not m.target.cells[kappa].contains(w):
         raise ComplexError("the sample point lies outside the target cell")
-    return frozenset(_members(m, kappa, w)[1])
+    return frozenset(s for s, img, _ in _moved_images(m, kappa) if img.relint_contains(w))
 
 
 # ---------------------------------------------------------------------------
@@ -370,56 +374,26 @@ class _CellRun(Record):
     """Everything the local reduction computed inside one target cell."""
 
     pieces: tuple[Cone, ...]
-    members: dict
     sublattices: dict
 
 
 def _run_target_cell(m: ComplexMorphism, t: int) -> _CellRun:
-    cell = m.target.cells[t]
-    hyps = set()
-    for g in m.target.gluings:
-        if g.cell != t:
-            continue
-        for s, img in enumerate(m.images):
-            for h in m.target.gluings_of(m.assignment[s], g.chart):
-                # a functional psi of the far cell moves to psi after E_h
-                # after L_g, which agrees with psi after E_h on g's face span
-                pull = transpose(matmul(h.embedding.matrix, _retraction(g).matrix))
-                moved = [matvec(pull, psi) for psi in img.facets + img.span_equations]
-                hyps |= {primitive(v) for v in moved + list(g.face.span_equations)
-                         if not is_zero_vec(v)}
-
-    def label_at(pt):
-        # every face of an image is the image of the source cell glued to
-        # it (validate_complex_morphism), so a point in no image's relative
-        # interior lies in no image
-        label = frozenset(_members(m, t, pt)[1])
-        if not label:
-            raise ReductionError(
-                f"target cell {t} is not covered by the source images near {pt}")
-        return label
-
+    """Target cell t cut and labelled by the source images moved into it;
+    each piece's sublattice is its span, intersected with the lattices of
+    the moved images that hold its sample."""
+    moved = _moved_images(m, t)
     pieces = []
-    members: dict = {}
     subs: dict = {}
-    for piece, label in refine_cell(cell, sorted(hyps), label_at, f"target cell {t}"):
+    for piece, _ in refine_by_images(m.target.cells[t], [(s, img) for s, img, _ in moved],
+                                     f"target cell {t}"):
         pieces.append(piece)
-        members[_key(piece)] = label
-        if piece.dim == 0:
-            subs[_key(piece)] = zero_sublattice(cell.lattice)
-            continue
-        # each member's image lies in the face of h, whose embedding has a
-        # saturated image, so the image lattice descends to the chart exactly
-        g, arrivals = _members(m, t, piece.interior_sample())
+        sample = piece.interior_sample()
         result = span_sublattice(piece)
-        for s, h in arrivals.items():
-            x = matmul(_retraction(h).matrix,
-                       matmul(m.cell_maps[s].matrix,
-                              span_sublattice(m.source.cells[s]).basis))
-            result = intersect_sublattices(
-                result, Sublattice(cell.lattice, matmul(g.embedding.matrix, x)))
+        for _, img, lattice in moved:
+            if img.relint_contains(sample):
+                result = intersect_sublattices(result, lattice)
         subs[_key(piece)] = result
-    return _CellRun(tuple(pieces), members, subs)
+    return _CellRun(tuple(pieces), subs)
 
 
 def _cut_source_cell(sigma: Cone, pmap: LatticeMap, image: Cone,
@@ -521,10 +495,6 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     base_subs = tuple(runs[t].sublattices[_key(piece)]
                       for piece, t in zip(base_cx.cells, base_owners))
 
-    flagged = sorted({s for t in runs for key, label in runs[t].members.items()
-                      for s in label
-                      if m.source.cells[s].dim > m.images[s].dim})
-
     # subdivide every source cell by the preimages of its target subdivision
     tops = {t: Fan(m.target.cells[t].lattice, runs[t].pieces).maximal_cones()
             for t in runs}
@@ -547,7 +517,7 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
             q = runs[lam].sublattices[_key(target_piece)]
             subs[_key(part)] = intersect_sublattices(
                 preimage_sublattice(pmap, q), span_sublattice(part))
-        src_runs[s] = _CellRun(parts, {}, subs)
+        src_runs[s] = _CellRun(parts, subs)
 
     total_cx, total_owners, _ = _assemble_complex(m.source, src_runs)
     _require(validate_complex(total_cx), ReductionError, "glued total complex invalid")
@@ -564,10 +534,9 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
             maps.append(pmap)
             assign.append(j)
             continue
-        descended = _descend(orig, pmap.matrix)
+        descended = _descend(orig, pmap)
         if descended is not None:
-            maps.append(LatticeMap(pmap.domain,
-                                   m.target.cells[orig.chart].lattice, descended))
+            maps.append(descended)
             assign.append(j)
             continue
         # the map does not descend to the face chart: fall back to the
@@ -593,7 +562,9 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     return ComplexReductionResult(StackyComplex(base_cx, base_subs),
                                   StackyComplex(total_cx, total_subs),
                                   morph, base_owners, total_owners,
-                                  tuple(flagged))
+                                  tuple(s for s, (sigma, img) in
+                                        enumerate(zip(m.source.cells, m.images))
+                                        if sigma.dim > img.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -581,6 +581,10 @@ class LatticeMap(Record):
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("maps are not composable")
+        if not other.matrix:
+            # through the zero lattice: no row of `other` carries its width
+            return LatticeMap(other.domain, self.codomain,
+                              ((0,) * other.domain.rank,) * self.codomain.rank)
         return LatticeMap(other.domain, self.codomain, matmul(self.matrix, other.matrix))
 
     @staticmethod

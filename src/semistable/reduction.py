@@ -62,10 +62,6 @@ class N0Label(Record):
     members: tuple[Cone, ...]
 
 
-def _n0_at(point: Sequence[int], images: Sequence[tuple[Cone, Cone]]) -> tuple[Cone, ...]:
-    return tuple(sigma for sigma, img in images if img.relint_contains(point))
-
-
 def refine_cell(cell: Cone, functionals: Sequence[Vector],
                 label_at: Callable[[Vector], Hashable],
                 where: str) -> list[tuple[Cone, Hashable]]:
@@ -114,19 +110,37 @@ def refine_cell(cell: Cone, functionals: Sequence[Vector],
     return out
 
 
+def refine_by_images(cell: Cone, images: Sequence[tuple[Hashable, Cone]],
+                     where: str) -> list[tuple[Cone, tuple]]:
+    """The per-cell step of both pipelines: `refine_cell` on `cell`, cut by
+    the facets and span equations of the (key, image) pairs, which lie in
+    the cell.  A point's label is the keys of the images whose relative
+    interior holds it, once each, in the order of `images`; those
+    functionals fix every such membership, so the label is constant on each
+    piece of the cut.  An empty label raises."""
+    hyps = sorted({psi for _, img in images for psi in img.facets + img.span_equations})
+
+    def label_at(pt):
+        label = tuple(dict.fromkeys(key for key, img in images if img.relint_contains(pt)))
+        if not label:
+            raise ReductionError(f"{where} is not covered by the source images near {pt}")
+        return label
+    return refine_cell(cell, hyps, label_at, where)
+
+
 def image_refinement(p: FanMorphism) -> tuple[Fan, list[N0Label]]:
     """Coarsest subdivision of the target fan on whose cells the set of
     source cones mapping onto a neighborhood is constant."""
     if not is_proper(p):
         raise ReductionError("the morphism is not proper onto the target support")
     g = p.target
-    images = list(zip(p.source.cones, p.images))
-    hyps = sorted({psi for _, img in images for psi in img.facets + img.span_equations})
-
     labels: dict = {}
     for kappa in g.cones:
-        labels.update(refine_cell(kappa, hyps, lambda pt: _n0_at(pt, images),
-                                  f"the base cone {kappa.rays}"))
+        # on a fan, an image whose relative interior meets kappa lies in its
+        # assigned cone, which meets kappa in a common face: so in kappa
+        inside = [(sigma, img) for sigma, img in zip(p.source.cones, p.images)
+                  if kappa.contains_cone(img)]
+        labels.update(refine_by_images(kappa, inside, f"the base cone {kappa.rays}"))
     refined = Fan.from_cones(g.lattice, labels)
     report = validate_fan(refined)
     if not report:

@@ -42,15 +42,27 @@ morphism keeps and the one lookup `relint_owner` replaced.  And the face
 agreement check of `reduce_complex` on every gluing, each piece inside the
 glued face found by a containment scan, which the walk of
 `_assemble_complex` through the gluing of each piece's owner face
-replaced."""
+replaced.  And the target-cell step of `reduce_complex` that moved points
+instead of images: every labelled point carried through the gluing of its
+owner face into each assigned cell, and every functional of every image
+pulled back through every pair of gluings that share a chart, which the
+source images moved into each target cell once replaced."""
 import dataclasses
 import functools
 import itertools
 import math
 from fractions import Fraction
 
-from semistable.cone import Cone, ConeError, dual_cone, image_cone, intersect, preimage_cone
-from semistable.conecomplex import ComplexMorphism, _key, _retraction
+from semistable.cone import (
+    Cone,
+    ConeError,
+    dual_cone,
+    image_cone,
+    intersect,
+    preimage_cone,
+    span_sublattice,
+)
+from semistable.conecomplex import ComplexMorphism, _CellRun, _key, _owner_face, _retraction
 from semistable.fan import (
     PUSHOUT_TEST_LENGTH,
     CartesianReport,
@@ -64,6 +76,7 @@ from semistable.lattice import (
     INFINITE,
     Lattice,
     LatticeMap,
+    Sublattice,
     det,
     dot,
     dual_map,
@@ -86,6 +99,7 @@ from semistable.lattice import (
     sublattice_from_vectors,
     transpose,
     vec_neg,
+    zero_sublattice,
 )
 from semistable.monoid import (
     AffineMonoid,
@@ -99,7 +113,7 @@ from semistable.monoid import (
     hilbert_basis,
     integral_by_flatness,
 )
-from semistable.reduction import ReductionError
+from semistable.reduction import ReductionError, refine_cell
 
 
 def solve_integer(a, b):
@@ -802,3 +816,74 @@ def check_face_agreement(cx, pieces, subs):
                 raise ReductionError(
                     f"sublattices disagree on the face pair "
                     f"({g.cell}, {g.face.rays}) / chart {g.chart}")
+
+
+def arrivals(m, t, pt):
+    """The gluing g of the owner face of the point pt of target cell t, and
+    for each source cell s whose image holds pt in its relative interior,
+    the gluing h of s's assigned cell through which pt arrives there: pt
+    moves by g's retraction into g's chart c, and from there into each copy
+    h of c inside the assigned cell."""
+    cell = m.target.cells[t]
+    f = _owner_face(cell, pt)
+    g = m.target.gluing_for(t, cell if f is None else f)
+    u = _retraction(g)(pt)
+    found = {}
+    for s, img in enumerate(m.images):
+        for h in m.target.gluings_of(m.assignment[s], g.chart):
+            if img.relint_contains(h.embedding(u)):
+                found[s] = h
+                break
+    return g, found
+
+
+def pulled_back_functionals(m, t):
+    """Every facet and span equation of every image, pulled back into
+    target cell t through every pair (g, h) of gluings that share a chart,
+    g of t and h of the image's assigned cell, with the span equations of
+    the faces of t; a functional psi of the far cell moves to psi after E_h
+    after L_g, which agrees with psi after E_h on g's face span."""
+    hyps = set()
+    for g in m.target.gluings:
+        if g.cell != t:
+            continue
+        for s, img in enumerate(m.images):
+            for h in m.target.gluings_of(m.assignment[s], g.chart):
+                pull = transpose(matmul(h.embedding.matrix, _retraction(g).matrix))
+                moved = [matvec(pull, psi) for psi in img.facets + img.span_equations]
+                hyps |= {primitive(v) for v in moved + list(g.face.span_equations)
+                         if not is_zero_vec(v)}
+    return sorted(hyps)
+
+
+def arrivals_sublattice(m, t, piece):
+    """The span of a piece of target cell t intersected with the image
+    lattice of each source cell arriving at its sample, carried back by the
+    retraction of the arrival gluing h and the embedding of g."""
+    cell = m.target.cells[t]
+    if piece.dim == 0:
+        return zero_sublattice(cell.lattice)
+    g, found = arrivals(m, t, piece.interior_sample())
+    result = span_sublattice(piece)
+    for s, h in found.items():
+        x = matmul(_retraction(h).matrix,
+                   matmul(m.cell_maps[s].matrix, span_sublattice(m.source.cells[s]).basis))
+        result = intersect_sublattices(
+            result, Sublattice(cell.lattice, matmul(g.embedding.matrix, x)))
+    return result
+
+
+def target_cell_by_transport(m, t):
+    """The target-cell step of `reduce_complex` by moving points: the cell
+    cut by the pulled-back functionals, each point labelled by its
+    arrivals, each piece's sublattice from the arrivals at its sample."""
+    def label_at(pt):
+        label = frozenset(arrivals(m, t, pt)[1])
+        if not label:
+            raise ReductionError(
+                f"target cell {t} is not covered by the source images near {pt}")
+        return label
+
+    pieces = [piece for piece, _ in refine_cell(m.target.cells[t], pulled_back_functionals(m, t),
+                                                label_at, f"target cell {t}")]
+    return _CellRun(tuple(pieces), {_key(p): arrivals_sublattice(m, t, p) for p in pieces})

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from semistable import monoid
+from semistable import cli, monoid
 from semistable.fan import is_smooth_fan, validate_stacky_fan
+from semistable.reduction import ReductionError
 from semistable.cli import (
     DocumentError,
     _enc_int,
@@ -565,3 +566,93 @@ class TestComplexDocuments:
                             self.write(tmp_path, kind, payload))
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# every input-error path of the command line, by a document or an argv
+
+def fan_payload(rank, *cones):
+    return {"lattice_rank": rank, "cones": [{"rays": rays} for rays in cones]}
+
+
+QUADRANT = fan_payload(2, [[1, 0], [0, 1]])
+IDENTITY2 = [[1, 0], [0, 1]]
+
+
+def document(kind, payload, version="1"):
+    return {"version": version, "kind": kind, "payload": payload}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (document("fan", {"lattice_rank": 1, "cones": {}}),
+     "$.payload.cones: expected an array"),
+    (document("fan", {"cones": []}), "$.payload.lattice_rank: missing"),
+    (document("fan", fan_payload(-1)), "$.payload.lattice_rank: must be nonnegative"),
+    # the square's face closure has 4 cones
+    (document("stacky_fan", {**QUADRANT, "sublattices": [{"cone_index": 4, "basis": []}]}),
+     "$.payload.sublattices[0].cone_index: out of range"),
+    (document("fan_morphism", {"matrix": [[1], [1]], "source": fan_payload(1, [[1]]),
+                               "target": fan_payload(1, [[1]])}),
+     "$.payload.matrix: row count does not match the target rank"),
+    # the quadrant straddles two cones of a target that is not a fan
+    (document("fan_morphism", {"matrix": IDENTITY2, "source": QUADRANT,
+                               "target": fan_payload(2, [[1, 0], [0, 1]], [[1, 0], [1, 1]])}),
+     "$.payload.target: not a fan: intersection of ((1, 1),) and ((0, 1), (1, 0)) "
+     "is not a common face"),
+    # ... and of the blow-up, which is a fan
+    (document("fan_morphism", {"matrix": IDENTITY2, "source": QUADRANT,
+                               "target": fan_payload(2, [[1, 0], [1, 1]], [[1, 1], [0, 1]])}),
+     "$.payload: cone with sample (1, 1) straddles the fan cone ((1, 1),)"),
+    (document("fan", QUADRANT, version="2"), "$.version: unsupported version '2'"),
+    (document("bogus", QUADRANT), "$.kind: unknown kind 'bogus'"),
+    # the library's own error while the payload is built
+    (document("complex_morphism", {
+        "source": {"cells": [{"lattice_rank": 1, "rays": [[1]]}], "gluings": []},
+        "target": {"cells": [{"lattice_rank": 1, "rays": [[1]]}], "gluings": []},
+        "assignment": [0], "cell_maps": [[[-1]]]}),
+     "$.payload: cell 0 does not map into its assigned cell"),
+], ids=["not-an-array", "missing", "negative-rank", "cone-index", "matrix-rows",
+        "straddles-a-non-fan", "straddles-a-fan", "version", "kind", "library-error"])
+def test_check_names_the_json_path_of_a_bad_document(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("check", "--input", str(path)) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_missing_file_is_named(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    assert run_cli("check", "--input", path) == (2, "")
+    assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["basechange", "--morphism", data("fix_double.json"), "--matrix", "[[2"],
+     "--matrix: Expecting ',' delimiter"),
+    (["hilbert", "--input", data("blowup_fan.json")],
+     "hilbert expects a fan with a unique maximal cone"),
+], ids=["matrix-json", "hilbert-two-maximal-cones"])
+def test_argv_errors_are_named(args, message, capsys):
+    assert run_cli(*args) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_render_rejects_a_rank_one_fan(tmp_path, capsys):
+    path = tmp_path / "halfline.json"
+    path.write_text(json.dumps(document("fan", fan_payload(1, [[1]]))))
+    assert run_cli("render", "--input", str(path)) == (2, "")
+    assert capsys.readouterr().err == "error: rendering is only available for rank-2 lattices\n"
+
+
+def test_factor_reports_a_square_that_does_not_factor(monkeypatch):
+    # no stored family and alteration reach this report: the square is
+    # built from the reduction it is factored through
+    def refuse(obj, red):
+        raise ReductionError("base cone ((1,),) does not land in a single refined cone")
+    monkeypatch.setattr(cli, "factor_through", refuse)
+    code, out = run_cli("factor", "--family", data("fix_semi.json"),
+                        "--alteration", data("halfline_x2.json"))
+    assert code == 1
+    assert json.loads(out)["payload"] == {
+        "ok": False, "details": [],
+        "violations": ["base cone ((1,),) does not land in a single refined cone"]}

@@ -1,9 +1,12 @@
+import ast
 import importlib.util
+import itertools
 import os
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from semistable import conecomplex, monoid
@@ -27,7 +30,7 @@ from semistable.conecomplex import (
     validate_complex,
     validate_complex_morphism,
 )
-from semistable.fan import Fan, FanMorphism, decompose_by_hyperplanes
+from semistable.fan import Fan, FanError, FanMorphism, decompose_by_hyperplanes
 from semistable.lattice import (
     Lattice,
     LatticeMap,
@@ -40,7 +43,8 @@ from semistable.lattice import (
 )
 from semistable.monoid import BudgetExceeded
 from semistable.reduction import ReductionError, reduce
-from test_support import DOCUMENTS, drops, points, stellar
+from test_support import DOCUMENTS, drops, points, projections, stellar
+from test_support import morphism as fan_morphism
 
 
 def lmap(rows):
@@ -589,6 +593,24 @@ class TestReduceComplex:
         assert [s.vectors() for s in cres.base.sublattices] == [[(1,)], []]
         assert cres.positive_dimensional_lifts == (0,)
 
+    def test_zero_map_descends_to_a_rank_zero_chart(self):
+        # the ray (1,0) maps to the origin by the zero map, so its total
+        # cell lands on the origin of the half line, whose chart is the
+        # rank-0 cell, and the map descends there as the map onto Z^0
+        m = ray_collapsed_over_halfline()
+        zero_map = lmap([[0, 0]])
+        m = ComplexMorphism(m.source, m.target, (zero_map,) + m.cell_maps[1:],
+                            m.assignment)
+        origin = m.target.gluing_for(0, Cone.zero(1))
+        assert origin.chart == 1 and m.target.cells[1].lattice == Lattice(0)
+        onto_zero = LatticeMap(Lattice(2), Lattice(0), ())
+        assert conecomplex._descend(origin, zero_map) == onto_zero
+        assert conecomplex._descend(origin, m.cell_maps[1]) is None
+        cres = reduce_complex(m)
+        cell = cres.total.complex.cells.index(cone(2, (1, 0)))
+        assert cres.morphism.cell_maps[cell] == onto_zero
+        assert cres.base_owners[cres.morphism.assignment[cell]] == 1
+
     def test_map_descends_to_the_face_chart_of_its_target_piece(self, monkeypatch):
         # the ray (1,0) of the quadrant's identity, assigned to the quadrant
         # cell instead of its own cell: its total cell lands on the face
@@ -607,13 +629,13 @@ class TestReduceComplex:
         descents = []
         descend = conecomplex._descend
 
-        def spy(g, a):
-            descents.append((g.cell, g.chart, descend(g, a)))
+        def spy(g, f):
+            descents.append((g.cell, g.chart, descend(g, f)))
             return descents[-1][2]
         monkeypatch.setattr(conecomplex, "_descend", spy)
         cres = reduce_complex(moved)
         monkeypatch.undo()
-        assert descents == [(quad, ray, ((1, 0), (0, 1)))]
+        assert descents == [(quad, ray, LatticeMap.identity_map(Lattice(2)))]
         cell = cres.total_owners.index(ray)
         assert cres.morphism.assignment[cell] == cres.base_owners.index(ray)
         assert cres.morphism.cell_maps[cell] == LatticeMap.identity_map(Lattice(2))
@@ -768,7 +790,7 @@ class TestReduceComplexFailures:
         # chart; the cover check that would catch the half line's source
         # cell first is switched off
         corrupting_runs(monkeypatch, 0, lambda run: _CellRun(
-            run.pieces[:-1], run.members, run.sublattices))
+            run.pieces[:-1], run.sublattices))
         monkeypatch.setattr(conecomplex, "covers", lambda cell, cones: True)
         with pytest.raises(ReductionError, match="^no target cell of the refined "
                            "base receives total cell 0$"):
@@ -786,7 +808,7 @@ class TestReduceComplexFailures:
     def test_sublattices_disagree_on_a_glued_face(self, monkeypatch):
         ray = _key(cone(2, (1, 0)))
         corrupting_runs(monkeypatch, 3, lambda run: _CellRun(
-            run.pieces, run.members,
+            run.pieces,
             {**run.sublattices, ray: doubled(run.sublattices[ray])}))
         with pytest.raises(ReductionError, match=r"^sublattices disagree on the "
                            r"face pair \(3, \(\(1, 0\),\)\) / chart 2$"):
@@ -795,7 +817,7 @@ class TestReduceComplexFailures:
     def test_subdivisions_disagree_on_a_glued_face(self, monkeypatch):
         # the ray cell (1,0) keeps only its origin
         corrupting_runs(monkeypatch, 2, lambda run: _CellRun(
-            run.pieces[:-1], run.members, run.sublattices))
+            run.pieces[:-1], run.sublattices))
         with pytest.raises(ReductionError, match=r"^subdivisions disagree on the "
                            r"face pair \(3, \(\(1, 0\),\)\) / chart 2$"):
             reduce_complex(fan_morphism_as_complex(fix_subdiv()))
@@ -819,14 +841,13 @@ def source_runs(m, runs):
             subs[_key(part)] = intersect_sublattices(
                 preimage_sublattice(pmap, run.sublattices[_key(piece)]),
                 span_sublattice(part))
-        out[s] = _CellRun(parts, {}, subs)
+        out[s] = _CellRun(parts, subs)
     return out
 
 
-def walked_sides():
-    """(complex, runs) for the target and the source side of every stored
-    morphism of source rank at most 3 whose target cells reduce, and of the
-    two glued fixtures."""
+def stored_morphisms():
+    """Every stored fan and complex morphism of source rank at most 3, as a
+    complex morphism, and the two glued fixtures."""
     morphisms = {}
     for path in DOCUMENTS:
         with open(path) as fh:
@@ -838,10 +859,14 @@ def walked_sides():
             m = fan_morphism_as_complex(m)
         morphisms[m] = None
     morphisms.update({two_copies_morphism(): None, ray_collapsed_over_halfline(): None})
+    return [m for m in morphisms if max(c.lattice.rank for c in m.source.cells) <= 3]
+
+
+def walked_sides():
+    """(complex, runs) for the target and the source side of every stored
+    morphism whose target cells reduce."""
     sides = []
-    for m in morphisms:
-        if max(c.lattice.rank for c in m.source.cells) > 3:
-            continue
+    for m in stored_morphisms():
         try:
             runs = {t: _run_target_cell(m, t) for t in range(len(m.target.cells))}
         except ReductionError:
@@ -876,7 +901,7 @@ def corrupt(data, cell, run, kind):
         top = data.draw(st.sampled_from(Fan(cell.lattice, pieces).maximal_cones()))
         pieces = tuple(p for p in pieces if p != top)
         del subs[_key(top)]
-    return _CellRun(pieces, run.members, subs)
+    return _CellRun(pieces, subs)
 
 
 KINDS = ["valid", "double", "coarser", "finer", "drop"]
@@ -970,6 +995,86 @@ def test_walk_finds_each_owner_face_once(monkeypatch, m):
         assert "contains" not in events[i:end]
         assert 0 < events[i:end].count("owner") <= events[end]
     assert "owner" not in events[end:]
+
+
+# ---------------------------------------------------------------------------
+# the target-cell step against moving points through the gluings
+
+def label_points(cell):
+    """The sample of every face of a cell and its lattice points with
+    entries in [-2, 2]."""
+    box = itertools.product(range(-2, 3), repeat=cell.lattice.rank)
+    return [f.interior_sample() for f in cell.faces()] + [v for v in box if cell.contains(v)]
+
+
+def assert_cell_step_matches_transport(m, t, pts):
+    """The run of target cell t equals the one by moving points, piece by
+    piece and sublattice by sublattice, or both raise; and complex_N0 at
+    each of pts is the set of source cells a point arrives at."""
+    try:
+        run = _run_target_cell(m, t)
+    except ReductionError as exc:
+        # the two cuts differ, so each may meet an uncovered point first at
+        # another place; the point named must be uncovered
+        where, _, pt = str(exc).partition(" near ")
+        with pytest.raises(ReductionError, match=f"^{re.escape(where)}"):
+            oracles.target_cell_by_transport(m, t)
+        assert not pt or not oracles.arrivals(m, t, ast.literal_eval(pt))[1]
+    else:
+        assert run == oracles.target_cell_by_transport(m, t)
+    for pt in pts:
+        assert complex_N0(m, t, pt) == frozenset(oracles.arrivals(m, t, pt)[1])
+
+
+TARGET_CELLS = [(m, t) for m in stored_morphisms() for t in range(len(m.target.cells))]
+
+
+def test_every_stored_target_cell_matches_transport():
+    # 55 target cells of 21 morphisms when written
+    assert len(TARGET_CELLS) >= 50
+    for m, t in TARGET_CELLS:
+        assert_cell_step_matches_transport(m, t, [m.target.cells[t].interior_sample()])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_labels_match_transport_at_lattice_points_and_face_samples(data):
+    m, t = data.draw(st.sampled_from(TARGET_CELLS))
+    pt = data.draw(st.sampled_from(label_points(m.target.cells[t])))
+    assert complex_N0(m, t, pt) == frozenset(oracles.arrivals(m, t, pt)[1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(projections())
+def test_random_projections_match_transport(case):
+    source, target, rows = case
+    try:
+        m = fan_morphism_as_complex(fan_morphism(source, target, rows))
+    except FanError:
+        assume(False)
+    for t, cell in enumerate(m.target.cells):
+        assert_cell_step_matches_transport(m, t, label_points(cell))
+
+
+@pytest.mark.parametrize("m", [fan_morphism_as_complex(fix_subdiv()),
+                               two_copies_morphism(),
+                               ray_collapsed_over_halfline()],
+                         ids=["fix_subdiv", "two_copies", "ray_collapsed"])
+def test_target_cell_step_finds_no_owner_face(monkeypatch, m):
+    calls = []
+    owner_face = conecomplex._owner_face
+
+    def owner_spy(cell, sample):
+        calls.append(sample)
+        return owner_face(cell, sample)
+    monkeypatch.setattr(conecomplex, "_owner_face", owner_spy)
+    for t, cell in enumerate(m.target.cells):
+        _run_target_cell(m, t)
+        for pt in label_points(cell):
+            complex_N0(m, t, pt)
+    assert calls == []
+    reduce_complex(m)
+    assert calls
 
 
 # ---------------------------------------------------------------------------

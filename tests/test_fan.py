@@ -233,6 +233,15 @@ class TestModificationAlteration:
         assert composed.lattice_map.matrix == m.lattice_map.matrix
         assert composed.source == m.source and composed.target == m.target
 
+    def test_compose_through_the_zero_lattice(self):
+        zero = Fan.from_cones(0, [])
+        to_zero = FanMorphism(halfline_fan(), zero, LatticeMap(Lattice(1), Lattice(0), ()))
+        from_zero = FanMorphism(zero, quadrant_fan(),
+                                LatticeMap(Lattice(0), Lattice(2), ((), ())))
+        composed = from_zero.compose(to_zero)
+        assert composed.lattice_map == LatticeMap(Lattice(1), Lattice(2), ((0,), (0,)))
+        assert composed.images == (Cone.zero(2), Cone.zero(2))
+
     def test_factor_rejects_non_alteration(self):
         with pytest.raises(FanError):
             factor_alteration(semi_fixture())

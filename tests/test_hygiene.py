@@ -5,7 +5,8 @@ is called only where its invariant factors or transforms are needed, every
 integer preimage is a `lift`, every dot product outside the lattice module
 is a call of its kernel and so is every entrywise vector sum, an integer
 is converted only at the boundary, the cartesian check's pushout search runs only
-where no proof of integrality stands in for it, one memoized function
+where no proof of integrality stands in for it, only the gluing walk of
+`reduce_complex` looks up the owner face of a point, one memoized function
 builds the command line parser, and every value class is a `Record`.  The README's command line section names
 the subcommands and `check` flags the CLI has."""
 import ast
@@ -266,6 +267,13 @@ def test_pushout_search_runs_only_for_entries_without_an_integral_leg():
     # the search is evidence up to a word length; _cartesian_triple runs it
     # only where integral_by_flatness proves neither leg integral
     assert _callers({"_pushout_injective_bounded"}) == {("fan.py", "_cartesian_triple")}
+
+
+def test_owner_faces_are_found_only_where_the_pieces_are_glued():
+    # a target cell is cut and labelled by the source images moved into its
+    # lattice, so no point crosses a gluing there; only the walk that glues
+    # the pieces asks which face holds a point in its relative interior
+    assert _callers({"_owner_face"}) == {("conecomplex.py", "_assemble_complex")}
 
 
 def _memo_decorators():

@@ -437,3 +437,29 @@ def test_kernel_on_empty_operands():
     _same(matmul((), ((1, 2),)), ())
     _same(matmul(((), ()), ()), ((), ()))
     _same(dot((WIDE, -WIDE), (WIDE, WIDE)), 0)
+
+
+def test_compose_through_the_zero_lattice_is_the_zero_map():
+    # a 0-row matrix carries no column count, so the product takes its
+    # width from the domain
+    z0, z1, z2 = Lattice(0), Lattice(1), Lattice(2)
+    from_zero = LatticeMap(z0, z2, ((), ()))
+    to_zero = LatticeMap(z1, z0, ())
+    assert from_zero.compose(to_zero) == LatticeMap(z1, z2, ((0,), (0,)))
+    assert to_zero.compose(LatticeMap(z0, z1, ((),))) == LatticeMap(z0, z0, ())
+    assert LatticeMap(z2, z0, ()).compose(from_zero) == LatticeMap(z0, z0, ())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_compose_applies_the_maps_in_turn(data):
+    a, b, c = (data.draw(st.integers(0, 2)) for _ in range(3))
+
+    def random_map(n, m):
+        rows = tuple(tuple(data.draw(small_int) for _ in range(n)) for _ in range(m))
+        return LatticeMap(Lattice(n), Lattice(m), rows)
+    g, f = random_map(a, b), random_map(b, c)
+    composed = f.compose(g)
+    assert (composed.domain, composed.codomain) == (Lattice(a), Lattice(c))
+    for v in identity(a):
+        assert composed(v) == f(g(v))

@@ -107,8 +107,8 @@ def _samples():
         ComplexMorphism: [fan_morphism_as_complex(semi), fan_morphism_as_complex(proj)],
         StackyComplex: [complex_red.base, complex_red.total],
         ComplexReductionResult: [complex_red, complex_proj],
-        conecomplex._CellRun: [conecomplex._CellRun((), {}, {}),
-                               conecomplex._CellRun((quadrant,), {0: 1}, {})],
+        conecomplex._CellRun: [conecomplex._CellRun((), {}),
+                               conecomplex._CellRun((quadrant,), {0: 1})],
         AffineMonoid: [saturated, index_two],
         MonoidMap: [MonoidMap(index_two, saturated, LatticeMap.identity_map(z2)),
                     MonoidMap(index_two, index_two, LatticeMap(z2, z2, identity(2)))],

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from semistable.cone import Cone, span_sublattice
+from semistable.cone import Cone, relint_owner, span_sublattice
 from semistable.fan import (
     Fan,
     FanMorphism,
@@ -23,11 +23,11 @@ from semistable.reduction import (
     FactorCertificate,
     N0Label,
     ReductionError,
-    _n0_at,
     base_lattices,
     factor_through,
     image_refinement,
     reduce,
+    refine_cell,
     total_refinement,
     universal_minimal_modification,
     validate_category_object,
@@ -103,11 +103,10 @@ class TestImageRefinement:
     def test_minimality_merging_breaks_constancy(self):
         # adjacent cells of the refined base with different labels cannot be
         # merged: the merged region sees both label values
-        p = fix_subdiv()
-        refined, labels = image_refinement(p)
-        from semistable.cone import image_cone
-        images = [(s, image_cone(p.lattice_map, s)) for s in p.source.cones]
-        assert _n0_at((2, 1), images) != _n0_at((1, 2), images)
+        refined, labels = image_refinement(fix_subdiv())
+        by_cone = {l.cone: l.members for l in labels}
+        lower, upper = (relint_owner(refined.cones, pt) for pt in ((2, 1), (1, 2)))
+        assert by_cone[lower] != by_cone[upper]
 
 
 # refine_cell does not check that a label hull stays in the cell: it is the
@@ -124,6 +123,36 @@ def test_every_hull_of_pieces_stays_in_the_cell(data):
     chosen = data.draw(st.lists(st.sampled_from(pieces), min_size=1))
     hull = Cone.from_generators(rank, [g for p in chosen for g in p.generators()])
     assert cell.contains_cone(hull)
+
+
+def wedge_label(pt):
+    """B strictly between the rays (2,1) and (1,2) of the quadrant."""
+    return "B" if 2 * pt[1] > pt[0] and 2 * pt[0] > pt[1] else "A"
+
+
+def floor_label(pt):
+    """B on the floor z = 0 of the octant below the ray (2,1,0)."""
+    return "B" if pt[2] == 0 and pt[0] > 2 * pt[1] else "A"
+
+
+@pytest.mark.parametrize("cell,functionals,label_at,message", [
+    # the label changes one ray further into the ray
+    (cone(1, (1,)), [], lambda pt: pt[0] > 1,
+     "membership set is not constant on a cell of X"),
+    # one label on both half lines of a line: their hull is the line
+    (cone(1, (1,), (-1,)), [(1,)], lambda pt: 0, "a label region of X is not convex"),
+    # A on both sides of the wedge B: A's hull is the quadrant, which holds B
+    (cone(2, (1, 0), (0, 1)), [(1, -2), (2, -1)], wedge_label,
+     "a label region of X is not a union of cells"),
+    # B's piece of the floor is no label region's face: the floor, a face
+    # of A's hull, holds it and is labelled A at its own sample
+    (cone(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)), [(0, 0, 1), (1, -2, 0)], floor_label,
+     "a cell of X merges regions with different membership sets"),
+], ids=["not-constant", "not-convex", "not-a-union", "merges"])
+def test_refine_cell_rejects_a_label_that_is_not_a_subdivision(cell, functionals,
+                                                              label_at, message):
+    with pytest.raises(ReductionError, match=f"^{message}$"):
+        refine_cell(cell, functionals, label_at, "X")
 
 
 class TestBaseLattices:
