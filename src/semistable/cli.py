@@ -49,8 +49,7 @@ from .fan import (
 )
 from .lattice import Lattice, LatticeMap, sublattice_from_vectors
 from .monoid import hilbert_basis
-from .reduction import ReductionError, factor_through, reduce, \
-    universal_minimal_modification
+from .reduction import NoFactorization, factor_through, reduce, universal_minimal_modification
 
 VERSION = "1"
 # one parser serves every call of `main` in a process
@@ -482,10 +481,9 @@ def _cmd_factor(args, out) -> int:
     _, p = _load(args.family, ("fan_morphism",), "--family")
     _, i = _load(args.alteration, ("fan_morphism",), "--alteration")
     red = reduce(p)
-    obj = universal_minimal_modification(red, i)
     try:
-        cert = factor_through(obj, red)
-    except ReductionError as exc:
+        cert = factor_through(universal_minimal_modification(red, i), red)
+    except NoFactorization as exc:
         out.write(emit_document("report", _report(False, [str(exc)])))
         return 1
     details = [f"base: {tuple(g.rays)} -> {tuple(k.rays)}"

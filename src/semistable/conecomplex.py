@@ -16,6 +16,16 @@ relative interior holds it.  `validate_complex` checks that composites of
 gluings agree on the faces of codimension 0 and 1 of each glued face, which
 proves them on every face (the lemma in its docstring); only a failure
 reruns the check on every face, to name each violation.
+
+Every check of `reduce_complex` runs on every input and does its work once,
+where the invariant it checks is made.  A gluing maps its chart onto its
+face when its embedding moves the chart's rays onto the face's, so
+`validate_complex` and the gluing walk build no image cone.
+`complex_weak_semistability` runs the lattice certificate on the maximal
+cells, and a face cell inherits a True certificate when its sublattices
+are the restrictions of its cell's; any failure reruns the check on every
+cell.  Coverage is checked once per target cell, by its maximal pieces,
+which proves it for every source cell.  Each docstring holds its proof.
 """
 from __future__ import annotations
 
@@ -34,6 +44,7 @@ from .lattice import (
     LatticeMap,
     Record,
     Sublattice,
+    dot,
     full_sublattice,
     image_lattice,
     intersect_sublattices,
@@ -43,7 +54,7 @@ from .lattice import (
     preimage_sublattice,
     saturate,
 )
-from .monoid import MonoidError, image_monoid_equals_cone_monoid
+from .monoid import MonoidError, _lattice_certificate, image_monoid_equals_cone_monoid
 from .reduction import ReductionError, refine_by_images
 
 
@@ -128,6 +139,16 @@ def fan_as_complex(f: Fan) -> ConeComplex:
     return ConeComplex(cells, tuple(gl))
 
 
+def _moved_rays(matrix, c: Cone) -> tuple:
+    """The key of the strictly convex cone c carried by a map that is
+    injective with a saturated image on its span, such as the retraction of
+    a gluing on a cone inside the glued face.  If E v = k w with v primitive
+    then v = L E v = k L w for a left inverse L, so E keeps rays primitive,
+    and it keeps them extremal as it is linear and injective: the moved
+    rays are the rays of the image cone, which need not be built."""
+    return (tuple(sorted([matvec(matrix, r) for r in c.rays])), ())
+
+
 def validate_complex(cx: ConeComplex) -> ValidationReport:
     """Every cell is strictly convex; every gluing names a face of its cell,
     once, by an injective embedding with a saturated image that maps its
@@ -137,6 +158,13 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
     maps onto h the copy of h in c.  Composites agree at (g, h) when the
     gluing of h in cell i and the gluing s of the copy of h in c come from
     the same chart and E_g E_s is the direct embedding.
+
+    An embedding with a left inverse maps the chart onto the face exactly
+    when it moves the chart's rays onto the face's (see `_moved_rays`);
+    then the copy of h has the chart rays that E_g moves onto the rays of
+    h, read back from that one move.  Only an embedding without a left
+    inverse, which is reported already, is checked on its image cone.  Each
+    distinct product E_g E_s is formed once per call.
 
     Lemma: composites agree at every (g, h) once they agree wherever h has
     codimension 0 or 1 in F.  (Codimension 0 asks that the self-gluing of
@@ -159,10 +187,13 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
         return ValidationReport(tuple(bad))
 
     faces = [c.faces() for c in cx.cells]
+    face_sets = [set(f) for f in faces]
     by_occurrence: dict = {}
-    for g in cx.gluings:
+    back: dict = {}
+    inverts: dict = {}  # embedding matrix: it has a left inverse
+    for k, g in enumerate(cx.gluings):
         c = cx.cells[g.cell]
-        if g.face not in faces[g.cell]:
+        if g.face not in face_sets[g.cell]:
             bad.append(f"gluing on cell {g.cell} names {g.face.rays}, "
                        "which is not a face of the cell")
             continue
@@ -171,18 +202,25 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
             bad.append(f"face {g.face.rays} of cell {g.cell} is glued twice")
         by_occurrence[occ] = g
 
-        e = g.embedding
-        if e.domain != cx.cells[g.chart].lattice or e.codomain != c.lattice:
+        e, chart = g.embedding, cx.cells[g.chart]
+        if e.domain != chart.lattice or e.codomain != c.lattice:
             bad.append(f"embedding for face {g.face.rays} of cell {g.cell} "
                        "connects the wrong lattices")
             continue
-        if g.retraction is None:
+        if e.matrix not in inverts:
+            inverts[e.matrix] = left_inverse(e.matrix) is not None
+        if not inverts[e.matrix]:
             image = image_lattice(e)
             if image.rank != e.domain.rank:
                 bad.append(f"embedding into cell {g.cell} is not injective")
             if saturate(image).basis != image.basis:
                 bad.append(f"embedding into cell {g.cell} has a non-saturated image")
-        if image_cone(e, cx.cells[g.chart]) != g.face:
+            onto = image_cone(e, chart) == g.face
+        else:
+            # the chart ray of each ray of the face, as in _moved_rays
+            back[k] = {matvec(e.matrix, r): r for r in chart.rays}
+            onto = tuple(sorted(back[k])) == g.face.rays
+        if not onto:
             bad.append(f"chart {g.chart} does not map onto face "
                        f"{g.face.rays} of cell {g.cell}")
 
@@ -197,24 +235,26 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
     # intermediate chart must give the same embedding.  By the lemma the
     # faces of codimension 0 and 1 suffice; any failure falls back to every
     # face, which names each violation in a fixed order
+    products: dict = {}
     for every_face in (False, True):
         bad = []
-        for g in cx.gluings:
-            e, lower = g.embedding, g.face.dim - 1
+        for k, g in enumerate(cx.gluings):
+            e, lower = g.embedding.matrix, g.face.dim - 1
             for h in g.face.faces():
                 if h.dim < lower and not every_face:
                     continue
                 direct = by_occurrence[(g.cell, _key(h))]
-                # g maps its chart onto its face with a saturated image, so
-                # the retraction takes the rays of h to those of its copy
-                h_chart = tuple(sorted(g.retraction(r) for r in h.rays))
+                h_chart = tuple(sorted([back[k][r] for r in h.rays]))
                 step = by_occurrence[(g.chart, (h_chart, ()))]
                 if step.chart != direct.chart:
                     bad.append(f"cell {g.cell}, face {h.rays}: gluing through chart "
                                f"{g.chart} reaches cell {step.chart}, "
                                f"directly it reaches {direct.chart}")
                     continue
-                if matmul(e.matrix, step.embedding.matrix) != direct.embedding.matrix:
+                pair = (e, step.embedding.matrix)
+                if pair not in products:
+                    products[pair] = matmul(*pair)
+                if products[pair] != direct.embedding.matrix:
                     bad.append(f"cell {g.cell}, face {h.rays}: composite gluing "
                                "disagrees with the direct one")
         if not bad:
@@ -252,16 +292,25 @@ class ComplexMorphism(Record):
 
 def validate_complex_morphism(m: ComplexMorphism) -> ValidationReport:
     """Gluing compatibility: on every glued face the per-cell maps agree
-    through some gluing of the assigned target cells."""
+    through some gluing of the assigned target cells.  For a gluing E of
+    chart j into cell i they agree through T when M_i E and T M_j agree on
+    the span of chart j, compared on its basis; each distinct product is
+    formed once per call."""
+    products: dict = {}
+
+    def product(a, b):
+        if (a, b) not in products:
+            products[(a, b)] = matmul(a, b)
+        return products[(a, b)]
+
     bad: list[str] = []
     for g in m.source.gluings:
-        i, j, e = g.cell, g.chart, g.embedding
-        kappa, lam = m.assignment[i], m.assignment[j]
-        span = span_sublattice(m.source.cells[j]).vectors()
-        if not any(all(matvec(m.cell_maps[i].matrix, matvec(e.matrix, v)) ==
-                       matvec(tg.embedding.matrix, matvec(m.cell_maps[j].matrix, v))
-                       for v in span)
-                   for tg in m.target.gluings_of(kappa, lam)):
+        i, j = g.cell, g.chart
+        span = span_sublattice(m.source.cells[j]).basis
+        through_face = product(product(m.cell_maps[i].matrix, g.embedding.matrix), span)
+        if not any(product(product(tg.embedding.matrix, m.cell_maps[j].matrix), span)
+                   == through_face
+                   for tg in m.target.gluings_of(m.assignment[i], m.assignment[j])):
             bad.append(f"maps of cells {i} and {j} disagree on the face "
                        f"{g.face.rays}")
     return ValidationReport(tuple(bad))
@@ -448,8 +497,9 @@ def _assemble_complex(cx: ConeComplex, runs: dict) -> tuple:
                 owners.append(t)
                 if g.chart == t:
                     continue
+            # the piece lies in g's face, so the retraction moves its rays
             moved = landing.setdefault((t, g.face), (g, {}))[1]
-            moved[_key(image_cone(_retraction(g), piece))] = piece
+            moved[_moved_rays(_retraction(g).matrix, piece)] = piece
 
     for (t, face), (g, moved) in landing.items():
         chart = owned.get(g.chart, {})
@@ -483,7 +533,14 @@ def _require(report: ValidationReport, error: type, what: str) -> None:
 def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     """Run the reduction chart-locally over every target cell and glue the
     results; face agreement between neighbouring charts is asserted, never
-    assumed."""
+    assumed.
+
+    Coverage is checked once per target cell lambda, where its pieces are
+    made: its maximal pieces must cover it.  Then the parts of every source
+    cell sigma assigned to lambda cover sigma.  They are the cones
+    sigma ∩ p^-1(P) for the maximal pieces P (or sigma itself), and
+    p(sigma) ⊂ lambda, which ComplexMorphism asserts, so their union is
+    sigma ∩ p^-1(∪ P) = sigma ∩ p^-1(lambda) = sigma."""
     _require(validate_complex(m.source), ComplexError, "source complex invalid")
     _require(validate_complex(m.target), ComplexError, "target complex invalid")
     _require(validate_complex_morphism(m), ComplexError,
@@ -495,18 +552,19 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     base_subs = tuple(runs[t].sublattices[_key(piece)]
                       for piece, t in zip(base_cx.cells, base_owners))
 
-    # subdivide every source cell by the preimages of its target subdivision
-    tops = {t: Fan(m.target.cells[t].lattice, runs[t].pieces).maximal_cones()
-            for t in runs}
+    # subdivide every source cell by the preimages of its target subdivision,
+    # whose maximal pieces must cover the target cell
+    tops = {}
+    for t, run in runs.items():
+        tops[t] = Fan(m.target.cells[t].lattice, run.pieces).maximal_cones()
+        if not covers(m.target.cells[t], tops[t]):
+            raise ReductionError(f"subdivision of target cell {t} misses part of the cell")
     src_runs: dict = {}
     lands_in: dict = {}  # (source cell, part): the target piece it maps into, by key
     for s, sigma in enumerate(m.source.cells):
         lam = m.assignment[s]
         pmap = m.cell_maps[s]
         parts = _cut_source_cell(sigma, pmap, m.images[s], tops[lam])
-        if not covers(sigma, parts):
-            raise ReductionError(
-                f"subdivision of source cell {s} misses part of the cell")
         subs: dict = {}
         for part in parts:
             target_piece = relint_owner(runs[lam].pieces, pmap(part.interior_sample()))
@@ -576,33 +634,120 @@ def complex_weak_semistability(m: ComplexMorphism,
                                ) -> WeakSemistabilityReport:
     """Per-cell form of the two conditions: the image of every cell is a
     face of its assigned cell, and lattice points surject onto the lattice
-    points of the image."""
+    points of the image.  Both complexes must be valid (validate_complex).
+
+    The first condition is checked on every cell.  The second is certified
+    on each maximal cell, one that no gluing of a proper face names as its
+    chart, by `_lattice_certificate` (the Abramovich-Karu argument in its
+    docstring).  A cell glued as a proper face F of a cell whose
+    certificate returned True inherits True when the sublattices restrict.
+    Write E for the gluing's embedding, p and p_F for the maps of the cell
+    and of the chart cell sigma_F, T for a gluing of their target cells
+    with p E = T p_F, N and N_F for their source sublattices, and Q and Q_F
+    for the target sublattices at their images.  The sublattices restrict
+    when E(N_F ∩ Span sigma_F) = N ∩ Span F and
+    T(Q_F ∩ Span p_F(sigma_F)) = Q ∩ Span p(F).  Every other cell is
+    checked itself.
+
+    Proof of the inheritance.  The certificate reads N only through
+    M = N ∩ Span, and Q only inside the span of the image.  E and T are
+    injective and E carries sigma_F onto F, so E carries M_F onto
+    M ∩ Span F.  M has full rank in the cell, so M ∩ Span F has rank
+    dim F: the face has the same lattice, of full rank.  p E = T p_F sends
+    M_F into Q ∩ Span p(F), the image under T of Q_F ∩ Span p_F(sigma_F),
+    so p_F sends M_F into Q_F.  A face tau of sigma_F on which p_F is
+    injective goes by E onto a face of F, hence of the cell, on which p is
+    injective, and E and T carry M_F ∩ Span tau and Q_F ∩ Span p_F(tau)
+    onto the cell's lattices for that face: its injective faces are
+    injective faces of the cell, with equal lattices.  There the inclusion
+    holds, and T is injective, so it holds for tau.  So every test of the
+    certificate passes on sigma_F, and it would return True.
+
+    Only a True certificate is inherited: a cell that passes by Hilbert
+    bases proves nothing about its faces.  If any cell fails, every cell is
+    checked again in order, so the failures are those and in the order
+    that a check of every cell gives.
+    """
     if source_sublattices is None:
         source_sublattices = [full_sublattice(c.lattice) for c in m.source.cells]
     if target_sublattices is None:
         target_sublattices = [full_sublattice(c.lattice) for c in m.target.cells]
-    failures = []
-    for s, sigma in enumerate(m.source.cells):
+    cells, images = m.source.cells, m.images
+    carried_lattices: dict = {}
+
+    def carried(e: LatticeMap, sub: Sublattice) -> Sublattice:
+        # one image lattice per distinct (map, sublattice) in a call
+        key = (e.matrix, sub.basis)
+        if key not in carried_lattices:
+            carried_lattices[key] = image_lattice(e, sub)
+        return carried_lattices[key]
+
+    target_faces: dict = {}
+    q_subs: dict = {}
+    for s, img in enumerate(images):
         t = m.assignment[s]
-        cell = m.target.cells[t]
-        img = m.images[s]
-        if img not in cell.faces():
-            failures.append((sigma, 1,
-                             f"image of cell {s} is not a face of its target cell"))
-            continue
-        if img == cell:
-            q_sub = target_sublattices[t]
-        else:
+        if t not in target_faces:
+            target_faces[t] = set(m.target.cells[t].faces())
+        if img == m.target.cells[t]:
+            q_subs[s] = target_sublattices[t]
+        elif img in target_faces[t]:
             gl = m.target.gluing_for(t, img)
-            q_sub = image_lattice(gl.embedding, target_sublattices[gl.chart])
-        try:
-            ok = image_monoid_equals_cone_monoid(m.cell_maps[s], sigma, img,
-                                                 source_sublattices[s], q_sub)
-        except MonoidError as exc:
-            failures.append((sigma, 2, f"cell {s}: {exc}"))
-            continue
-        if not ok:
-            failures.append((sigma, 2,
-                             f"lattice points of cell {s} do not cover the "
-                             "lattice points of its image"))
+            q_subs[s] = carried(gl.embedding, target_sublattices[gl.chart])
+
+    as_face: dict = {}  # chart: the gluings of it as a proper face
+    for g in m.source.gluings:
+        if g.face != cells[g.cell]:
+            as_face.setdefault(g.chart, []).append(g)
+
+    def within(sub: Sublattice, c: Cone) -> Sublattice:
+        # sub ∩ Span c; sub itself where the span equations vanish on it, as
+        # on the sublattices reduce_complex attaches
+        if not any(dot(u, v) for u in c.span_equations for v in sub.vectors()):
+            return sub
+        return intersect_sublattices(sub, span_sublattice(c))
+
+    def restricts(g: Gluing) -> bool:
+        # the two equalities of the proof for g, which glues the face F
+        s, c = g.chart, g.cell
+        if g.retraction is None or carried(g.embedding, within(source_sublattices[s], cells[s])) \
+                != within(source_sublattices[c], g.face):
+            return False
+        through = matmul(m.cell_maps[c].matrix, g.embedding.matrix)
+        for tg in m.target.gluings_of(m.assignment[c], m.assignment[s]):
+            if tg.retraction is not None and \
+                    matmul(tg.embedding.matrix, m.cell_maps[s].matrix) == through:
+                return carried(tg.embedding, within(q_subs[s], images[s])) == intersect_sublattices(
+                    q_subs[c], carried(tg.embedding, span_sublattice(images[s])))
+        return False
+
+    for every_cell in (False, True):
+        failures = []
+        proved: set = set()
+        # the maximal cells first, so that their faces may inherit
+        for s in (range(len(cells)) if every_cell else sorted(range(len(cells)),
+                                                              key=lambda s: s in as_face)):
+            sigma = cells[s]
+            if s not in q_subs:
+                failures.append((sigma, 1,
+                                 f"image of cell {s} is not a face of its target cell"))
+                continue
+            if not every_cell:
+                if s not in as_face and _lattice_certificate(
+                        m.cell_maps[s], sigma, source_sublattices[s], q_subs[s]) is True:
+                    proved.add(s)
+                    continue
+                if any(g.cell in proved and restricts(g) for g in as_face.get(s, ())):
+                    continue
+            try:
+                ok = image_monoid_equals_cone_monoid(m.cell_maps[s], sigma, images[s],
+                                                     source_sublattices[s], q_subs[s])
+            except MonoidError as exc:
+                failures.append((sigma, 2, f"cell {s}: {exc}"))
+                continue
+            if not ok:
+                failures.append((sigma, 2,
+                                 f"lattice points of cell {s} do not cover the "
+                                 "lattice points of its image"))
+        if not failures:
+            break
     return WeakSemistabilityReport(tuple(failures))

@@ -51,6 +51,12 @@ class ReductionError(ValueError):
     pass
 
 
+class NoFactorization(ReductionError):
+    """The family does not factor over the given alteration: the square
+    built over it fails only by its projection, or its cones do not land
+    in the reduced cones and sublattices."""
+
+
 # ---------------------------------------------------------------------------
 # image refinement
 
@@ -319,12 +325,12 @@ def _forced_pairs(f: FanMorphism, reduced: StackyFan, name: str,
         try:
             target = minimal_containing_cone(reduced.fan, img)
         except FanError:
-            raise ReductionError(
+            raise NoFactorization(
                 f"{name} cone {c.rays} does not land in a single refined cone; "
                 + landing_hint)
         moved = image_lattice(f.lattice_map, span_sublattice(c))
         if not reduced.sublattice(target).contains_sublattice(moved):
-            raise ReductionError(
+            raise NoFactorization(
                 f"{name} cone {c.rays} carries lattice points outside the "
                 f"reduced {name} sublattice; " + lattice_hint)
         pairs.append((c, target))
@@ -362,6 +368,11 @@ def universal_minimal_modification(red: ReductionResult,
     obj = CategoryCObject(i_refined_to_g, j, pi)
     report = validate_category_object(obj, p_orig)
     if not report:
-        raise ReductionError("constructed square is invalid: "
-                             + "; ".join(report.violations))
+        error = ReductionError("constructed square is invalid: "
+                               + "; ".join(report.violations))
+        if len(report.violations) == 1 and not is_weakly_semistable(pi):
+            # i is an alteration, and the one violation is the projection's
+            error = NoFactorization("the family does not factor over the alteration: "
+                                    + report.violations[0])
+        raise error
     return obj

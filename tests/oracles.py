@@ -46,7 +46,15 @@ replaced.  And the target-cell step of `reduce_complex` that moved points
 instead of images: every labelled point carried through the gluing of its
 owner face into each assigned cell, and every functional of every image
 pulled back through every pair of gluings that share a chart, which the
-source images moved into each target cell once replaced."""
+source images moved into each target cell once replaced.  And the checks
+of `reduce_complex` as they ran before each did its work once: the
+gluings of `validate_complex` checked on image cones (the every-face form
+above builds them), the morphism's maps compared vector by vector on each
+glued face, the lattice points of every cell compared, faces included,
+which the certificate of each maximal cell and the restriction of its
+sublattices to its faces replaced, and the coverage of each source cell by
+its parts, which the coverage of each target cell by its maximal pieces
+replaced."""
 import dataclasses
 import functools
 import itertools
@@ -69,6 +77,8 @@ from semistable.fan import (
     Fan,
     FanError,
     ValidationReport,
+    WeakSemistabilityReport,
+    covers,
     is_smooth_fan,
     is_weakly_semistable,
 )
@@ -111,6 +121,7 @@ from semistable.monoid import (
     _contains_modulo_units,
     _dual_monoid,
     hilbert_basis,
+    image_monoid_equals_cone_monoid,
     integral_by_flatness,
 )
 from semistable.reduction import ReductionError, refine_cell
@@ -530,8 +541,9 @@ def entrywise_primitive(v):
 
 
 def validate_complex_every_face(cx):
-    """`validate_complex` with the composite check on every face of every
-    glued face, each chart counterpart found by an image cone."""
+    """`validate_complex` with each gluing checked on the image cone of
+    its chart and the composite check on every face of every glued face,
+    each chart counterpart found by an image cone."""
     bad = []
     for i, c in enumerate(cx.cells):
         if not c.is_strictly_convex:
@@ -588,6 +600,64 @@ def validate_complex_every_face(cx):
                 bad.append(f"cell {g.cell}, face {h.rays}: composite gluing "
                            "disagrees with the direct one")
     return ValidationReport(tuple(bad))
+
+
+def validate_complex_morphism_by_vectors(m):
+    """`validate_complex_morphism` with both sides of each gluing applied
+    to every basis vector of the chart's span, four products a vector."""
+    bad = []
+    for g in m.source.gluings:
+        i, j, e = g.cell, g.chart, g.embedding
+        kappa, lam = m.assignment[i], m.assignment[j]
+        span = span_sublattice(m.source.cells[j]).vectors()
+        if not any(all(matvec(m.cell_maps[i].matrix, matvec(e.matrix, v)) ==
+                       matvec(tg.embedding.matrix, matvec(m.cell_maps[j].matrix, v))
+                       for v in span)
+                   for tg in m.target.gluings_of(kappa, lam)):
+            bad.append(f"maps of cells {i} and {j} disagree on the face "
+                       f"{g.face.rays}")
+    return ValidationReport(tuple(bad))
+
+
+def complex_weak_semistability_every_cell(m, source_sublattices=None,
+                                          target_sublattices=None):
+    """`complex_weak_semistability` with the lattice points of every cell,
+    faces included, compared by `image_monoid_equals_cone_monoid`."""
+    if source_sublattices is None:
+        source_sublattices = [full_sublattice(c.lattice) for c in m.source.cells]
+    if target_sublattices is None:
+        target_sublattices = [full_sublattice(c.lattice) for c in m.target.cells]
+    failures = []
+    for s, sigma in enumerate(m.source.cells):
+        t = m.assignment[s]
+        cell = m.target.cells[t]
+        img = m.images[s]
+        if img not in cell.faces():
+            failures.append((sigma, 1,
+                             f"image of cell {s} is not a face of its target cell"))
+            continue
+        if img == cell:
+            q_sub = target_sublattices[t]
+        else:
+            gl = m.target.gluing_for(t, img)
+            q_sub = image_lattice(gl.embedding, target_sublattices[gl.chart])
+        try:
+            ok = image_monoid_equals_cone_monoid(m.cell_maps[s], sigma, img,
+                                                 source_sublattices[s], q_sub)
+        except MonoidError as exc:
+            failures.append((sigma, 2, f"cell {s}: {exc}"))
+            continue
+        if not ok:
+            failures.append((sigma, 2,
+                             f"lattice points of cell {s} do not cover the "
+                             "lattice points of its image"))
+    return WeakSemistabilityReport(tuple(failures))
+
+
+def uncovered_source_cells(m, parts):
+    """The source cells s whose parts `parts[s]`, as `reduce_complex` cuts
+    them, miss part of the cell, each checked by `covers`."""
+    return [s for s, sigma in enumerate(m.source.cells) if not covers(sigma, parts[s])]
 
 
 def gluing_for_scan(cx, cell, face):

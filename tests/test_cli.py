@@ -8,7 +8,7 @@ import pytest
 
 from semistable import cli, monoid
 from semistable.fan import is_smooth_fan, validate_stacky_fan
-from semistable.reduction import ReductionError
+from semistable.reduction import NoFactorization
 from semistable.cli import (
     DocumentError,
     _enc_int,
@@ -648,7 +648,7 @@ def test_factor_reports_a_square_that_does_not_factor(monkeypatch):
     # no stored family and alteration reach this report: the square is
     # built from the reduction it is factored through
     def refuse(obj, red):
-        raise ReductionError("base cone ((1,),) does not land in a single refined cone")
+        raise NoFactorization("base cone ((1,),) does not land in a single refined cone")
     monkeypatch.setattr(cli, "factor_through", refuse)
     code, out = run_cli("factor", "--family", data("fix_semi.json"),
                         "--alteration", data("halfline_x2.json"))
@@ -656,3 +656,17 @@ def test_factor_reports_a_square_that_does_not_factor(monkeypatch):
     assert json.loads(out)["payload"] == {
         "ok": False, "details": [],
         "violations": ["base cone ((1,),) does not land in a single refined cone"]}
+
+
+def test_factor_reports_a_family_that_does_not_factor_over_the_alteration(tmp_path):
+    # over the identity of the half line the square's projection is not
+    # weakly semistable: fix_semi needs the base change x2 to factor
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(document("fan_morphism", {
+        "matrix": [[1]], "source": fan_payload(1, [[1]]), "target": fan_payload(1, [[1]])})))
+    code, out = run_cli("factor", "--family", data("fix_semi.json"), "--alteration", str(path))
+    assert code == 1
+    assert json.loads(out)["payload"] == {
+        "ok": False, "details": [],
+        "violations": ["the family does not factor over the alteration: the projection "
+                       "is not weakly semistable; failing cones: ((-1, 2),)"]}

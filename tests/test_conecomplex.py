@@ -30,13 +30,15 @@ from semistable.conecomplex import (
     validate_complex,
     validate_complex_morphism,
 )
-from semistable.fan import Fan, FanError, FanMorphism, decompose_by_hyperplanes
+from semistable.fan import Fan, FanError, FanMorphism, covers, decompose_by_hyperplanes
 from semistable.lattice import (
     Lattice,
     LatticeMap,
+    full_sublattice,
     identity,
     intersect_sublattices,
     mat,
+    matmul,
     preimage_sublattice,
     sublattice_from_vectors,
     vec_neg,
@@ -671,6 +673,16 @@ class TestWeakSemistability:
         assert not report
         diag = cone(2, (1, 1))
         assert diag in [c for c, _, _ in report.failures]
+        # the cells glued over the diagonal pass by Hilbert bases, not by
+        # the certificate, so the diagonal inherits nothing from them
+        above = [g.cell for g in m.source.gluings
+                 if g.face == diag and g.face != m.source.cells[g.cell]]
+        assert above
+        for c in above:
+            full = full_sublattice(m.source.cells[c].lattice)
+            assert conecomplex._lattice_certificate(m.cell_maps[c], m.source.cells[c], full,
+                                                    full_sublattice(m.images[c].lattice)) is None
+        assert report == oracles.complex_weak_semistability_every_cell(m)
 
     def test_image_escaping_the_target_sublattice_is_a_failing_cell(self):
         f = halfline_fan()
@@ -772,23 +784,20 @@ class TestReduceComplexFailures:
                            r"face \(\(1,\),\) of cell 1 is not glued$"):
             reduce_complex(fan_morphism_as_complex(fix_double()))
 
-    def test_a_source_cell_left_partly_uncut(self, monkeypatch):
-        # the largest part of every source cell but the origin goes missing
-        cut = conecomplex._cut_source_cell
-
-        def short(sigma, pmap, image, top):
-            parts = cut(sigma, pmap, image, top)
-            return parts[:-1] if sigma.dim else parts
-        monkeypatch.setattr(conecomplex, "_cut_source_cell", short)
+    def test_a_target_cell_left_partly_uncut(self, monkeypatch):
+        # the quadrant loses its last maximal piece; its faces stay, so the
+        # walk sees every glued face agree and only the cover check fails
+        corrupting_runs(monkeypatch, 3, lambda run: _CellRun(
+            run.pieces[:-1], run.sublattices))
         with pytest.raises(ReductionError,
-                           match="^subdivision of source cell 1 misses part of the cell$"):
-            reduce_complex(fan_morphism_as_complex(fix_double()))
+                           match="^subdivision of target cell 3 misses part of the cell$"):
+            reduce_complex(fan_morphism_as_complex(fix_subdiv()))
 
     def test_no_base_cell_receives_a_total_cell(self, monkeypatch):
         # the half line loses its ray piece, so no base cell it owns holds
         # the image of (1,0), whose map does not descend to the origin's
-        # chart; the cover check that would catch the half line's source
-        # cell first is switched off
+        # chart; the cover check that would catch the half line first is
+        # switched off
         corrupting_runs(monkeypatch, 0, lambda run: _CellRun(
             run.pieces[:-1], run.sublattices))
         monkeypatch.setattr(conecomplex, "covers", lambda cell, cones: True)
@@ -1148,3 +1157,252 @@ def test_referee_rejects_a_doubled_total_sublattice(spec):
     cell = max(out["total"], key=lambda t: len(t["sub"]))
     cell["sub"] = [[2 * x for x in v] for v in cell["sub"]]
     assert REFEREE.check_complex_reduction(spec, out)
+
+
+# ---------------------------------------------------------------------------
+# the checks of reduce_complex, each doing its work once, against the forms
+# that ran before (tests/oracles.py)
+
+def perfbench_morphism(name):
+    with open(os.path.join(PERFBENCH, "inputs", f"{name}.json")) as fh:
+        kind, m = load_document(fh.read(), ("fan_morphism", "complex_morphism"))
+    return fan_morphism_as_complex(m) if kind == "fan_morphism" else m
+
+
+def maximal_cells(cx):
+    """The cells that no gluing of a proper face names as its chart."""
+    faces = {g.chart for g in cx.gluings if g.face != cx.cells[g.cell]}
+    return [c for i, c in enumerate(cx.cells) if i not in faces]
+
+
+@pytest.mark.parametrize("name", ["s_quad", "glued_rays", "glued_quadrants"])
+def test_each_check_does_its_work_once(monkeypatch, name):
+    """covers once per target cell, the lattice certificate once per
+    maximal total cell, and no image cone built by validate_complex or
+    _assemble_complex, as every embedding has a left inverse."""
+    m = perfbench_morphism(name)
+    covered, certified, inside, built = [], [], [], []
+    covers, certificate = conecomplex.covers, conecomplex._lattice_certificate
+    image_cone = conecomplex.image_cone
+
+    def covers_spy(cell, cones):
+        covered.append(cell)
+        return covers(cell, cones)
+
+    def certificate_spy(p, sigma, n_sub, q_sub):
+        certified.append(sigma)
+        return certificate(p, sigma, n_sub, q_sub)
+
+    def image_cone_spy(f, c):
+        built.extend(inside[-1:])
+        return image_cone(f, c)
+
+    def watched(f):
+        def run(*args):
+            inside.append(f.__name__)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(conecomplex, "covers", covers_spy)
+    monkeypatch.setattr(conecomplex, "_lattice_certificate", certificate_spy)
+    monkeypatch.setattr(conecomplex, "image_cone", image_cone_spy)
+    for watch in ("validate_complex", "_assemble_complex"):
+        monkeypatch.setattr(conecomplex, watch, watched(getattr(conecomplex, watch)))
+    cres = reduce_complex(m)
+    complexes = (m.source, m.target, cres.base.complex, cres.total.complex)
+    assert all(g.retraction is not None for cx in complexes for g in cx.gluings)
+    assert covered == list(m.target.cells)
+    assert certified == maximal_cells(cres.total.complex)
+    assert len(certified) < len(cres.total.complex.cells)
+    assert built == []
+
+
+GLUING_FAULTS = ["valid", "turned", "doubled", "missing", "composite"]
+
+
+def test_gluings_checked_by_rays_match_the_image_cones():
+    """validate_complex against its every-face form, which checks each
+    gluing on the image cone of its chart, on stellar fans as complexes
+    with one gluing's embedding turned by a unimodular matrix (it keeps a
+    left inverse) or doubled (its image is not saturated), one gluing
+    missing, or a composite broken."""
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        fault = data.draw(st.sampled_from(GLUING_FAULTS))
+        if fault == "composite":
+            cx, _ = data.draw(stellar_complexes())
+        else:
+            rank = data.draw(st.integers(1, 3))
+            cx = fan_as_complex(stellar(rank, data.draw(points(rank)), data.draw(drops)))
+            gl = list(cx.gluings)
+            k = data.draw(st.integers(0, len(gl) - 1))
+            g = gl[k]
+            if fault == "missing":
+                del gl[k]
+            elif fault != "valid":
+                e = g.embedding
+                if fault == "doubled":
+                    matrix = tuple(tuple(2 * x for x in row) for row in e.matrix)
+                else:
+                    i, j = data.draw(st.tuples(st.integers(0, rank - 1),
+                                               st.integers(0, rank - 1)))
+                    turn = [list(row) for row in identity(rank)]
+                    turn[i][j] = -1 if i == j else data.draw(st.sampled_from([-1, 1]))
+                    matrix = mat(matmul(turn, e.matrix))
+                gl[k] = Gluing(g.cell, g.face, g.chart, LatticeMap(e.domain, e.codomain, matrix))
+            cx = ConeComplex(cx.cells, tuple(gl))
+        report = validate_complex(cx)
+        assert report.violations == oracles.validate_complex_every_face(cx).violations
+        outcomes.add((fault, bool(report)))
+
+    check()
+    assert ("valid", False) not in outcomes
+    assert outcomes >= {("valid", True)} | {(fault, False) for fault in GLUING_FAULTS[1:]}
+
+
+def test_morphism_check_by_products_matches_the_check_by_vectors():
+    """validate_complex_morphism against the form that applies both sides
+    to every basis vector, on the stored morphisms with one cell's map
+    doubled or set to zero, or left alone."""
+    morphisms = stored_morphisms()
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.sampled_from(morphisms))
+        factor = data.draw(st.sampled_from([1, 2, 0]))
+        if factor != 1:
+            s = data.draw(st.integers(0, len(m.source.cells) - 1))
+            f = m.cell_maps[s]
+            maps = list(m.cell_maps)
+            maps[s] = LatticeMap(f.domain, f.codomain,
+                                 tuple(tuple(factor * x for x in row) for row in f.matrix))
+            m = ComplexMorphism(m.source, m.target, tuple(maps), m.assignment)
+        report = validate_complex_morphism(m)
+        assert report.violations == oracles.validate_complex_morphism_by_vectors(m).violations
+        outcomes.add((factor, bool(report)))
+
+    check()
+    assert (1, False) not in outcomes
+    assert outcomes >= {(1, True), (2, False), (0, False)}
+
+
+def reduced_cases():
+    """(morphism, source sublattices, target sublattices): every stored
+    morphism with full sublattices, and the morphism reduce_complex makes
+    from it with the total and base sublattices."""
+    cases = []
+    for m in stored_morphisms():
+        cases.append((m, [full_sublattice(c.lattice) for c in m.source.cells],
+                      [full_sublattice(c.lattice) for c in m.target.cells]))
+        try:
+            cres = reduce_complex(m)
+        except ReductionError:
+            continue
+        cases.append((cres.morphism, list(cres.total.sublattices),
+                      list(cres.base.sublattices)))
+    return cases
+
+
+SEMISTABILITY_FAULTS = ["valid", "face", "cell", "target"]
+
+
+def test_certificate_on_maximal_cells_matches_every_cell():
+    """complex_weak_semistability against the check of every cell, on the
+    stored and the reduced morphisms, left alone or with one sublattice
+    doubled: of a cell glued as a proper face, of any source cell, or of
+    any target cell."""
+    cases = reduced_cases()
+    outcomes = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        fault = data.draw(st.sampled_from(SEMISTABILITY_FAULTS))
+        m, source, target = data.draw(st.sampled_from(cases))
+        source, target = list(source), list(target)
+        if fault == "target":
+            t = data.draw(st.integers(0, len(target) - 1))
+            target[t] = doubled(target[t])
+        elif fault != "valid":
+            faces = sorted({g.chart for g in m.source.gluings
+                            if g.face != m.source.cells[g.cell]})
+            s = data.draw(st.sampled_from(faces if fault == "face" and faces
+                                          else range(len(source))))
+            source[s] = doubled(source[s])
+        report = complex_weak_semistability(m, source, target)
+        assert report == oracles.complex_weak_semistability_every_cell(m, source, target)
+        outcomes.add((fault, bool(report)))
+
+    check()
+    # 21 stored morphisms when written, 20 of them reduced
+    assert len(cases) >= 41
+    assert outcomes >= {(fault, outcome) for fault in SEMISTABILITY_FAULTS
+                        for outcome in (True, False)}
+
+
+def test_target_cover_proves_the_source_cover():
+    """Where the maximal pieces of a target cell cover it, the parts of
+    every source cell assigned to it cover that cell (the proof in
+    reduce_complex's docstring); checked with one maximal piece of a drawn
+    target cell dropped or none."""
+    outcomes = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(projections(), st.data())
+    def check(case, data):
+        source, target, rows = case
+        try:
+            m = fan_morphism_as_complex(fan_morphism(source, target, rows))
+            runs = {t: _run_target_cell(m, t) for t in range(len(m.target.cells))}
+        except (FanError, ReductionError):
+            assume(False)
+        tops = {t: Fan(m.target.cells[t].lattice, run.pieces).maximal_cones()
+                for t, run in runs.items()}
+        if data.draw(st.booleans()):
+            t = data.draw(st.integers(0, len(tops) - 1))
+            tops[t].remove(data.draw(st.sampled_from(tops[t])))
+        parts = {s: _cut_source_cell(sigma, m.cell_maps[s], m.images[s],
+                                     tops[m.assignment[s]])
+                 for s, sigma in enumerate(m.source.cells)}
+        uncovered = set(oracles.uncovered_source_cells(m, parts))
+        for t, top in tops.items():
+            covered = covers(m.target.cells[t], top)
+            assigned = {s for s, lam in enumerate(m.assignment) if lam == t}
+            if covered:
+                assert not assigned & uncovered
+            outcomes.add((covered, not assigned & uncovered))
+
+    check()
+    assert outcomes >= {(True, True), (False, False)}
+
+
+def test_a_face_whose_map_differs_off_its_span_is_checked_itself(monkeypatch):
+    # the ray (0,1) of the quadrant over the half line maps by [[3, 0]]: as
+    # [[1, 0]] on its span, so the morphism is valid, but no target gluing
+    # T has p E = T p_F, so the ray does not inherit the quadrant's
+    # certificate and is checked itself
+    m = fan_morphism_as_complex(FanMorphism(quadrant_fan(), halfline_fan(), lmap([[1, 0]])))
+    ray = m.source.cells.index(cone(2, (0, 1)))
+    maps = list(m.cell_maps)
+    maps[ray] = lmap([[3, 0]])
+    m = ComplexMorphism(m.source, m.target, tuple(maps), m.assignment)
+    assert validate_complex_morphism(m)
+    checked = []
+    check = conecomplex.image_monoid_equals_cone_monoid
+
+    def check_spy(p, sigma, img, n_sub, q_sub):
+        checked.append(sigma)
+        return check(p, sigma, img, n_sub, q_sub)
+    monkeypatch.setattr(conecomplex, "image_monoid_equals_cone_monoid", check_spy)
+    report = complex_weak_semistability(m)
+    assert report
+    assert checked == [m.source.cells[ray]]
+    assert report == oracles.complex_weak_semistability_every_cell(m)

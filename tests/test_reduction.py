@@ -1,5 +1,10 @@
+import re
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+from semistable import reduction
 
 from semistable.cone import Cone, relint_owner, span_sublattice
 from semistable.fan import (
@@ -22,6 +27,7 @@ from semistable.reduction import (
     CategoryCObject,
     FactorCertificate,
     N0Label,
+    NoFactorization,
     ReductionError,
     base_lattices,
     factor_through,
@@ -32,6 +38,7 @@ from semistable.reduction import (
     universal_minimal_modification,
     validate_category_object,
 )
+from test_support import FAN_MORPHISMS
 
 
 def lmap(rows):
@@ -342,3 +349,144 @@ class TestValidationViolations:
                               fix_semi())
         with pytest.raises(ReductionError):
             factor_through(obj, red)
+
+
+def doubled(sub):
+    return sublattice_from_vectors(sub.ambient,
+                                   [tuple(2 * x for x in v) for v in sub.vectors()])
+
+
+class TestReductionFailures:
+    """Each raise of the fan stages of reduce and of the argument checks of
+    universal_minimal_modification, reached by an invalid input or by
+    corrupting the stage that feeds it."""
+
+    def raises(self, message, run, *args):
+        with pytest.raises(ReductionError, match="^" + re.escape(message) + "$"):
+            run(*args)
+
+    def test_refined_base_that_is_not_a_fan(self, monkeypatch):
+        # the subdivided quadrant keeps its pieces and gains itself
+        refine = reduction.refine_by_images
+
+        def overlapping(cell, images, where):
+            out = refine(cell, images, where)
+            return out + [(cell, out[-1][1])] if len(out) > len(cell.faces()) else out
+        monkeypatch.setattr(reduction, "refine_by_images", overlapping)
+        self.raises("refined base is not a fan: "
+                    + "; ".join(f"intersection of {a} and {b} is not a common face"
+                                for a, b in [(((1, 1),), ((0, 1), (1, 0))),
+                                             (((0, 1), (1, 0)), ((0, 1), (1, 1))),
+                                             (((0, 1), (1, 0)), ((1, 0), (1, 1)))]),
+                    reduce, fix_subdiv())
+
+    def test_refined_base_that_misses_part_of_the_target(self, monkeypatch):
+        # the quadrant loses its last maximal piece
+        refine = reduction.refine_by_images
+
+        def dropping(cell, images, where):
+            out = refine(cell, images, where)
+            return out[:-1] if cell.dim == cell.lattice.rank else out
+        monkeypatch.setattr(reduction, "refine_by_images", dropping)
+        self.raises("refined base does not cover the target support", reduce, fix_subdiv())
+
+    def test_a_base_cell_with_no_contributing_cones(self):
+        refined, labels = image_refinement(fix_semi())
+        emptied = [N0Label(label.cone, ()) if label.cone.dim else label for label in labels]
+        self.raises("cell ((1,),) has no contributing cones",
+                    base_lattices, fix_semi(), refined, emptied)
+
+    def test_base_sublattices_that_disagree_on_faces(self, monkeypatch):
+        # the two maximal base cells get doubled lattices, their rays not
+        q_kappa = reduction.q_kappa_lattice
+        monkeypatch.setattr(reduction, "q_kappa_lattice", lambda p, kappa, contributing: (
+            doubled if kappa.dim == 2 else lambda q: q)(q_kappa(p, kappa, contributing)))
+        self.raises("base sublattices violate face compatibility: " + "; ".join(
+            f"sublattice of face {face} of {cell} disagrees with restriction"
+            for cell, face in [(((0, 1), (1, 1)), ((0, 1),)), (((0, 1), (1, 1)), ((1, 1),)),
+                               (((1, 0), (1, 1)), ((1, 0),)), (((1, 0), (1, 1)), ((1, 1),))]),
+            reduce, fix_subdiv())
+
+    def test_total_sublattices_that_disagree_on_faces(self, monkeypatch):
+        # the two maximal total cones get doubled lattices, their rays not
+        base = reduce(fix_subdiv()).base
+        intersect = reduction.intersect_sublattices
+        monkeypatch.setattr(reduction, "intersect_sublattices", lambda a, b: (
+            doubled if b.rank == 2 else lambda s: s)(intersect(a, b)))
+        self.raises("total sublattices violate face compatibility: " + "; ".join(
+            f"sublattice of face {face} of {cell} disagrees with restriction"
+            for cell, face in [(((0, 1), (1, 1)), ((0, 1),)), (((0, 1), (1, 1)), ((1, 1),)),
+                               (((1, 0), (1, 1)), ((1, 0),)), (((1, 0), (1, 1)), ((1, 1),))]),
+            total_refinement, fix_subdiv(), base)
+
+    def test_total_sublattices_that_are_not_weakly_semistable(self, monkeypatch):
+        # every total lattice doubled: compatible on faces, but 2Z does not
+        # reach the odd points of the base ray
+        preimage = reduction.preimage_sublattice
+        monkeypatch.setattr(reduction, "preimage_sublattice",
+                            lambda f, q: doubled(preimage(f, q)))
+        self.raises("constructed stacky morphism is not weakly semistable; "
+                    "failing cones: ((1,),)", reduce, fix_double())
+
+    def test_total_sublattices_that_are_not_representable(self, monkeypatch):
+        # the quadrant over the half line with Z x 2Z for the full
+        # preimage: compatible on faces and weakly semistable, as the
+        # second coordinate is collapsed, but not the preimage
+        preimage, intersect = reduction.preimage_sublattice, reduction.intersect_sublattices
+        z_2z = sublattice_from_vectors(Lattice(2), [(1, 0), (0, 2)])
+        monkeypatch.setattr(reduction, "preimage_sublattice",
+                            lambda f, q: intersect(preimage(f, q), z_2z))
+        self.raises("constructed stacky morphism is not representable", reduce,
+                    FanMorphism(quadrant_fan(), halfline_fan(), lmap([[1, 0]])))
+
+    def test_refined_total_that_misses_part_of_the_source(self, monkeypatch):
+        # the minimal modification loses its last maximal cone
+        modification = reduction.minimal_modification
+
+        def dropping(p_map, f, g):
+            refined, _ = modification(p_map, f, g)
+            smaller = Fan.from_cones(refined.lattice, refined.maximal_cones()[:-1])
+            return smaller, FanMorphism(smaller, g, p_map)
+        monkeypatch.setattr(reduction, "minimal_modification", dropping)
+        self.raises("refined total is not a modification of the source fan",
+                    reduce, fix_subdiv())
+
+    def test_an_alteration_of_another_base(self):
+        identity2 = LatticeMap.identity_map(Lattice(2))
+        self.raises("the alteration must target the original base fan",
+                    universal_minimal_modification, reduce(fix_semi()),
+                    FanMorphism(quadrant_fan(), quadrant_fan(), identity2))
+
+    def test_a_base_map_that_is_not_an_alteration(self):
+        self.raises("the base map is not an alteration",
+                    universal_minimal_modification, reduce(fix_semi()),
+                    FanMorphism(Fan.from_cones(1, []), halfline_fan(), lmap([[1]])))
+
+
+def test_no_stored_pair_builds_an_invalid_square():
+    """factor over every pair of stored fan morphisms of source rank at most
+    3: the square over a valid alteration either factors or fails only by
+    its projection, which is a family that does not factor, never an
+    invalid square."""
+    small = [p for _, p in FAN_MORPHISMS if p.source.lattice.rank <= 3]
+    outcomes = Counter()
+    for p in small:
+        try:
+            red = reduce(p)
+        except ReductionError:
+            continue
+        for i in small:
+            try:
+                factor_through(universal_minimal_modification(red, i), red)
+                outcomes["factors"] += 1
+            except NoFactorization as exc:
+                assert str(exc).startswith("the family does not factor over the alteration: "
+                                           "the projection is not weakly semistable")
+                outcomes["does not factor"] += 1
+            except ReductionError as exc:
+                assert str(exc) in ("the alteration must target the original base fan",
+                                    "the base map is not an alteration")
+                outcomes["not an alteration of the base"] += 1
+    # 24 morphisms and 576 pairs when written: 62 factor and 52 do not
+    assert len(small) >= 24
+    assert outcomes["factors"] >= 62 and outcomes["does not factor"] >= 52
