@@ -4,14 +4,14 @@ the reduction pipeline.
 
 A complex stores no ambient lattice.  Every crossing of a gluing, for
 cones inside a face, sublattices and map columns, is a product with the
-gluing's embedding or with its retraction (the left inverse, taken from
-one Hermite form per distinct embedding when a gluing with it is first
-crossed), so the fan case (all charts equal to one ambient lattice,
-identity embeddings) is recovered exactly.  Each target cell is cut and
-labelled by the source images moved into its lattice, once each, by the
-per-cell step of the fan pipeline (`refine_by_images`; see
-`_moved_images`), so no point crosses a gluing there; only the walk that
-glues the pieces asks for the owner face of a point, the face whose
+gluing's embedding or with its retraction (the left inverse, looked up
+on each read from one Hermite form per distinct embedding matrix), so the
+fan case (all charts equal to one ambient lattice, identity embeddings) is
+recovered exactly.  Each target cell is cut and labelled by the source
+images moved into its lattice, once each, by the per-cell step of the fan
+pipeline (`refine_by_images`; see `_moved_images`), so no point crosses a
+gluing there; only the walk that glues the target pieces and the cut of a
+maximal source cell ask for the owner face of a point, the face whose
 relative interior holds it.  `validate_complex` checks that composites of
 gluings agree on the faces of codimension 0 and 1 of each glued face, which
 proves them on every face (the lemma in its docstring); only a failure
@@ -25,14 +25,22 @@ face when its embedding moves the chart's rays onto the face's, so
 cells, and a face cell inherits a True certificate when its sublattices
 are the restrictions of its cell's; any failure reruns the check on every
 cell.  Coverage is checked once per target cell, by its maximal pieces,
-which proves it for every source cell.  Each docstring holds its proof.
+which proves it for every source cell.
+
+The maximal cells do the work on the source side: only they are cut
+(`_source_runs`), and every other source cell takes the parts of a maximal
+cell that lie in the face it is glued as, with their sublattices and owner
+faces, moved by the retraction of that gluing.  The glued base and total
+complexes are not validated again: the validated inputs and the walk that
+glued them prove that they pass validate_complex (the lemma of
+`_assemble_complex`).  Each docstring holds its proof.
 """
 from __future__ import annotations
 
 import functools
 from typing import Optional, Sequence
 
-from .cone import Cone, image_cone, intersect, preimage_cone, relint_owner, span_sublattice
+from .cone import Cone, image_cone, relint_owner, span_sublattice
 from .fan import (
     Fan,
     FanMorphism,
@@ -41,6 +49,7 @@ from .fan import (
     covers,
 )
 from .lattice import (
+    Lattice,
     LatticeMap,
     Record,
     Sublattice,
@@ -53,6 +62,7 @@ from .lattice import (
     matvec,
     preimage_sublattice,
     saturate,
+    transpose,
 )
 from .monoid import MonoidError, _lattice_certificate, image_monoid_equals_cone_monoid
 from .reduction import ReductionError, refine_by_images
@@ -82,19 +92,23 @@ class Gluing(Record):
     chart: int
     embedding: LatticeMap
 
-    @functools.cached_property
+    @property
     def retraction(self) -> Optional[LatticeMap]:
         """Left inverse of the embedding, None unless it is injective with a
-        saturated image; computed on first use, not when a complex is built."""
-        return _left_inverse_map(self.embedding)
+        saturated image; looked up on each read, never when a complex is
+        built."""
+        return _left_inverse_map(self.embedding.matrix, self.embedding.domain.rank)
 
 
 @functools.lru_cache(maxsize=RETRACTION_MEMO_SIZE)
-def _left_inverse_map(e: LatticeMap) -> Optional[LatticeMap]:
-    """One left inverse per distinct embedding: the complexes a reduction
-    assembles glue new cells by the embeddings of the old ones."""
-    inv = left_inverse(e.matrix)
-    return None if inv is None else LatticeMap(e.codomain, e.domain, inv)
+def _left_inverse_map(matrix, rank: int) -> Optional[LatticeMap]:
+    """One left inverse per distinct embedding matrix from a lattice of rank
+    `rank`: the complexes a reduction assembles glue new cells by the
+    embeddings of the old ones.  Keyed on the matrix, a tuple that hashes
+    without a Python call, and kept in no gluing.  A matrix without rows
+    has a left inverse only from the lattice of rank 0."""
+    inv = left_inverse(matrix) if matrix or not rank else None
+    return None if inv is None else LatticeMap(Lattice(len(matrix)), Lattice(rank), inv)
 
 
 class ConeComplex(Record):
@@ -132,11 +146,8 @@ def fan_as_complex(f: Fan) -> ConeComplex:
     cells = f.cones
     index = {c: i for i, c in enumerate(cells)}
     ident = LatticeMap.identity_map(f.lattice)
-    gl = []
-    for i, c in enumerate(cells):
-        for face in c.faces():
-            gl.append(Gluing(i, face, index[face], ident))
-    return ConeComplex(cells, tuple(gl))
+    return ConeComplex(cells, tuple(Gluing(i, face, index[face], ident)
+                                    for i, c in enumerate(cells) for face in c.faces()))
 
 
 def _moved_rays(matrix, c: Cone) -> tuple:
@@ -164,7 +175,8 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
     then the copy of h has the chart rays that E_g moves onto the rays of
     h, read back from that one move.  Only an embedding without a left
     inverse, which is reported already, is checked on its image cone.  Each
-    distinct product E_g E_s is formed once per call.
+    distinct product E_g E_s is formed once per call, and one left inverse
+    per distinct embedding matrix (`Gluing.retraction`).
 
     Lemma: composites agree at every (g, h) once they agree wherever h has
     codimension 0 or 1 in F.  (Codimension 0 asks that the self-gluing of
@@ -190,7 +202,6 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
     face_sets = [set(f) for f in faces]
     by_occurrence: dict = {}
     back: dict = {}
-    inverts: dict = {}  # embedding matrix: it has a left inverse
     for k, g in enumerate(cx.gluings):
         c = cx.cells[g.cell]
         if g.face not in face_sets[g.cell]:
@@ -207,9 +218,7 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
             bad.append(f"embedding for face {g.face.rays} of cell {g.cell} "
                        "connects the wrong lattices")
             continue
-        if e.matrix not in inverts:
-            inverts[e.matrix] = left_inverse(e.matrix) is not None
-        if not inverts[e.matrix]:
+        if g.retraction is None:
             image = image_lattice(e)
             if image.rank != e.domain.rank:
                 bad.append(f"embedding into cell {g.cell} is not injective")
@@ -235,7 +244,7 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
     # intermediate chart must give the same embedding.  By the lemma the
     # faces of codimension 0 and 1 suffice; any failure falls back to every
     # face, which names each violation in a fixed order
-    products: dict = {}
+    product = functools.cache(matmul)
     for every_face in (False, True):
         bad = []
         for k, g in enumerate(cx.gluings):
@@ -251,10 +260,7 @@ def validate_complex(cx: ConeComplex) -> ValidationReport:
                                f"{g.chart} reaches cell {step.chart}, "
                                f"directly it reaches {direct.chart}")
                     continue
-                pair = (e, step.embedding.matrix)
-                if pair not in products:
-                    products[pair] = matmul(*pair)
-                if products[pair] != direct.embedding.matrix:
+                if product(e, step.embedding.matrix) != direct.embedding.matrix:
                     bad.append(f"cell {g.cell}, face {h.rays}: composite gluing "
                                "disagrees with the direct one")
         if not bad:
@@ -296,13 +302,7 @@ def validate_complex_morphism(m: ComplexMorphism) -> ValidationReport:
     chart j into cell i they agree through T when M_i E and T M_j agree on
     the span of chart j, compared on its basis; each distinct product is
     formed once per call."""
-    products: dict = {}
-
-    def product(a, b):
-        if (a, b) not in products:
-            products[(a, b)] = matmul(a, b)
-        return products[(a, b)]
-
+    product = functools.cache(matmul)
     bad: list[str] = []
     for g in m.source.gluings:
         i, j = g.cell, g.chart
@@ -344,12 +344,15 @@ def _descend(g: Gluing, f: LatticeMap) -> Optional[LatticeMap]:
 
 
 def _owner_face(cell: Cone, sample) -> Optional[Cone]:
-    """Smallest face whose interior contains the sample; None for the cell
-    itself, which is tried first."""
-    f = relint_owner(reversed(cell.faces()), sample)
-    if f is None:
+    """Smallest face whose relative interior holds the sample; None for the
+    cell itself.  In a strictly convex cell that is the intersection of the
+    facets tight at the sample, the face spanned by the rays tight on each
+    of them, which is looked up among the cell's faces by its rays."""
+    if not cell.contains(sample):
         raise ReductionError("a subdivision cell escapes its chart cell")
-    return None if f == cell else f
+    tight = [u for u in cell.facets if not dot(u, sample)]
+    rays = tuple(r for r in cell.rays if not any(dot(u, r) for u in tight))
+    return None if rays == cell.rays else next(f for f in cell.faces() if f.rays == rays)
 
 
 def _moved_images(m: ComplexMorphism, t: int) -> list[tuple[int, Cone, Sublattice]]:
@@ -379,14 +382,18 @@ def _moved_images(m: ComplexMorphism, t: int) -> list[tuple[int, Cone, Sublattic
     into = [g for g in m.target.gluings if g.cell == t and _retraction(g)]
     moved: dict = {}
     for s, img in enumerate(m.images):
-        lattice = image_lattice(m.cell_maps[s], span_sublattice(m.source.cells[s]))
+        lattice = None
         for g in into:
             for h in m.target.gluings_of(m.assignment[s], g.chart):
-                if h.face.contains_cone(img):
-                    down = _retraction(h)
-                    moved.setdefault(
-                        (s, image_cone(g.embedding, image_cone(down, img))),
-                        image_lattice(g.embedding, image_lattice(down, lattice)))
+                # E_g L_h is the identity on the face of h when E_g = E_h
+                same = g.embedding.matrix == h.embedding.matrix
+                key = h.face.contains_cone(img) and (s, img if same else image_cone(
+                    g.embedding, image_cone(_retraction(h), img)))
+                if key and key not in moved:
+                    lattice = lattice or image_lattice(m.cell_maps[s],
+                                                       span_sublattice(m.source.cells[s]))
+                    moved[key] = lattice if same else image_lattice(
+                        g.embedding, image_lattice(_retraction(h), lattice))
     return [(s, img, lattice) for (s, img), lattice in moved.items()]
 
 
@@ -420,16 +427,22 @@ class ComplexReductionResult(Record):
 
 
 class _CellRun(Record):
-    """Everything the local reduction computed inside one target cell."""
+    """Everything the local reduction computed inside one cell: its pieces,
+    their sublattices and, where they are known when the pieces are made,
+    their owner faces (as `_owner_face` gives them), all by piece key."""
 
     pieces: tuple[Cone, ...]
     sublattices: dict
+    owners: Optional[dict] = None
 
 
 def _run_target_cell(m: ComplexMorphism, t: int) -> _CellRun:
     """Target cell t cut and labelled by the source images moved into it;
     each piece's sublattice is its span, intersected with the lattices of
-    the moved images that hold its sample."""
+    the moved images that hold its sample.  A moved image lattice that is
+    the whole lattice of the image's span cuts nothing: a piece whose
+    sample the image holds lies in the image, so its span lattice lies in
+    that one."""
     moved = _moved_images(m, t)
     pieces = []
     subs: dict = {}
@@ -439,7 +452,7 @@ def _run_target_cell(m: ComplexMorphism, t: int) -> _CellRun:
         sample = piece.interior_sample()
         result = span_sublattice(piece)
         for _, img, lattice in moved:
-            if img.relint_contains(sample):
+            if lattice != span_sublattice(img) and img.relint_contains(sample):
                 result = intersect_sublattices(result, lattice)
         subs[_key(piece)] = result
     return _CellRun(tuple(pieces), subs)
@@ -450,11 +463,93 @@ def _cut_source_cell(sigma: Cone, pmap: LatticeMap, image: Cone,
     """The subdivision of sigma by the preimages of the target pieces, from
     the maximal pieces `top` alone: a piece P <= P' pulls back to a face of
     the preimage of P' in sigma, and Fan.from_cones closes under faces.  A
-    piece containing the image of sigma leaves sigma uncut."""
+    piece containing the image of sigma leaves sigma uncut.  Each
+    intersection is cut out of sigma by the pulled-back facets and span
+    equations of its piece, and no preimage cone is built."""
     if any(piece.contains_cone(image) for piece in top):
         return Fan.from_cones(sigma.lattice, [sigma]).cones
-    return Fan.from_cones(sigma.lattice, [intersect(preimage_cone(pmap, piece), sigma)
-                                          for piece in top]).cones
+    back = transpose(pmap.matrix)
+    return Fan.from_cones(sigma.lattice, [Cone.from_halfspaces(
+        sigma.lattice, [matvec(back, u) for u in piece.facets] + list(sigma.facets),
+        [matvec(back, e) for e in piece.span_equations] + list(sigma.span_equations))
+        for piece in top]).cones
+
+
+def _source_runs(m: ComplexMorphism, runs: dict, tops: dict) -> dict:
+    """Each source cell cut by the preimages of the pieces of its target
+    cell, with each part's sublattice and owner face.  Only the maximal
+    cells, those no gluing of a proper face names as its chart, are cut
+    (`_cut_source_cell`, from the maximal pieces `tops`); every other cell s
+    takes the parts of a maximal cell c that lie in the face F it is glued
+    as, moved by the retraction L of that gluing E, with their sublattices
+    and owner faces moved by L.
+
+    Every cell glued as a proper face is glued as a proper face of a
+    maximal cell, on complexes that pass validate_complex: if F <= c is
+    glued from s and c is glued as the face F' of c', composites glue the
+    face E_F' F of c' from s, and dimensions rise along such a chain.
+
+    Lemma: the parts of s are those of c inside F, moved by L.  The parts of
+    c are the faces of the cones c ∩ p_c^-1(P), P a maximal piece of the
+    target cell lambda of c.  F is cut from c by a supporting hyperplane,
+    which supports any cone X inside c too, so F ∩ X is a face of X: the
+    preimage of a piece meets a face in a face of its intersection with the
+    cell, and the parts inside F are the faces of the cones F ∩ p_c^-1(P).
+    The morphism passed validate_complex_morphism, so a gluing T of lambda
+    from the target cell mu of s has p_c E = T p_s on Span s, and L carries
+    F onto s: L(F ∩ p_c^-1(P)) = s ∩ p_s^-1(T^-1(P ∩ T mu)).  The walk over
+    the base, which ran first, asserts that T carries the pieces of mu onto
+    those of lambda inside T mu, with their sublattices.  So the cones
+    T^-1(P ∩ T mu) are pieces of mu, every maximal piece among them, and a
+    piece Q <= Q' pulls back to a face of s ∩ p_s^-1(Q'): their faces are
+    the parts of s.  A part R inside F lands in the piece T Q, Q the piece
+    of mu whose relative interior holds p_s of the sample of L R; as
+    p_s x lies in q_Q exactly when p_c E x lies in T q_Q = q_TQ, and E
+    carries N_s ∩ Span L R onto N_c ∩ Span R, the sublattice of L R is the
+    one L carries from R.  And L carries the smallest face of c holding R,
+    a face of F, onto the smallest face of s holding L R.
+
+    When F lies in several maximal cells the parts come from the first
+    gluing that names s; the walk over the total compares every other cell
+    holding F with them, as it compared each with the parts of s cut alone.
+    """
+    cells = m.source.cells
+    as_face = {g.chart for g in m.source.gluings if g.face != cells[g.cell]}
+    out: dict = {}
+    for s in (s for s in range(len(cells)) if s not in as_face):
+        lam, pmap = m.assignment[s], m.cell_maps[s]
+        parts = _cut_source_cell(cells[s], pmap, m.images[s], tops[lam])
+        out[s] = _CellRun(parts, {_key(part): intersect_sublattices(
+            preimage_sublattice(pmap, runs[lam].sublattices[_landing(m, runs, s, part)]),
+            span_sublattice(part)) for part in parts},
+            {_key(part): _owner_face(cells[s], part.interior_sample()) for part in parts})
+    for g in m.source.gluings:
+        if g.chart in out or g.cell in as_face or g.face == cells[g.cell]:
+            continue
+        # the parts of g's cell owned by a face of g's face, moved into the
+        # chart cell
+        back, run, chart = _retraction(g), out[g.cell], cells[g.chart]
+        faces = {f.rays: f for f in chart.faces()} | {chart.rays: None}
+        inside = set(g.face.faces())
+        parts, subs, owners = [], {}, {}
+        for part in (p for p in run.pieces if run.owners[_key(p)] in inside):
+            key = _moved_rays(back.matrix, part)
+            parts.append(Cone.from_generators(chart.lattice, key[0]))
+            subs[key] = image_lattice(back, run.sublattices[_key(part)])
+            owners[key] = faces[_moved_rays(back.matrix, run.owners[_key(part)])[0]]
+        out[g.chart] = _CellRun(tuple(sorted(parts)), subs, owners)
+    return out
+
+
+def _landing(m: ComplexMorphism, runs: dict, s: int, part: Cone) -> tuple:
+    """The key of the piece of the target cell of source cell s whose
+    relative interior holds the image of the part's sample."""
+    lam = m.assignment[s]
+    piece = relint_owner(runs[lam].pieces, m.cell_maps[s](part.interior_sample()))
+    if piece is None:
+        raise ReductionError(
+            f"a part of source cell {s} maps into no piece of target cell {lam}")
+    return _key(piece)
 
 
 def _assemble_complex(cx: ConeComplex, runs: dict) -> tuple:
@@ -480,6 +575,22 @@ def _assemble_complex(cx: ConeComplex, runs: dict) -> tuple:
     E_g carries onto h's.  Conversely a piece of c that c owns lands on t
     through g; one owned by a proper face K of c lands on the chart that
     also glues E_g K, and E_g carries it onto a piece of t as above.
+
+    Lemma: once the walk has passed, the new complex passes validate_complex,
+    so reduce_complex does not run that check on it.  Its cells are pieces
+    of strictly convex cells.  Each face h of a new cell n, a piece of the
+    old cell t, is glued once, by an embedding of the old complex, which has
+    a left inverse, or by an identity.  A face h owned by the face K of t
+    with gluing g from chart c is glued onto the piece of c whose rays L_g
+    moves h's onto, so E_g maps that cell onto h.  Composites: let h' be a
+    face of h, owned by K' <= K with gluing g' from c'.  L_g carries h' into
+    the relative interior of the copy of K' in c, so that copy owns it, and
+    composites of the old complex glue it by some s from c' with
+    E_g E_s = E_g'.  So the gluing of L_g h' in the new cell of L_g h comes
+    from the new cell of c' whose rays L_s L_g h' = L_g' h' are those of the
+    direct gluing of h' in n, by the product E_g E_s = E_g'.  When t owns h,
+    h is glued by the identity onto its own new cell, whose face h' is
+    glued as in n.
     """
     cells: list = []
     owners: list = []
@@ -487,8 +598,9 @@ def _assemble_complex(cx: ConeComplex, runs: dict) -> tuple:
     glued: dict = {}
     landing: dict = {}  # (cell, owner face): its gluing, the pieces moved through it
     for t, cell in enumerate(cx.cells):
+        recorded = runs[t].owners
         for piece in runs[t].pieces:
-            f = _owner_face(cell, piece.interior_sample())
+            f = recorded[_key(piece)] if recorded else _owner_face(cell, piece.interior_sample())
             g = cx.gluing_for(t, cell if f is None else f)
             if f is None:
                 glued[(t, _key(piece))] = (None, len(cells))
@@ -548,7 +660,6 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
 
     runs = {t: _run_target_cell(m, t) for t in range(len(m.target.cells))}
     base_cx, base_owners, base_glued = _assemble_complex(m.target, runs)
-    _require(validate_complex(base_cx), ReductionError, "glued base complex invalid")
     base_subs = tuple(runs[t].sublattices[_key(piece)]
                       for piece, t in zip(base_cx.cells, base_owners))
 
@@ -559,55 +670,29 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
         tops[t] = Fan(m.target.cells[t].lattice, run.pieces).maximal_cones()
         if not covers(m.target.cells[t], tops[t]):
             raise ReductionError(f"subdivision of target cell {t} misses part of the cell")
-    src_runs: dict = {}
-    lands_in: dict = {}  # (source cell, part): the target piece it maps into, by key
-    for s, sigma in enumerate(m.source.cells):
-        lam = m.assignment[s]
-        pmap = m.cell_maps[s]
-        parts = _cut_source_cell(sigma, pmap, m.images[s], tops[lam])
-        subs: dict = {}
-        for part in parts:
-            target_piece = relint_owner(runs[lam].pieces, pmap(part.interior_sample()))
-            if target_piece is None:
-                raise ReductionError(
-                    f"a part of source cell {s} maps into no piece of target cell {lam}")
-            lands_in[(s, _key(part))] = _key(target_piece)
-            q = runs[lam].sublattices[_key(target_piece)]
-            subs[_key(part)] = intersect_sublattices(
-                preimage_sublattice(pmap, q), span_sublattice(part))
-        src_runs[s] = _CellRun(parts, subs)
-
+    src_runs = _source_runs(m, runs, tops)
     total_cx, total_owners, _ = _assemble_complex(m.source, src_runs)
-    _require(validate_complex(total_cx), ReductionError, "glued total complex invalid")
     total_subs = tuple(src_runs[s].sublattices[_key(piece)]
                        for piece, s in zip(total_cx.cells, total_owners))
 
-    maps = []
-    assign = []
+    maps, assign = [], []
     for piece, s in zip(total_cx.cells, total_owners):
-        lam = m.assignment[s]
-        pmap = m.cell_maps[s]
-        orig, j = base_glued[(lam, lands_in[(s, _key(piece))])]
-        if orig is None:
-            maps.append(pmap)
-            assign.append(j)
-            continue
-        descended = _descend(orig, pmap)
-        if descended is not None:
-            maps.append(descended)
-            assign.append(j)
-            continue
-        # the map does not descend to the face chart: fall back to the
-        # smallest cell of lam's own subdivision containing the image
-        img = image_cone(pmap, piece)
-        candidates = [(p.dim, p.rays, p.lines, i)
-                      for i, (p, t) in enumerate(zip(base_cx.cells, base_owners))
-                      if t == lam and p.contains_cone(img)]
-        if not candidates:
-            raise ReductionError(
-                f"no target cell of the refined base receives total cell {s}")
-        maps.append(pmap)
-        assign.append(min(candidates)[3])
+        lam, pmap = m.assignment[s], m.cell_maps[s]
+        orig, j = base_glued[(lam, _landing(m, runs, s, piece))]
+        descended = pmap if orig is None else _descend(orig, pmap)
+        if descended is None:
+            # the map does not descend to the face chart: fall back to the
+            # smallest cell of lam's own subdivision containing the image
+            img = image_cone(pmap, piece)
+            candidates = [(p.dim, p.rays, p.lines, i)
+                          for i, (p, t) in enumerate(zip(base_cx.cells, base_owners))
+                          if t == lam and p.contains_cone(img)]
+            if not candidates:
+                raise ReductionError(
+                    f"no target cell of the refined base receives total cell {s}")
+            descended, j = pmap, min(candidates)[3]
+        maps.append(descended)
+        assign.append(j)
 
     morph = ComplexMorphism(total_cx, base_cx, tuple(maps), tuple(assign))
     _require(validate_complex_morphism(morph), ReductionError,
@@ -682,16 +767,13 @@ def complex_weak_semistability(m: ComplexMorphism,
             carried_lattices[key] = image_lattice(e, sub)
         return carried_lattices[key]
 
-    target_faces: dict = {}
+    # on a valid target complex exactly the faces of a cell are glued in it
     q_subs: dict = {}
     for s, img in enumerate(images):
-        t = m.assignment[s]
-        if t not in target_faces:
-            target_faces[t] = set(m.target.cells[t].faces())
+        t, gl = m.assignment[s], m.target.gluing_for(m.assignment[s], img)
         if img == m.target.cells[t]:
             q_subs[s] = target_sublattices[t]
-        elif img in target_faces[t]:
-            gl = m.target.gluing_for(t, img)
+        elif gl is not None:
             q_subs[s] = carried(gl.embedding, target_sublattices[gl.chart])
 
     as_face: dict = {}  # chart: the gluings of it as a proper face

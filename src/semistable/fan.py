@@ -94,10 +94,19 @@ class Fan(Record):
 
     @functools.cached_property
     def _maximal(self) -> tuple[Cone, ...]:
-        # computed once per fan; a cone of lower dimension cannot contain c
-        return tuple(c for c in self.cones
-                     if not any(o.dim >= c.dim and o != c and o.contains_cone(c)
-                                for o in self.cones))
+        """Computed once per fan, from the candidates: the cones that are no
+        proper face of another cone, found by the faces of each candidate,
+        from the largest dimension down.  Every cone lies in a candidate, so
+        a cone inside another lies in another candidate, and comparing the
+        candidates pairwise gives the cones inside no other cone, on any
+        list of cones.  A cone of lower dimension cannot contain c."""
+        covered: set = set()
+        for c in sorted(self.cones, key=lambda c: -c.dim):
+            if c not in covered and c.is_strictly_convex:
+                covered.update(c.faces()[:-1])
+        candidates = [c for c in self.cones if c not in covered]
+        return tuple(c for c in candidates if not any(
+            o.dim >= c.dim and o != c and o.contains_cone(c) for o in candidates))
 
     def __contains__(self, c: Cone) -> bool:
         return c in self.cones

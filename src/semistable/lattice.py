@@ -670,9 +670,12 @@ def kernel_lattice(f: LatticeMap) -> Sublattice:
 
 
 def image_lattice(f: LatticeMap, s: Sublattice | None = None) -> Sublattice:
-    """f(s) in the codomain; the whole image when s is None."""
+    """f(s) in the codomain; the whole image when s is None, and s itself
+    when f is an identity."""
     if s is None:
         return Sublattice(f.codomain, f.matrix)
+    if f.matrix == identity(f.domain.rank):
+        return s
     return sublattice_from_vectors(f.codomain, [f(v) for v in s.vectors()])
 
 

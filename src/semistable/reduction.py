@@ -216,6 +216,11 @@ class ReductionResult(Record):
 
 
 def reduce(p: FanMorphism) -> ReductionResult:
+    """The universal weakly semistable reduction of p.  Its source and
+    target must be fans: FanError names the first that is not."""
+    for name, fan in (("source", p.source), ("target", p.target)):
+        if not (report := validate_fan(fan)):
+            raise FanError(f"the {name} is not a fan: " + "; ".join(report.violations))
     refined_g, labels = image_refinement(p)
     base = base_lattices(p, refined_g, labels)
     total, sm = total_refinement(p, base)

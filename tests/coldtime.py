@@ -1,6 +1,6 @@
 """Cold timing of one operation, a fresh interpreter per run.
 
-    python tests/coldtime.py OP DOC [--runs N] [--against ROOT]
+    python tests/coldtime.py OP (DOC | --star N) [--runs N] [--against ROOT]
 
 OP is `reduce` on a `fan_morphism` document, or `reduce_complex` on a
 `complex_morphism` document or on a `fan_morphism` taken as a complex
@@ -10,6 +10,11 @@ operation alone: not the start-up, the import or the reading.  A command
 line user pays cold caches on every call, so only a fresh process shows
 that cost.  The script prints the median and the range of the runs, in
 seconds, for this checkout.
+
+`--star N` builds S^N -> quad in memory instead of reading DOC: the star
+subdivision of the positive N-orthant at (1, ..., 1), mapped onto the
+quadrant by the sum of the first ceil(N/2) coordinates and the sum of the
+rest.  `--star 5` is the morphism of `tests/data/s5_quad.json`.
 
 With `--against ROOT` every run of this checkout is paired with a run of
 the checkout at ROOT, which goes first in every other pair, so that a drift
@@ -29,10 +34,23 @@ CHILD = """
 import sys, time
 from semistable import conecomplex, reduction
 from semistable.cli import load_document
+from semistable.cone import Cone
+from semistable.fan import Fan, FanMorphism
+from semistable.lattice import Lattice, LatticeMap
 op, path = sys.argv[1:]
 kinds = ("fan_morphism",) if op == "reduce" else ("fan_morphism", "complex_morphism")
-with open(path) as fh:
-    kind, m = load_document(fh.read(), kinds)
+if path.startswith("--star="):
+    n = int(path[len("--star="):])
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    source = Fan.from_cones(n, [Cone.from_generators(n, unit[:i] + unit[i + 1:] + [(1,) * n])
+                                for i in range(n)])
+    quadrant = Fan.from_cones(2, [Cone.from_generators(2, [(1, 0), (0, 1)])])
+    half = (n + 1) // 2
+    sums = ((1,) * half + (0,) * (n - half), (0,) * half + (1,) * (n - half))
+    kind, m = "fan_morphism", FanMorphism(source, quadrant, LatticeMap(Lattice(n), Lattice(2), sums))
+else:
+    with open(path) as fh:
+        kind, m = load_document(fh.read(), kinds)
 if op == "reduce_complex" and kind == "fan_morphism":
     m = conecomplex.fan_morphism_as_complex(m)
 run = reduction.reduce if op == "reduce" else conecomplex.reduce_complex
@@ -59,19 +77,24 @@ def summary(root: str, times: list[float]) -> str:
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description="cold timing of one operation")
     ap.add_argument("op", choices=["reduce", "reduce_complex"])
-    ap.add_argument("doc")
+    ap.add_argument("doc", nargs="?")
+    ap.add_argument("--star", type=int, metavar="N")
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--against", metavar="ROOT")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    doc = os.path.abspath(args.doc)
+    if (args.doc is None) == (args.star is None):
+        ap.error("give DOC or --star N")
+    if args.star is not None and args.star < 1:
+        ap.error("--star must be at least 1")
+    doc = os.path.abspath(args.doc) if args.star is None else f"--star={args.star}"
     roots = [ROOT] + ([os.path.abspath(args.against)] if args.against else [])
     times: dict[str, list[float]] = {root: [] for root in roots}
     for i in range(args.runs):
         for root in roots if i % 2 == 0 else roots[::-1]:
             times[root].append(run_once(root, args.op, doc))
-    print(f"{args.op} {args.doc}, {args.runs} run(s) each")
+    print(f"{args.op} {args.doc or f'S^{args.star} -> quad'}, {args.runs} run(s) each")
     for root in roots:
         print("  " + summary(root, times[root]))
     if args.against:

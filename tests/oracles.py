@@ -54,7 +54,11 @@ glued face, the lattice points of every cell compared, faces included,
 which the certificate of each maximal cell and the restriction of its
 sublattices to its faces replaced, and the coverage of each source cell by
 its parts, which the coverage of each target cell by its maximal pieces
-replaced."""
+replaced.  And every source cell of `reduce_complex` cut on its own, which
+the cut of the maximal cells, whose faces take their parts, replaced; the
+owner face of a point by a relative-interior test on every face, which the
+facets tight at the point replaced; and the maximal cones of a fan by every
+pair of cones (above), which the pairs of candidates replaced."""
 import dataclasses
 import functools
 import itertools
@@ -70,7 +74,14 @@ from semistable.cone import (
     preimage_cone,
     span_sublattice,
 )
-from semistable.conecomplex import ComplexMorphism, _CellRun, _key, _owner_face, _retraction
+from semistable.conecomplex import (
+    ComplexMorphism,
+    _CellRun,
+    _cut_source_cell,
+    _key,
+    _owner_face,
+    _retraction,
+)
 from semistable.fan import (
     PUSHOUT_TEST_LENGTH,
     CartesianReport,
@@ -848,6 +859,26 @@ def minimal_containing_cone_scan(f, c):
                     f"cone with sample {sample} straddles the fan cone {candidate.rays}")
             return candidate
     raise FanError(f"no fan cone contains the point {sample}")
+
+
+def source_runs_every_cell(m, runs):
+    """Every source cell cut on its own by the preimages of the maximal
+    pieces of its target cell, each part with its sublattice: the preimage
+    of the sublattice of the piece it lands in, on its span."""
+    out = {}
+    for s, sigma in enumerate(m.source.cells):
+        lam, pmap = m.assignment[s], m.cell_maps[s]
+        run = runs[lam]
+        top = Fan(m.target.cells[lam].lattice, run.pieces).maximal_cones()
+        parts = _cut_source_cell(sigma, pmap, m.images[s], top)
+        subs = {}
+        for part in parts:
+            piece = target_piece_scan(run.pieces, pmap(part.interior_sample()))
+            subs[_key(part)] = intersect_sublattices(
+                preimage_sublattice(pmap, run.sublattices[_key(piece)]),
+                span_sublattice(part))
+        out[s] = _CellRun(parts, subs)
+    return out
 
 
 def owner_face_scan(cell, sample):

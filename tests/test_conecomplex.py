@@ -39,7 +39,6 @@ from semistable.lattice import (
     intersect_sublattices,
     mat,
     matmul,
-    preimage_sublattice,
     sublattice_from_vectors,
     vec_neg,
 )
@@ -766,24 +765,6 @@ class TestReduceComplexFailures:
                            r"face \(\) of cell 0 is not glued$"):
             reduce_complex(ComplexMorphism(m.source, target, m.cell_maps, m.assignment))
 
-    @pytest.mark.parametrize("side,name", [(0, "base"), (1, "total")])
-    def test_invalid_glued_complex(self, monkeypatch, side, name):
-        # the last gluing of the glued base (first call) or total (second)
-        # complex goes missing
-        assemble = conecomplex._assemble_complex
-        calls = []
-
-        def dropping(cx, runs):
-            glued, owners, table = assemble(cx, runs)
-            calls.append(cx)
-            if len(calls) == side + 1:
-                glued = ConeComplex(glued.cells, glued.gluings[:-1])
-            return glued, owners, table
-        monkeypatch.setattr(conecomplex, "_assemble_complex", dropping)
-        with pytest.raises(ReductionError, match=rf"^glued {name} complex invalid: "
-                           r"face \(\(1,\),\) of cell 1 is not glued$"):
-            reduce_complex(fan_morphism_as_complex(fix_double()))
-
     def test_a_target_cell_left_partly_uncut(self, monkeypatch):
         # the quadrant loses its last maximal piece; its faces stay, so the
         # walk sees every glued face agree and only the cover check fails
@@ -831,28 +812,40 @@ class TestReduceComplexFailures:
                            r"face pair \(3, \(\(1, 0\),\)\) / chart 2$"):
             reduce_complex(fan_morphism_as_complex(fix_subdiv()))
 
+    @pytest.mark.parametrize("kind,what", [("double", "sublattices"), ("drop", "subdivisions")],
+                             ids=["double", "drop"])
+    @pytest.mark.parametrize("name,cell,pair", [
+        ("fix_subdiv", 2, r"\(5, \(\(1, 0\),\)\)"),
+        ("glued_quadrants", 4, r"\(1, \(\(1, 0\),\)\)")], ids=["fix_subdiv", "glued_quadrants"])
+    def test_a_corrupted_inherited_part_is_named(self, monkeypatch, kind, what, name, cell,
+                                                 pair):
+        # the face cell `cell` takes its parts from a maximal cell; its ray
+        # part gets a doubled sublattice or goes missing, and the walk over
+        # the total names the face pair, as it did when the cell was cut on
+        # its own and its run corrupted the same way
+        source_runs = conecomplex._source_runs
+
+        def corrupted(m, runs, tops):
+            out = source_runs(m, runs, tops)
+            run = out[cell]
+            ray = _key(run.pieces[-1])
+            if kind == "double":
+                out[cell] = _CellRun(run.pieces, {**run.sublattices, ray: doubled(
+                    run.sublattices[ray])}, run.owners)
+            else:
+                out[cell] = _CellRun(run.pieces[:-1], run.sublattices, run.owners)
+            return out
+        monkeypatch.setattr(conecomplex, "_source_runs", corrupted)
+        m = (fan_morphism_as_complex(fix_subdiv()) if name == "fix_subdiv"
+             else perfbench_morphism(name))
+        assert m.source.cells[cell].dim == 1 and cell not in maximal_cell_indexes(m.source)
+        with pytest.raises(ReductionError, match=rf"^{what} disagree on the face pair "
+                           rf"{pair} / chart {cell}$"):
+            reduce_complex(m)
+
 
 # ---------------------------------------------------------------------------
 # the gluing walk of _assemble_complex against the check on every gluing
-
-def source_runs(m, runs):
-    """The source cells cut as reduce_complex cuts them, with their
-    sublattices."""
-    out = {}
-    for s, sigma in enumerate(m.source.cells):
-        lam, pmap = m.assignment[s], m.cell_maps[s]
-        run = runs[lam]
-        top = Fan(m.target.cells[lam].lattice, run.pieces).maximal_cones()
-        parts = _cut_source_cell(sigma, pmap, m.images[s], top)
-        subs = {}
-        for part in parts:
-            piece = relint_owner(run.pieces, pmap(part.interior_sample()))
-            subs[_key(part)] = intersect_sublattices(
-                preimage_sublattice(pmap, run.sublattices[_key(piece)]),
-                span_sublattice(part))
-        out[s] = _CellRun(parts, subs)
-    return out
-
 
 def stored_morphisms():
     """Every stored fan and complex morphism of source rank at most 3, as a
@@ -880,7 +873,7 @@ def walked_sides():
             runs = {t: _run_target_cell(m, t) for t in range(len(m.target.cells))}
         except ReductionError:
             continue
-        sides += [(m.target, runs), (m.source, source_runs(m, runs))]
+        sides += [(m.target, runs), (m.source, oracles.source_runs_every_cell(m, runs))]
     return sides
 
 
@@ -973,8 +966,10 @@ def test_owner_walk_agrees_with_the_check_on_every_gluing():
                                ray_collapsed_over_halfline()],
                          ids=["fix_subdiv", "two_copies", "ray_collapsed"])
 def test_walk_finds_each_owner_face_once(monkeypatch, m):
-    """_owner_face at most once per piece in each walk and never after the
-    last one, in the map loop; no containment test in a walk."""
+    """_owner_face at most once per piece in the walk over the base, never
+    in the walk over the total, which reads the owner faces recorded when
+    the parts were made, and never after it, in the map loop; no
+    containment test in a walk."""
     events = []
     owner_face, assemble = conecomplex._owner_face, conecomplex._assemble_complex
     contains_cone = Cone.contains_cone
@@ -999,10 +994,13 @@ def test_walk_finds_each_owner_face_once(monkeypatch, m):
     reduce_complex(m)
     starts = [i for i, e in enumerate(events) if e == "walk"]
     assert len(starts) == 2
-    for i in starts:
+    for i, asked in zip(starts, ("base", "total")):
         end = next(j for j in range(i, len(events)) if isinstance(events[j], int))
         assert "contains" not in events[i:end]
-        assert 0 < events[i:end].count("owner") <= events[end]
+        if asked == "base":
+            assert 0 < events[i:end].count("owner") <= events[end]
+        else:
+            assert "owner" not in events[i:end]
     assert "owner" not in events[end:]
 
 
@@ -1169,21 +1167,30 @@ def perfbench_morphism(name):
     return fan_morphism_as_complex(m) if kind == "fan_morphism" else m
 
 
-def maximal_cells(cx):
+def maximal_cell_indexes(cx):
     """The cells that no gluing of a proper face names as its chart."""
     faces = {g.chart for g in cx.gluings if g.face != cx.cells[g.cell]}
-    return [c for i, c in enumerate(cx.cells) if i not in faces]
+    return [i for i in range(len(cx.cells)) if i not in faces]
 
 
-@pytest.mark.parametrize("name", ["s_quad", "glued_rays", "glued_quadrants"])
+def maximal_cells(cx):
+    return [cx.cells[i] for i in maximal_cell_indexes(cx)]
+
+
+@pytest.mark.parametrize("name", ["s_ray", "s_quad", "glued_rays", "glued_quadrants"])
 def test_each_check_does_its_work_once(monkeypatch, name):
     """covers once per target cell, the lattice certificate once per
-    maximal total cell, and no image cone built by validate_complex or
-    _assemble_complex, as every embedding has a left inverse."""
+    maximal total cell, one cut per maximal source cell, no owner face asked
+    of a part a face cell takes from a maximal cell, validate_complex on the
+    inputs only, as the glued outputs pass it by lemma, and no image cone built
+    by validate_complex or _assemble_complex, as every embedding has a left
+    inverse."""
     m = perfbench_morphism(name)
     covered, certified, inside, built = [], [], [], []
+    cut, owners, validated = [], [], []
     covers, certificate = conecomplex.covers, conecomplex._lattice_certificate
-    image_cone = conecomplex.image_cone
+    image_cone, cut_source_cell = conecomplex.image_cone, conecomplex._cut_source_cell
+    owner_face, validate = conecomplex._owner_face, conecomplex.validate_complex
 
     def covers_spy(cell, cones):
         covered.append(cell)
@@ -1197,6 +1204,20 @@ def test_each_check_does_its_work_once(monkeypatch, name):
         built.extend(inside[-1:])
         return image_cone(f, c)
 
+    def cut_spy(sigma, pmap, image, top):
+        cut.append(sigma)
+        parts = cut_source_cell(sigma, pmap, image, top)
+        owners.append(len(parts))
+        return parts
+
+    def owner_spy(cell, sample):
+        owners.append(tuple(inside))
+        return owner_face(cell, sample)
+
+    def validate_spy(cx):
+        validated.append(cx)
+        return validate(cx)
+
     def watched(f):
         def run(*args):
             inside.append(f.__name__)
@@ -1209,7 +1230,10 @@ def test_each_check_does_its_work_once(monkeypatch, name):
     monkeypatch.setattr(conecomplex, "covers", covers_spy)
     monkeypatch.setattr(conecomplex, "_lattice_certificate", certificate_spy)
     monkeypatch.setattr(conecomplex, "image_cone", image_cone_spy)
-    for watch in ("validate_complex", "_assemble_complex"):
+    monkeypatch.setattr(conecomplex, "_cut_source_cell", cut_spy)
+    monkeypatch.setattr(conecomplex, "_owner_face", owner_spy)
+    monkeypatch.setattr(conecomplex, "validate_complex", watched(validate_spy))
+    for watch in ("_assemble_complex", "_source_runs"):
         monkeypatch.setattr(conecomplex, watch, watched(getattr(conecomplex, watch)))
     cres = reduce_complex(m)
     complexes = (m.source, m.target, cres.base.complex, cres.total.complex)
@@ -1218,6 +1242,15 @@ def test_each_check_does_its_work_once(monkeypatch, name):
     assert certified == maximal_cells(cres.total.complex)
     assert len(certified) < len(cres.total.complex.cells)
     assert built == []
+    source_maximal = maximal_cells(m.source)
+    assert cut == source_maximal and len(cut) < len(m.source.cells)
+    # the owner faces of the source side: one per part of a maximal cell,
+    # asked after its cut, and none in the walk over the total
+    first = next(i for i, e in enumerate(owners) if isinstance(e, int))
+    assert set(owners[:first]) == {("_assemble_complex",)}
+    assert owners[first:] == [e for n in owners if isinstance(n, int)
+                              for e in [n] + [("_source_runs",)] * n]
+    assert validated == [m.source, m.target]
 
 
 GLUING_FAULTS = ["valid", "turned", "doubled", "missing", "composite"]
@@ -1406,3 +1439,58 @@ def test_a_face_whose_map_differs_off_its_span_is_checked_itself(monkeypatch):
     assert report
     assert checked == [m.source.cells[ray]]
     assert report == oracles.complex_weak_semistability_every_cell(m)
+
+
+# ---------------------------------------------------------------------------
+# the source side from the maximal cells against every cell cut on its own
+
+def inheriting_cases():
+    """The stored morphisms and the two glued complexes of the benchmark,
+    where a face lies in cells of different charts."""
+    return stored_morphisms() + [perfbench_morphism(name)
+                                 for name in ("glued_rays", "glued_quadrants")]
+
+
+def test_inherited_parts_match_the_cut_of_every_cell():
+    """_source_runs against every source cell cut on its own: the parts of
+    each cell in order, their sublattices, their owner faces against the
+    scan of every face, and the glued total, which passes validate_complex
+    as the glued base does, on the stored morphisms, the glued complexes
+    and random projections whose target cells reduce."""
+    cases = inheriting_cases()
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(st.sampled_from(cases), projections()))
+    def check(case):
+        try:
+            m = case if isinstance(case, ComplexMorphism) else \
+                fan_morphism_as_complex(fan_morphism(*case))
+            runs = {t: _run_target_cell(m, t) for t in range(len(m.target.cells))}
+            base = _assemble_complex(m.target, runs)[0]
+        except (FanError, ReductionError):
+            assume(False)
+        tops = {t: Fan(m.target.cells[t].lattice, run.pieces).maximal_cones()
+                for t, run in runs.items()}
+        assume(all(covers(m.target.cells[t], top) for t, top in tops.items()))
+        ours = conecomplex._source_runs(m, runs, tops)
+        theirs = oracles.source_runs_every_cell(m, runs)
+        assert ours.keys() == theirs.keys()
+        for s, run in ours.items():
+            assert run.pieces == theirs[s].pieces
+            assert run.sublattices == theirs[s].sublattices
+            assert run.owners == {_key(p): oracles.owner_face_scan(
+                m.source.cells[s], p.interior_sample()) for p in run.pieces}
+        total = _assemble_complex(m.source, ours)
+        assert total == _assemble_complex(m.source, theirs)
+        # the lemma of _assemble_complex: both glued outputs are valid
+        assert validate_complex(base) and validate_complex(total[0])
+        faces = {g.chart for g in m.source.gluings if g.face != m.source.cells[g.cell]}
+        moved = any(g.chart in faces and g.embedding.matrix != identity(g.face.lattice.rank)
+                    for g in m.source.gluings)
+        seen.add((isinstance(case, ComplexMorphism), bool(faces), moved))
+
+    check()
+    # the stored morphisms and the projections both inherit, and the glued
+    # complexes inherit through an embedding that is not the identity
+    assert {(True, True, True), (True, True, False), (False, True, False)} <= seen

@@ -14,8 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from semistable.cli import load_document, main
-from semistable.cone import Cone, _extreme_rays, dual_cone, intersect, span_sublattice
+from semistable.cone import Cone, _extreme_rays, dual_cone, span_sublattice
 from semistable.conecomplex import (
+    _cut_source_cell,
     _left_inverse_map,
     fan_morphism_as_complex,
     reduce_complex,
@@ -506,26 +507,35 @@ def test_lift_rejects_a_vector_of_the_wrong_length():
 # and three per span 792, and with a Smith form for every membership test,
 # rank, facet candidate and saturation solve 3,711
 SMITH_FORMS_S_QUAD = 62
-# the same family reduced chart by chart makes 63, 144 with two builds per
+# the same family reduced chart by chart makes 41 with only its maximal
+# source cells cut, each intersection cut out of the cell by the pulled-back
+# half-spaces of its piece, 63 with every source cell cut, each by
+# intersecting it with a preimage cone, 144 with two builds per
 # cone cut out by inequalities; its left inverses lifted by Hermite forms;
 # with a Smith form per ray lift and per distinct embedding's left inverse
 # it made 201, cutting every source cell by every target piece 427, with one
 # left inverse per gluing crossed 643, and with a Smith form per gluing in
 # validate_complex and an integer solve per functional, sublattice vector
 # and map column 1,060
-SMITH_FORMS_S_QUAD_COMPLEX = 63
-# and it intersects cones 18 times, cutting each source cell by the maximal
-# pieces of its target subdivision only (93 by every piece); it computes no
-# Hilbert basis, the lattice certificate deciding weak semistability (60
-# before)
-INTERSECTS_S_QUAD_COMPLEX = 30
+SMITH_FORMS_S_QUAD_COMPLEX = 41
+# and it cuts the 3 maximal of its 14 source cells (every one before, 18
+# intersections), cutting each by the maximal pieces of its target
+# subdivision only (93 intersections by every piece), and cuts out 24 cones
+# by inequalities (51 with every source cell cut); it computes no Hilbert
+# basis, the lattice certificate deciding weak semistability (60 before)
+SOURCE_CUTS_S_QUAD_COMPLEX = 3
+CUT_OUT_S_QUAD_COMPLEX = 24
 # one row Hermite form per distinct sublattice basis, intersection and
-# preimage: 318 in S->quad reduce and 229 in reduce_complex; 444 and 350
+# preimage: 318 in S->quad reduce and 193 in reduce_complex (201 while an
+# identity map rebuilt the lattices it moved and a saturated image lattice
+# was intersected with the pieces it holds, 229 with every source cell cut,
+# its parts' sublattices computed there, and every source image lattice
+# moved into each target cell by each route); 444 and 350
 # with two builds per cone cut out by inequalities, and 1,312 and 1,096
 # while the checks that restrict the same sublattices to the same spans
 # eliminated again each time
 HERMITE_FORMS_S_QUAD = 318
-HERMITE_FORMS_S_QUAD_COMPLEX = 229
+HERMITE_FORMS_S_QUAD_COMPLEX = 193
 
 
 def _calls(run, *functions):
@@ -570,12 +580,14 @@ def test_reduce_complex_s_quad_call_counts():
         _, p = load_document(fh.read(), ("fan_morphism",))
     m = fan_morphism_as_complex(p)
     results = []
-    smith, hermite, intersects, hilbert = _calls(
+    smith, hermite, cuts, cut_out, hilbert = _calls(
         lambda: results.append(reduce_complex(m)),
-        smith_normal_form, row_hermite_form, intersect, hilbert_basis)
+        smith_normal_form, row_hermite_form, _cut_source_cell, Cone.from_halfspaces,
+        hilbert_basis)
     cx = results[0]
     assert (len(cx.base.complex.cells), len(cx.total.complex.cells)) == (8, 30)
     assert 0 < smith <= SMITH_FORMS_S_QUAD_COMPLEX
     assert 0 < hermite <= HERMITE_FORMS_S_QUAD_COMPLEX
-    assert 0 < intersects <= INTERSECTS_S_QUAD_COMPLEX
+    assert cuts == SOURCE_CUTS_S_QUAD_COMPLEX
+    assert 0 < cut_out <= CUT_OUT_S_QUAD_COMPLEX
     assert hilbert == 0

@@ -133,6 +133,22 @@ class TestFanConstruction:
         f.maximal_cones().clear()
         assert f.maximal_cones() == oracles.maximal_cones(f)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda rank: st.tuples(
+        st.just(rank), st.lists(st.lists(st.tuples(*[st.integers(-2, 2)] * rank),
+                                         max_size=3), max_size=5),
+        st.booleans(), st.booleans())))
+    def test_maximal_cones_from_candidates_match_every_pair(self, case):
+        # drawn cones, which overlap, nest, repeat and may hold lines, with
+        # or without the faces of the strictly convex ones, and shuffled
+        # back to front or not
+        rank, gens, closed, reverse = case
+        cones = [Cone.from_generators(rank, g) for g in gens]
+        if closed:
+            cones += [f for c in cones if c.is_strictly_convex for f in c.faces()]
+        f = Fan(Lattice(rank), tuple(cones[::-1] if reverse else cones))
+        assert f.maximal_cones() == oracles.maximal_cones(f)
+
     def test_support(self):
         f = blowup_fan()
         assert oracles.support_contains(f, (3, 5))

@@ -272,8 +272,11 @@ def test_pushout_search_runs_only_for_entries_without_an_integral_leg():
 def test_owner_faces_are_found_only_where_the_pieces_are_glued():
     # a target cell is cut and labelled by the source images moved into its
     # lattice, so no point crosses a gluing there; only the walk that glues
-    # the pieces asks which face holds a point in its relative interior
-    assert _callers({"_owner_face"}) == {("conecomplex.py", "_assemble_complex")}
+    # the pieces asks which face holds a point in its relative interior, and
+    # the source side asks it once per part of a maximal cell, where the
+    # parts are made
+    assert _callers({"_owner_face"}) == {("conecomplex.py", "_assemble_complex"),
+                                         ("conecomplex.py", "_source_runs")}
 
 
 def _memo_decorators():

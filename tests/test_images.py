@@ -8,7 +8,7 @@ projections of rank 1 to 3."""
 import os
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from semistable.cli import DocumentError, load_document
@@ -118,3 +118,40 @@ def test_random_projections_match_the_scans():
 
     check()
     assert ranks == {1, 2, 3}
+
+
+def test_owner_face_from_tight_facets_matches_the_scan():
+    """_owner_face, which reads the face off the facets tight at the point,
+    against the relative-interior test on every face, on strictly convex
+    cells of rank at most 4 at every face sample, at combinations of the
+    rays with some coefficients zero (points inside faces and inside the
+    cell) and at points outside the cell."""
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=1, max_size=5),
+        st.lists(st.integers(0, 2), min_size=5, max_size=5),
+        st.tuples(*[st.integers(-2, 2)] * rank))))
+    def check(case):
+        gens, coefficients, other = case
+        cell = Cone.from_generators(len(other), gens)
+        assume(cell.is_strictly_convex)
+        points = [f.interior_sample() for f in cell.faces()] + [other]
+        points.append(tuple(map(sum, zip(*[[c * x for x in r] for c, r in
+                                           zip(coefficients, cell.rays)],
+                                         [0] * len(other)))))
+        for pt in points:
+            try:
+                want = oracles.owner_face_scan(cell, pt)
+            except ReductionError:
+                with pytest.raises(ReductionError,
+                                   match="^a subdivision cell escapes its chart cell$"):
+                    _owner_face(cell, pt)
+                outcomes.add("outside")
+                continue
+            assert _owner_face(cell, pt) == want
+            outcomes.add("cell" if want is None else "face")
+
+    check()
+    assert outcomes == {"cell", "face", "outside"}

@@ -140,6 +140,16 @@ class TestKernelImage:
         assert img.contains((2, 0))
         assert not img.contains((1, 0))
 
+    @given(matrices(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_image_of_a_sublattice_is_spanned_by_the_moved_basis(self, a, ident):
+        # an identity map hands the sublattice back without moving it
+        n = len(a[0])
+        f = LatticeMap.identity_map(Lattice(n)) if ident else lmap(a)
+        s = sublattice_from_vectors(Lattice(n), a)
+        assert image_lattice(f, s) == sublattice_from_vectors(
+            f.codomain, [f(v) for v in s.vectors()])
+
 
 class TestSaturateIndex:
     def test_index_2z_in_z(self):

@@ -1,3 +1,4 @@
+import os
 import re
 from collections import Counter
 
@@ -7,8 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 from semistable import reduction
 
 from semistable.cone import Cone, relint_owner, span_sublattice
+from semistable.cli import load_document
 from semistable.fan import (
     Fan,
+    FanError,
     FanMorphism,
     StackyMorphism,
     decompose_by_hyperplanes,
@@ -38,7 +41,7 @@ from semistable.reduction import (
     universal_minimal_modification,
     validate_category_object,
 )
-from test_support import FAN_MORPHISMS
+from test_support import FAN_MORPHISMS, ROOT
 
 
 def lmap(rows):
@@ -236,6 +239,19 @@ class TestReduce:
         assert red.total.fan == p.source
         for c in red.base.fan.cones:
             assert red.base.sublattice(c).basis == span_sublattice(c).basis
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_a_side_that_is_not_a_fan_is_refused(self, side):
+        # overlap_quad's source holds two overlapping cones; reduce names the
+        # side that is not a fan and the first of its violations, where it
+        # used to merge the overlap into 8 total cones
+        with open(os.path.join(ROOT, "tests", "data", "overlap_quad.json")) as fh:
+            _, p = load_document(fh.read(), ("fan_morphism",))
+        if side == "target":
+            p = FanMorphism(Fan.from_cones(2, []), p.source, p.lattice_map)
+        with pytest.raises(FanError, match=rf"^the {side} is not a fan: intersection of "
+                           r"\(\(1, 1\),\) and \(\(1, 0\), \(1, 2\)\) is not a common face;"):
+            reduce(p)
 
     def test_idempotence(self):
         red = reduce(fix_semi())
