@@ -23,9 +23,10 @@ face when its embedding moves the chart's rays onto the face's, so
 `validate_complex` and the gluing walk build no image cone.
 `complex_weak_semistability` runs the lattice certificate on the maximal
 cells, and a face cell inherits a True certificate when its sublattices
-are the restrictions of its cell's; any failure reruns the check on every
-cell.  Coverage is checked once per target cell, by its maximal pieces,
-which proves it for every source cell.
+are the restrictions of its cell's; every other cell is checked itself.
+It is also the weak semistability check of fan morphisms
+(`fan.is_weakly_semistable`).  Coverage is checked once per target cell,
+by its maximal pieces, which proves it for every source cell.
 
 The maximal cells do the work on the source side: only they are cut
 (`_source_runs`), and every other source cell takes the parts of a maximal
@@ -43,6 +44,7 @@ from typing import Optional, Sequence
 from .cone import Cone, image_cone, relint_owner, span_sublattice
 from .fan import (
     Fan,
+    FanError,
     FanMorphism,
     ValidationReport,
     WeakSemistabilityReport,
@@ -65,7 +67,7 @@ from .lattice import (
     transpose,
 )
 from .monoid import MonoidError, _lattice_certificate, image_monoid_equals_cone_monoid
-from .reduction import ReductionError, refine_by_images
+from . import reduction
 
 
 # one reduction crosses at most 2 distinct embeddings, the test suite 5
@@ -142,12 +144,19 @@ class ConeComplex(Record):
 
 def fan_as_complex(f: Fan) -> ConeComplex:
     """Every cone becomes a cell in the ambient lattice; faces are glued to
-    their own cells by the identity."""
+    their own cells by the identity.  A face that is no cone of f raises
+    FanError: the fan must be closed under faces."""
     cells = f.cones
     index = {c: i for i, c in enumerate(cells)}
     ident = LatticeMap.identity_map(f.lattice)
-    return ConeComplex(cells, tuple(Gluing(i, face, index[face], ident)
-                                    for i, c in enumerate(cells) for face in c.faces()))
+    gluings = []
+    for i, c in enumerate(cells):
+        for face in c.faces():
+            j = index.get(face)
+            if j is None:
+                raise FanError(f"face {face.rays} of {c.rays} missing from the fan")
+            gluings.append(Gluing(i, face, j, ident))
+    return ConeComplex(cells, tuple(gluings))
 
 
 def _moved_rays(matrix, c: Cone) -> tuple:
@@ -320,10 +329,8 @@ def fan_morphism_as_complex(p: FanMorphism) -> ComplexMorphism:
     src = fan_as_complex(p.source)
     tgt = fan_as_complex(p.target)
     tgt_index = {c: i for i, c in enumerate(tgt.cells)}
-    maps = tuple(LatticeMap(p.source.lattice, p.target.lattice,
-                            p.lattice_map.matrix) for _ in src.cells)
     assign = tuple(tgt_index[kappa] for _, kappa in p.assignment)
-    return ComplexMorphism(src, tgt, maps, assign)
+    return ComplexMorphism(src, tgt, (p.lattice_map,) * len(src.cells), assign)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +356,7 @@ def _owner_face(cell: Cone, sample) -> Optional[Cone]:
     facets tight at the sample, the face spanned by the rays tight on each
     of them, which is looked up among the cell's faces by its rays."""
     if not cell.contains(sample):
-        raise ReductionError("a subdivision cell escapes its chart cell")
+        raise reduction.ReductionError("a subdivision cell escapes its chart cell")
     tight = [u for u in cell.facets if not dot(u, sample)]
     rays = tuple(r for r in cell.rays if not any(dot(u, r) for u in tight))
     return None if rays == cell.rays else next(f for f in cell.faces() if f.rays == rays)
@@ -446,8 +453,8 @@ def _run_target_cell(m: ComplexMorphism, t: int) -> _CellRun:
     moved = _moved_images(m, t)
     pieces = []
     subs: dict = {}
-    for piece, _ in refine_by_images(m.target.cells[t], [(s, img) for s, img, _ in moved],
-                                     f"target cell {t}"):
+    images = [(s, img) for s, img, _ in moved]
+    for piece, _ in reduction.refine_by_images(m.target.cells[t], images, f"target cell {t}"):
         pieces.append(piece)
         sample = piece.interior_sample()
         result = span_sublattice(piece)
@@ -547,7 +554,7 @@ def _landing(m: ComplexMorphism, runs: dict, s: int, part: Cone) -> tuple:
     lam = m.assignment[s]
     piece = relint_owner(runs[lam].pieces, m.cell_maps[s](part.interior_sample()))
     if piece is None:
-        raise ReductionError(
+        raise reduction.ReductionError(
             f"a part of source cell {s} maps into no piece of target cell {lam}")
     return _key(piece)
 
@@ -616,13 +623,13 @@ def _assemble_complex(cx: ConeComplex, runs: dict) -> tuple:
     for (t, face), (g, moved) in landing.items():
         chart = owned.get(g.chart, {})
         if moved.keys() != chart.keys():
-            raise ReductionError(
+            raise reduction.ReductionError(
                 f"subdivisions disagree on the face pair "
                 f"({t}, {face.rays}) / chart {g.chart}")
         for key, piece in moved.items():
             lifted = image_lattice(g.embedding, runs[g.chart].sublattices[key])
             if lifted.basis != runs[t].sublattices[_key(piece)].basis:
-                raise ReductionError(
+                raise reduction.ReductionError(
                     f"sublattices disagree on the face pair "
                     f"({t}, {face.rays}) / chart {g.chart}")
             if face != cx.cells[t]:
@@ -669,7 +676,8 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     for t, run in runs.items():
         tops[t] = Fan(m.target.cells[t].lattice, run.pieces).maximal_cones()
         if not covers(m.target.cells[t], tops[t]):
-            raise ReductionError(f"subdivision of target cell {t} misses part of the cell")
+            raise reduction.ReductionError(
+                f"subdivision of target cell {t} misses part of the cell")
     src_runs = _source_runs(m, runs, tops)
     total_cx, total_owners, _ = _assemble_complex(m.source, src_runs)
     total_subs = tuple(src_runs[s].sublattices[_key(piece)]
@@ -688,18 +696,18 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
                           for i, (p, t) in enumerate(zip(base_cx.cells, base_owners))
                           if t == lam and p.contains_cone(img)]
             if not candidates:
-                raise ReductionError(
+                raise reduction.ReductionError(
                     f"no target cell of the refined base receives total cell {s}")
             descended, j = pmap, min(candidates)[3]
         maps.append(descended)
         assign.append(j)
 
     morph = ComplexMorphism(total_cx, base_cx, tuple(maps), tuple(assign))
-    _require(validate_complex_morphism(morph), ReductionError,
+    _require(validate_complex_morphism(morph), reduction.ReductionError,
              "reduced morphism incompatible with gluings")
     ws = complex_weak_semistability(morph, total_subs, base_subs)
     if not ws:
-        raise ReductionError(
+        raise reduction.ReductionError(
             "reduced complex morphism is not weakly semistable: "
             + "; ".join(msg for _, _, msg in ws.failures))
     return ComplexReductionResult(StackyComplex(base_cx, base_subs),
@@ -715,7 +723,8 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
 
 def complex_weak_semistability(m: ComplexMorphism,
                                source_sublattices: Optional[Sequence[Sublattice]] = None,
-                               target_sublattices: Optional[Sequence[Sublattice]] = None
+                               target_sublattices: Optional[Sequence[Sublattice]] = None,
+                               *, monoid_errors_fail: bool = True
                                ) -> WeakSemistabilityReport:
     """Per-cell form of the two conditions: the image of every cell is a
     face of its assigned cell, and lattice points surject onto the lattice
@@ -749,9 +758,13 @@ def complex_weak_semistability(m: ComplexMorphism,
     certificate passes on sigma_F, and it would return True.
 
     Only a True certificate is inherited: a cell that passes by Hilbert
-    bases proves nothing about its faces.  If any cell fails, every cell is
-    checked again in order, so the failures are those and in the order
-    that a check of every cell gives.
+    bases proves nothing about its faces.  So every cell is certified,
+    inherits or is checked itself, each an exact answer, and the failures,
+    listed in cell order, are those that a check of every cell gives.
+
+    A MonoidError of a cell checked itself, raised when its sublattice
+    meets its span in a lattice of lower rank, is a failure of condition 2,
+    or, with `monoid_errors_fail=False`, propagates.
     """
     if source_sublattices is None:
         source_sublattices = [full_sublattice(c.lattice) for c in m.source.cells]
@@ -802,34 +815,29 @@ def complex_weak_semistability(m: ComplexMorphism,
                     q_subs[c], carried(tg.embedding, span_sublattice(images[s])))
         return False
 
-    for every_cell in (False, True):
-        failures = []
-        proved: set = set()
-        # the maximal cells first, so that their faces may inherit
-        for s in (range(len(cells)) if every_cell else sorted(range(len(cells)),
-                                                              key=lambda s: s in as_face)):
-            sigma = cells[s]
-            if s not in q_subs:
-                failures.append((sigma, 1,
-                                 f"image of cell {s} is not a face of its target cell"))
-                continue
-            if not every_cell:
-                if s not in as_face and _lattice_certificate(
-                        m.cell_maps[s], sigma, source_sublattices[s], q_subs[s]) is True:
-                    proved.add(s)
-                    continue
-                if any(g.cell in proved and restricts(g) for g in as_face.get(s, ())):
-                    continue
-            try:
-                ok = image_monoid_equals_cone_monoid(m.cell_maps[s], sigma, images[s],
-                                                     source_sublattices[s], q_subs[s])
-            except MonoidError as exc:
-                failures.append((sigma, 2, f"cell {s}: {exc}"))
-                continue
-            if not ok:
-                failures.append((sigma, 2,
-                                 f"lattice points of cell {s} do not cover the "
-                                 "lattice points of its image"))
-        if not failures:
-            break
-    return WeakSemistabilityReport(tuple(failures))
+    failures = []
+    proved: set = set()
+    # the maximal cells first, so that their faces may inherit
+    for s in sorted(range(len(cells)), key=lambda s: s in as_face):
+        sigma = cells[s]
+        if s not in q_subs:
+            failures.append((s, sigma, 1, f"image of cell {s} is not a face of its target cell"))
+            continue
+        if s not in as_face and _lattice_certificate(
+                m.cell_maps[s], sigma, source_sublattices[s], q_subs[s]) is True:
+            proved.add(s)
+            continue
+        if any(g.cell in proved and restricts(g) for g in as_face.get(s, ())):
+            continue
+        try:
+            ok = image_monoid_equals_cone_monoid(m.cell_maps[s], sigma, images[s],
+                                                 source_sublattices[s], q_subs[s])
+        except MonoidError as exc:
+            if not monoid_errors_fail:
+                raise
+            failures.append((s, sigma, 2, f"cell {s}: {exc}"))
+            continue
+        if not ok:
+            failures.append((s, sigma, 2, f"lattice points of cell {s} do not cover the "
+                             "lattice points of its image"))
+    return WeakSemistabilityReport(tuple(f[1:] for f in sorted(failures, key=lambda f: f[0])))

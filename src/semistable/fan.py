@@ -34,7 +34,6 @@ from .lattice import (
     dot,
     dual_map,
     fiber_product_lattice,
-    full_sublattice,
     image_lattice,
     intersect_sublattices,
     lattice_index,
@@ -54,7 +53,6 @@ from .monoid import (
     _contains_modulo_units,
     _smallest_multiple_coords,
     dual_monoid,
-    image_monoid_equals_cone_monoid,
     integral_by_flatness,
 )
 
@@ -372,23 +370,35 @@ def factor_alteration(m: FanMorphism) -> tuple[FanMorphism, FanMorphism]:
     return modification, inclusion
 
 
+def require_fans(source: Fan, target: Fan) -> None:
+    """Raise FanError naming the first of the two that is not a fan."""
+    for name, fan in (("source", source), ("target", target)):
+        if not (report := validate_fan(fan)):
+            raise FanError(f"the {name} is not a fan: " + "; ".join(report.violations))
+
+
 def minimal_modification(p_map: LatticeMap, f: Fan, g: Fan) -> tuple[Fan, FanMorphism]:
-    """Coarsest refinement of f whose cones map into cones of g.  Maximal
-    cones suffice: faces of kappa pull back to faces of preimage(kappa), and
-    faces of A and B meet in a face of A cap B, when both fans are the face
-    closures of their maximal cones."""
+    """Coarsest refinement of f whose cones map into cones of g: the face
+    closure of the cuts sigma ∩ p^-1(kappa) of the maximal cones.  Maximal
+    cones suffice: faces of kappa pull back to faces of p^-1(kappa), and
+    faces of A and B meet in a face of A cap B, as both fans are the face
+    closures of their maximal cones.
+
+    Both inputs must be fans (`require_fans`), and then the output is one,
+    so it is not validated.  Each cut lies in sigma, so it is strictly
+    convex.  Two cuts meet in (sigma ∩ sigma') ∩ p^-1(kappa ∩ kappa'), that
+    is tau ∩ p^-1(lambda) for a common face tau of sigma and sigma' and a
+    common face lambda of kappa and kappa'.  If u >= 0 on sigma vanishes
+    exactly on tau, and v >= 0 on kappa exactly on lambda, then u + v p is
+    >= 0 on a cut and vanishes on it exactly on tau ∩ p^-1(lambda): so the
+    two cuts meet in a common face.  That is the lemma of `validate_fan`
+    for the maximal cuts, and Fan.from_cones closes them under faces."""
     if p_map.domain != f.lattice or p_map.codomain != g.lattice:
         raise FanError("lattice map does not match the fans")
-    for name, fan in (("source", f), ("target", g)):
-        if not _closed_under_faces(fan):
-            raise FanError(f"the {name} fan is not the face closure of its maximal cones")
+    require_fans(f, g)
     sigmas = f.maximal_cones()
     refined = Fan.from_cones(f.lattice, [intersect(preimage_cone(p_map, kappa), sigma)
                                          for kappa in g.maximal_cones() for sigma in sigmas])
-    report = validate_fan(refined)
-    if not report:
-        raise FanError("preimage intersections do not form a fan: "
-                       + "; ".join(report.violations))
     return refined, FanMorphism(refined, g, p_map)
 
 
@@ -406,23 +416,35 @@ class WeakSemistabilityReport(Record):
 
 
 def is_weakly_semistable(m) -> WeakSemistabilityReport:
-    if isinstance(m, StackyMorphism):
-        under = m.underlying
-        src_sub = m.source.sublattice
-        tgt_sub = m.target.sublattice
-    else:
-        under = m
-        src_sub = lambda c: full_sublattice(m.source.lattice)
-        tgt_sub = lambda c: full_sublattice(m.target.lattice)
-    p = under.lattice_map
-    failures = []
-    for sigma, img in zip(under.source.cones, under.images):
-        if img not in under.target:
-            failures.append((sigma, 1, f"image cone {img.rays} is not in the target fan"))
-            continue
-        if not image_monoid_equals_cone_monoid(p, sigma, img,
-                                               src_sub(sigma), tgt_sub(img)):
-            failures.append((sigma, 2, "image monoid is strictly smaller than the cone monoid"))
+    """The two conditions on every source cone sigma of a fan morphism or a
+    stacky morphism: the image of sigma is a cone of the target fan
+    (condition 1), and the lattice points of sigma, in its sublattice on a
+    stacky source, map onto the lattice points of the image, in its
+    sublattice on a stacky target (condition 2).  Failures are listed by
+    (dim, rays).
+
+    One implementation: the morphism goes as a complex
+    (`fan_morphism_as_complex`) through `complex_weak_semistability`, which
+    certifies the maximal cones and lets their faces inherit (the proof is
+    in its docstring), and its failures are worded for cones.  Source and
+    target must be fans.  Then both forms ask the same first condition: the
+    image is a fan cone exactly when it is its assigned cone, the one whose
+    relative interior holds the image's sample, since no two fan cones
+    share relative interior points.  A Fan that is not closed under faces
+    raises FanError.  A MonoidError, from a sublattice that meets its span
+    in a lattice of lower rank, propagates, as does BudgetExceeded."""
+    stacky = isinstance(m, StackyMorphism)
+    under = m.underlying if stacky else m
+    cm = conecomplex.fan_morphism_as_complex(under)
+    subs = ((list(map(m.source.sublattice, cm.source.cells)),
+             list(map(m.target.sublattice, cm.target.cells))) if stacky else ())
+    report = conecomplex.complex_weak_semistability(cm, *subs, monoid_errors_fail=False)
+    if report:
+        return report
+    image = dict(zip(under.source.cones, under.images))
+    failures = [(sigma, cond, f"image cone {image[sigma].rays} is not in the target fan"
+                 if cond == 1 else "image monoid is strictly smaller than the cone monoid")
+                for sigma, cond, _ in report.failures]
     return WeakSemistabilityReport(tuple(sorted(failures, key=lambda t: (t[0].dim, t[0].rays))))
 
 
@@ -732,3 +754,8 @@ def is_representable(m: StackyMorphism) -> bool:
         if expected.basis != n_s.basis:
             return False
     return True
+
+
+# The complex form of weak semistability imports this module, so the module
+# binds it last; `is_weakly_semistable` looks it up when it runs.
+from . import conecomplex  # noqa: E402

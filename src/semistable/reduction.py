@@ -2,6 +2,15 @@
 sublattices, refine the total fan, and package the resulting stacky
 morphism together with its universal property (factorization of compatible
 alteration squares through it).
+
+`reduce` checks each invariant once, where it is made: that its source and
+target are fans; that the refined base is a fan covering the target, with
+sublattices that agree on faces; that the reduced morphism is weakly
+semistable, through the one certificate of the maximal cones
+(`is_weakly_semistable`), and representable.  What follows from those it
+proves instead, each proof in a docstring: the refined total is a fan
+(`minimal_modification`), its sublattices have finite index and agree on
+faces (`total_refinement`), and it covers the source (`reduce`).
 """
 from __future__ import annotations
 
@@ -23,6 +32,7 @@ from .fan import (
     is_weakly_semistable,
     minimal_containing_cone,
     minimal_modification,
+    require_fans,
     toric_fiber_product,
     validate_fan,
     validate_stacky_fan,
@@ -183,7 +193,18 @@ def base_lattices(p: FanMorphism, refined: Fan, labels: Sequence[N0Label]) -> St
 
 def total_refinement(p: FanMorphism, base: StackyFan) -> tuple[StackyFan, StackyMorphism]:
     """Refine the source fan over the refined base and attach the preimage
-    sublattices."""
+    sublattices N_sigma = p^-1(Q_kappa) ∩ Span sigma, for kappa the base
+    cone assigned to sigma.
+
+    The total is a stacky fan by construction, given that the base passed
+    `validate_stacky_fan`, so it is not validated.  Each N_sigma has finite
+    index in N ∩ Span sigma: Q_kappa has finite index in Q ∩ Span kappa and
+    p(Span sigma) ⊆ Span kappa.  Let tau <= sigma.  Then kappa(tau) <=
+    kappa(sigma), p(Span tau) ⊆ Span kappa(tau), and the base agrees on
+    faces, Q_kappa(tau) = Q_kappa(sigma) ∩ Span kappa(tau).  So
+    N_sigma ∩ Span tau = p^-1(Q_kappa(sigma) ∩ Span kappa(tau)) ∩ Span tau
+    = N_tau: the total agrees on faces.  Weak semistability and
+    representability are checked."""
     refined_f, morph = minimal_modification(p.lattice_map, p.source, base.fan)
     sub = {}
     for sigma, kappa in morph.assignment:
@@ -191,10 +212,6 @@ def total_refinement(p: FanMorphism, base: StackyFan) -> tuple[StackyFan, Stacky
         sub[sigma] = intersect_sublattices(
             preimage_sublattice(p.lattice_map, q_k), span_sublattice(sigma))
     total = StackyFan.from_dict(refined_f, sub)
-    report = validate_stacky_fan(total)
-    if not report:
-        raise ReductionError("total sublattices violate face compatibility: "
-                             + "; ".join(report.violations))
     sm = StackyMorphism(morph, total, base)
     ws = is_weakly_semistable(sm)
     if not ws:
@@ -217,21 +234,22 @@ class ReductionResult(Record):
 
 def reduce(p: FanMorphism) -> ReductionResult:
     """The universal weakly semistable reduction of p.  Its source and
-    target must be fans: FanError names the first that is not."""
-    for name, fan in (("source", p.source), ("target", p.target)):
-        if not (report := validate_fan(fan)):
-            raise FanError(f"the {name} is not a fan: " + "; ".join(report.violations))
+    target must be fans: FanError names the first that is not.
+
+    Both maps to the original fans are modifications.  image_refinement
+    has compared the supports of the two bases.  The total covers the
+    source: its cones are the cuts sigma ∩ p^-1(kappa) of the maximal
+    cones, and the maximal cones kappa of the refined base cover the
+    target support, which holds p(sigma), so the cuts of sigma cover
+    sigma ∩ p^-1(∪ kappa) = sigma."""
+    require_fans(p.source, p.target)
     refined_g, labels = image_refinement(p)
     base = base_lattices(p, refined_g, labels)
     total, sm = total_refinement(p, base)
-
-    # image_refinement has already compared the supports of the two bases
     base_to_orig = FanMorphism(refined_g, p.target,
                                LatticeMap.identity_map(p.target.lattice))
     total_to_orig = FanMorphism(total.fan, p.source,
                                 LatticeMap.identity_map(p.source.lattice))
-    if not is_modification(total_to_orig):
-        raise ReductionError("refined total is not a modification of the source fan")
     return ReductionResult(base, total, sm, total_to_orig, base_to_orig, tuple(labels))
 
 

@@ -2,9 +2,11 @@
 
     python tests/coldtime.py OP (DOC | --star N) [--runs N] [--against ROOT]
 
-OP is `reduce` on a `fan_morphism` document, or `reduce_complex` on a
+OP is `reduce` on a `fan_morphism` document, `reduce_complex` on a
 `complex_morphism` document or on a `fan_morphism` taken as a complex
-(`fan_morphism_as_complex`).  Each run starts a new Python process that
+(`fan_morphism_as_complex`), or `weakly_semistable`, which reduces a
+`fan_morphism` document untimed and times `is_weakly_semistable` of its
+stacky morphism.  Each run starts a new Python process that
 imports `semistable` from the `src/` of a checkout, reads DOC and times the
 operation alone: not the start-up, the import or the reading.  A command
 line user pays cold caches on every call, so only a fresh process shows
@@ -32,13 +34,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHILD = """
 import sys, time
-from semistable import conecomplex, reduction
+from semistable import conecomplex, fan, reduction
 from semistable.cli import load_document
 from semistable.cone import Cone
 from semistable.fan import Fan, FanMorphism
 from semistable.lattice import Lattice, LatticeMap
 op, path = sys.argv[1:]
-kinds = ("fan_morphism",) if op == "reduce" else ("fan_morphism", "complex_morphism")
+kinds = ("fan_morphism",) if op != "reduce_complex" else ("fan_morphism", "complex_morphism")
 if path.startswith("--star="):
     n = int(path[len("--star="):])
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -53,7 +55,10 @@ else:
         kind, m = load_document(fh.read(), kinds)
 if op == "reduce_complex" and kind == "fan_morphism":
     m = conecomplex.fan_morphism_as_complex(m)
-run = reduction.reduce if op == "reduce" else conecomplex.reduce_complex
+if op == "weakly_semistable":
+    m = reduction.reduce(m).stacky_map
+run = {"reduce": reduction.reduce, "reduce_complex": conecomplex.reduce_complex,
+       "weakly_semistable": fan.is_weakly_semistable}[op]
 start = time.perf_counter()
 run(m)
 print(time.perf_counter() - start)
@@ -76,7 +81,7 @@ def summary(root: str, times: list[float]) -> str:
 
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description="cold timing of one operation")
-    ap.add_argument("op", choices=["reduce", "reduce_complex"])
+    ap.add_argument("op", choices=["reduce", "reduce_complex", "weakly_semistable"])
     ap.add_argument("doc", nargs="?")
     ap.add_argument("--star", type=int, metavar="N")
     ap.add_argument("--runs", type=int, default=5)

@@ -58,7 +58,10 @@ replaced.  And every source cell of `reduce_complex` cut on its own, which
 the cut of the maximal cells, whose faces take their parts, replaced; the
 owner face of a point by a relative-interior test on every face, which the
 facets tight at the point replaced; and the maximal cones of a fan by every
-pair of cones (above), which the pairs of candidates replaced."""
+pair of cones (above), which the pairs of candidates replaced.  And the
+weak semistability of a fan morphism with the lattice points of every
+source cone compared, which the certificate of the maximal cones of
+`complex_weak_semistability` replaced."""
 import dataclasses
 import functools
 import itertools
@@ -87,6 +90,7 @@ from semistable.fan import (
     CartesianReport,
     Fan,
     FanError,
+    StackyMorphism,
     ValidationReport,
     WeakSemistabilityReport,
     covers,
@@ -663,6 +667,26 @@ def complex_weak_semistability_every_cell(m, source_sublattices=None,
                              f"lattice points of cell {s} do not cover the "
                              "lattice points of its image"))
     return WeakSemistabilityReport(tuple(failures))
+
+
+def is_weakly_semistable_every_cone(m):
+    """`fan.is_weakly_semistable` with the lattice points of every source
+    cone compared by `image_monoid_equals_cone_monoid`."""
+    if isinstance(m, StackyMorphism):
+        under, src_sub, tgt_sub = m.underlying, m.source.sublattice, m.target.sublattice
+    else:
+        under = m
+        src_sub = lambda c: full_sublattice(m.source.lattice)  # noqa: E731
+        tgt_sub = lambda c: full_sublattice(m.target.lattice)  # noqa: E731
+    failures = []
+    for sigma, img in zip(under.source.cones, under.images):
+        if img not in under.target:
+            failures.append((sigma, 1, f"image cone {img.rays} is not in the target fan"))
+            continue
+        if not image_monoid_equals_cone_monoid(under.lattice_map, sigma, img,
+                                               src_sub(sigma), tgt_sub(img)):
+            failures.append((sigma, 2, "image monoid is strictly smaller than the cone monoid"))
+    return WeakSemistabilityReport(tuple(sorted(failures, key=lambda t: (t[0].dim, t[0].rays))))
 
 
 def uncovered_source_cells(m, parts):

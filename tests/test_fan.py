@@ -1,5 +1,8 @@
+import functools
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from semistable import monoid
@@ -43,8 +46,9 @@ from semistable.lattice import (
     sublattice_from_vectors,
     transpose,
 )
-from semistable.monoid import BudgetExceeded, dual_monoid
-from semistable.reduction import reduce
+from semistable.monoid import BudgetExceeded, MonoidError, dual_monoid
+from semistable.reduction import ReductionError, reduce
+from test_support import FAN_MORPHISMS, morphism, projections
 
 
 def lmap(rows):
@@ -296,7 +300,9 @@ class TestMinimalModification:
         not_closed = Fan(Lattice(2), tuple(sorted(
             set(cone(2, (1, 0), (0, 1)).faces()) | {cone(2, (1, 1))})))
         fans = {"source": quadrant_fan(), "target": quadrant_fan(), name: not_closed}
-        with pytest.raises(FanError, match=f"the {name} fan"):
+        with pytest.raises(FanError, match=re.escape(
+                f"the {name} is not a fan: intersection of ((1, 1),) and "
+                "((0, 1), (1, 0)) is not a common face")):
             minimal_modification(LatticeMap.identity_map(Lattice(2)),
                                  fans["source"], fans["target"])
 
@@ -356,6 +362,123 @@ class TestWeakSemistability:
         sm = StackyMorphism(m, F_stacky, G_stacky)
         assert is_weakly_semistable(sm)
         assert is_representable(sm)
+
+
+# ---------------------------------------------------------------------------
+# weak semistability through the certificate of the maximal cones, against
+# the check of every cone (tests/oracles.py)
+
+def doubled(sub):
+    return sublattice_from_vectors(sub.ambient,
+                                   [tuple(2 * x for x in v) for v in sub.vectors()])
+
+
+def with_sublattices(s, changed):
+    return StackyFan(s.fan, tuple((c, changed.get(c, sub)) for c, sub in s.assignments))
+
+
+@functools.cache
+def semistability_cases():
+    """(kind, morphism): every distinct stored fan morphism of source rank
+    at most 3, plain, and its reduction, stacky."""
+    cases = []
+    for p in dict.fromkeys(p for _, p in FAN_MORPHISMS if p.source.lattice.rank <= 3):
+        cases.append(("plain", p))
+        try:
+            cases.append(("stacky", reduce(p).stacky_map))
+        except ReductionError:
+            pass
+    return cases
+
+
+WS_FAULTS = ["valid", "maximal", "face", "target"]
+
+
+def broken(m, fault, data):
+    """m with one sublattice doubled: of a maximal source cone, of a source
+    cone that is a proper face of another, or of a target cone together
+    with the source cones assigned to it, so that it stays a morphism."""
+    if fault == "valid":
+        return m
+    under = m.underlying
+    if fault == "target":
+        kappa = data.draw(st.sampled_from([k for k in under.target.cones if k.dim]))
+        over = {s: doubled(m.source.sublattice(s))
+                for s, k in under.assignment if k == kappa}
+        return StackyMorphism(under, with_sublattices(m.source, over),
+                              with_sublattices(m.target, {kappa: doubled(
+                                  m.target.sublattice(kappa))}))
+    maximal = under.source.maximal_cones()
+    pool = [c for c in under.source.cones if c.dim and (c in maximal) == (fault == "maximal")]
+    if not pool:
+        return m
+    sigma = data.draw(st.sampled_from(pool))
+    return StackyMorphism(under, with_sublattices(
+        m.source, {sigma: doubled(m.source.sublattice(sigma))}), m.target)
+
+
+def test_weak_semistability_matches_every_cone():
+    """is_weakly_semistable against the check of every cone: the same
+    failing cones, conditions, messages and order, on the stored fan
+    morphisms and random projections, plain, and on the reductions of the
+    stored ones, stacky, left alone or with one sublattice doubled."""
+    cases = semistability_cases()
+    outcomes = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.data())
+    def check(data):
+        if data.draw(st.booleans()):
+            kind, m = data.draw(st.sampled_from(cases))
+            if kind == "stacky":
+                m = broken(m, data.draw(st.sampled_from(WS_FAULTS)), data)
+        else:
+            source, target, rows = data.draw(projections())
+            try:
+                kind, m = "plain", morphism(source, target, rows)
+            except FanError:
+                assume(False)
+        report = is_weakly_semistable(m)
+        assert report == oracles.is_weakly_semistable_every_cone(m)
+        outcomes.add((kind, bool(report), {c for _, c, _ in report.failures} <= {2}))
+
+    check()
+    # 16 distinct stored morphisms of source rank at most 3 when written,
+    # 15 of which reduce
+    assert len(cases) >= 31
+    assert outcomes >= {("plain", True, True), ("plain", False, True),
+                        ("plain", False, False), ("stacky", True, True),
+                        ("stacky", False, True)}
+
+
+def test_a_sublattice_of_lower_rank_raises_as_before():
+    # the quadrant's sublattice misses the ray (0, 1): both forms raise the
+    # MonoidError of its Hilbert basis, where the complex form would
+    # report a failing cell
+    q = quadrant_fan()
+    quad = cone(2, (1, 0), (0, 1))
+    source = StackyFan.from_dict(q, {quad: sublattice_from_vectors(Lattice(2), [(1, 0)])})
+    m = StackyMorphism(FanMorphism(q, q, LatticeMap.identity_map(Lattice(2))),
+                       source, StackyFan.from_dict(q, {}))
+    for check in (is_weakly_semistable, oracles.is_weakly_semistable_every_cone):
+        with pytest.raises(MonoidError, match="^ray does not lie in the span of the lattice$"):
+            check(m)
+
+
+def test_weak_semistability_of_a_fan_not_closed_under_faces_raises():
+    # the quadrant without its origin as the source, and without its ray
+    # (0, 1) as the target of the half line along (1, 0)
+    quad = cone(2, (1, 0), (0, 1))
+    no_origin = Fan(Lattice(2), tuple(c for c in quad.faces() if c.dim))
+    no_ray = Fan(Lattice(2), tuple(c for c in quad.faces() if c.rays != ((0, 1),)))
+    for m, missing in [
+            (FanMorphism(no_origin, quadrant_fan(), LatticeMap.identity_map(Lattice(2))),
+             "face () of ((0, 1),)"),
+            (FanMorphism(halfline_fan(), no_ray, lmap([[1], [0]])),
+             "face ((0, 1),) of ((0, 1), (1, 0))")]:
+        with pytest.raises(FanError, match=re.escape(missing + " missing from the fan")):
+            is_weakly_semistable(m)
 
 
 class TestSmoothSemistable:

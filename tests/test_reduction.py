@@ -1,31 +1,40 @@
+import itertools
 import os
 import re
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from semistable import reduction
+from semistable import conecomplex, fan, reduction
 
-from semistable.cone import Cone, relint_owner, span_sublattice
+from semistable.cone import Cone, preimage_cone, relint_owner, span_sublattice
 from semistable.cli import load_document
 from semistable.fan import (
     Fan,
     FanError,
     FanMorphism,
+    StackyFan,
     StackyMorphism,
     decompose_by_hyperplanes,
     is_modification,
+    is_proper,
     is_representable,
     is_weakly_semistable,
+    minimal_modification,
+    validate_fan,
+    validate_stacky_fan,
 )
 from semistable.lattice import (
     Lattice,
     LatticeMap,
     full_sublattice,
+    intersect_sublattices,
     mat,
+    preimage_sublattice,
     sublattice_from_vectors,
 )
+from semistable.monoid import BudgetExceeded
 from semistable.reduction import (
     CategoryCObject,
     FactorCertificate,
@@ -41,7 +50,7 @@ from semistable.reduction import (
     universal_minimal_modification,
     validate_category_object,
 )
-from test_support import FAN_MORPHISMS, ROOT
+from test_support import FAN_MORPHISMS, ROOT, morphism, projections
 
 
 def lmap(rows):
@@ -375,7 +384,8 @@ def doubled(sub):
 class TestReductionFailures:
     """Each raise of the fan stages of reduce and of the argument checks of
     universal_minimal_modification, reached by an invalid input or by
-    corrupting the stage that feeds it."""
+    corrupting the stage that feeds it.  What reduce proves instead of
+    checking has its tests below (`assert_proved`)."""
 
     def raises(self, message, run, *args):
         with pytest.raises(ReductionError, match="^" + re.escape(message) + "$"):
@@ -423,18 +433,6 @@ class TestReductionFailures:
                                (((1, 0), (1, 1)), ((1, 0),)), (((1, 0), (1, 1)), ((1, 1),))]),
             reduce, fix_subdiv())
 
-    def test_total_sublattices_that_disagree_on_faces(self, monkeypatch):
-        # the two maximal total cones get doubled lattices, their rays not
-        base = reduce(fix_subdiv()).base
-        intersect = reduction.intersect_sublattices
-        monkeypatch.setattr(reduction, "intersect_sublattices", lambda a, b: (
-            doubled if b.rank == 2 else lambda s: s)(intersect(a, b)))
-        self.raises("total sublattices violate face compatibility: " + "; ".join(
-            f"sublattice of face {face} of {cell} disagrees with restriction"
-            for cell, face in [(((0, 1), (1, 1)), ((0, 1),)), (((0, 1), (1, 1)), ((1, 1),)),
-                               (((1, 0), (1, 1)), ((1, 0),)), (((1, 0), (1, 1)), ((1, 1),))]),
-            total_refinement, fix_subdiv(), base)
-
     def test_total_sublattices_that_are_not_weakly_semistable(self, monkeypatch):
         # every total lattice doubled: compatible on faces, but 2Z does not
         # reach the odd points of the base ray
@@ -454,18 +452,6 @@ class TestReductionFailures:
                             lambda f, q: intersect(preimage(f, q), z_2z))
         self.raises("constructed stacky morphism is not representable", reduce,
                     FanMorphism(quadrant_fan(), halfline_fan(), lmap([[1, 0]])))
-
-    def test_refined_total_that_misses_part_of_the_source(self, monkeypatch):
-        # the minimal modification loses its last maximal cone
-        modification = reduction.minimal_modification
-
-        def dropping(p_map, f, g):
-            refined, _ = modification(p_map, f, g)
-            smaller = Fan.from_cones(refined.lattice, refined.maximal_cones()[:-1])
-            return smaller, FanMorphism(smaller, g, p_map)
-        monkeypatch.setattr(reduction, "minimal_modification", dropping)
-        self.raises("refined total is not a modification of the source fan",
-                    reduce, fix_subdiv())
 
     def test_an_alteration_of_another_base(self):
         identity2 = LatticeMap.identity_map(Lattice(2))
@@ -506,3 +492,137 @@ def test_no_stored_pair_builds_an_invalid_square():
     # 24 morphisms and 576 pairs when written: 62 factor and 52 do not
     assert len(small) >= 24
     assert outcomes["factors"] >= 62 and outcomes["does not factor"] >= 52
+
+
+# ---------------------------------------------------------------------------
+# what reduce proves instead of checking, checked by the checks it no
+# longer runs: on the stored fixtures and on random projections
+
+def assert_proved(p, red):
+    """The lemmas of minimal_modification, total_refinement and reduce: the
+    refined total is a fan, its sublattices have finite index and agree on
+    faces, and it covers the source; the minimal modification over the
+    original target is a fan too."""
+    assert validate_fan(red.total.fan)
+    assert validate_stacky_fan(red.total)
+    assert is_modification(red.total_to_original)
+    assert validate_fan(minimal_modification(p.lattice_map, p.source, p.target)[0])
+
+
+# each distinct stored morphism once, by its first name
+DISTINCT = {p: name for name, p in reversed(FAN_MORPHISMS)}
+
+
+@pytest.mark.parametrize("p", list(DISTINCT), ids=list(DISTINCT.values()))
+def test_what_reduce_proves_holds_on_the_stored_morphisms(p):
+    try:
+        red = reduce(p)
+    except ReductionError:
+        assert not is_proper(p)
+        return
+    assert_proved(p, red)
+
+
+def preimage_total(p, red, base):
+    """The total sublattices that total_refinement builds over `base`."""
+    return StackyFan.from_dict(red.total.fan, {
+        sigma: intersect_sublattices(preimage_sublattice(p.lattice_map, base.sublattice(kappa)),
+                                     span_sublattice(sigma))
+        for sigma, kappa in red.stacky_map.underlying.assignment})
+
+
+def test_what_reduce_proves_holds_on_random_projections():
+    """assert_proved on proper random projections.  The total's face
+    agreement rests on the base's: with one maximal base sublattice
+    doubled, the base fails validate_stacky_fan, and so, drawn here, does
+    the total that the same formula builds over it."""
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(projections(), st.data())
+    def check(case, data):
+        source, target, rows = case
+        try:
+            p = morphism(source, target, rows)
+        except FanError:
+            assume(False)
+        assume(is_proper(p))
+        try:
+            red = reduce(p)
+        except (ReductionError, BudgetExceeded):
+            assume(False)
+        assert_proved(p, red)
+        base = red.base
+        if data.draw(st.booleans()):
+            kappa = data.draw(st.sampled_from(base.fan.maximal_cones()))
+            base = StackyFan(base.fan, tuple((c, doubled(sub) if c == kappa else sub)
+                                             for c, sub in base.assignments))
+        agrees = bool(validate_stacky_fan(base))
+        total_agrees = bool(validate_stacky_fan(preimage_total(p, red, base)))
+        assert total_agrees or not agrees
+        outcomes.add((agrees, total_agrees))
+
+    check()
+    assert outcomes >= {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_minimal_modification_names_an_input_that_is_not_a_fan(side):
+    # the output is proved a fan from fan inputs, so the inputs are checked
+    with open(os.path.join(ROOT, "tests", "data", "overlap_quad.json")) as fh:
+        _, p = load_document(fh.read(), ("fan_morphism",))
+    fans = {"source": p.target, "target": p.target, side: p.source}
+    with pytest.raises(FanError, match=rf"^the {side} is not a fan: intersection of "
+                       r"\(\(1, 1\),\) and \(\(1, 0\), \(1, 2\)\) is not a common face;"):
+        minimal_modification(p.lattice_map, fans["source"], fans["target"])
+
+
+def test_reduce_checks_each_invariant_once(monkeypatch):
+    """On S -> quad: validate_stacky_fan and is_modification run once each,
+    on the base; the lattice certificate runs on the maximal total cones
+    only, and no cone is checked by its lattice points; the minimal
+    modification is not validated, and it intersects only the pairs it
+    cuts and the pairs of maximal cones of its inputs."""
+    with open(os.path.join(ROOT, "tests", "data", "s_quad.json")) as fh:
+        _, p = load_document(fh.read(), ("fan_morphism",))
+    stacky, modifications, validated, certified, checked, intersected = [], [], [], [], [], []
+    inside = []
+
+    def spy(module, name, record, arg=lambda *args: args[0]):
+        f = getattr(module, name)
+
+        def run(*args):
+            if record is not None:
+                record.append(arg(*args))
+            return f(*args)
+        monkeypatch.setattr(module, name, run)
+
+    spy(reduction, "validate_stacky_fan", stacky)
+    spy(reduction, "is_modification", modifications)
+    spy(fan, "validate_fan", validated)
+    spy(conecomplex, "_lattice_certificate", certified, lambda p, sigma, n, q: sigma)
+    spy(conecomplex, "image_monoid_equals_cone_monoid", checked, lambda *args: args[1])
+    spy(fan, "intersect", intersected, lambda a, b: (a, b) if inside else None)
+    modification = reduction.minimal_modification
+
+    def watched(p_map, f, g):
+        inside.append(True)
+        try:
+            return modification(p_map, f, g)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(reduction, "minimal_modification", watched)
+    red = reduce(p)
+
+    assert [s.fan for s in stacky] == [red.base.fan]
+    assert [m.source for m in modifications] == [red.base.fan]
+    assert red.total.fan not in validated
+    top = red.total.fan.maximal_cones()
+    assert certified == top and len(top) < len(red.total.fan.cones)
+    assert checked == []
+    f, g = p.source.maximal_cones(), red.base.fan.maximal_cones()
+    expected = ([(preimage_cone(p.lattice_map, kappa), sigma) for kappa in g for sigma in f]
+                + list(itertools.combinations(f, 2)) + list(itertools.combinations(g, 2)))
+    made = [pair for pair in intersected if pair is not None]
+    assert sorted(made) == sorted(expected)
