@@ -9,8 +9,8 @@ on each read from one Hermite form per distinct embedding matrix), so the
 fan case (all charts equal to one ambient lattice, identity embeddings) is
 recovered exactly.  Each target cell is cut and labelled by the source
 images moved into its lattice, once each, by the per-cell step of the fan
-pipeline (`refine_by_images`; see `_moved_images`), so no point crosses a
-gluing there; only the walk that glues the target pieces and the cut of a
+pipeline (`refine_by_images`; see `_moved_images`), which also gives each
+piece its sublattice, so no point crosses a gluing there; only the walk that glues the target pieces and the cut of a
 maximal source cell ask for the owner face of a point, the face whose
 relative interior holds it.  `validate_complex` checks that composites of
 gluings agree on the faces of codimension 0 and 1 of each glued face, which
@@ -49,6 +49,7 @@ from .fan import (
     ValidationReport,
     WeakSemistabilityReport,
     covers,
+    cut_by_preimages,
 )
 from .lattice import (
     Lattice,
@@ -64,7 +65,6 @@ from .lattice import (
     matvec,
     preimage_sublattice,
     saturate,
-    transpose,
 )
 from .monoid import MonoidError, _lattice_certificate, image_monoid_equals_cone_monoid
 from . import reduction
@@ -444,25 +444,14 @@ class _CellRun(Record):
 
 
 def _run_target_cell(m: ComplexMorphism, t: int) -> _CellRun:
-    """Target cell t cut and labelled by the source images moved into it;
-    each piece's sublattice is its span, intersected with the lattices of
-    the moved images that hold its sample.  A moved image lattice that is
-    the whole lattice of the image's span cuts nothing: a piece whose
-    sample the image holds lies in the image, so its span lattice lies in
-    that one."""
-    moved = _moved_images(m, t)
-    pieces = []
-    subs: dict = {}
-    images = [(s, img) for s, img, _ in moved]
-    for piece, _ in reduction.refine_by_images(m.target.cells[t], images, f"target cell {t}"):
-        pieces.append(piece)
-        sample = piece.interior_sample()
-        result = span_sublattice(piece)
-        for _, img, lattice in moved:
-            if lattice != span_sublattice(img) and img.relint_contains(sample):
-                result = intersect_sublattices(result, lattice)
-        subs[_key(piece)] = result
-    return _CellRun(tuple(pieces), subs)
+    """Target cell t cut by the source images moved into it, each piece
+    with its sublattice, by the per-cell step of the fan pipeline
+    (`refine_by_images`).  A source cell that reaches t by two routes onto
+    different cones comes as two images, each with its own lattice."""
+    out = reduction.refine_by_images(m.target.cells[t], _moved_images(m, t),
+                                     f"target cell {t}")
+    return _CellRun(tuple(piece for piece, _ in out),
+                    {_key(piece): sub for piece, sub in out})
 
 
 def _cut_source_cell(sigma: Cone, pmap: LatticeMap, image: Cone,
@@ -470,16 +459,11 @@ def _cut_source_cell(sigma: Cone, pmap: LatticeMap, image: Cone,
     """The subdivision of sigma by the preimages of the target pieces, from
     the maximal pieces `top` alone: a piece P <= P' pulls back to a face of
     the preimage of P' in sigma, and Fan.from_cones closes under faces.  A
-    piece containing the image of sigma leaves sigma uncut.  Each
-    intersection is cut out of sigma by the pulled-back facets and span
-    equations of its piece, and no preimage cone is built."""
+    piece containing the image of sigma leaves sigma uncut; otherwise the
+    cuts are those of `minimal_modification` (`cut_by_preimages`)."""
     if any(piece.contains_cone(image) for piece in top):
         return Fan.from_cones(sigma.lattice, [sigma]).cones
-    back = transpose(pmap.matrix)
-    return Fan.from_cones(sigma.lattice, [Cone.from_halfspaces(
-        sigma.lattice, [matvec(back, u) for u in piece.facets] + list(sigma.facets),
-        [matvec(back, e) for e in piece.span_equations] + list(sigma.span_equations))
-        for piece in top]).cones
+    return Fan.from_cones(sigma.lattice, cut_by_preimages(sigma, pmap, top)).cones
 
 
 def _source_runs(m: ComplexMorphism, runs: dict, tops: dict) -> dict:

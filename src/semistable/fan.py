@@ -396,10 +396,22 @@ def minimal_modification(p_map: LatticeMap, f: Fan, g: Fan) -> tuple[Fan, FanMor
     if p_map.domain != f.lattice or p_map.codomain != g.lattice:
         raise FanError("lattice map does not match the fans")
     require_fans(f, g)
-    sigmas = f.maximal_cones()
-    refined = Fan.from_cones(f.lattice, [intersect(preimage_cone(p_map, kappa), sigma)
-                                         for kappa in g.maximal_cones() for sigma in sigmas])
+    kappas = g.maximal_cones()
+    refined = Fan.from_cones(f.lattice, [cut for sigma in f.maximal_cones()
+                                         for cut in cut_by_preimages(sigma, p_map, kappas)])
     return refined, FanMorphism(refined, g, p_map)
+
+
+def cut_by_preimages(sigma: Cone, p_map: LatticeMap, cones: Iterable[Cone]) -> list[Cone]:
+    """The cones sigma ∩ p^-1(c) for c in `cones`, in their order.  Each is
+    cut out of sigma in one step, by its facets and span equations and by
+    those of c pulled back along p, as u.(p x) = (p^T u).x, so no
+    preimage cone is built."""
+    back = transpose(p_map.matrix)
+    return [Cone.from_halfspaces(
+        sigma.lattice, [matvec(back, u) for u in c.facets] + list(sigma.facets),
+        [matvec(back, e) for e in c.span_equations] + list(sigma.span_equations))
+        for c in cones]
 
 
 # ---------------------------------------------------------------------------

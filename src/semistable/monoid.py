@@ -512,20 +512,6 @@ def _compare_hilbert_bases(p: LatticeMap, sigma: Cone, kappa: Cone,
     return True
 
 
-def q_kappa_lattice(p: LatticeMap, kappa: Cone,
-                    contributing: Sequence[tuple[Cone, Sublattice]]) -> Sublattice:
-    """Span(kappa) intersected with every image lattice p(N_sigma ∩ Span sigma)."""
-    if not contributing:
-        raise MonoidError("at least one contributing cone is required")
-    result = span_sublattice(kappa)
-    for sigma, n_sub in contributing:
-        if not image_cone(p, sigma).contains_cone(kappa):
-            raise MonoidError("contributing cone does not cover kappa")
-        m = intersect_sublattices(n_sub, span_sublattice(sigma))
-        result = intersect_sublattices(result, image_lattice(p, m))
-    return result
-
-
 # ---------------------------------------------------------------------------
 # saturation
 

@@ -1,7 +1,14 @@
-"""The main pipeline: refine the base fan by image cones, attach base
-sublattices, refine the total fan, and package the resulting stacky
+"""The main pipeline: refine the base fan by image cones, each cell with
+its sublattice, refine the total fan, and package the resulting stacky
 morphism together with its universal property (factorization of compatible
 alteration squares through it).
+
+The per-cell step is shared with `reduce_complex`: `refine_by_images` cuts
+a cell by the images that lie in it and gives each piece its sublattice,
+the span lattice of the piece met with the image lattice of every image
+whose relative interior holds it.  The fan pipeline calls it on the cones
+of the target, the complex pipeline on the target cells, each with the
+images moved into it.
 
 `reduce` checks each invariant once, where it is made: that its source and
 target are fans; that the refined base is a fan covering the target, with
@@ -40,10 +47,10 @@ from .fan import (
 from .lattice import (
     LatticeMap,
     Record,
+    Sublattice,
     Vector,
     det,
     fiber_product_lattice,
-    full_sublattice,
     image_lattice,
     intersect_sublattices,
     kernel_lattice,
@@ -52,9 +59,7 @@ from .lattice import (
     preimage_sublattice,
     saturate,
     vec_add,
-    zero_sublattice,
 )
-from .monoid import q_kappa_lattice
 
 
 class ReductionError(ValueError):
@@ -69,14 +74,6 @@ class NoFactorization(ReductionError):
 
 # ---------------------------------------------------------------------------
 # image refinement
-
-class N0Label(Record):
-    """Cell of the refined base together with the source cones whose image
-    interiors cover the cell's interior."""
-
-    cone: Cone
-    members: tuple[Cone, ...]
-
 
 def refine_cell(cell: Cone, functionals: Sequence[Vector],
                 label_at: Callable[[Vector], Hashable],
@@ -126,63 +123,64 @@ def refine_cell(cell: Cone, functionals: Sequence[Vector],
     return out
 
 
-def refine_by_images(cell: Cone, images: Sequence[tuple[Hashable, Cone]],
-                     where: str) -> list[tuple[Cone, tuple]]:
+def refine_by_images(cell: Cone, images: Sequence[tuple[Hashable, Cone, Sublattice]],
+                     where: str) -> list[tuple[Cone, Sublattice]]:
     """The per-cell step of both pipelines: `refine_cell` on `cell`, cut by
-    the facets and span equations of the (key, image) pairs, which lie in
-    the cell.  A point's label is the keys of the images whose relative
-    interior holds it, once each, in the order of `images`; those
-    functionals fix every such membership, so the label is constant on each
-    piece of the cut.  An empty label raises."""
-    hyps = sorted({psi for _, img in images for psi in img.facets + img.span_equations})
+    the facets and span equations of the (key, image, image lattice)
+    triples, whose images lie in the cell, and each piece with its
+    sublattice.
+
+    A point's label is the keys of the images whose relative interior holds
+    it, once each, in the order of `images`; those functionals fix every
+    such membership, so the label is constant on each piece of the cut.  An
+    empty label raises.  A piece's sublattice is its span lattice met with
+    the lattice of every image whose relative interior holds its sample,
+    image by image, as one key may come with several images.  A lattice
+    equal to the whole lattice of its image's span cuts nothing and is
+    skipped: a piece whose sample the image holds lies in the image, so its
+    span lattice lies in that one."""
+    hyps = sorted({psi for _, img, _ in images for psi in img.facets + img.span_equations})
 
     def label_at(pt):
-        label = tuple(dict.fromkeys(key for key, img in images if img.relint_contains(pt)))
+        label = tuple(dict.fromkeys(key for key, img, _ in images if img.relint_contains(pt)))
         if not label:
             raise ReductionError(f"{where} is not covered by the source images near {pt}")
         return label
-    return refine_cell(cell, hyps, label_at, where)
+
+    out = []
+    for piece, _ in refine_cell(cell, hyps, label_at, where):
+        sample, sub = piece.interior_sample(), span_sublattice(piece)
+        for _, img, lattice in images:
+            if lattice != span_sublattice(img) and img.relint_contains(sample):
+                sub = intersect_sublattices(sub, lattice)
+        out.append((piece, sub))
+    return out
 
 
-def image_refinement(p: FanMorphism) -> tuple[Fan, list[N0Label]]:
+def image_refinement(p: FanMorphism) -> StackyFan:
     """Coarsest subdivision of the target fan on whose cells the set of
-    source cones mapping onto a neighborhood is constant."""
+    source cones mapping onto a neighborhood is constant, each cell with
+    Q_kappa, the intersection of the image lattices p(N ∩ Span sigma) of
+    those source cones with its span lattice.  Each image lattice is
+    computed once per source cone.  The refined base is checked to be a
+    fan covering the target, with sublattices that agree on faces."""
     if not is_proper(p):
         raise ReductionError("the morphism is not proper onto the target support")
     g = p.target
-    labels: dict = {}
+    images = [(sigma, img, image_lattice(p.lattice_map, span_sublattice(sigma)))
+              for sigma, img in zip(p.source.cones, p.images)]
+    sub: dict = {}
     for kappa in g.cones:
         # on a fan, an image whose relative interior meets kappa lies in its
         # assigned cone, which meets kappa in a common face: so in kappa
-        inside = [(sigma, img) for sigma, img in zip(p.source.cones, p.images)
-                  if kappa.contains_cone(img)]
-        labels.update(refine_by_images(kappa, inside, f"the base cone {kappa.rays}"))
-    refined = Fan.from_cones(g.lattice, labels)
+        inside = [image for image in images if kappa.contains_cone(image[1])]
+        sub.update(refine_by_images(kappa, inside, f"the base cone {kappa.rays}"))
+    refined = Fan.from_cones(g.lattice, sub)
     report = validate_fan(refined)
     if not report:
         raise ReductionError("refined base is not a fan: " + "; ".join(report.violations))
     if not is_modification(FanMorphism(refined, g, LatticeMap.identity_map(g.lattice))):
         raise ReductionError("refined base does not cover the target support")
-    return refined, [N0Label(cell, labels[cell]) for cell in refined.cones]
-
-
-# ---------------------------------------------------------------------------
-# base and total lattices
-
-def base_lattices(p: FanMorphism, refined: Fan, labels: Sequence[N0Label]) -> StackyFan:
-    """Attach to each refined base cone the intersection of the image
-    lattices of its contributing source cones."""
-    sub = {}
-    for label in labels:
-        kappa = label.cone
-        if kappa.dim == 0:
-            sub[kappa] = zero_sublattice(refined.lattice)
-            continue
-        if not label.members:
-            raise ReductionError(f"cell {kappa.rays} has no contributing cones")
-        contributing = [(sigma, full_sublattice(p.source.lattice))
-                        for sigma in label.members]
-        sub[kappa] = q_kappa_lattice(p.lattice_map, kappa, contributing)
     stacky = StackyFan.from_dict(refined, sub)
     report = validate_stacky_fan(stacky)
     if not report:
@@ -190,6 +188,9 @@ def base_lattices(p: FanMorphism, refined: Fan, labels: Sequence[N0Label]) -> St
                              + "; ".join(report.violations))
     return stacky
 
+
+# ---------------------------------------------------------------------------
+# total lattices
 
 def total_refinement(p: FanMorphism, base: StackyFan) -> tuple[StackyFan, StackyMorphism]:
     """Refine the source fan over the refined base and attach the preimage
@@ -229,7 +230,6 @@ class ReductionResult(Record):
     stacky_map: StackyMorphism
     total_to_original: FanMorphism
     base_to_original: FanMorphism
-    labels: tuple[N0Label, ...]
 
 
 def reduce(p: FanMorphism) -> ReductionResult:
@@ -243,14 +243,13 @@ def reduce(p: FanMorphism) -> ReductionResult:
     target support, which holds p(sigma), so the cuts of sigma cover
     sigma ∩ p^-1(∪ kappa) = sigma."""
     require_fans(p.source, p.target)
-    refined_g, labels = image_refinement(p)
-    base = base_lattices(p, refined_g, labels)
+    base = image_refinement(p)
     total, sm = total_refinement(p, base)
-    base_to_orig = FanMorphism(refined_g, p.target,
+    base_to_orig = FanMorphism(base.fan, p.target,
                                LatticeMap.identity_map(p.target.lattice))
     total_to_orig = FanMorphism(total.fan, p.source,
                                 LatticeMap.identity_map(p.source.lattice))
-    return ReductionResult(base, total, sm, total_to_orig, base_to_orig, tuple(labels))
+    return ReductionResult(base, total, sm, total_to_orig, base_to_orig)
 
 
 # ---------------------------------------------------------------------------

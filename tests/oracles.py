@@ -61,7 +61,13 @@ facets tight at the point replaced; and the maximal cones of a fan by every
 pair of cones (above), which the pairs of candidates replaced.  And the
 weak semistability of a fan morphism with the lattice points of every
 source cone compared, which the certificate of the maximal cones of
-`complex_weak_semistability` replaced."""
+`complex_weak_semistability` replaced.  And Q_kappa over the members of a
+base cone's label, each source cone mapped again for every base cone it
+contributes to, which the sublattice that `refine_by_images` attaches to
+each piece from one image lattice per source cone replaced, and the cut of
+a cone by a preimage as the intersection with the preimage cone, which
+`fan.cut_by_preimages`, cutting in one step by the pulled-back facets,
+replaced."""
 import dataclasses
 import functools
 import itertools
@@ -466,10 +472,28 @@ def monoid_generators_of_cone(c, L, hilbert=hilbert_basis):
     return sorted(set(units + [vec_neg(u) for u in units] + lifts))
 
 
+def cut_by_preimage_cones(sigma, pmap, cones):
+    """The cones sigma ∩ p^-1(c), each the intersection of sigma with the
+    preimage cone of c."""
+    return [intersect(preimage_cone(pmap, c), sigma) for c in cones]
+
+
 def cut_by_all_pieces(sigma, pmap, pieces):
     """sigma cut by the preimage of every piece, faces of pieces included."""
-    return Fan.from_cones(sigma.lattice, [intersect(preimage_cone(pmap, piece), sigma)
-                                          for piece in pieces]).cones
+    return Fan.from_cones(sigma.lattice, cut_by_preimage_cones(sigma, pmap, pieces)).cones
+
+
+def q_kappa_lattice(p, kappa, contributing):
+    """Span(kappa) intersected with every image lattice p(N_sigma ∩ Span sigma)."""
+    if not contributing:
+        raise MonoidError("at least one contributing cone is required")
+    result = span_sublattice(kappa)
+    for sigma, n_sub in contributing:
+        if not image_cone(p, sigma).contains_cone(kappa):
+            raise MonoidError("contributing cone does not cover kappa")
+        m = intersect_sublattices(n_sub, span_sublattice(sigma))
+        result = intersect_sublattices(result, image_lattice(p, m))
+    return result
 
 
 def maximal_cones(f):

@@ -44,7 +44,6 @@ from semistable.monoid import (
     hilbert_basis,
     integral_by_flatness,
     monoid_membership,
-    q_kappa_lattice,
 )
 
 
@@ -125,9 +124,6 @@ ARGUMENT_CHECKS = [
     ("monoid", lambda: MonoidMap(AffineMonoid(Lattice(1), ((1,),)),
                                  AffineMonoid(Lattice(2), ((1, 0),)), ident(1)),
      MonoidError, "lattice map does not match monoid lattices"),
-    ("monoid", lambda: q_kappa_lattice(ident(1), cone(1, (1,)),
-                                       [(cone(1, (-1,)), full_sublattice(Lattice(1)))]),
-     MonoidError, "contributing cone does not cover kappa"),
 ]
 
 

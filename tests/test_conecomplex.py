@@ -21,6 +21,7 @@ from semistable.conecomplex import (
     _CellRun,
     _cut_source_cell,
     _key,
+    _moved_images,
     _run_target_cell,
     complex_N0,
     complex_weak_semistability,
@@ -43,7 +44,7 @@ from semistable.lattice import (
     vec_neg,
 )
 from semistable.monoid import BudgetExceeded
-from semistable.reduction import ReductionError, reduce
+from semistable.reduction import ReductionError, reduce, refine_by_images
 from test_support import DOCUMENTS, drops, points, projections, stellar
 from test_support import morphism as fan_morphism
 
@@ -1082,6 +1083,52 @@ def test_target_cell_step_finds_no_owner_face(monkeypatch, m):
     assert calls == []
     reduce_complex(m)
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# one source cell reaching one target cell as two images
+
+def folded_quadrant():
+    """The quadrant (cell 2) with both rays glued from the one ray chart
+    (cell 1), and each origin glued from the origin of rank 0 (cell 0)."""
+    zero0, ray, quad = Cone.zero(0), cone(1, (1,)), cone(2, (1, 0), (0, 1))
+    ident0, ident1, ident2 = (LatticeMap.identity_map(Lattice(n)) for n in (0, 1, 2))
+    from_zero = [LatticeMap(Lattice(0), Lattice(n), ((),) * n) for n in (1, 2)]
+    return ConeComplex((zero0, ray, quad), (
+        Gluing(0, zero0, 0, ident0),
+        Gluing(1, ray, 1, ident1), Gluing(1, Cone.zero(1), 0, from_zero[0]),
+        Gluing(2, quad, 2, ident2), Gluing(2, cone(2, (1, 0)), 1, lmap([[1], [0]])),
+        Gluing(2, cone(2, (0, 1)), 1, lmap([[0], [1]])),
+        Gluing(2, Cone.zero(2), 0, from_zero[1])))
+
+
+def test_a_cell_reached_as_two_images_is_refused_by_its_labels():
+    """Doubling on the folded quadrant: the ray cell reaches the quadrant
+    as both of its rays, each with its own lattice.  Labels name source
+    cells, so both rays carry the label (1,), and the hull of that label
+    region is the quadrant, whose interior is labelled (2,): the target
+    cell is refused with a typed error."""
+    cx = folded_quadrant()
+    m = ComplexMorphism(cx, cx, (LatticeMap.identity_map(Lattice(0)), lmap([[2]]),
+                                 lmap([[2, 0], [0, 2]])), (0, 1, 2))
+    assert validate_complex(cx) and validate_complex_morphism(m)
+    moved = [(s, img.rays, lattice.vectors()) for s, img, lattice in _moved_images(m, 2)]
+    assert sorted(moved) == [(0, (), []), (1, ((0, 1),), [(0, 2)]), (1, ((1, 0),), [(2, 0)]),
+                             (2, ((0, 1), (1, 0)), [(2, 0), (0, 2)])]
+    with pytest.raises(ReductionError,
+                       match="^a label region of target cell 2 is not a union of cells$"):
+        reduce_complex(m)
+
+
+def test_each_piece_meets_the_lattices_of_the_images_that_hold_it():
+    """One key with three images, the quadrant and its two rays, each with
+    its own lattice: every piece meets only the lattice of the image whose
+    relative interior holds its sample, not every lattice of its key."""
+    quad, x, y, zero = cone(2, (1, 0), (0, 1)), cone(2, (1, 0)), cone(2, (0, 1)), Cone.zero(2)
+    lattices = {quad: [(2, 0), (0, 2)], x: [(3, 0)], y: [(0, 5)]}
+    images = [("k", c, sublattice_from_vectors(Lattice(2), vs)) for c, vs in lattices.items()]
+    pieces = refine_by_images(quad, images + [("o", zero, span_sublattice(zero))], "X")
+    assert {c: sub.vectors() for c, sub in pieces} == {**lattices, zero: []}
 
 
 # ---------------------------------------------------------------------------

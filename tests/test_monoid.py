@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import pushout_monoid
+from oracles import pushout_monoid, q_kappa_lattice
 from semistable.cone import Cone, ConeError, dual_cone, image_cone, preimage_cone
 from semistable.lattice import (
     Lattice,
@@ -37,7 +37,6 @@ from semistable.monoid import (
     kato_integral,
     monoid_generators_of_cone,
     monoid_membership,
-    q_kappa_lattice,
 )
 
 
@@ -393,6 +392,11 @@ class TestQKappaLattice:
         p = lmap([[1]])
         with pytest.raises(MonoidError):
             q_kappa_lattice(p, Cone.from_generators(1, [(1,)]), [])
+
+    def test_rejects_a_cone_that_does_not_cover_kappa(self):
+        with pytest.raises(MonoidError, match="^contributing cone does not cover kappa$"):
+            q_kappa_lattice(lmap([[1]]), Cone.from_generators(1, [(1,)]),
+                            [(Cone.from_generators(1, [(-1,)]), full_sublattice(Lattice(1)))])
 
 
 class TestPushoutSaturation:

@@ -50,7 +50,6 @@ from semistable.monoid import AffineMonoid, MonoidMap, dual_monoid
 from semistable.reduction import (
     CategoryCObject,
     FactorCertificate,
-    N0Label,
     ReductionResult,
     factor_through,
     reduce,
@@ -112,7 +111,6 @@ def _samples():
         AffineMonoid: [saturated, index_two],
         MonoidMap: [MonoidMap(index_two, saturated, LatticeMap.identity_map(z2)),
                     MonoidMap(index_two, index_two, LatticeMap(z2, z2, identity(2)))],
-        N0Label: [red.labels[0], red.labels[-1]],
         ReductionResult: [red, red_proj],
         CategoryCObject: [square, CategoryCObject(double, semi, semi)],
         FactorCertificate: [factor_through(square, red), FactorCertificate((), ())],

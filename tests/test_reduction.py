@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import oracles
 from semistable import conecomplex, fan, reduction
 
 from semistable.cone import Cone, preimage_cone, relint_owner, span_sublattice
@@ -30,6 +31,7 @@ from semistable.lattice import (
     LatticeMap,
     full_sublattice,
     intersect_sublattices,
+    lattice_index,
     mat,
     preimage_sublattice,
     sublattice_from_vectors,
@@ -38,13 +40,12 @@ from semistable.monoid import BudgetExceeded
 from semistable.reduction import (
     CategoryCObject,
     FactorCertificate,
-    N0Label,
     NoFactorization,
     ReductionError,
-    base_lattices,
     factor_through,
     image_refinement,
     reduce,
+    refine_by_images,
     refine_cell,
     total_refinement,
     universal_minimal_modification,
@@ -88,30 +89,35 @@ def fix_subdiv():
                        LatticeMap.identity_map(Lattice(2)))
 
 
+def members_at(p, pt):
+    """The source cones whose image holds pt in its relative interior: the
+    label that image_refinement gives the base cell whose relative interior
+    holds pt."""
+    return {sigma for sigma, img in zip(p.source.cones, p.images) if img.relint_contains(pt)}
+
+
 class TestImageRefinement:
     def test_fix_subdiv(self):
-        refined, labels = image_refinement(fix_subdiv())
-        assert refined == blowup_fan()
-        by_cone = {l.cone: set(l.members) for l in labels}
+        p = fix_subdiv()
+        base = image_refinement(p)
+        assert base.fan == blowup_fan()
         lower = cone(2, (1, 0), (1, 1))
         upper = cone(2, (1, 1), (0, 1))
         diag = cone(2, (1, 1))
-        assert by_cone[lower] == {lower}
-        assert by_cone[upper] == {upper}
-        assert by_cone[diag] == {diag}
-        assert by_cone[cone(2, (1, 0))] == {cone(2, (1, 0))}
-        assert by_cone[cone(2, (0, 1))] == {cone(2, (0, 1))}
+        for c in (lower, upper, diag, cone(2, (1, 0)), cone(2, (0, 1))):
+            assert members_at(p, c.interior_sample()) == {c}
+            assert base.sublattice(c) == span_sublattice(c)
 
     def test_fix_semi(self):
-        refined, labels = image_refinement(fix_semi())
-        assert refined == halfline_fan()
-        interior = next(l for l in labels if l.cone.dim == 1)
-        assert len(interior.members) == 5  # every nonzero source cone
+        p = fix_semi()
+        base = image_refinement(p)
+        assert base.fan == halfline_fan()
+        interior = next(c for c in base.fan.cones if c.dim == 1)
+        assert len(members_at(p, interior.interior_sample())) == 5  # every nonzero source cone
 
     def test_weakly_semistable_input_trivial(self):
         p = FanMorphism(quadrant_fan(), halfline_fan(), lmap([[1, 0]]))
-        refined, _ = image_refinement(p)
-        assert refined == halfline_fan()
+        assert image_refinement(p).fan == halfline_fan()
 
     def test_rejects_non_proper(self):
         F = Fan.from_cones(1, [])
@@ -122,10 +128,10 @@ class TestImageRefinement:
     def test_minimality_merging_breaks_constancy(self):
         # adjacent cells of the refined base with different labels cannot be
         # merged: the merged region sees both label values
-        refined, labels = image_refinement(fix_subdiv())
-        by_cone = {l.cone: l.members for l in labels}
+        p = fix_subdiv()
+        refined = image_refinement(p).fan
         lower, upper = (relint_owner(refined.cones, pt) for pt in ((2, 1), (1, 2)))
-        assert by_cone[lower] != by_cone[upper]
+        assert members_at(p, lower.interior_sample()) != members_at(p, upper.interior_sample())
 
 
 # refine_cell does not check that a label hull stays in the cell: it is the
@@ -177,23 +183,20 @@ def test_refine_cell_rejects_a_label_that_is_not_a_subdivision(cell, functionals
 class TestBaseLattices:
     def test_fix_semi_base_is_two_z(self):
         p = fix_semi()
-        refined, labels = image_refinement(p)
-        base = base_lattices(p, refined, labels)
+        base = image_refinement(p)
         ray = Cone.from_generators(1, [(1,)])
         assert base.sublattice(ray).vectors() == [(2,)]
 
     def test_fix_double_base_is_two_z(self):
         p = fix_double()
-        refined, labels = image_refinement(p)
-        base = base_lattices(p, refined, labels)
+        base = image_refinement(p)
         ray = Cone.from_generators(1, [(1,)])
         assert base.sublattice(ray).vectors() == [(2,)]
 
     def test_identity_full(self):
         p = fix_subdiv()
-        refined, labels = image_refinement(p)
-        base = base_lattices(p, refined, labels)
-        for c in refined.cones:
+        base = image_refinement(p)
+        for c in base.fan.cones:
             sub = base.sublattice(c)
             assert sub.basis == span_sublattice(c).basis
 
@@ -201,8 +204,7 @@ class TestBaseLattices:
 class TestTotalRefinement:
     def test_fix_semi(self):
         p = fix_semi()
-        refined, labels = image_refinement(p)
-        base = base_lattices(p, refined, labels)
+        base = image_refinement(p)
         total, sm = total_refinement(p, base)
         assert total.fan == p.source
         lower = cone(2, (1, 0), (1, 1))
@@ -217,8 +219,7 @@ class TestTotalRefinement:
 
     def test_fix_double(self):
         p = fix_double()
-        refined, labels = image_refinement(p)
-        base = base_lattices(p, refined, labels)
+        base = image_refinement(p)
         total, sm = total_refinement(p, base)
         ray = Cone.from_generators(1, [(1,)])
         assert total.sublattice(ray).vectors() == [(1,)]
@@ -264,8 +265,7 @@ class TestReduce:
 
     def test_idempotence(self):
         red = reduce(fix_semi())
-        refined_again, labels = image_refinement(red.stacky_map.underlying)
-        assert refined_again == red.base.fan
+        assert image_refinement(red.stacky_map.underlying).fan == red.base.fan
         # reducing the underlying refined morphism changes nothing combinatorially
         red2 = reduce(red.stacky_map.underlying)
         assert red2.base.fan == red.base.fan
@@ -416,17 +416,21 @@ class TestReductionFailures:
         monkeypatch.setattr(reduction, "refine_by_images", dropping)
         self.raises("refined base does not cover the target support", reduce, fix_subdiv())
 
-    def test_a_base_cell_with_no_contributing_cones(self):
-        refined, labels = image_refinement(fix_semi())
-        emptied = [N0Label(label.cone, ()) if label.cone.dim else label for label in labels]
-        self.raises("cell ((1,),) has no contributing cones",
-                    base_lattices, fix_semi(), refined, emptied)
+    def test_a_base_cell_that_no_image_reaches(self):
+        # a piece gets its sublattice only once its label is known, and an
+        # empty label raises: no base cell goes without contributing images,
+        # whether no image or only the zero cone's lies in the cell
+        ray, zero = cone(1, (1,)), Cone.zero(1)
+        for images in ([], [(zero, zero, span_sublattice(zero))]):
+            self.raises("X is not covered by the source images near (1,)",
+                        refine_by_images, ray, images, "X")
 
     def test_base_sublattices_that_disagree_on_faces(self, monkeypatch):
         # the two maximal base cells get doubled lattices, their rays not
-        q_kappa = reduction.q_kappa_lattice
-        monkeypatch.setattr(reduction, "q_kappa_lattice", lambda p, kappa, contributing: (
-            doubled if kappa.dim == 2 else lambda q: q)(q_kappa(p, kappa, contributing)))
+        refine = reduction.refine_by_images
+        monkeypatch.setattr(reduction, "refine_by_images", lambda cell, images, where: [
+            (piece, doubled(sub) if piece.dim == 2 else sub)
+            for piece, sub in refine(cell, images, where)])
         self.raises("base sublattices violate face compatibility: " + "; ".join(
             f"sublattice of face {face} of {cell} disagrees with restriction"
             for cell, face in [(((0, 1), (1, 1)), ((0, 1),)), (((0, 1), (1, 1)), ((1, 1),)),
@@ -567,6 +571,51 @@ def test_what_reduce_proves_holds_on_random_projections():
     assert outcomes >= {(True, True), (False, False)}
 
 
+def base_indices_against_oracle(p):
+    """Compare each cone of the refined base of p with Q_kappa over the
+    source cones whose images hold its sample in their relative interior
+    (`oracles.q_kappa_lattice`); return the indices of the base sublattices
+    in their span lattices, or None when p does not reduce."""
+    try:
+        base = image_refinement(p)
+    except ReductionError:
+        return None
+    full = full_sublattice(p.source.lattice)
+    indices = set()
+    for kappa, sub in base.assignments:
+        members = members_at(p, kappa.interior_sample())
+        assert sub == oracles.q_kappa_lattice(p.lattice_map, kappa,
+                                              [(sigma, full) for sigma in members])
+        indices.add(lattice_index(sub, span_sublattice(kappa)))
+    return indices
+
+
+def test_base_sublattices_agree_with_q_kappa_on_the_stored_morphisms():
+    indices = set()
+    for p in DISTINCT:
+        indices |= base_indices_against_oracle(p) or set()
+    assert 1 in indices and max(indices) > 1
+
+
+def test_base_sublattices_agree_with_q_kappa_on_random_projections():
+    indices = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(projections())
+    def check(case):
+        source, target, rows = case
+        try:
+            p = morphism(source, target, rows)
+        except FanError:
+            assume(False)
+        assume(is_proper(p))
+        indices.update(base_indices_against_oracle(p) or ())
+
+    check()
+    assert 1 in indices and max(indices) > 1
+
+
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_minimal_modification_names_an_input_that_is_not_a_fan(side):
     # the output is proved a fan from fan inputs, so the inputs are checked
@@ -581,13 +630,15 @@ def test_minimal_modification_names_an_input_that_is_not_a_fan(side):
 def test_reduce_checks_each_invariant_once(monkeypatch):
     """On S -> quad: validate_stacky_fan and is_modification run once each,
     on the base; the lattice certificate runs on the maximal total cones
-    only, and no cone is checked by its lattice points; the minimal
-    modification is not validated, and it intersects only the pairs it
-    cuts and the pairs of maximal cones of its inputs."""
+    only, and no cone is checked by its lattice points; the base maps the
+    lattice of each source cone once, not again for every base cone it
+    contributes to; the minimal modification is not validated,
+    builds no preimage cone and intersects only the pairs of maximal cones
+    of its inputs."""
     with open(os.path.join(ROOT, "tests", "data", "s_quad.json")) as fh:
         _, p = load_document(fh.read(), ("fan_morphism",))
     stacky, modifications, validated, certified, checked, intersected = [], [], [], [], [], []
-    inside = []
+    inside, preimages, mapped = [], [], []
 
     def spy(module, name, record, arg=lambda *args: args[0]):
         f = getattr(module, name)
@@ -600,10 +651,12 @@ def test_reduce_checks_each_invariant_once(monkeypatch):
 
     spy(reduction, "validate_stacky_fan", stacky)
     spy(reduction, "is_modification", modifications)
+    spy(reduction, "image_lattice", mapped, lambda f, sub: sub)
     spy(fan, "validate_fan", validated)
     spy(conecomplex, "_lattice_certificate", certified, lambda p, sigma, n, q: sigma)
     spy(conecomplex, "image_monoid_equals_cone_monoid", checked, lambda *args: args[1])
     spy(fan, "intersect", intersected, lambda a, b: (a, b) if inside else None)
+    spy(fan, "preimage_cone", preimages, lambda f, c: c if inside else None)
     modification = reduction.minimal_modification
 
     def watched(p_map, f, g):
@@ -617,12 +670,13 @@ def test_reduce_checks_each_invariant_once(monkeypatch):
 
     assert [s.fan for s in stacky] == [red.base.fan]
     assert [m.source for m in modifications] == [red.base.fan]
+    assert len(mapped) == len(p.source.cones)
     assert red.total.fan not in validated
     top = red.total.fan.maximal_cones()
     assert certified == top and len(top) < len(red.total.fan.cones)
     assert checked == []
     f, g = p.source.maximal_cones(), red.base.fan.maximal_cones()
-    expected = ([(preimage_cone(p.lattice_map, kappa), sigma) for kappa in g for sigma in f]
-                + list(itertools.combinations(f, 2)) + list(itertools.combinations(g, 2)))
+    expected = list(itertools.combinations(f, 2)) + list(itertools.combinations(g, 2))
     made = [pair for pair in intersected if pair is not None]
     assert sorted(made) == sorted(expected)
+    assert [c for c in preimages if c is not None] == []

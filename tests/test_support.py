@@ -26,6 +26,7 @@ from semistable.fan import (
     FanMorphism,
     _every_pair,
     covers,
+    cut_by_preimages,
     decompose_by_hyperplanes,
     is_alteration,
     is_modification,
@@ -360,6 +361,31 @@ def assert_same_modification(p_map, f, g):
     assert minimal_modification(p_map, f, g)[0] == oracle_minimal_modification(p_map, f, g)
 
 
+def test_cut_by_preimages_agrees_with_the_preimage_cone():
+    """sigma ∩ p^-1(c) cut out in one step equals sigma intersected with
+    the preimage cone of c, on random cones and maps; cuts of full
+    dimension, of lower dimension and the zero cone are all seen."""
+    kinds = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        sigma = Cone.from_generators(n, data.draw(st.lists(
+            st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=4)))
+        assume(sigma.is_strictly_convex)
+        rows = tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(n)) for _ in range(m))
+        p_map = LatticeMap(Lattice(n), Lattice(m), rows)
+        cones = [Cone.from_generators(m, data.draw(st.lists(
+            st.tuples(*[st.integers(-2, 2)] * m), max_size=3))) for _ in range(2)]
+        cuts = cut_by_preimages(sigma, p_map, cones)
+        assert cuts == oracles.cut_by_preimage_cones(sigma, p_map, cones)
+        kinds.update("zero" if c.dim == 0 else "full" if c.dim == n else "lower" for c in cuts)
+
+    check()
+    assert kinds == {"zero", "lower", "full"}
+
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DOCUMENTS = sorted(glob.glob(os.path.join(ROOT, "tests", "data", "*.json"))
                    + glob.glob(os.path.join(ROOT, "perfbench", "inputs", "*.json")))
@@ -391,7 +417,7 @@ def test_minimal_modification_agrees_with_every_pair_on_documents(p):
     # over the target itself, and over the refined base of a reduction
     assert_same_modification(p.lattice_map, p.source, p.target)
     try:
-        base, _ = image_refinement(p)
+        base = image_refinement(p).fan
     except ReductionError:
         return
     assert_same_modification(p.lattice_map, p.source, base)
