@@ -219,15 +219,13 @@ class Cone(Record):
             return Cone(lattice, tuple(extremal), (), facets_amb, span_eqs, span_lat)
 
         # lift the primitive image of each extremal generator in the quotient
-        # by the saturated lineality, and reduce it modulo the lineality
+        # by the saturated lineality, and reduce it modulo the lineality;
+        # every lift exists, as quot, the last rows of a unimodular matrix,
+        # maps Z^n onto the quotient
         line_basis, _, quot = span_basis(units, n)
         lines = tuple(sublattice_from_vectors(lattice, line_basis).vectors())
         q_rays = sorted({primitive(matvec(quot, g)) for g in extremal})
-        rays = []
-        for r, x in zip(q_rays, lift(quot, q_rays)):
-            if x is None:
-                raise ConeError(f"no lift of the ray {r} from the lineality quotient")
-            rays.append(reduce_mod_rows(x, lines))
+        rays = [reduce_mod_rows(x, lines) for x in lift(quot, q_rays)]
         return Cone(lattice, tuple(sorted(rays)), lines, facets_amb, span_eqs, span_lat)
 
     @staticmethod

@@ -10,12 +10,13 @@ fan case (all charts equal to one ambient lattice, identity embeddings) is
 recovered exactly.  Each target cell is cut and labelled by the source
 images moved into its lattice, once each, by the per-cell step of the fan
 pipeline (`refine_by_images`; see `_moved_images`), which also gives each
-piece its sublattice, so no point crosses a gluing there; only the walk that glues the target pieces and the cut of a
-maximal source cell ask for the owner face of a point, the face whose
-relative interior holds it.  `validate_complex` checks that composites of
-gluings agree on the faces of codimension 0 and 1 of each glued face, which
-proves them on every face (the lemma in its docstring); only a failure
-reruns the check on every face, to name each violation.
+piece its sublattice and checks that the pieces cover the cell, so no point
+crosses a gluing there; only the walk that glues the target pieces and the
+cut of a maximal source cell ask for the owner face of a point, the face
+whose relative interior holds it.  `validate_complex` checks that
+composites of gluings agree on the faces of codimension 0 and 1 of each
+glued face, which proves them on every face (the lemma in its docstring);
+only a failure reruns the check on every face, to name each violation.
 
 Every check of `reduce_complex` runs on every input and does its work once,
 where the invariant it checks is made.  A gluing maps its chart onto its
@@ -26,7 +27,7 @@ cells, and a face cell inherits a True certificate when its sublattices
 are the restrictions of its cell's; every other cell is checked itself.
 It is also the weak semistability check of fan morphisms
 (`fan.is_weakly_semistable`).  Coverage is checked once per target cell,
-by its maximal pieces, which proves it for every source cell.
+by the kernel, which proves it for every source cell.
 
 The maximal cells do the work on the source side: only they are cut
 (`_source_runs`), and every other source cell takes the parts of a maximal
@@ -48,7 +49,6 @@ from .fan import (
     FanMorphism,
     ValidationReport,
     WeakSemistabilityReport,
-    covers,
     cut_by_preimages,
 )
 from .lattice import (
@@ -364,43 +364,44 @@ def _owner_face(cell: Cone, sample) -> Optional[Cone]:
 
 def _moved_images(m: ComplexMorphism, t: int) -> list[tuple[int, Cone, Sublattice]]:
     """Each source cell s with its image and image lattice moved into target
-    cell t, once per distinct moved cone, by s.
+    cell t, once per distinct moved cone, by s, whose index serves
+    `complex_N0`.  On a valid complex every gluing has a left inverse.
 
     A route is a gluing g of t from a chart c and a gluing h from c into the
     cell s is assigned to, whose face holds s's image; it moves the image
-    and its lattice by E_g after h's retraction L_h.  On complexes that pass
-    validate_complex, as reduce_complex checks first, a point pt of t lies
-    in the relative interior of a moved image of s exactly when it arrives
-    there through the gluing g0 of its owner face f, from a chart c0: u =
-    L_g0 pt lies in the relative interior of c0, and for some gluing h0 of
-    the assigned cell from c0, E_h0 u lies in the relative interior of the
-    image.  Then the face of h0 holds the image and the route (g0, h0)
-    carries it onto a cone whose relative interior holds pt.  Conversely,
-    let a route (g, h) do so.  The face of g holds pt, so f is a face of
-    it; composites agree, so the copy of f in c is glued by some k from c0
-    with E_g E_k = E_g0, and its copy under E_h by some h0 from c0 with
-    E_h E_k = E_h0.  So E_h0 u = E_h L_g pt lies in the relative interior of
-    the image.  Both routes carry the image lattice onto one lattice, as
-    E_g L_h = E_g0 L_h0 on the span of the face of h0, and h0 is the one
-    gluing of the smallest face of the cell that holds the image.  A route
-    whose face of h misses the image adds nothing.
+    and its lattice by one composite, E_g after h's retraction L_h.  On
+    complexes that pass validate_complex, as reduce_complex checks first, a
+    point pt of t lies in the relative interior of a moved image of s
+    exactly when it arrives there through the gluing g0 of its owner face f,
+    from a chart c0: u = L_g0 pt lies in the relative interior of c0, and
+    for some gluing h0 of the assigned cell from c0, E_h0 u lies in the
+    relative interior of the image.  Then the face of h0 holds the image and
+    the route (g0, h0) carries it onto a cone whose relative interior holds
+    pt.  Conversely, let a route (g, h) do so.  The face of g holds pt, so f
+    is a face of it; composites agree, so the copy of f in c is glued by
+    some k from c0 with E_g E_k = E_g0, and its copy under E_h by some h0
+    from c0 with E_h E_k = E_h0.  So E_h0 u = E_h L_g pt lies in the
+    relative interior of the image.  Both routes carry the image lattice
+    onto one lattice, as E_g L_h = E_g0 L_h0 on the span of the face of h0,
+    and h0 is the one gluing of the smallest face of the cell that holds the
+    image.  A route whose face of h misses the image adds nothing.
     """
-    # a route crosses only embeddings that are injective with a saturated image
-    into = [g for g in m.target.gluings if g.cell == t and _retraction(g)]
+    into = [g for g in m.target.gluings if g.cell == t]
     moved: dict = {}
     for s, img in enumerate(m.images):
         lattice = None
         for g in into:
             for h in m.target.gluings_of(m.assignment[s], g.chart):
+                if not h.face.contains_cone(img):
+                    continue
                 # E_g L_h is the identity on the face of h when E_g = E_h
                 same = g.embedding.matrix == h.embedding.matrix
-                key = h.face.contains_cone(img) and (s, img if same else image_cone(
-                    g.embedding, image_cone(_retraction(h), img)))
-                if key and key not in moved:
+                route = None if same else g.embedding.compose(_retraction(h))
+                key = (s, img if same else image_cone(route, img))
+                if key not in moved:
                     lattice = lattice or image_lattice(m.cell_maps[s],
                                                        span_sublattice(m.source.cells[s]))
-                    moved[key] = lattice if same else image_lattice(
-                        g.embedding, image_lattice(_retraction(h), lattice))
+                    moved[key] = lattice if same else image_lattice(route, lattice)
     return [(s, img, lattice) for (s, img), lattice in moved.items()]
 
 
@@ -410,7 +411,8 @@ def complex_N0(m: ComplexMorphism, kappa: int, w: Sequence) -> frozenset[int]:
     be valid (validate_complex).
 
     No code of the package calls it; it stays as the one public way to ask
-    for the label `reduce_complex` gives each piece, at a chosen point."""
+    for the source cells of the images in the label `reduce_complex` gives
+    each piece, at a chosen point."""
     if not m.target.cells[kappa].contains(w):
         raise ComplexError("the sample point lies outside the target cell")
     return frozenset(s for s, img, _ in _moved_images(m, kappa) if img.relint_contains(w))
@@ -444,12 +446,14 @@ class _CellRun(Record):
 
 
 def _run_target_cell(m: ComplexMorphism, t: int) -> _CellRun:
-    """Target cell t cut by the source images moved into it, each piece
-    with its sublattice, by the per-cell step of the fan pipeline
-    (`refine_by_images`).  A source cell that reaches t by two routes onto
-    different cones comes as two images, each with its own lattice."""
-    out = reduction.refine_by_images(m.target.cells[t], _moved_images(m, t),
-                                     f"target cell {t}")
+    """Target cell t cut and labelled by the source images moved into it,
+    each piece with its sublattice, by the per-cell step of the fan
+    pipeline (`refine_by_images`), which checks that the pieces cover t.  A
+    source cell that reaches t by two routes onto different cones comes as
+    two images, each with its own lattice, and labels them apart."""
+    out = reduction.refine_by_images(
+        m.target.cells[t], [(img, lattice) for _, img, lattice in _moved_images(m, t)],
+        f"target cell {t}")
     return _CellRun(tuple(piece for piece, _ in out),
                     {_key(piece): sub for piece, sub in out})
 
@@ -639,11 +643,11 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     assumed.
 
     Coverage is checked once per target cell lambda, where its pieces are
-    made: its maximal pieces must cover it.  Then the parts of every source
-    cell sigma assigned to lambda cover sigma.  They are the cones
-    sigma ∩ p^-1(P) for the maximal pieces P (or sigma itself), and
-    p(sigma) ⊂ lambda, which ComplexMorphism asserts, so their union is
-    sigma ∩ p^-1(∪ P) = sigma ∩ p^-1(lambda) = sigma."""
+    made: the kernel (`refine_by_images`) checks that they cover it.  Then
+    the parts of every source cell sigma assigned to lambda cover sigma.
+    They are the cones sigma ∩ p^-1(P) for the maximal pieces P (or sigma
+    itself), and p(sigma) ⊂ lambda, which ComplexMorphism asserts, so their
+    union is sigma ∩ p^-1(∪ P) = sigma ∩ p^-1(lambda) = sigma."""
     _require(validate_complex(m.source), ComplexError, "source complex invalid")
     _require(validate_complex(m.target), ComplexError, "target complex invalid")
     _require(validate_complex_morphism(m), ComplexError,
@@ -654,14 +658,10 @@ def reduce_complex(m: ComplexMorphism) -> ComplexReductionResult:
     base_subs = tuple(runs[t].sublattices[_key(piece)]
                       for piece, t in zip(base_cx.cells, base_owners))
 
-    # subdivide every source cell by the preimages of its target subdivision,
-    # whose maximal pieces must cover the target cell
-    tops = {}
-    for t, run in runs.items():
-        tops[t] = Fan(m.target.cells[t].lattice, run.pieces).maximal_cones()
-        if not covers(m.target.cells[t], tops[t]):
-            raise reduction.ReductionError(
-                f"subdivision of target cell {t} misses part of the cell")
+    # subdivide every source cell by the preimages of the maximal pieces of
+    # its target subdivision
+    tops = {t: Fan(m.target.cells[t].lattice, run.pieces).maximal_cones()
+            for t, run in runs.items()}
     src_runs = _source_runs(m, runs, tops)
     total_cx, total_owners, _ = _assemble_complex(m.source, src_runs)
     total_subs = tuple(src_runs[s].sublattices[_key(piece)]

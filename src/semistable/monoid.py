@@ -305,15 +305,12 @@ def monoid_generators_of_cone(c: Cone, L=None) -> list[Vector]:
     ls = intersect_sublattices(L, span_sublattice(c))
     qc = Cone.from_generators(q.codomain, [q(g) for g in c.generators()])
     hb = hilbert_basis(qc, image_lattice(q, ls))
-    # lift each quotient generator back into L intersect Span c; two lifts
-    # differ by a unit, so reducing modulo the units' Hermite basis makes
-    # each lift canonical
+    # lift each quotient generator back into L intersect Span c; every lift
+    # exists, as the Hilbert basis lies in q(ls), which the columns of
+    # lift_matrix span.  Two lifts differ by a unit, so reducing modulo the
+    # units' Hermite basis makes each lift canonical
     lift_matrix = transpose(mat([q(col) for col in ls.vectors()]))
-    lifts = []
-    for h, t in zip(hb, lift(lift_matrix, hb)):
-        if t is None:
-            raise MonoidError(f"no lift of the quotient generator {h} to the lattice")
-        lifts.append(reduce_mod_rows(matvec(ls.basis, t), units))
+    lifts = [reduce_mod_rows(matvec(ls.basis, t), units) for t in lift(lift_matrix, hb)]
     return sorted(set(units + [vec_neg(u) for u in units] + lifts))
 
 
@@ -336,16 +333,16 @@ def _dual_monoid(c: Cone) -> AffineMonoid:
 # membership
 
 def _positive_functional(gens: Sequence[Vector], n: int) -> Vector:
+    """The sum of the facets of the cone of `gens`.  On a strictly convex
+    cone it is positive at every nonzero point: each facet is nonnegative
+    on the cone, and within its span only the origin is tight on all of
+    them.  So it is positive on `gens`, none of which a caller passes zero."""
     c = Cone.from_generators(n, gens)
     if not c.is_strictly_convex:
         raise MonoidError(
             "no strictly positive functional: generators span a non-convex direction"
         )
-    f = tuple(sum(u[j] for u in c.facets) for j in range(n)) if c.facets else (0,) * n
-    for g in gens:
-        if dot(f, g) <= 0:
-            raise MonoidError("functional not strictly positive on a generator")
-    return f
+    return tuple(sum(u[j] for u in c.facets) for j in range(n))
 
 
 def _bounded_points(rank: int, gens: Sequence[Vector], weights: Sequence[int],

@@ -4,18 +4,20 @@ morphism together with its universal property (factorization of compatible
 alteration squares through it).
 
 The per-cell step is shared with `reduce_complex`: `refine_by_images` cuts
-a cell by the images that lie in it and gives each piece its sublattice,
-the span lattice of the piece met with the image lattice of every image
-whose relative interior holds it.  The fan pipeline calls it on the cones
+a cell by the (image, image lattice) pairs that lie in it, labels each
+point by the images whose relative interior holds it, gives each piece its
+sublattice, the span lattice of the piece met with the lattice of every
+image of its label, and checks that the pieces cover the cell, the one
+coverage check of both pipelines.  The fan pipeline calls it on the cones
 of the target, the complex pipeline on the target cells, each with the
 images moved into it.
 
 `reduce` checks each invariant once, where it is made: that its source and
-target are fans; that the refined base is a fan covering the target, with
-sublattices that agree on faces; that the reduced morphism is weakly
-semistable, through the one certificate of the maximal cones
-(`is_weakly_semistable`), and representable.  What follows from those it
-proves instead, each proof in a docstring: the refined total is a fan
+target are fans; that the refined base is a fan covering the target (each
+cone by the kernel), with sublattices that agree on faces; that the reduced
+morphism is weakly semistable, through the one certificate of the maximal
+cones (`is_weakly_semistable`), and representable.  What follows from those
+it proves instead, each proof in a docstring: the refined total is a fan
 (`minimal_modification`), its sublattices have finite index and agree on
 faces (`total_refinement`), and it covers the source (`reduce`).
 """
@@ -31,6 +33,7 @@ from .fan import (
     StackyFan,
     StackyMorphism,
     ValidationReport,
+    covers,
     decompose_by_hyperplanes,
     is_alteration,
     is_modification,
@@ -123,37 +126,38 @@ def refine_cell(cell: Cone, functionals: Sequence[Vector],
     return out
 
 
-def refine_by_images(cell: Cone, images: Sequence[tuple[Hashable, Cone, Sublattice]],
+def refine_by_images(cell: Cone, images: Sequence[tuple[Cone, Sublattice]],
                      where: str) -> list[tuple[Cone, Sublattice]]:
     """The per-cell step of both pipelines: `refine_cell` on `cell`, cut by
-    the facets and span equations of the (key, image, image lattice)
-    triples, whose images lie in the cell, and each piece with its
-    sublattice.
+    the facets and span equations of the (image, image lattice) pairs,
+    whose images lie in the cell, and each piece with its sublattice.
 
-    A point's label is the keys of the images whose relative interior holds
-    it, once each, in the order of `images`; those functionals fix every
-    such membership, so the label is constant on each piece of the cut.  An
-    empty label raises.  A piece's sublattice is its span lattice met with
-    the lattice of every image whose relative interior holds its sample,
-    image by image, as one key may come with several images.  A lattice
-    equal to the whole lattice of its image's span cuts nothing and is
-    skipped: a piece whose sample the image holds lies in the image, so its
-    span lattice lies in that one."""
-    hyps = sorted({psi for _, img, _ in images for psi in img.facets + img.span_equations})
+    A point's label is the pairs whose image holds it in its relative
+    interior, in the order of `images`; those functionals fix every such
+    membership, so the label is constant on each piece of the cut.  An
+    empty label raises, and so do pieces that miss part of the cell: this
+    is the one coverage check of both pipelines.  A piece's sublattice is
+    its span lattice met with the lattice of every pair of its label.  A
+    lattice equal to the whole lattice of its image's span cuts nothing and
+    is skipped: a piece whose sample the image holds lies in the image, so
+    its span lattice lies in that one."""
+    hyps = sorted({psi for img, _ in images for psi in img.facets + img.span_equations})
 
     def label_at(pt):
-        label = tuple(dict.fromkeys(key for key, img, _ in images if img.relint_contains(pt)))
+        label = tuple(pair for pair in images if pair[0].relint_contains(pt))
         if not label:
             raise ReductionError(f"{where} is not covered by the source images near {pt}")
         return label
 
     out = []
-    for piece, _ in refine_cell(cell, hyps, label_at, where):
-        sample, sub = piece.interior_sample(), span_sublattice(piece)
-        for _, img, lattice in images:
-            if lattice != span_sublattice(img) and img.relint_contains(sample):
+    for piece, label in refine_cell(cell, hyps, label_at, where):
+        sub = span_sublattice(piece)
+        for img, lattice in label:
+            if lattice != span_sublattice(img):
                 sub = intersect_sublattices(sub, lattice)
         out.append((piece, sub))
+    if not covers(cell, [piece for piece, _ in out]):
+        raise ReductionError(f"subdivision of {where} misses part of the cell")
     return out
 
 
@@ -163,24 +167,23 @@ def image_refinement(p: FanMorphism) -> StackyFan:
     Q_kappa, the intersection of the image lattices p(N ∩ Span sigma) of
     those source cones with its span lattice.  Each image lattice is
     computed once per source cone.  The refined base is checked to be a
-    fan covering the target, with sublattices that agree on faces."""
+    fan, with sublattices that agree on faces.  It covers the target: the
+    kernel checks that the pieces of each target cone cover that cone
+    (`refine_by_images`)."""
     if not is_proper(p):
         raise ReductionError("the morphism is not proper onto the target support")
-    g = p.target
-    images = [(sigma, img, image_lattice(p.lattice_map, span_sublattice(sigma)))
+    images = [(img, image_lattice(p.lattice_map, span_sublattice(sigma)))
               for sigma, img in zip(p.source.cones, p.images)]
     sub: dict = {}
-    for kappa in g.cones:
+    for kappa in p.target.cones:
         # on a fan, an image whose relative interior meets kappa lies in its
         # assigned cone, which meets kappa in a common face: so in kappa
-        inside = [image for image in images if kappa.contains_cone(image[1])]
+        inside = [pair for pair in images if kappa.contains_cone(pair[0])]
         sub.update(refine_by_images(kappa, inside, f"the base cone {kappa.rays}"))
-    refined = Fan.from_cones(g.lattice, sub)
+    refined = Fan.from_cones(p.target.lattice, sub)
     report = validate_fan(refined)
     if not report:
         raise ReductionError("refined base is not a fan: " + "; ".join(report.violations))
-    if not is_modification(FanMorphism(refined, g, LatticeMap.identity_map(g.lattice))):
-        raise ReductionError("refined base does not cover the target support")
     stacky = StackyFan.from_dict(refined, sub)
     report = validate_stacky_fan(stacky)
     if not report:
@@ -236,8 +239,9 @@ def reduce(p: FanMorphism) -> ReductionResult:
     """The universal weakly semistable reduction of p.  Its source and
     target must be fans: FanError names the first that is not.
 
-    Both maps to the original fans are modifications.  image_refinement
-    has compared the supports of the two bases.  The total covers the
+    Both maps to the original fans are modifications.  The refined base
+    covers the target, as the kernel checked cone by cone in
+    image_refinement, and lies in it.  The total covers the
     source: its cones are the cuts sigma ∩ p^-1(kappa) of the maximal
     cones, and the maximal cones kappa of the refined base cover the
     target support, which holds p(sigma), so the cuts of sigma cover

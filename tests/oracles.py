@@ -970,19 +970,19 @@ def check_face_agreement(cx, pieces, subs):
 def arrivals(m, t, pt):
     """The gluing g of the owner face of the point pt of target cell t, and
     for each source cell s whose image holds pt in its relative interior,
-    the gluing h of s's assigned cell through which pt arrives there: pt
+    every gluing h of s's assigned cell through which pt arrives there: pt
     moves by g's retraction into g's chart c, and from there into each copy
-    h of c inside the assigned cell."""
+    h of c inside the assigned cell.  Each (g, h) is one arrival route."""
     cell = m.target.cells[t]
     f = _owner_face(cell, pt)
     g = m.target.gluing_for(t, cell if f is None else f)
     u = _retraction(g)(pt)
     found = {}
     for s, img in enumerate(m.images):
-        for h in m.target.gluings_of(m.assignment[s], g.chart):
-            if img.relint_contains(h.embedding(u)):
-                found[s] = h
-                break
+        routes = [h for h in m.target.gluings_of(m.assignment[s], g.chart)
+                  if img.relint_contains(h.embedding(u))]
+        if routes:
+            found[s] = routes
     return g, found
 
 
@@ -1007,27 +1007,33 @@ def pulled_back_functionals(m, t):
 
 def arrivals_sublattice(m, t, piece):
     """The span of a piece of target cell t intersected with the image
-    lattice of each source cell arriving at its sample, carried back by the
-    retraction of the arrival gluing h and the embedding of g."""
+    lattice of each source cell arriving at its sample, carried back along
+    every arrival route (g, h) by the retraction of h and the embedding of
+    g."""
     cell = m.target.cells[t]
     if piece.dim == 0:
         return zero_sublattice(cell.lattice)
     g, found = arrivals(m, t, piece.interior_sample())
     result = span_sublattice(piece)
-    for s, h in found.items():
-        x = matmul(_retraction(h).matrix,
-                   matmul(m.cell_maps[s].matrix, span_sublattice(m.source.cells[s]).basis))
-        result = intersect_sublattices(
-            result, Sublattice(cell.lattice, matmul(g.embedding.matrix, x)))
+    for s, routes in found.items():
+        for h in routes:
+            x = matmul(_retraction(h).matrix,
+                       matmul(m.cell_maps[s].matrix, span_sublattice(m.source.cells[s]).basis))
+            result = intersect_sublattices(
+                result, Sublattice(cell.lattice, matmul(g.embedding.matrix, x)))
     return result
 
 
 def target_cell_by_transport(m, t):
     """The target-cell step of `reduce_complex` by moving points: the cell
-    cut by the pulled-back functionals, each point labelled by its
-    arrivals, each piece's sublattice from the arrivals at its sample."""
+    cut by the pulled-back functionals, each point labelled by its arrival
+    routes, each piece's sublattice from the arrivals at its sample.  A
+    source cell that reaches the cell by two routes onto different cones
+    labels them apart, as the routes differ in g, the gluing of the owner
+    face."""
     def label_at(pt):
-        label = frozenset(arrivals(m, t, pt)[1])
+        g, found = arrivals(m, t, pt)
+        label = frozenset((s, g, h) for s, routes in found.items() for h in routes)
         if not label:
             raise ReductionError(
                 f"target cell {t} is not covered by the source images near {pt}")

@@ -16,7 +16,16 @@ from semistable.cone import (
     span_sublattice,
     split_by_hyperplane,
 )
-from semistable.lattice import FrozenInstanceError, Lattice, LatticeMap, dot, mat
+from semistable.lattice import (
+    FrozenInstanceError,
+    Lattice,
+    LatticeMap,
+    dot,
+    identity,
+    lift,
+    mat,
+    span_basis,
+)
 
 
 def lmap(rows):
@@ -407,3 +416,15 @@ def test_dual_cone_matches_the_cone_built_from_its_generators(args):
     d, want = dual_cone(c), oracles.dual_cone_by_generators(c)
     assert _fields(d) == _fields(want) and d.span == want.span
     assert dual_cone(c) is d
+
+
+# Cone.from_generators lifts each ray of a cone with lines from the quotient
+# by the lineality without checking that a lift exists.  The claim that
+# proof rests on: the equations of a span, the last rows of a unimodular
+# Smith form U, map Z^n onto Z^(n-r), so every unit vector lifts
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=4)))
+def test_the_span_equations_map_onto_the_quotient(vectors):
+    _, _, quot = span_basis(vectors, len(vectors[0]))
+    assert None not in lift(quot, identity(len(quot)))

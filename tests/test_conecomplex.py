@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from semistable import conecomplex, monoid
+from semistable import conecomplex, monoid, reduction
 from semistable.cli import DocumentError, load_document
 from semistable.cone import Cone, relint_owner, span_sublattice
 from semistable.conecomplex import (
@@ -37,6 +37,7 @@ from semistable.lattice import (
     LatticeMap,
     full_sublattice,
     identity,
+    image_lattice,
     intersect_sublattices,
     mat,
     matmul,
@@ -45,7 +46,7 @@ from semistable.lattice import (
 )
 from semistable.monoid import BudgetExceeded
 from semistable.reduction import ReductionError, reduce, refine_by_images
-from test_support import DOCUMENTS, drops, points, projections, stellar
+from test_support import DOCUMENTS, dropping_the_last_piece, drops, points, projections, stellar
 from test_support import morphism as fan_morphism
 
 
@@ -499,17 +500,19 @@ class TestComplexN0:
                              ids=["non-saturated", "non-injective"])
     def test_route_through_a_bad_embedding_rejected(self, matrix):
         # the ray of cell 0 is glued to the chart cell 1 by `matrix`; the
-        # complex is not validated, so the bad gluing is met on the way
+        # complex is not validated, so the bad gluing is met on the way of
+        # the ray's image into the chart cell, whose own gluing is fine
         ray = cone(1, (1,))
         n = len(matrix[0])
         chart = Cone.from_generators(n, identity(n))
         ident = LatticeMap.identity_map(Lattice(n))
         tgt = ConeComplex((ray, chart), (Gluing(0, ray, 1, lmap(matrix)),
                                          Gluing(1, chart, 1, ident)))
-        src = ConeComplex((chart,), (Gluing(0, chart, 0, ident),))
-        m = ComplexMorphism(src, tgt, (ident,), (1,))
+        ident1 = LatticeMap.identity_map(Lattice(1))
+        src = ConeComplex((ray,), (Gluing(0, ray, 0, ident1),))
+        m = ComplexMorphism(src, tgt, (ident1,), (0,))
         with pytest.raises(ComplexError, match="not injective with a saturated"):
-            complex_N0(m, 0, (1,))
+            complex_N0(m, 1, chart.interior_sample())
 
 
 def assert_matches_fan_reduction(cres, red):
@@ -645,14 +648,13 @@ class TestReduceComplex:
 
     def test_a_part_that_maps_into_no_target_piece_is_named(self, monkeypatch):
         # fault injection: every source cell is cut into the negatives of
-        # its rays, which the target pieces do not hold, and the cover check
-        # that would catch that first is switched off
+        # its rays, which the target pieces do not hold; the target pieces
+        # are left whole, so the kernel's cover check passes
         def negated(sigma, pmap, image, top):
             rays = [vec_neg(r) for r in sigma.rays]
             return Fan.from_cones(sigma.lattice, [Cone.from_generators(sigma.lattice, rays)]).cones
 
         monkeypatch.setattr(conecomplex, "_cut_source_cell", negated)
-        monkeypatch.setattr(conecomplex, "covers", lambda cell, cones: True)
         with pytest.raises(ReductionError,
                            match="^a part of source cell 1 maps into no piece of target cell 1$"):
             reduce_complex(fan_morphism_as_complex(fix_double()))
@@ -767,22 +769,20 @@ class TestReduceComplexFailures:
             reduce_complex(ComplexMorphism(m.source, target, m.cell_maps, m.assignment))
 
     def test_a_target_cell_left_partly_uncut(self, monkeypatch):
-        # the quadrant loses its last maximal piece; its faces stay, so the
-        # walk sees every glued face agree and only the cover check fails
-        corrupting_runs(monkeypatch, 3, lambda run: _CellRun(
-            run.pieces[:-1], run.sublattices))
+        # the quadrant loses its last maximal piece inside the kernel; its
+        # faces stay, and only the kernel's cover check fails
+        dropping_the_last_piece(monkeypatch, 2)
         with pytest.raises(ReductionError,
                            match="^subdivision of target cell 3 misses part of the cell$"):
             reduce_complex(fan_morphism_as_complex(fix_subdiv()))
 
     def test_no_base_cell_receives_a_total_cell(self, monkeypatch):
-        # the half line loses its ray piece, so no base cell it owns holds
-        # the image of (1,0), whose map does not descend to the origin's
-        # chart; the cover check that would catch the half line first is
-        # switched off
-        corrupting_runs(monkeypatch, 0, lambda run: _CellRun(
-            run.pieces[:-1], run.sublattices))
-        monkeypatch.setattr(conecomplex, "covers", lambda cell, cones: True)
+        # the half line loses its ray piece inside the kernel, so no base
+        # cell it owns holds the image of (1,0), whose map does not descend
+        # to the origin's chart; the kernel's cover check that would catch
+        # the half line first is switched off
+        dropping_the_last_piece(monkeypatch, 1)
+        monkeypatch.setattr(reduction, "covers", lambda cell, cones: True)
         with pytest.raises(ReductionError, match="^no target cell of the refined "
                            "base receives total cell 0$"):
             reduce_complex(ray_collapsed_over_halfline())
@@ -848,9 +848,9 @@ class TestReduceComplexFailures:
 # ---------------------------------------------------------------------------
 # the gluing walk of _assemble_complex against the check on every gluing
 
-def stored_morphisms():
-    """Every stored fan and complex morphism of source rank at most 3, as a
-    complex morphism, and the two glued fixtures."""
+def stored_morphisms(rank=3):
+    """Every stored fan and complex morphism of source rank at most `rank`,
+    as a complex morphism, and the two glued fixtures."""
     morphisms = {}
     for path in DOCUMENTS:
         with open(path) as fh:
@@ -862,7 +862,7 @@ def stored_morphisms():
             m = fan_morphism_as_complex(m)
         morphisms[m] = None
     morphisms.update({two_copies_morphism(): None, ray_collapsed_over_halfline(): None})
-    return [m for m in morphisms if max(c.lattice.rank for c in m.source.cells) <= 3]
+    return [m for m in morphisms if max(c.lattice.rank for c in m.source.cells) <= rank]
 
 
 def walked_sides():
@@ -1102,32 +1102,59 @@ def folded_quadrant():
         Gluing(2, Cone.zero(2), 0, from_zero[1])))
 
 
-def test_a_cell_reached_as_two_images_is_refused_by_its_labels():
-    """Doubling on the folded quadrant: the ray cell reaches the quadrant
-    as both of its rays, each with its own lattice.  Labels name source
-    cells, so both rays carry the label (1,), and the hull of that label
-    region is the quadrant, whose interior is labelled (2,): the target
-    cell is refused with a typed error."""
+def doubled_folded_quadrant():
+    """Doubling on the folded quadrant, a valid complex morphism: the ray
+    cell reaches the quadrant as both of its rays, each with its own
+    lattice."""
     cx = folded_quadrant()
-    m = ComplexMorphism(cx, cx, (LatticeMap.identity_map(Lattice(0)), lmap([[2]]),
-                                 lmap([[2, 0], [0, 2]])), (0, 1, 2))
-    assert validate_complex(cx) and validate_complex_morphism(m)
+    return ComplexMorphism(cx, cx, (LatticeMap.identity_map(Lattice(0)), lmap([[2]]),
+                                    lmap([[2, 0], [0, 2]])), (0, 1, 2))
+
+
+def test_a_cell_reached_as_two_images_reduces():
+    """Labels name images, so the two rays that the ray cell reaches stay
+    apart: the quadrant is cut into its faces, the base carries 2Z on the
+    ray and 2Z^2 on the quadrant, the total the full lattices, and the
+    referee accepts every total cell of positive rank.  Its check of a
+    whole reduction does not run here: its boxes of lattice points have no
+    size for the chart of rank 0."""
+    m = doubled_folded_quadrant()
+    assert validate_complex(m.source) and validate_complex_morphism(m)
     moved = [(s, img.rays, lattice.vectors()) for s, img, lattice in _moved_images(m, 2)]
     assert sorted(moved) == [(0, (), []), (1, ((0, 1),), [(0, 2)]), (1, ((1, 0),), [(2, 0)]),
                              (2, ((0, 1), (1, 0)), [(2, 0), (0, 2)])]
-    with pytest.raises(ReductionError,
-                       match="^a label region of target cell 2 is not a union of cells$"):
-        reduce_complex(m)
+    cres = reduce_complex(m)
+    assert cres.base.complex.cells == cres.total.complex.cells == m.source.cells
+    assert [s.vectors() for s in cres.base.sublattices] == [[], [(2,)], [(2, 0), (0, 2)]]
+    assert [s.vectors() for s in cres.total.sublattices] == [[], [(1,)], [(1, 0), (0, 1)]]
+    assert cres.morphism.cell_maps == m.cell_maps and cres.morphism.assignment == (0, 1, 2)
+    out = referee_output(cres, m)
+    cells = [(i, t) for i, t in enumerate(out["total"]) if t["rank"]]
+    assert len(cells) == 2
+    for i, t in cells:
+        b = out["base"][t["assign"]]
+        assert REFEREE.check_cone_pair(
+            [tuple(r) for r in t["rays"]], [tuple(v) for v in t["sub"]],
+            [tuple(r) for r in b["rays"]], [tuple(v) for v in b["sub"]],
+            [tuple(r) for r in t["map"]], t["rank"], b["rank"], f"total cell {i}") == []
+
+
+def test_a_cell_reached_as_two_images_matches_transport():
+    m = doubled_folded_quadrant()
+    for t, cell in enumerate(m.target.cells):
+        assert_cell_step_matches_transport(m, t, label_points(cell))
+    assert complex_N0(m, 2, (1, 0)) == complex_N0(m, 2, (0, 1)) == frozenset({1})
 
 
 def test_each_piece_meets_the_lattices_of_the_images_that_hold_it():
-    """One key with three images, the quadrant and its two rays, each with
-    its own lattice: every piece meets only the lattice of the image whose
-    relative interior holds its sample, not every lattice of its key."""
+    """Three images, the quadrant and its two rays, each with its own
+    lattice: every piece meets only the lattice of the image whose relative
+    interior holds its sample, not the lattices of the images that hold it
+    on their boundary."""
     quad, x, y, zero = cone(2, (1, 0), (0, 1)), cone(2, (1, 0)), cone(2, (0, 1)), Cone.zero(2)
     lattices = {quad: [(2, 0), (0, 2)], x: [(3, 0)], y: [(0, 5)]}
-    images = [("k", c, sublattice_from_vectors(Lattice(2), vs)) for c, vs in lattices.items()]
-    pieces = refine_by_images(quad, images + [("o", zero, span_sublattice(zero))], "X")
+    images = [(c, sublattice_from_vectors(Lattice(2), vs)) for c, vs in lattices.items()]
+    pieces = refine_by_images(quad, images + [(zero, span_sublattice(zero))], "X")
     assert {c: sub.vectors() for c, sub in pieces} == {**lattices, zero: []}
 
 
@@ -1226,21 +1253,21 @@ def maximal_cells(cx):
 
 @pytest.mark.parametrize("name", ["s_ray", "s_quad", "glued_rays", "glued_quadrants"])
 def test_each_check_does_its_work_once(monkeypatch, name):
-    """covers once per target cell, the lattice certificate once per
-    maximal total cell, one cut per maximal source cell, no owner face asked
-    of a part a face cell takes from a maximal cell, validate_complex on the
-    inputs only, as the glued outputs pass it by lemma, and no image cone built
-    by validate_complex or _assemble_complex, as every embedding has a left
-    inverse."""
+    """covers once per target cell, inside the kernel, the lattice
+    certificate once per maximal total cell, one cut per maximal source
+    cell, no owner face asked of a part a face cell takes from a maximal
+    cell, validate_complex on the inputs only, as the glued outputs pass it
+    by lemma, and no image cone built by validate_complex or
+    _assemble_complex, as every embedding has a left inverse."""
     m = perfbench_morphism(name)
     covered, certified, inside, built = [], [], [], []
     cut, owners, validated = [], [], []
-    covers, certificate = conecomplex.covers, conecomplex._lattice_certificate
+    covers, certificate = reduction.covers, conecomplex._lattice_certificate
     image_cone, cut_source_cell = conecomplex.image_cone, conecomplex._cut_source_cell
     owner_face, validate = conecomplex._owner_face, conecomplex.validate_complex
 
     def covers_spy(cell, cones):
-        covered.append(cell)
+        covered.append((cell, tuple(inside)))
         return covers(cell, cones)
 
     def certificate_spy(p, sigma, n_sub, q_sub):
@@ -1274,7 +1301,8 @@ def test_each_check_does_its_work_once(monkeypatch, name):
                 inside.pop()
         return run
 
-    monkeypatch.setattr(conecomplex, "covers", covers_spy)
+    monkeypatch.setattr(reduction, "covers", covers_spy)
+    monkeypatch.setattr(reduction, "refine_by_images", watched(reduction.refine_by_images))
     monkeypatch.setattr(conecomplex, "_lattice_certificate", certificate_spy)
     monkeypatch.setattr(conecomplex, "image_cone", image_cone_spy)
     monkeypatch.setattr(conecomplex, "_cut_source_cell", cut_spy)
@@ -1285,7 +1313,7 @@ def test_each_check_does_its_work_once(monkeypatch, name):
     cres = reduce_complex(m)
     complexes = (m.source, m.target, cres.base.complex, cres.total.complex)
     assert all(g.retraction is not None for cx in complexes for g in cx.gluings)
-    assert covered == list(m.target.cells)
+    assert covered == [(cell, ("refine_by_images",)) for cell in m.target.cells]
     assert certified == maximal_cells(cres.total.complex)
     assert len(certified) < len(cres.total.complex.cells)
     assert built == []
@@ -1389,6 +1417,29 @@ def reduced_cases():
         cases.append((cres.morphism, list(cres.total.sublattices),
                       list(cres.base.sublattices)))
     return cases
+
+
+def test_glued_outputs_agree_on_faces():
+    """Through every gluing of the base and the total of every stored
+    reduction, of any rank, and the doubled folded quadrant's, the
+    embedding carries the chart's sublattice onto the cell's sublattice met
+    with the span of the face.  validate_complex reads no sublattice, and
+    reduce_complex proves this of its outputs (the walk of
+    `_assemble_complex`) without a check."""
+    gluings = 0
+    for m in stored_morphisms(5) + [doubled_folded_quadrant()]:
+        try:
+            cres = reduce_complex(m)
+        except ReductionError:
+            continue
+        for stacky in (cres.base, cres.total):
+            subs = stacky.sublattices
+            for g in stacky.complex.gluings:
+                assert image_lattice(g.embedding, subs[g.chart]) == intersect_sublattices(
+                    subs[g.cell], span_sublattice(g.face))
+            gluings += len(stacky.complex.gluings)
+    # 2,652 gluings when written
+    assert gluings > 2600
 
 
 SEMISTABILITY_FAULTS = ["valid", "face", "cell", "target"]

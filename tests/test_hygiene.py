@@ -279,6 +279,13 @@ def test_owner_faces_are_found_only_where_the_pieces_are_glued():
                                          ("conecomplex.py", "_source_runs")}
 
 
+def test_coverage_is_checked_only_in_the_kernel():
+    # the per-cell kernel checks that its pieces cover the cell, for both
+    # pipelines; is_proper asks it of a morphism's images
+    assert _callers({"covers"}) == {("reduction.py", "refine_by_images"),
+                                    ("fan.py", "is_proper")}
+
+
 def _memo_decorators():
     """(module, function, decorator) for every functools memo in src/."""
     found = []

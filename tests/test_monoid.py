@@ -4,7 +4,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import pushout_monoid, q_kappa_lattice
-from semistable.cone import Cone, ConeError, dual_cone, image_cone, preimage_cone
+from semistable.cone import (
+    Cone,
+    ConeError,
+    dual_cone,
+    image_cone,
+    preimage_cone,
+    span_sublattice,
+)
 from semistable.lattice import (
     Lattice,
     LatticeMap,
@@ -13,8 +20,11 @@ from semistable.lattice import (
     full_sublattice,
     identity,
     image_lattice,
+    intersect_sublattices,
+    lift,
     mat,
     rank,
+    span_basis,
     sublattice_from_vectors,
     transpose,
     vec_add,
@@ -29,6 +39,7 @@ from semistable.monoid import (
     _contains_modulo_units,
     _kato_search,
     _lattice_certificate,
+    _positive_functional,
     dual_monoid,
     hilbert_basis,
     image_monoid_equals_cone_monoid,
@@ -706,3 +717,44 @@ def test_units_membership_matches_naive(gens, w):
     # height 40: by Cramer's rule a unimodular pair of generators from
     # [-2, 2]^2 needs at most 20 copies of each to reach w in [-5, 5]^2
     assert got == (tuple(w) in naive_elements(gens, 40, 2))
+
+
+# monoid_generators_of_cone lifts each generator of the quotient by the
+# lineality without checking that a lift exists.  The claim that proof
+# rests on: the Hilbert basis of the quotient cone in q(L ∩ Span c) lies in
+# the lattice spanned by the images of that lattice's basis
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_quotient_generators_lift_to_the_lattice(data):
+    n = data.draw(st.integers(2, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * n)
+    line = data.draw(vectors.filter(any))
+    gens = data.draw(st.lists(vectors, min_size=1, max_size=3))
+    c = Cone.from_generators(n, [line, tuple(-x for x in line)] + gens)
+    assume(c.dim > len(c.lines))
+    scales = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    L = sublattice_from_vectors(Lattice(n), [tuple(k * x for x in e) for k, e in
+                                             zip(scales, identity(n))]
+                                + data.draw(st.lists(vectors, max_size=1)))
+    _, _, qmat = span_basis(c.lines, n)
+    q = LatticeMap(c.lattice, Lattice(len(qmat)), qmat)
+    ls = intersect_sublattices(L, span_sublattice(c))
+    qc = Cone.from_generators(q.codomain, [q(g) for g in c.generators()])
+    hb = hilbert_basis(qc, image_lattice(q, ls))
+    assert hb
+    assert None not in lift(transpose(mat([q(col) for col in ls.vectors()])), hb)
+
+
+# _positive_functional does not check its functional on the generators.
+# The claim that proof rests on: the sum of the facets of a strictly convex
+# cone is positive at each of its nonzero points
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=4)))
+def test_the_sum_of_the_facets_is_positive_on_the_cone(gens):
+    n = len(gens[0])
+    gens = [g for g in gens if any(g)]
+    assume(gens and Cone.from_generators(n, gens).is_strictly_convex)
+    c, f = Cone.from_generators(n, gens), _positive_functional(gens, n)
+    points = [v for v in itertools.product(range(-3, 4), repeat=n) if any(v) and c.contains(v)]
+    assert all(dot(f, v) > 0 for v in gens + points)

@@ -51,7 +51,7 @@ from semistable.reduction import (
     universal_minimal_modification,
     validate_category_object,
 )
-from test_support import FAN_MORPHISMS, ROOT, morphism, projections
+from test_support import FAN_MORPHISMS, ROOT, dropping_the_last_piece, morphism, projections
 
 
 def lmap(rows):
@@ -407,21 +407,18 @@ class TestReductionFailures:
                     reduce, fix_subdiv())
 
     def test_refined_base_that_misses_part_of_the_target(self, monkeypatch):
-        # the quadrant loses its last maximal piece
-        refine = reduction.refine_by_images
-
-        def dropping(cell, images, where):
-            out = refine(cell, images, where)
-            return out[:-1] if cell.dim == cell.lattice.rank else out
-        monkeypatch.setattr(reduction, "refine_by_images", dropping)
-        self.raises("refined base does not cover the target support", reduce, fix_subdiv())
+        # the quadrant loses its last maximal piece inside the kernel, whose
+        # cover check names the cone
+        dropping_the_last_piece(monkeypatch, 2)
+        self.raises("subdivision of the base cone ((0, 1), (1, 0)) misses part of the cell",
+                    reduce, fix_subdiv())
 
     def test_a_base_cell_that_no_image_reaches(self):
         # a piece gets its sublattice only once its label is known, and an
         # empty label raises: no base cell goes without contributing images,
         # whether no image or only the zero cone's lies in the cell
         ray, zero = cone(1, (1,)), Cone.zero(1)
-        for images in ([], [(zero, zero, span_sublattice(zero))]):
+        for images in ([], [(zero, span_sublattice(zero))]):
             self.raises("X is not covered by the source images near (1,)",
                         refine_by_images, ray, images, "X")
 
@@ -628,8 +625,10 @@ def test_minimal_modification_names_an_input_that_is_not_a_fan(side):
 
 
 def test_reduce_checks_each_invariant_once(monkeypatch):
-    """On S -> quad: validate_stacky_fan and is_modification run once each,
-    on the base; the lattice certificate runs on the maximal total cones
+    """On S -> quad: validate_stacky_fan runs once, on the base; coverage is
+    checked once per target cone, inside the kernel, so no is_modification
+    runs and no morphism onto the target is built but the base's map to
+    it; the lattice certificate runs on the maximal total cones
     only, and no cone is checked by its lattice points; the base maps the
     lattice of each source cone once, not again for every base cone it
     contributes to; the minimal modification is not validated,
@@ -638,7 +637,7 @@ def test_reduce_checks_each_invariant_once(monkeypatch):
     with open(os.path.join(ROOT, "tests", "data", "s_quad.json")) as fh:
         _, p = load_document(fh.read(), ("fan_morphism",))
     stacky, modifications, validated, certified, checked, intersected = [], [], [], [], [], []
-    inside, preimages, mapped = [], [], []
+    inside, preimages, mapped, covered, refining, onto = [], [], [], [], [], []
 
     def spy(module, name, record, arg=lambda *args: args[0]):
         f = getattr(module, name)
@@ -666,10 +665,29 @@ def test_reduce_checks_each_invariant_once(monkeypatch):
         finally:
             inside.pop()
     monkeypatch.setattr(reduction, "minimal_modification", watched)
+    refine = reduction.refine_by_images
+
+    def refining_spy(cell, images, where):
+        refining.append(cell)
+        try:
+            return refine(cell, images, where)
+        finally:
+            refining.pop()
+    monkeypatch.setattr(reduction, "refine_by_images", refining_spy)
+    spy(reduction, "covers", covered, lambda cell, cones: (cell, refining[-1:]))
+    post_init = FanMorphism.__post_init__
+
+    def built(m):
+        post_init(m)
+        if m.target == p.target:
+            onto.append(m)
+    monkeypatch.setattr(FanMorphism, "__post_init__", built)
     red = reduce(p)
 
     assert [s.fan for s in stacky] == [red.base.fan]
-    assert [m.source for m in modifications] == [red.base.fan]
+    assert modifications == []
+    assert covered == [(kappa, [kappa]) for kappa in p.target.cones]
+    assert onto == [red.base_to_original]
     assert len(mapped) == len(p.source.cones)
     assert red.total.fan not in validated
     top = red.total.fan.maximal_cones()

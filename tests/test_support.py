@@ -36,6 +36,7 @@ from semistable.fan import (
     validate_fan,
 )
 from semistable.lattice import Lattice, LatticeMap, det, identity
+from semistable import reduction
 from semistable.reduction import ReductionError, image_refinement
 
 
@@ -384,6 +385,18 @@ def test_cut_by_preimages_agrees_with_the_preimage_cone():
 
     check()
     assert kinds == {"zero", "lower", "full"}
+
+
+def dropping_the_last_piece(monkeypatch, dim):
+    """Make the kernel's cut lose its last piece, one of the cell's
+    dimension, in every cell of dimension `dim`."""
+    refine = reduction.refine_cell
+
+    def dropping(cell, functionals, label_at, where):
+        out = refine(cell, functionals, label_at, where)
+        assert out[-1][0].dim == cell.dim
+        return out[:-1] if cell.dim == dim else out
+    monkeypatch.setattr(reduction, "refine_cell", dropping)
 
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
